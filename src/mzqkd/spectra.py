@@ -4,9 +4,12 @@ Two independent evaluation routes are provided.  ``eval_analytic`` computes
 the closed-form intensity: four Gaussian leg-pair components plus six
 cosine-weighted cross terms.  ``eval_oracle`` builds the wavenumber-domain
 transfer function of the full setup, multiplies it onto the Gaussian input
-spectrum and inverse-transforms to position space by direct quadrature.  The
-two must agree to high precision; the oracle is the verification reference
-for the analytic route and for compensation studies.
+spectrum and inverse-transforms to position space: the trapezoid quadrature
+over a uniform wavenumber grid, evaluated on the uniform position grid as a
+chirp-z transform (one FFT convolution, each point's rounding offset from the
+uniform grid restored to first order).  The two must agree to high precision;
+the oracle is the verification reference for the analytic route and for
+compensation studies.
 
 Position bookkeeping: intensities are probability densities over the
 vacuum-equivalent propagation distance x.  At telecom lengths x is tens of
@@ -25,7 +28,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .core import DerivedQuantities, LinkParams, MzConfig, PAIRS, derive
-from .errors import ResolutionError
+from .errors import ResolutionError, VerificationError
 
 # Cross-term ordering and the interference sign of each output.  Exit o takes
 # component signs (+dm, -cm, -dc, +cc), exit p takes (+dm, -cm, +dc, -cc);
@@ -222,12 +225,12 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     intensity_o = prefactor * (total_j + 2.0 * terms.ii_o)
     intensity_p = prefactor * (total_j + 2.0 * terms.ii_p)
     if not (np.all(np.isfinite(intensity_o)) and np.all(np.isfinite(intensity_p))):
-        raise ValueError("non-finite intensity; parameters out of numeric range")
+        raise VerificationError("non-finite intensity; parameters out of numeric range")
     # destructive points cancel to rounding noise; clip it, but treat anything
     # beyond noise scale as a genuine sign error
     floor = -1e-10 * max(float(intensity_o.max()), float(intensity_p.max()))
     if intensity_o.min() < floor or intensity_p.min() < floor:
-        raise ValueError("negative intensity beyond rounding noise")
+        raise VerificationError("negative intensity beyond rounding noise")
     intensity_o = np.maximum(intensity_o, 0.0)
     intensity_p = np.maximum(intensity_p, 0.0)
     return SpectrumCurve(x=x, intensity_o=intensity_o, intensity_p=intensity_p,
@@ -284,6 +287,64 @@ def _oracle_n_k(k_span: float, max_inst_offset: float, n_k_min: int) -> int:
     return n_pow
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: numpy's FFT is fast on these lengths."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp_z_intensity(coeffs: np.ndarray, u: np.ndarray,
+                       x: np.ndarray) -> tuple[np.ndarray, float]:
+    """|sum_n coeffs[r, n] exp(i u_n x_j)|^2 for each row r, by chirp-z transform.
+
+    ``u`` is uniform and ``x`` uniform up to rounding.  With x_j = x0 + j h
+    and u_n = u0 + n du, the identity j n = (j^2 + n^2 - (j - n)^2)/2 turns the
+    sum into one FFT convolution with the chirp exp(-i du h m^2/2) (Bluestein
+    1970); the remaining per-point factor exp(i(u0 j h + du h j^2/2)) has unit
+    modulus and drops out of the intensity.  It is the same quadrature as the
+    dense sum, re-associated.
+
+    A linspace far from the origin sits up to half an ulp off the uniform
+    grid, and u times that offset is not negligible at long links.  Each
+    point's offset d_j is restored to first order by a second transform of
+    u*coeffs: psi_j = S0_j + i d_j S1_j, dropping (d_j u)^2/2.  Returns the
+    intensities and the grid-offset phase max|d|*max|u|; raises
+    ResolutionError when the dropped term could exceed 1e-10.
+    """
+    n_rows, n_k = coeffs.shape
+    n_x = x.size
+    j = np.arange(n_x)
+    rel = x - x[0]
+    h = rel[-1] / (n_x - 1)
+    offset = rel - j * h
+    offset_phase = float(np.max(np.abs(offset)) * np.max(np.abs(u)))
+    if 0.5 * offset_phase**2 > 1e-10:
+        raise ResolutionError(
+            f"position grid is not uniform: offset phase {offset_phase:.3e} rad "
+            "is beyond the first-order correction")
+
+    theta = (u[-1] - u[0]) / (n_k - 1) * h
+    n = np.arange(n_k)
+    size = _fft_length(n_k + n_x - 1)
+    spread = np.zeros((2 * n_rows, size), dtype=complex)
+    spread[:n_rows, :n_k] = coeffs * np.exp(1j * (u * x[0] + 0.5 * theta * (n * n)))
+    spread[n_rows:, :n_k] = spread[:n_rows, :n_k] * u
+    # chirp at every lag m = j - n; negative lags wrap to the end
+    lag = np.arange(-(n_k - 1), n_x)
+    chirp = np.zeros(size, dtype=complex)
+    chirp[lag] = np.exp(-0.5j * theta * (lag * lag))
+    conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(chirp), axis=-1)[:, :n_x]
+    psi = conv[:n_rows] + 1j * offset * conv[n_rows:]
+    return np.abs(psi) ** 2, offset_phase
+
+
 def eval_oracle(params: LinkParams, config: MzConfig,
                 grid: GridSpec | None = None, *,
                 precomp: PrecompMultiplier | None = None,
@@ -294,13 +355,16 @@ def eval_oracle(params: LinkParams, config: MzConfig,
 
     Builds the product of the input Gaussian spectrum, the fiber's linear and
     quadratic phase, both interferometers' leg factors and (optionally) a
-    compensating element, then inverse-transforms to position space by direct
-    trapezoid quadrature.  ``placement`` applies the compensating multiplier
-    before, after, or split around the link factors; for this linear model
-    all three are equivalent and the option exists for verification.
+    compensating element, then inverse-transforms to position space by
+    trapezoid quadrature, evaluated as a chirp-z transform with a first-order
+    correction for the grid's rounding offsets.  ``placement`` applies the
+    compensating multiplier before, after, or split around the link factors;
+    for this linear model all three are equivalent and the option exists for
+    verification.
 
     Raises ResolutionError when the wavenumber sampling cannot represent the
-    requested grid or fails the input-norm self-check (1e-8).
+    requested grid, fails the input-norm self-check (1e-8), or the position
+    grid is too far from uniform for the rounding-offset correction.
     """
     if placement not in ("pre", "post", "symmetric"):
         raise ValueError(f"placement must be pre, post or symmetric, got {placement!r}")
@@ -364,34 +428,24 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         base_o = source * (e_m - e_c) * first_mz * half
         base_p = source * (e_m + e_c) * first_mz * half
 
+    # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
+    # space plus the share that left through the first interferometer's
+    # unused exit.  |base| is the same for every placement.
+    mass_scale = 0.0625 * params.t_fiber
+    mass_o = mass_scale * float(_trapz(np.abs(base_o) ** 2, dx=du))
+    mass_p = mass_scale * float(_trapz(np.abs(base_p) ** 2, dx=du))
+
     weights = np.ones(n_k)
     weights[0] = weights[-1] = 0.5
     scale = 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
-    base_o = base_o * weights * scale
-    base_p = base_p * weights * scale
 
     # Inverse transform: psi(x) ~ sum_u base(u) exp(i u X), X measured from
     # the linear path of fiber plus compensator (their carrier phase exp(i k0 X)
     # has unit modulus and is dropped).
     x_off = x - (d.a_fiber + a_cp)
-    intensity_o = np.empty_like(x)
-    intensity_p = np.empty_like(x)
-    # cap the kernel block at ~2M complex entries (~32 MB)
-    chunk = max(1, int(2.0e6 // n_k))
-    for start in range(0, x.size, chunk):
-        kernel = np.exp(1j * np.outer(x_off[start:start + chunk], u))
-        intensity_o[start:start + chunk] = np.abs(kernel @ base_o) ** 2
-        intensity_p[start:start + chunk] = np.abs(kernel @ base_p) ** 2
+    (intensity_o, intensity_p), grid_offset_phase = _chirp_z_intensity(
+        np.stack((base_o, base_p)) * (weights * scale), u, x_off)
 
-    # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
-    # space plus the share that left through the first interferometer's
-    # unused exit.
-    mass_o = float(_trapz(np.abs(0.25 * math.sqrt(params.t_fiber)
-                                 * alpha_in * mult_cp * chirp_fiber
-                                 * (e_m - e_c) * first_mz) ** 2, dx=du))
-    mass_p = float(_trapz(np.abs(0.25 * math.sqrt(params.t_fiber)
-                                 * alpha_in * mult_cp * chirp_fiber
-                                 * (e_m + e_c) * first_mz) ** 2, dx=du))
     checks = {
         "norm_in": float(norm_in),
         "mass_o_kspace": mass_o,
@@ -399,6 +453,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         "unused_exit_remainder": float(norm_in * params.t_fiber * t_cp
                                        * params.t_leg**2 - mass_o - mass_p),
         "n_k": n_k,
+        "grid_offset_phase": grid_offset_phase,
     }
     return SpectrumCurve(x=x, intensity_o=intensity_o, intensity_p=intensity_p,
                          params=params, config=config, derived=d,

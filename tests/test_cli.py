@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from mzqkd import spectra
 from mzqkd.cli import main
 from mzqkd.units import C0
 
@@ -188,6 +191,27 @@ class TestOracleCheckCommand:
                            "--threshold", "1e-15", "--l-km", "50")
         assert code == 4
         assert "verification failure" in err
+
+
+class TestExitCodes:
+    """Numeric failures are verification failures, not config errors."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda terms: terms.ii_o * np.nan, "non-finite intensity"),
+        (lambda terms: -sum(terms.j_sq.values()), "negative intensity"),
+    ])
+    def test_numeric_failure_exits_4(self, capsys, monkeypatch, corrupt, message):
+        exact = spectra.component_terms
+
+        def corrupted(params, config, x):
+            terms = exact(params, config, x)
+            return replace(terms, ii_o=corrupt(terms))
+
+        monkeypatch.setattr(spectra, "component_terms", corrupted)
+        code, out, err = run(capsys, "spectra", *CAL, "--n-points", "128")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("verification failure") and message in err
 
 
 class TestConfigFile:

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mzqkd.core import LinkParams, MzConfig, PAIRS, derive
+from mzqkd import spectra
+from mzqkd.compensation import DcfParams, precompensate_input
+from mzqkd.core import LinkParams, MzConfig, PAIRS, derive, x_rho
 from mzqkd.errors import ResolutionError
 from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec,
                            PrecompMultiplier, component_terms,
@@ -15,6 +18,33 @@ from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec,
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
 WINDOW_RHO = 3.0 / math.sqrt(2.0)  # half-width of 3 sigma
+
+
+def dense_intensity(coeffs, u, x):
+    """Reference for the oracle's transform: the quadrature summed directly.
+
+    Builds exp(i x u) in blocks of about 2M entries; same signature as
+    ``spectra._chirp_z_intensity``, reporting no grid-offset phase.
+    """
+    out = np.empty((coeffs.shape[0], x.size))
+    chunk = max(1, int(2.0e6 // u.size))
+    for start in range(0, x.size, chunk):
+        kernel = np.exp(1j * np.outer(x[start:start + chunk], u))
+        out[:, start:start + chunk] = np.abs(coeffs @ kernel.T) ** 2
+    return out, 0.0
+
+
+def compensated(length_m, fraction, **link):
+    """Link with a fraction of its fiber dispersion cancelled before it.
+
+    Returns the full link, its compensating multiplier, and the uncompensated
+    link the analytic route sees.
+    """
+    params = LinkParams(fiber_length=length_m, **link)
+    l_cp = fraction * length_m
+    multiplier = precompensate_input(
+        params, DcfParams(kappa_cp=derive(params, MzConfig()).kappa, l_cp=l_cp))
+    return params, multiplier, replace(params, fiber_length=length_m - l_cp)
 
 
 def measured_fwhm(x, y):
@@ -148,6 +178,92 @@ class TestOracleAgreement:
         total = checks["mass_o_kspace"] + checks["mass_p_kspace"]
         assert total == pytest.approx(0.5, abs=1e-6)
         assert checks["unused_exit_remainder"] == pytest.approx(0.5, abs=1e-6)
+
+
+CAL_500KM = LinkParams(fiber_length=500e3, convention="calibrated")
+WIDE = MzConfig(delta_d=0.7, delta_m=0.65)
+RELATIVE = GridSpec(n_points=128, x_min=-2.0, x_max=2.0, relative=True)
+CHIRP_CASES = [
+    pytest.param(replace(CAL_500KM, fiber_length=length), WIDE, GridSpec(n_points=256), {},
+                 id=f"{length / 1e3:g}km")
+    for length in (0.0, 1e3, 50e3, 500e3)
+] + [
+    pytest.param(CAL_500KM, WIDE, RELATIVE,
+                 {"precomp": compensated(500e3, 0.6, convention="calibrated")[1],
+                  "placement": placement}, id=f"500km-compensated-{placement}")
+    for placement in ("pre", "post", "symmetric")
+] + [
+    pytest.param(LinkParams(fiber_length=0.0), MzConfig(delta_d=0.02, delta_m=0.02),
+                 GridSpec(n_points=1024), {"n_k_min": 1 << 6}, id="n_points-above-n_k"),
+]
+
+
+class TestChirpZ:
+    @pytest.mark.parametrize("params, config, grid, kwargs", CHIRP_CASES)
+    def test_matches_dense_quadrature(self, monkeypatch, params, config, grid, kwargs):
+        fast = eval_oracle(params, config, grid, **kwargs)
+        monkeypatch.setattr(spectra, "_chirp_z_intensity", dense_intensity)
+        dense = eval_oracle(params, config, grid, **kwargs)
+        assert max_normalized_deviation(fast, dense) <= 1e-9
+        assert 0.0 <= fast.checks["grid_offset_phase"] < 1.4e-5
+        if kwargs.get("n_k_min"):
+            assert fast.checks["n_k"] < grid.n_points
+
+    def test_rounding_offsets_restored(self):
+        dk = derive(CAL_50KM, MATCHED).delta_k
+        u = np.linspace(-10.0 * dk, 10.0 * dk, 4096)
+        center = -1238.0
+        coeffs = np.stack([np.exp(-u**2 / (4.0 * dk**2) - 1j * u * (center + shift))
+                           for shift in (0.0, 4e-4)])
+        uniform = np.linspace(center - 5e-3, center + 5e-3, 200)
+        jitter = np.random.default_rng(7).uniform(-1e-10, 1e-10, uniform.size)
+        jittered = uniform + jitter
+        fast, phase = spectra._chirp_z_intensity(coeffs, u, jittered)
+        dense, _ = dense_intensity(coeffs, u, jittered)
+        peak = dense.max()
+        assert 1e-7 < phase <= 4e-10 * u[-1]
+        assert np.max(np.abs(fast - dense)) / peak <= 1e-9
+        # the offsets alone move the intensity by far more than that
+        on_grid, _ = spectra._chirp_z_intensity(coeffs, u, uniform)
+        assert np.max(np.abs(on_grid - dense)) / peak > 1e-8
+
+    def test_non_uniform_grid_rejected(self):
+        u = np.linspace(-8e3, 8e3, 256)
+        x = np.linspace(0.0, 1.0, 64)
+        x[10] += 1e-6
+        with pytest.raises(ResolutionError):
+            spectra._chirp_z_intensity(np.ones((2, u.size), dtype=complex), u, x)
+
+    def test_mass_ledger_independent_of_placement(self):
+        params, multiplier, _ = compensated(50e3, 0.5, convention="calibrated")
+        ledgers = [eval_oracle(params, MATCHED, GridSpec(n_points=128),
+                               precomp=multiplier, placement=placement).checks
+                   for placement in ("pre", "post", "symmetric")]
+        for key in ("mass_o_kspace", "mass_p_kspace", "unused_exit_remainder"):
+            values = [ledger[key] for ledger in ledgers]
+            assert max(values) - min(values) <= 1e-12
+
+
+class TestOracleProperty:
+    """Analytic and oracle routes agree over the validated domain."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(length_km=st.floats(0.0, 500.0),
+           convention=st.sampled_from(("first_principles", "calibrated")),
+           t_fiber=st.floats(0.05, 1.0), t_leg=st.floats(0.05, 1.0),
+           sum_over_2x1=st.floats(1.0, 3.0), split=st.floats(0.2, 0.8),
+           compensated_fraction=st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
+    def test_analytic_matches_oracle(self, length_km, convention, t_fiber, t_leg,
+                                     sum_over_2x1, split, compensated_fraction):
+        params, multiplier, active = compensated(
+            length_km * 1e3, compensated_fraction, convention=convention,
+            t_fiber=t_fiber, t_leg=t_leg)
+        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(active, MzConfig()), 1.0)
+        config = MzConfig(delta_d=split * shifter_sum, delta_m=(1.0 - split) * shifter_sum)
+        grid = GridSpec(n_points=512)
+        oracle = eval_oracle(params, config, grid, precomp=multiplier)
+        analytic = eval_analytic(active, config, grid)
+        assert max_normalized_deviation(analytic, oracle) <= 1e-6
 
 
 class TestMasses:
