@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import DerivedQuantities, LinkParams, MzConfig, derive, x_rho
+from .core import (DerivedQuantities, LinkParams, MzConfig, accumulated_dispersion,
+                   broadening, derive, x_rho)
 from .design import min_phase_sum
 from .errors import InfeasibleDesignError
 from .spectra import GridSpec, eval_analytic, middle_window_masses, z_phase_difference
@@ -70,10 +71,14 @@ def phase_for(params: LinkParams, role: str, basis: str,
 
 def g_term_value(derived: DerivedQuantities) -> float:
     """Signed dispersion-correction coefficient G, 1/m.  Zero without dispersion."""
-    if derived.delta1 == 0.0:
-        return 0.0
-    return (derived.params.lambda0 * (1.0 - 1.0 / derived.gamma)
-            / (4.0 * math.pi * derived.delta1))
+    return float(_g_term(derived.params.lambda0, derived.gamma, derived.delta1))
+
+
+def _g_term(lambda0: float, gamma, delta1) -> np.ndarray:
+    """G = lambda0*(1 - 1/gamma)/(4*pi*delta1) elementwise, 0 where delta1 is 0."""
+    denominator = 4.0 * math.pi * np.asarray(delta1, dtype=float)
+    return np.divide(lambda0 * (1.0 - 1.0 / gamma), denominator,
+                     out=np.zeros_like(denominator), where=denominator != 0.0)
 
 
 class ZDifference(NamedTuple):
@@ -87,7 +92,8 @@ def z_difference(params: LinkParams, config: MzConfig, delta_x: float,
                  pair_a: str, pair_b: str) -> ZDifference:
     """Phase difference z_a - z_b at offset delta_x from the symbol center.
 
-    ``exact`` subtracts the raw per-pair phases; ``factored`` evaluates
+    ``exact`` is ``spectra.z_phase_difference``, the per-pair phases with
+    their common part cancelled algebraically; ``factored`` evaluates
     (2*pi/lambda0)*(shifter-sum difference)*(1 + G*[delta_x + s]) where s
     recenters for the pairs involved.  The two agree to rounding error.
     """
@@ -123,18 +129,15 @@ def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
                     delta_c: float = 0.0) -> GTermAnalysis:
     """Evaluate G over fiber lengths and locate its maximum magnitude."""
     lengths = np.asarray(lengths, dtype=float)
-    if lengths.size == 0 or np.any(lengths < 0):
-        raise ValueError("length sweep must be non-empty and non-negative")
-    g_values = np.empty_like(lengths)
-    second = np.empty_like(lengths)
-    for i, length in enumerate(lengths):
-        d = derive(replace(params, fiber_length=float(length)), MzConfig())
-        g = g_term_value(d)
-        g_values[i] = g
-        second[i] = abs(g * (3.0 * d.sigma - delta_c))
+    if lengths.size == 0 or not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
+        raise ValueError("length sweep must be non-empty, finite and non-negative")
     d0 = derive(params, MzConfig())
+    delta1 = accumulated_dispersion(params, lengths)
+    gamma, sigma = broadening(d0.delta_k, delta1)
+    g_values = _g_term(params.lambda0, gamma, delta1)
     return GTermAnalysis(
-        lengths=lengths, g_values=g_values, second_terms=second,
+        lengths=lengths, g_values=g_values,
+        second_terms=np.abs(g_values * (3.0 * sigma - delta_c)),
         argmax_length=float(lengths[int(np.argmax(np.abs(g_values)))]),
         analytic_argmax=1.0 / (4.0 * d0.delta_k**2 * d0.kappa),
     )

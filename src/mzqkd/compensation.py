@@ -3,26 +3,22 @@
 Two regimes exist.  When the clock rate stays below the intersymbol bound at
 the full link length, no compensating fiber is needed and the shifter bound
 is evaluated at the full length.  Above it, symbols would be read in the
-wrong order; the planner then finds the longest "active" length whose bound
-still accommodates the clock and prescribes cancelling the dispersion of the
-remaining span.  The cancellation itself is a wavenumber-domain multiplier
-verified against the spectra oracle.
+wrong order; the planner then inverts the rate bound exactly for the longest
+"active" length that still accommodates the clock and prescribes cancelling
+the dispersion of the remaining span.  The cancellation itself is a
+wavenumber-domain multiplier verified against the spectra oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import LinkParams, MzConfig, derive
-from .design import RATE_MODES, max_rate, min_phase_sum
+from .design import MODE_FACTOR, RATE_MODES, max_rate, min_phase_sum
 from .errors import InfeasibleDesignError
 from .spectra import PrecompMultiplier
-
-REGIMES = ("no_dcf", "partial_dcf")
-
-# Bisection tolerance on the active length, m.
-ACTIVE_LENGTH_TOL = 1.0
 
 
 @dataclass(frozen=True)
@@ -87,22 +83,24 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
             f"{rate_at(0.0):.4g} Hz of a fully compensated link "
             "(interferometer legs still disperse)")
 
-    # rate_at is strictly decreasing in the active length, so plain bisection
-    # brackets the crossing.
-    lo, hi = 0.0, link
-    while hi - lo > ACTIVE_LENGTH_TOL:
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) >= clock_rate:
-            lo = mid
-        else:
-            hi = mid
-    active = lo
+    # Invert rate = c0/(q*rho*sqrt(2)*sigma), sigma = sqrt(gamma)/(2*delta_k),
+    # gamma = 1 + 16*delta_k^4*delta1^2 and |delta1| = kappa*(active + 2*leg).
+    d = derive(params, MzConfig())
+    sigma = params.c0 / (MODE_FACTOR[mode] * rho * math.sqrt(2.0) * clock_rate)
+    gamma = (2.0 * d.delta_k * sigma) ** 2
+    total = math.sqrt(max(gamma - 1.0, 0.0) / (16.0 * d.delta_k**4)) / d.kappa
+    active = max(total - 2.0 * params.leg_length, 0.0)
+    # The inverse rounds either way.  Where it lands short of the clock, back
+    # off in doubling steps from one ulp; rate_at(0) >= clock ends the loop.
+    step = math.ulp(active)
+    while rate_at(active) < clock_rate:
+        active = max(active - step, 0.0)
+        step *= 2.0
     span = link - active
-    kappa = derive(params, MzConfig()).kappa
     return CompensationPlan(
         regime="partial_dcf", clock_rate=clock_rate, link_length=link,
         active_length=active, dcf_equivalent_length=span,
-        dcf_params=DcfParams(kappa_cp=kappa, l_cp=span),
+        dcf_params=DcfParams(kappa_cp=d.kappa, l_cp=span),
         phase_sum_requirement=min_phase_sum(
             replace(params, fiber_length=active), rho),
         rho=rho, mode=mode)

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .units import C0
 
 # Leg pairs, first interferometer leg then second (the short legs of the two
@@ -104,7 +106,7 @@ class MzConfig:
 
     delta_d / delta_m are the extra path lengths in the long arms of the first
     and second interferometer; delta_c is a common short-arm offset (normally
-    zero).  The transmission-fiber shifter is identically zero.  Detector edge
+    zero).  The transmission fiber carries no phase shifter.  Detector edge
     times are in seconds.
     """
 
@@ -114,9 +116,6 @@ class MzConfig:
     t_rising: float = 0.0
     t_falling: float = 0.0
 
-    #: the transmission-fiber segment carries no phase shifter
-    DELTA_G = 0.0
-
     def __post_init__(self) -> None:
         for name in ("delta_d", "delta_m", "delta_c", "t_rising", "t_falling"):
             _require_finite(name, getattr(self, name))
@@ -125,12 +124,13 @@ class MzConfig:
         if self.t_rising < 0 or self.t_falling < 0:
             raise ValueError("detector edge times must be non-negative")
 
+    def shifter(self, leg: str) -> float:
+        """Shifter value of one leg, m.  Both interferometers' short legs are "c"."""
+        return {"c": self.delta_c, "d": self.delta_d, "m": self.delta_m}[leg]
+
     def delta_sum(self, pair: str) -> float:
         """Sum of the two shifter values of a leg pair, m."""
-        lookup = {"c": self.delta_c, "d": self.delta_d, "m": self.delta_m}
-        first, second = pair
-        # second-interferometer short leg is labelled "c" as well
-        return lookup[first] + (self.delta_m if second == "m" else self.delta_c)
+        return self.shifter(pair[0]) + self.shifter(pair[1])
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,7 @@ class DerivedQuantities:
 
     def a_leg(self, leg: str) -> float:
         """Optical path term of one leg: shifter value plus group delay, m."""
-        cfg, p = self.config, self.params
-        shifter = {"c": cfg.delta_c, "d": cfg.delta_d, "m": cfg.delta_m}[leg]
-        return shifter + p.group_index * p.leg_length
+        return self.config.shifter(leg) + self.params.group_index * self.params.leg_length
 
     @property
     def a_fiber(self) -> float:
@@ -178,9 +176,7 @@ class DerivedQuantities:
 
     def a_sum(self, pair: str) -> float:
         """Total linear path term of a leg pair including the fiber, m."""
-        first, second = pair
-        second_leg = "m" if second == "m" else "c"
-        return self.a_fiber + self.a_leg(first) + self.a_leg(second_leg)
+        return self.a_fiber + self.a_leg(pair[0]) + self.a_leg(pair[1])
 
 
 def effective_kappa(params: LinkParams) -> float:
@@ -189,6 +185,26 @@ def effective_kappa(params: LinkParams) -> float:
     if params.convention == "calibrated":
         kappa /= CALIBRATED_KAPPA_SCALE
     return kappa
+
+
+def accumulated_dispersion(params: LinkParams, fiber_length):
+    """Signed dispersion kappa_signed*(fiber_length + 2*leg_length), m^2.
+
+    ``fiber_length`` is a float or a numpy array of lengths.  D > 0
+    (anomalous dispersion at 1550 nm) makes the signed kappa negative.
+    """
+    return -effective_kappa(params) * (fiber_length + 2.0 * params.leg_length)
+
+
+def broadening(delta_k: float, delta1):
+    """Broadening factor and position width for accumulated dispersion delta1.
+
+    gamma = 1 + 16*delta_k^4*delta1^2 and sigma = sqrt(gamma)/(2*delta_k).
+    ``delta1`` is a float or a numpy array; squaring by multiplication keeps
+    both bit-identical (libm pow and numpy's square can differ by an ulp).
+    """
+    gamma = 1.0 + 16.0 * delta_k**4 * (delta1 * delta1)
+    return gamma, np.sqrt(gamma) / (2.0 * delta_k)
 
 
 def derive(params: LinkParams, config: MzConfig) -> DerivedQuantities:
@@ -200,10 +216,9 @@ def derive(params: LinkParams, config: MzConfig) -> DerivedQuantities:
     delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
     k0 = 2.0 * math.pi / params.lambda0
     kappa = effective_kappa(params)
-    # D > 0 (anomalous dispersion at 1550 nm) makes the signed kappa negative.
-    delta1 = -kappa * (params.fiber_length + 2.0 * params.leg_length)
-    gamma = 1.0 + 16.0 * delta_k**4 * delta1**2
-    sigma = math.sqrt(gamma) / (2.0 * delta_k)
+    delta1 = accumulated_dispersion(params, params.fiber_length)
+    gamma, sigma = broadening(delta_k, delta1)
+    sigma = float(sigma)
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
     base = params.group_index * params.fiber_length \
         + 2.0 * params.group_index * params.leg_length + 2.0 * delta1 * k0
@@ -219,6 +234,11 @@ def x_rho(derived: DerivedQuantities, rho: float) -> float:
 
     rho=1 gives the classical 1/e half width; rho=sqrt(ln 2) gives FWHM/2.
     """
+    return half_width(derived.sigma, rho)
+
+
+def half_width(sigma, rho: float):
+    """X_rho of a pulse of position width sigma (a float or a numpy array), m."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho!r}")
-    return rho * math.sqrt(2.0) * derived.sigma
+    return rho * math.sqrt(2.0) * sigma

@@ -9,12 +9,14 @@ stay open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from scipy.special import erf
+import numpy as np
 
-from .core import LinkParams, MzConfig, derive, x_rho
+from .core import (LinkParams, MzConfig, accumulated_dispersion, broadening, derive,
+                   half_width, x_rho)
 from .errors import InfeasibleDesignError
 
 RATE_MODES = ("linear", "nonlinear", "general")
@@ -23,7 +25,7 @@ RATE_MODES = ("linear", "nonlinear", "general")
 # non-linearity (consecutive symbols may interleave exterior pulses),
 # "nonlinear" keeps consecutive symbols fully disjoint, "general" is the
 # single-pulse variant for setups without exterior pulses.
-_MODE_FACTOR = {"linear": 4.0, "nonlinear": 6.0, "general": 2.0}
+MODE_FACTOR = {"linear": 4.0, "nonlinear": 6.0, "general": 2.0}
 
 # Named detector edge-time presets (seconds).  The SNSPD profile splits a
 # 5 ns response time evenly between the rising and falling edge.
@@ -61,7 +63,7 @@ def visibility_of_rho(rho: float) -> float:
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho!r}")
-    return float(erf(rho))
+    return math.erf(rho)
 
 
 def min_phase_sum(params: LinkParams, rho: float,
@@ -76,15 +78,27 @@ def min_phase_sum(params: LinkParams, rho: float,
         raise ValueError("detector edge times must be non-negative")
     if safety_factor <= 0:
         raise ValueError("safety_factor must be positive")
-    bound = 4.0 * pulse_half_width(params, rho) + params.c0 * (t_rising + t_falling)
-    return safety_factor * bound
+    return _phase_sum_bound(params, pulse_half_width(params, rho),
+                            t_rising, t_falling, safety_factor)
 
 
 def max_rate(params: LinkParams, rho: float, mode: str = "linear") -> float:
     """Largest symbol rate without intersymbol overlap, Hz."""
-    if mode not in _MODE_FACTOR:
+    if mode not in MODE_FACTOR:
         raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
-    return params.c0 / (_MODE_FACTOR[mode] * pulse_half_width(params, rho))
+    return _rate_bound(params, pulse_half_width(params, rho), mode)
+
+
+# The two bounds as functions of the half width X_rho (a float or a numpy
+# array), shared by the scalar functions above and the length sweep.
+
+def _phase_sum_bound(params: LinkParams, half, t_rising: float, t_falling: float,
+                     safety_factor: float = 1.0):
+    return safety_factor * (4.0 * half + params.c0 * (t_rising + t_falling))
+
+
+def _rate_bound(params: LinkParams, half, mode: str):
+    return params.c0 / (MODE_FACTOR[mode] * half)
 
 
 def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> float:
@@ -130,16 +144,19 @@ def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
     Returns one row per length with keys length_m, min_phase_sum_m,
     rate_linear_hz, rate_nonlinear_hz, rate_general_hz.
     """
-    rows = []
-    for length in lengths_m:
-        p = replace(params, fiber_length=float(length))
-        rows.append({
-            "length_m": float(length),
-            "min_phase_sum_m": min_phase_sum(p, rho, config.t_rising, config.t_falling),
-            "rate_linear_hz": max_rate(p, rho, "linear"),
-            "rate_nonlinear_hz": max_rate(p, rho, "nonlinear"),
-            "rate_general_hz": max_rate(p, rho, "general"),
-        })
-    if not rows:
+    lengths = np.array(list(lengths_m), dtype=float)
+    if lengths.size == 0:
         raise ValueError("length sweep must contain at least one value")
-    return rows
+    if not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
+        raise ValueError("lengths must be finite and non-negative")
+    _, sigma = broadening(derive(params, MzConfig()).delta_k,
+                          accumulated_dispersion(params, lengths))
+    half = half_width(sigma, rho)
+    columns = {
+        "length_m": lengths,
+        "min_phase_sum_m": _phase_sum_bound(params, half, config.t_rising, config.t_falling),
+        "rate_linear_hz": _rate_bound(params, half, "linear"),
+        "rate_nonlinear_hz": _rate_bound(params, half, "nonlinear"),
+        "rate_general_hz": _rate_bound(params, half, "general"),
+    }
+    return [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]

@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import DerivedQuantities, LinkParams, MzConfig, PAIRS, derive
+from .core import DerivedQuantities, LinkParams, MzConfig, PAIRS, broadening, derive
 from .errors import ResolutionError, VerificationError
 
 # Cross-term ordering and the interference sign of each output.  Exit o takes
@@ -107,7 +107,6 @@ class ComponentTerms:
     x: np.ndarray
     j_sq: Mapping[str, np.ndarray]       # |J_ij|^2
     c_prime: Mapping[str, np.ndarray]    # Gaussian cross-term amplitudes
-    z: Mapping[str, np.ndarray]          # per-pair phases, rad
     cross: Mapping[tuple, np.ndarray]    # Re[J_ij J*_kl] for CROSS_PAIRS
     ii_o: np.ndarray
     ii_p: np.ndarray
@@ -137,78 +136,39 @@ def _moments(derived: DerivedQuantities) -> PulseMoments:
                         delta1=derived.delta1, gamma=derived.gamma)
 
 
-def _a_sum_extended(derived: DerivedQuantities, pair: str) -> np.longdouble:
-    """Per-pair linear path term summed in extended precision.
-
-    The path terms are tens of kilometers while phase differences resolve
-    nanometers; float64 rounding of the sum would leak into the phases.
-    """
-    p, cfg = derived.params, derived.config
-    shifter = {"c": cfg.delta_c, "d": cfg.delta_d, "m": cfg.delta_m}
-    first, second = pair[0], ("m" if pair[1] == "m" else "c")
-    group_delay = np.longdouble(p.group_index) * (
-        np.longdouble(p.fiber_length) + 2 * np.longdouble(p.leg_length))
-    return group_delay + np.longdouble(shifter[first]) + np.longdouble(shifter[second])
-
-
-def z_phase(derived: DerivedQuantities, pair: str, x) -> np.ndarray:
-    """Raw phase of one leg-pair component at absolute position x, rad.
-
-    Evaluated in extended precision: the raw phases are huge at telecom
-    lengths and only their pairwise differences are physical.
-    """
-    d = derived
-    dk, k0, d1, g = d.delta_k, d.k0, d.delta1, d.gamma
-    xp = np.asarray(x, dtype=np.longdouble) - _a_sum_extended(d, pair)
-    return (0.5 * math.atan(4.0 * d1 * dk**2)
-            + (k0**2 * d1 - k0 * xp - 4.0 * dk**4 * d1 * xp * xp) / g)
-
-
 def z_phase_difference(derived: DerivedQuantities, pair_a: str, pair_b: str, x):
-    """Difference z_a(x) - z_b(x) without the huge common phase, rad.
+    """Difference z_a(x) - z_b(x) of two leg-pair phases at position x, rad.
 
-    The pair-independent pieces of the raw phases cancel algebraically;
+    The raw phases are huge at telecom lengths (k0 times tens of
+    kilometers) but their pair-independent pieces cancel algebraically;
     what remains is proportional to the shifter-sum difference and stays
-    well-conditioned at any link length.
+    well-conditioned in float64 at any link length.
     """
     d = derived
-    dk, k0, d1, g = d.delta_k, d.k0, d.delta1, d.gamma
-    cfg = d.config
-    dsum_diff = np.longdouble(cfg.delta_sum(pair_a)) - np.longdouble(cfg.delta_sum(pair_b))
-    xl = np.asarray(x, dtype=np.longdouble)
-    xp_sum = (xl - _a_sum_extended(d, pair_a)) + (xl - _a_sum_extended(d, pair_b))
-    return (dsum_diff / g) * (k0 + 4.0 * dk**4 * d1 * xp_sum)
+    dsum_diff = d.config.delta_sum(pair_a) - d.config.delta_sum(pair_b)
+    xp_sum = 2.0 * x - (d.a_sum(pair_a) + d.a_sum(pair_b))
+    return (dsum_diff / d.gamma) * (d.k0 + 4.0 * d.delta_k**4 * d.delta1 * xp_sum)
 
 
 def component_terms(params: LinkParams, config: MzConfig,
                     x: np.ndarray) -> ComponentTerms:
     """Evaluate every analytic component on the given grid."""
     d = derive(params, config)
-    dk, k0, d1, g = d.delta_k, d.k0, d.delta1, d.gamma
+    dk, g = d.delta_k, d.gamma
     t = params.t_leg
 
     j_sq = {}
     c_prime = {}
-    z = {}
     for pair in PAIRS:
         env = np.exp(-dk**2 * (x - d.mu[pair]) ** 2 / g)
         j_sq[pair] = 4.0 * math.pi * dk**2 * t * t * env * env / math.sqrt(g)
         c_prime[pair] = 2.0 * dk * t * math.sqrt(math.pi) * env / g**0.25
-        z[pair] = z_phase(d, pair, x)
 
-    cross = {}
-    for (a, b) in CROSS_PAIRS:
-        # Stable phase difference: the pair-independent pieces of z cancel
-        # algebraically, leaving a small, well-conditioned expression.
-        dsum_diff = config.delta_sum(a) - config.delta_sum(b)
-        xp_sum = 2.0 * x - (d.a_sum(a) + d.a_sum(b))
-        zdiff = (dsum_diff / g) * (k0 + 4.0 * dk**4 * d1 * xp_sum)
-        cross[(a, b)] = c_prime[a] * c_prime[b] * np.cos(zdiff)
-
+    cross = {(a, b): c_prime[a] * c_prime[b] * np.cos(z_phase_difference(d, a, b, x))
+             for (a, b) in CROSS_PAIRS}
     ii_o = sum(s * cross[p] for s, p in zip(SIGNS_O, CROSS_PAIRS))
     ii_p = sum(s * cross[p] for s, p in zip(SIGNS_P, CROSS_PAIRS))
-    z64 = {pair: z[pair].astype(np.float64) for pair in PAIRS}
-    return ComponentTerms(x=x, j_sq=j_sq, c_prime=c_prime, z=z64,
+    return ComponentTerms(x=x, j_sq=j_sq, c_prime=c_prime,
                           cross=cross, ii_o=ii_o, ii_p=ii_p)
 
 
@@ -267,11 +227,10 @@ def effective_moments(params: LinkParams, config: MzConfig,
     if precomp is None:
         return _moments(d)
     delta1 = d.delta1 + precomp.b_cp
-    gamma = 1.0 + 16.0 * d.delta_k**4 * delta1**2
-    sigma = math.sqrt(gamma) / (2.0 * d.delta_k)
+    gamma, sigma = broadening(d.delta_k, delta1)
     shift = precomp.a_cp + 2.0 * (delta1 - d.delta1) * d.k0
     mu = {pair: d.mu[pair] + shift for pair in PAIRS}
-    return PulseMoments(mu=mu, sigma=sigma, delta1=delta1, gamma=gamma)
+    return PulseMoments(mu=mu, sigma=float(sigma), delta1=delta1, gamma=gamma)
 
 
 def _oracle_n_k(k_span: float, max_inst_offset: float, n_k_min: int) -> int:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestGTerm:
             g_term_analysis(LinkParams(), [])
         with pytest.raises(ValueError):
             g_term_analysis(LinkParams(), [-5.0])
+        with pytest.raises(ValueError):
+            g_term_analysis(LinkParams(), [10.0, math.nan])
+
+    @pytest.mark.parametrize("leg_length", [1.0, 0.0])
+    def test_sweep_equals_scalar_value(self, leg_length):
+        params = LinkParams(convention="calibrated", leg_length=leg_length)
+        lengths = np.array([0.0, 0.5, 1236.0, 50e3, 500e3])
+        analysis = g_term_analysis(params, lengths, delta_c=0.01)
+        for length, g, second in zip(lengths, analysis.g_values, analysis.second_terms):
+            d = derive(replace(params, fiber_length=float(length)), MzConfig())
+            assert g == g_term_value(d)
+            assert second == abs(g_term_value(d) * (3.0 * d.sigma - 0.01))
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mzqkd
 from mzqkd import spectra
 from mzqkd.cli import main
 from mzqkd.units import C0
@@ -285,3 +290,15 @@ class TestDeterminism:
                              "--output", str(target))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        src = Path(mzqkd.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        probe = ("import mzqkd.cli, sys; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mzqkd.compensation import (ACTIVE_LENGTH_TOL, DcfParams, full_compensation_dcf,
-                                plan, precompensate_input)
+from mzqkd.compensation import (DcfParams, full_compensation_dcf, plan,
+                                precompensate_input)
 from mzqkd.core import LinkParams, MzConfig, derive
 from mzqkd.design import max_rate, min_phase_sum
 from mzqkd.errors import InfeasibleDesignError
@@ -15,10 +15,14 @@ from mzqkd.spectra import (GridSpec, eval_analytic, eval_oracle,
 CAL_405KM = LinkParams(fiber_length=405e3, convention="calibrated")
 
 
-def closed_form_active_length(params, clock, rho):
-    """Independent inversion of the rate bound for the linear mode."""
+# Denominator of c0/(q * X_rho) per rate mode.
+MODE_FACTOR = {"linear": 4.0, "nonlinear": 6.0, "general": 2.0}
+
+
+def closed_form_active_length(params, clock, rho, mode="linear"):
+    """Independent inversion of the rate bound."""
     d = derive(params, MzConfig())
-    sigma_target = params.c0 / (clock * 4.0 * rho * math.sqrt(2.0))
+    sigma_target = params.c0 / (clock * MODE_FACTOR[mode] * rho * math.sqrt(2.0))
     gamma_target = (2.0 * d.delta_k * sigma_target) ** 2
     total = math.sqrt((gamma_target - 1.0) / (16.0 * d.delta_k**4)) / d.kappa
     return total - 2.0 * params.leg_length
@@ -36,9 +40,27 @@ class TestPlan:
         result = plan(CAL_405KM, 2.5e9, 3.0)
         assert result.regime == "partial_dcf"
         expected = closed_form_active_length(CAL_405KM, 2.5e9, 3.0)
-        assert abs(result.active_length - expected) <= 2.0 * ACTIVE_LENGTH_TOL
+        assert result.active_length == pytest.approx(expected, rel=1e-12)
         assert result.dcf_equivalent_length == pytest.approx(
             405e3 - result.active_length, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear", "general"])
+    @pytest.mark.parametrize("params,clock", [
+        (CAL_405KM, 2.5e9),
+        (CAL_405KM, None),
+        (LinkParams(fiber_length=300e3), None),
+        (LinkParams(fiber_length=40e3), None),
+    ])
+    def test_exact_inverse_keeps_the_clock(self, params, clock, mode):
+        # None: a clock just above the bound at the full length
+        clock = clock or 1.0001 * max_rate(params, 3.0, mode)
+        result = plan(params, clock, 3.0, mode)
+        assert result.regime == "partial_dcf"
+        assert result.active_length == pytest.approx(
+            closed_form_active_length(params, clock, 3.0, mode), rel=1e-12)
+        rate = max_rate(replace(params, fiber_length=result.active_length), 3.0, mode)
+        assert rate >= clock
+        assert rate / clock - 1.0 < 1e-12
 
     def test_bisection_contract(self):
         result = plan(CAL_405KM, 2.5e9, 3.0)

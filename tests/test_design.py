@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ class TestReportAndSweep:
         assert all(b >= a for a, b in zip(sums, sums[1:]))
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
+    @pytest.mark.parametrize("convention", ["first_principles", "calibrated"])
+    def test_sweep_rows_equal_scalar_bounds(self, convention):
+        params = LinkParams(convention=convention)
+        config = MzConfig(t_rising=2.5e-9, t_falling=1e-9)
+        lengths = [0.0, 1.0, 1236.0, 50e3, 405e3, 500e3]
+        for length, row in zip(lengths, sweep_lengths(params, config, 2.7, lengths)):
+            p = replace(params, fiber_length=length)
+            assert row["length_m"] == length
+            assert row["min_phase_sum_m"] == min_phase_sum(p, 2.7, 2.5e-9, 1e-9)
+            for mode in ("linear", "nonlinear", "general"):
+                assert row[f"rate_{mode}_hz"] == max_rate(p, 2.7, mode)
+
     def test_sweep_rejects_empty(self):
         with pytest.raises(ValueError):
             sweep_lengths(LinkParams(), MzConfig(), 3.0, [])
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sweep_lengths(LinkParams(), MzConfig(), 3.0, [10e3, bad])

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +146,42 @@ class TestComponentTerms:
         swapped_p = sum(s * terms.cross[p] for s, p in zip(SIGNS_O, CROSS_PAIRS))
         assert np.array_equal(swapped_o, terms.ii_p)
         assert np.array_equal(swapped_p, terms.ii_o)
+
+
+def mp_phase_difference(derived, pair_a, pair_b, x):
+    """z_a(x) - z_b(x) from the raw per-pair phases at 50 significant digits.
+
+    z(x) = atan(4 delta1 dk^2)/2 + (k0^2 delta1 - k0 x' - 4 dk^4 delta1 x'^2)/gamma
+    with x' = x - a_sum(pair); the float64 inputs are taken as exact.
+    """
+    with mpmath.workdps(50):
+        d, p, cfg = derived, derived.params, derived.config
+        dk, k0, d1, g = (mpmath.mpf(v) for v in (d.delta_k, d.k0, d.delta1, d.gamma))
+        group_delay = mpmath.mpf(p.group_index) * (
+            mpmath.mpf(p.fiber_length) + 2 * mpmath.mpf(p.leg_length))
+
+        def z(pair):
+            xp = mpmath.mpf(x) - group_delay - mpmath.mpf(cfg.shifter(pair[0])) \
+                - mpmath.mpf(cfg.shifter(pair[1]))
+            return mpmath.atan(4 * d1 * dk**2) / 2 \
+                + (k0**2 * d1 - k0 * xp - 4 * dk**4 * d1 * xp**2) / g
+
+        return z(pair_a) - z(pair_b)
+
+
+class TestPhaseDifference:
+    @pytest.mark.parametrize("convention", ["first_principles", "calibrated"])
+    @pytest.mark.parametrize("length", [0.0, 1e3, 50e3, 500e3])
+    def test_float64_matches_extended_reference(self, length, convention):
+        params = LinkParams(fiber_length=length, convention=convention)
+        d = derive(params, MzConfig(delta_d=0.25 + 0.75 * params.lambda0,
+                                    delta_m=0.2 + 0.25 * params.lambda0, delta_c=0.01))
+        for offset in np.linspace(-5.0, 5.0, 11):
+            x = d.window_center + offset * d.sigma
+            for (a, b) in CROSS_PAIRS:
+                reference = mp_phase_difference(d, a, b, x)
+                value = spectra.z_phase_difference(d, a, b, x)
+                assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
 class TestOracleAgreement:
