@@ -103,8 +103,7 @@ def z_difference(params: LinkParams, config: MzConfig, delta_x: float,
             raise ValueError(f"unknown leg pair {pair!r}")
     if abs(delta_x) > 5.0 * d.sigma:
         raise ValueError("delta_x outside +-5 sigma of the symbol center")
-    x_abs = d.window_center + delta_x
-    exact = float(z_phase_difference(d, pair_a, pair_b, x_abs))
+    exact = float(z_phase_difference(d, pair_a, pair_b, delta_x))
 
     dsum_a = config.delta_sum(pair_a)
     dsum_b = config.delta_sum(pair_b)

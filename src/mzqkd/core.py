@@ -165,19 +165,6 @@ class DerivedQuantities:
         """Center of the middle pulse, (mu_cm + mu_dc)/2, m."""
         return 0.5 * (self.mu["cm"] + self.mu["dc"])
 
-    def a_leg(self, leg: str) -> float:
-        """Optical path term of one leg: shifter value plus group delay, m."""
-        return self.config.shifter(leg) + self.params.group_index * self.params.leg_length
-
-    @property
-    def a_fiber(self) -> float:
-        """Optical path term of the transmission fiber, m."""
-        return self.params.group_index * self.params.fiber_length
-
-    def a_sum(self, pair: str) -> float:
-        """Total linear path term of a leg pair including the fiber, m."""
-        return self.a_fiber + self.a_leg(pair[0]) + self.a_leg(pair[1])
-
 
 def effective_kappa(params: LinkParams) -> float:
     """Magnitude of the dispersion parameter under the configured convention, m."""

@@ -6,17 +6,20 @@ cosine-weighted cross terms.  ``eval_oracle`` builds the wavenumber-domain
 transfer function of the full setup, multiplies it onto the Gaussian input
 spectrum and inverse-transforms to position space: the trapezoid quadrature
 over a uniform wavenumber grid, evaluated on the uniform position grid as a
-chirp-z transform (one FFT convolution, each point's rounding offset from the
-uniform grid restored to first order).  The two must agree to high precision;
-the oracle is the verification reference for the analytic route and for
-compensation studies.
+chirp-z transform (one FFT convolution).  The two must agree to high
+precision; the oracle is the verification reference for the analytic route
+and for compensation studies.
 
 Position bookkeeping: intensities are probability densities over the
-vacuum-equivalent propagation distance x.  At telecom lengths x is tens of
-kilometers while the pulse structure lives on a scale of meters, so the
-oracle factors the x-independent carrier phase out of the transform (a global
-phase, invisible in |psi|^2) and evaluates only well-conditioned residual
-phases.
+vacuum-equivalent propagation distance x.  At telecom lengths x is hundreds
+of kilometers while the pulse structure lives on a scale of meters, and the
+spectra depend on x only through its distance from the component means.
+Both routes therefore work in offsets from the window center, the
+middle-pulse center halfway between the cm and dc means.  Each mean sits at
+the offset delta_sum(pair) - (delta_sum("cm") + delta_sum("dc"))/2, with or
+without a compensating element, so no large position is formed or cancelled;
+absolute positions (``SpectrumCurve.x``) are window center plus offset and
+are formed only where a caller reads them.
 """
 
 from __future__ import annotations
@@ -68,43 +71,43 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PulseMoments:
-    """Means and width of the four components, after any pre-compensation."""
+    """Window center and width of the components, after any pre-compensation."""
 
-    mu: Mapping[str, float]
+    window_center: float
     sigma: float
     delta1: float
     gamma: float
 
-    @property
-    def window_center(self) -> float:
-        return 0.5 * (self.mu["cm"] + self.mu["dc"])
-
 
 @dataclass(frozen=True)
 class SpectrumCurve:
-    """Sampled |psi_o(x)|^2, |psi_p(x)|^2 with the inputs that produced them."""
+    """Sampled |psi_o|^2, |psi_p|^2 with the inputs that produced them.
 
-    x: np.ndarray
+    The grid is stored as offsets from the window center (the middle-pulse
+    center, m); ``x`` adds the center back for callers that want absolute
+    positions.
+    """
+
+    x_relative: np.ndarray
     intensity_o: np.ndarray
     intensity_p: np.ndarray
     params: LinkParams
     config: MzConfig
     derived: DerivedQuantities = field(repr=False)
-    window_center: float = 0.0
-    sigma: float = 0.0
+    window_center: float
+    sigma: float
     checks: Optional[dict] = None
 
     @property
-    def x_relative(self) -> np.ndarray:
-        """Grid as offsets from the middle-pulse center."""
-        return self.x - self.window_center
+    def x(self) -> np.ndarray:
+        """Absolute grid positions, window center plus offset, m."""
+        return self.window_center + self.x_relative
 
 
 @dataclass(frozen=True)
 class ComponentTerms:
     """Per-pair pieces of the analytic intensity on a shared grid."""
 
-    x: np.ndarray
     j_sq: Mapping[str, np.ndarray]       # |J_ij|^2
     c_prime: Mapping[str, np.ndarray]    # Gaussian cross-term amplitudes
     cross: Mapping[tuple, np.ndarray]    # Re[J_ij J*_kl] for CROSS_PAIRS
@@ -112,17 +115,30 @@ class ComponentTerms:
     ii_p: np.ndarray
 
 
-def _grid_for(moments: PulseMoments, grid: GridSpec) -> np.ndarray:
-    mu_lo = min(moments.mu.values())
-    mu_hi = max(moments.mu.values())
+def _middle_sum(config: MzConfig) -> float:
+    """Mean shifter sum of the two middle pairs, (d_cm + d_dc)/2, m."""
+    return 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
+
+
+def _relative_means(config: MzConfig) -> dict:
+    """Component means as offsets from the window center, m, keyed by PAIRS."""
+    middle = _middle_sum(config)
+    return {pair: config.delta_sum(pair) - middle for pair in PAIRS}
+
+
+def _grid_for(rel_mu: Mapping[str, float], moments: PulseMoments,
+              grid: GridSpec) -> np.ndarray:
+    """Grid offsets from the window center; absolute bounds are converted once."""
+    mu_lo = min(rel_mu.values())
+    mu_hi = max(rel_mu.values())
     if grid.x_min is None:
         lo = mu_lo - grid.pad_sigmas * moments.sigma
         hi = mu_hi + grid.pad_sigmas * moments.sigma
     else:
         lo, hi = grid.x_min, grid.x_max
-        if grid.relative:
-            lo += moments.window_center
-            hi += moments.window_center
+        if not grid.relative:
+            lo -= moments.window_center
+            hi -= moments.window_center
         if lo > mu_lo - 5.0 * moments.sigma or hi < mu_hi + 5.0 * moments.sigma:
             raise ValueError(
                 "grid too narrow: must cover +-5 sigma around the outer component means")
@@ -132,44 +148,61 @@ def _grid_for(moments: PulseMoments, grid: GridSpec) -> np.ndarray:
 
 
 def _moments(derived: DerivedQuantities) -> PulseMoments:
-    return PulseMoments(mu=dict(derived.mu), sigma=derived.sigma,
+    return PulseMoments(window_center=derived.window_center, sigma=derived.sigma,
                         delta1=derived.delta1, gamma=derived.gamma)
 
 
-def z_phase_difference(derived: DerivedQuantities, pair_a: str, pair_b: str, x):
-    """Difference z_a(x) - z_b(x) of two leg-pair phases at position x, rad.
+def z_phase_difference(derived: DerivedQuantities, pair_a: str, pair_b: str, offset):
+    """Difference z_a - z_b of two leg-pair phases at an offset from the window center, rad.
 
-    The raw phases are huge at telecom lengths (k0 times tens of
-    kilometers) but their pair-independent pieces cancel algebraically;
-    what remains is proportional to the shifter-sum difference and stays
-    well-conditioned in float64 at any link length.
+    Each raw phase is, with x' = x - A_pair,
+
+        z(x) = atan(4 delta1 dk^2)/2 + (k0^2 delta1 - k0 x' - 4 dk^4 delta1 x'^2)/gamma,
+
+    where A_pair = n_g (L + 2 l_leg) + d_pair is the pair's linear path term
+    and d_pair its shifter sum.  The pair-independent terms cancel, and
+    x'_a - x'_b = d_b - d_a, so
+
+        z_a - z_b = (d_a - d_b) (k0 + 4 dk^4 delta1 (x'_a + x'_b)) / gamma.
+
+    The window center is x_c = n_g (L + 2 l_leg) + 2 delta1 k0 + mid with
+    mid = (d_cm + d_dc)/2, so at x = x_c + offset the sum is
+    x'_a + x'_b = 2 offset + 2 mid - d_a - d_b + 4 delta1 k0.  The last term
+    contributes 16 dk^4 delta1^2 k0 = (gamma - 1) k0, which leaves
+
+        z_a - z_b = (d_a - d_b) (k0 + 4 dk^4 delta1 (2 offset + 2 mid - d_a - d_b) / gamma).
+
+    2 offset + 2 mid - d_a - d_b is the sum of the distances from the two
+    component means.  Every term is of the size of the shifters and offsets,
+    so the form is well-conditioned in float64 at any link length.
     """
     d = derived
-    dsum_diff = d.config.delta_sum(pair_a) - d.config.delta_sum(pair_b)
-    xp_sum = 2.0 * x - (d.a_sum(pair_a) + d.a_sum(pair_b))
-    return (dsum_diff / d.gamma) * (d.k0 + 4.0 * d.delta_k**4 * d.delta1 * xp_sum)
+    dsum_a = d.config.delta_sum(pair_a)
+    dsum_b = d.config.delta_sum(pair_b)
+    distance_sum = 2.0 * offset + (2.0 * _middle_sum(d.config) - dsum_a - dsum_b)
+    return (dsum_a - dsum_b) * (d.k0 + 4.0 * d.delta_k**4 * d.delta1 * distance_sum / d.gamma)
 
 
 def component_terms(params: LinkParams, config: MzConfig,
-                    x: np.ndarray) -> ComponentTerms:
-    """Evaluate every analytic component on the given grid."""
+                    offset: np.ndarray) -> ComponentTerms:
+    """Evaluate every analytic component at offsets from the window center."""
     d = derive(params, config)
     dk, g = d.delta_k, d.gamma
     t = params.t_leg
+    rel_mu = _relative_means(config)
 
     j_sq = {}
     c_prime = {}
     for pair in PAIRS:
-        env = np.exp(-dk**2 * (x - d.mu[pair]) ** 2 / g)
+        env = np.exp(-dk**2 * (offset - rel_mu[pair]) ** 2 / g)
         j_sq[pair] = 4.0 * math.pi * dk**2 * t * t * env * env / math.sqrt(g)
         c_prime[pair] = 2.0 * dk * t * math.sqrt(math.pi) * env / g**0.25
 
-    cross = {(a, b): c_prime[a] * c_prime[b] * np.cos(z_phase_difference(d, a, b, x))
+    cross = {(a, b): c_prime[a] * c_prime[b] * np.cos(z_phase_difference(d, a, b, offset))
              for (a, b) in CROSS_PAIRS}
     ii_o = sum(s * cross[p] for s, p in zip(SIGNS_O, CROSS_PAIRS))
     ii_p = sum(s * cross[p] for s, p in zip(SIGNS_P, CROSS_PAIRS))
-    return ComponentTerms(x=x, j_sq=j_sq, c_prime=c_prime,
-                          cross=cross, ii_o=ii_o, ii_p=ii_p)
+    return ComponentTerms(j_sq=j_sq, c_prime=c_prime, cross=cross, ii_o=ii_o, ii_p=ii_p)
 
 
 def eval_analytic(params: LinkParams, config: MzConfig,
@@ -178,8 +211,8 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     grid = grid or GridSpec()
     d = derive(params, config)
     moments = _moments(d)
-    x = _grid_for(moments, grid)
-    terms = component_terms(params, config, x)
+    offset = _grid_for(_relative_means(config), moments, grid)
+    terms = component_terms(params, config, offset)
     prefactor = params.t_fiber / (32.0 * math.pi * math.sqrt(2.0 * math.pi) * d.delta_k)
     total_j = sum(terms.j_sq[pair] for pair in PAIRS)
     intensity_o = prefactor * (total_j + 2.0 * terms.ii_o)
@@ -193,9 +226,10 @@ def eval_analytic(params: LinkParams, config: MzConfig,
         raise VerificationError("negative intensity beyond rounding noise")
     intensity_o = np.maximum(intensity_o, 0.0)
     intensity_p = np.maximum(intensity_p, 0.0)
-    return SpectrumCurve(x=x, intensity_o=intensity_o, intensity_p=intensity_p,
-                         params=params, config=config, derived=d,
-                         window_center=moments.window_center, sigma=moments.sigma)
+    return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
+                         intensity_p=intensity_p, params=params, config=config,
+                         derived=d, window_center=moments.window_center,
+                         sigma=moments.sigma)
 
 
 @dataclass(frozen=True)
@@ -222,15 +256,15 @@ class PrecompMultiplier:
 
 def effective_moments(params: LinkParams, config: MzConfig,
                       precomp: PrecompMultiplier | None = None) -> PulseMoments:
-    """Component means/width including an optional compensating element."""
+    """Window center and width including an optional compensating element."""
     d = derive(params, config)
     if precomp is None:
         return _moments(d)
     delta1 = d.delta1 + precomp.b_cp
     gamma, sigma = broadening(d.delta_k, delta1)
     shift = precomp.a_cp + 2.0 * (delta1 - d.delta1) * d.k0
-    mu = {pair: d.mu[pair] + shift for pair in PAIRS}
-    return PulseMoments(mu=mu, sigma=float(sigma), delta1=delta1, gamma=gamma)
+    return PulseMoments(window_center=d.window_center + shift, sigma=float(sigma),
+                        delta1=delta1, gamma=gamma)
 
 
 def _oracle_n_k(k_span: float, max_inst_offset: float, n_k_min: int) -> int:
@@ -259,49 +293,30 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _chirp_z_intensity(coeffs: np.ndarray, u: np.ndarray,
-                       x: np.ndarray) -> tuple[np.ndarray, float]:
-    """|sum_n coeffs[r, n] exp(i u_n x_j)|^2 for each row r, by chirp-z transform.
+def _chirp_z_intensity(coeffs: np.ndarray, u: np.ndarray, x0: float, h: float,
+                       n_x: int) -> np.ndarray:
+    """|sum_n coeffs[r, n] exp(i u_n x_j)|^2 at x_j = x0 + j h, for each row r.
 
-    ``u`` is uniform and ``x`` uniform up to rounding.  With x_j = x0 + j h
-    and u_n = u0 + n du, the identity j n = (j^2 + n^2 - (j - n)^2)/2 turns the
-    sum into one FFT convolution with the chirp exp(-i du h m^2/2) (Bluestein
-    1970); the remaining per-point factor exp(i(u0 j h + du h j^2/2)) has unit
-    modulus and drops out of the intensity.  It is the same quadrature as the
-    dense sum, re-associated.
-
-    A linspace far from the origin sits up to half an ulp off the uniform
-    grid, and u times that offset is not negligible at long links.  Each
-    point's offset d_j is restored to first order by a second transform of
-    u*coeffs: psi_j = S0_j + i d_j S1_j, dropping (d_j u)^2/2.  Returns the
-    intensities and the grid-offset phase max|d|*max|u|; raises
-    ResolutionError when the dropped term could exceed 1e-10.
+    ``u`` is uniform, u_n = u0 + n du.  The identity j n = (j^2 + n^2 -
+    (j - n)^2)/2 turns the sum into one FFT convolution with the chirp
+    exp(-i du h m^2/2) (Bluestein 1970); the remaining per-point factor
+    exp(i(u0 j h + du h j^2/2)) has unit modulus and drops out of the
+    intensity.  It is the same quadrature as the dense sum, re-associated.
+    The grid is given by its start and step, so the positions are exactly
+    uniform.
     """
     n_rows, n_k = coeffs.shape
-    n_x = x.size
-    j = np.arange(n_x)
-    rel = x - x[0]
-    h = rel[-1] / (n_x - 1)
-    offset = rel - j * h
-    offset_phase = float(np.max(np.abs(offset)) * np.max(np.abs(u)))
-    if 0.5 * offset_phase**2 > 1e-10:
-        raise ResolutionError(
-            f"position grid is not uniform: offset phase {offset_phase:.3e} rad "
-            "is beyond the first-order correction")
-
     theta = (u[-1] - u[0]) / (n_k - 1) * h
     n = np.arange(n_k)
     size = _fft_length(n_k + n_x - 1)
-    spread = np.zeros((2 * n_rows, size), dtype=complex)
-    spread[:n_rows, :n_k] = coeffs * np.exp(1j * (u * x[0] + 0.5 * theta * (n * n)))
-    spread[n_rows:, :n_k] = spread[:n_rows, :n_k] * u
+    spread = np.zeros((n_rows, size), dtype=complex)
+    spread[:, :n_k] = coeffs * np.exp(1j * (u * x0 + 0.5 * theta * (n * n)))
     # chirp at every lag m = j - n; negative lags wrap to the end
     lag = np.arange(-(n_k - 1), n_x)
     chirp = np.zeros(size, dtype=complex)
     chirp[lag] = np.exp(-0.5j * theta * (lag * lag))
     conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(chirp), axis=-1)[:, :n_x]
-    psi = conv[:n_rows] + 1j * offset * conv[n_rows:]
-    return np.abs(psi) ** 2, offset_phase
+    return np.abs(conv) ** 2
 
 
 def eval_oracle(params: LinkParams, config: MzConfig,
@@ -315,35 +330,33 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     Builds the product of the input Gaussian spectrum, the fiber's linear and
     quadratic phase, both interferometers' leg factors and (optionally) a
     compensating element, then inverse-transforms to position space by
-    trapezoid quadrature, evaluated as a chirp-z transform with a first-order
-    correction for the grid's rounding offsets.  ``placement`` applies the
+    trapezoid quadrature, evaluated as a chirp-z transform on the grid of
+    offsets from the window center.  ``placement`` applies the
     compensating multiplier before, after, or split around the link factors;
     for this linear model all three are equivalent and the option exists for
     verification.
 
     Raises ResolutionError when the wavenumber sampling cannot represent the
-    requested grid, fails the input-norm self-check (1e-8), or the position
-    grid is too far from uniform for the rounding-offset correction.
+    requested grid or fails the input-norm self-check (1e-8).
     """
     if placement not in ("pre", "post", "symmetric"):
         raise ValueError(f"placement must be pre, post or symmetric, got {placement!r}")
     grid = grid or GridSpec()
     d = derive(params, config)
     moments = effective_moments(params, config, precomp)
-    x = _grid_for(moments, grid)
+    rel_mu = _relative_means(config)
+    offset = _grid_for(rel_mu, moments, grid)
 
     dk, k0 = d.delta_k, d.k0
     kappa_signed = -d.kappa
     b_fiber = kappa_signed * params.fiber_length
     b_leg = kappa_signed * params.leg_length
     b_cp = precomp.b_cp if precomp is not None else 0.0
-    a_cp = precomp.a_cp if precomp is not None else 0.0
     t_cp = precomp.t_cp if precomp is not None else 1.0
 
     k_span = k_span_sigmas * dk
     delta1_eff = moments.delta1
-    max_off = max(abs(float(x[0]) - m) for m in moments.mu.values())
-    max_off = max(max_off, *(abs(float(x[-1]) - m) for m in moments.mu.values()))
+    max_off = max(abs(float(offset[end]) - m) for end in (0, -1) for m in rel_mu.values())
     n_k = _oracle_n_k(k_span, max_off + 2.0 * abs(delta1_eff) * k_span, n_k_min)
 
     u = np.linspace(-k_span, k_span, n_k)
@@ -399,11 +412,15 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     scale = 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
 
     # Inverse transform: psi(x) ~ sum_u base(u) exp(i u X), X measured from
-    # the linear path of fiber plus compensator (their carrier phase exp(i k0 X)
-    # has unit modulus and is dropped).
-    x_off = x - (d.a_fiber + a_cp)
-    (intensity_o, intensity_p), grid_offset_phase = _chirp_z_intensity(
-        np.stack((base_o, base_p)) * (weights * scale), u, x_off)
+    # the linear path n_g*L + a_cp of fiber plus compensator (their carrier
+    # phase exp(i k0 X) has unit modulus and is dropped).  The window center
+    # sits at X = 2 n_g l_leg + 2 delta1_eff k0 + mid, so X = offset + that.
+    center = (2.0 * params.group_index * params.leg_length + 2.0 * delta1_eff * k0
+              + _middle_sum(config))
+    step = (offset[-1] - offset[0]) / (offset.size - 1)
+    intensity_o, intensity_p = _chirp_z_intensity(
+        np.stack((base_o, base_p)) * (weights * scale), u, center + offset[0], step,
+        offset.size)
 
     checks = {
         "norm_in": float(norm_in),
@@ -412,11 +429,10 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         "unused_exit_remainder": float(norm_in * params.t_fiber * t_cp
                                        * params.t_leg**2 - mass_o - mass_p),
         "n_k": n_k,
-        "grid_offset_phase": grid_offset_phase,
     }
-    return SpectrumCurve(x=x, intensity_o=intensity_o, intensity_p=intensity_p,
-                         params=params, config=config, derived=d,
-                         window_center=moments.window_center,
+    return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
+                         intensity_p=intensity_p, params=params, config=config,
+                         derived=d, window_center=moments.window_center,
                          sigma=moments.sigma, checks=checks)
 
 
@@ -430,12 +446,11 @@ def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float
     if not rho_window > 0:
         raise ValueError("rho_window must be positive")
     half = rho_window * math.sqrt(2.0) * curve.sigma
-    lo = curve.window_center - half
-    hi = curve.window_center + half
-    if lo < curve.x[0] or hi > curve.x[-1]:
+    offset = curve.x_relative
+    if -half < offset[0] or half > offset[-1]:
         raise ValueError("integration window exceeds the sampled grid")
-    return (_window_mass(curve.x, curve.intensity_o, lo, hi),
-            _window_mass(curve.x, curve.intensity_p, lo, hi))
+    return (_window_mass(offset, curve.intensity_o, -half, half),
+            _window_mass(offset, curve.intensity_p, -half, half))
 
 
 def _window_mass(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
@@ -447,19 +462,19 @@ def _window_mass(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
 
 def total_mass(curve: SpectrumCurve) -> tuple[float, float]:
     """Trapezoid-integrated mass of each exit over the whole grid."""
-    return (float(_trapz(curve.intensity_o, curve.x)),
-            float(_trapz(curve.intensity_p, curve.x)))
+    return (float(_trapz(curve.intensity_o, curve.x_relative)),
+            float(_trapz(curve.intensity_p, curve.x_relative)))
 
 
 def max_normalized_deviation(a: SpectrumCurve, b: SpectrumCurve) -> float:
     """Largest pointwise |difference| after normalizing each exit to peak 1.
 
-    Curves must share the same relative grid; positions are compared as
-    offsets from each curve's own window center.
+    Curves must share the same relative grid: offsets from each curve's own
+    window center that agree to 1e-12 m.
     """
-    if a.x.size != b.x.size:
+    if a.x_relative.size != b.x_relative.size:
         raise ValueError("curves have different grid sizes")
-    if not np.allclose(a.x_relative, b.x_relative, rtol=0, atol=1e-9):
+    if not np.allclose(a.x_relative, b.x_relative, rtol=0, atol=1e-12):
         raise ValueError("curves are sampled on different relative grids")
     dev = 0.0
     for ya, yb in ((a.intensity_o, b.intensity_o), (a.intensity_p, b.intensity_p)):

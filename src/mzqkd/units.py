@@ -12,9 +12,6 @@ def km_to_m(value_km: float) -> float:
     return value_km * 1e3
 
 
-def m_to_km(value_m: float) -> float:
-    return value_m * 1e-3
-
 def nm_to_m(value_nm: float) -> float:
     return value_nm * 1e-9
 
@@ -26,7 +23,3 @@ def ns_to_s(value_ns: float) -> float:
 def dispersion_to_si(value_ps_per_km_nm: float) -> float:
     """ps/(km*nm) -> s/m^2.  17 ps/(km*nm) becomes 17e-6 s/m^2."""
     return value_ps_per_km_nm * 1e-12 / (1e3 * 1e-9)
-
-
-def dispersion_from_si(value_si: float) -> float:
-    return value_si / 1e-6

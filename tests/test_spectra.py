@@ -21,18 +21,21 @@ MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
 WINDOW_RHO = 3.0 / math.sqrt(2.0)  # half-width of 3 sigma
 
 
-def dense_intensity(coeffs, u, x):
+def dense_intensity(coeffs, u, x0, h, n_x):
     """Reference for the oracle's transform: the quadrature summed directly.
 
-    Builds exp(i x u) in blocks of about 2M entries; same signature as
-    ``spectra._chirp_z_intensity``, reporting no grid-offset phase.
+    Same signature as ``spectra._chirp_z_intensity``.  The sum over u of
+    coeffs exp(i u (x0 + j h)) is built as exp(i u x0) times exp(i u j h), in
+    blocks of about 2M kernel entries.
     """
-    out = np.empty((coeffs.shape[0], x.size))
+    shifted = coeffs * np.exp(1j * u * x0)
+    steps = h * np.arange(n_x)
+    out = np.empty((coeffs.shape[0], n_x))
     chunk = max(1, int(2.0e6 // u.size))
-    for start in range(0, x.size, chunk):
-        kernel = np.exp(1j * np.outer(x[start:start + chunk], u))
-        out[:, start:start + chunk] = np.abs(coeffs @ kernel.T) ** 2
-    return out, 0.0
+    for start in range(0, n_x, chunk):
+        kernel = np.exp(1j * np.outer(steps[start:start + chunk], u))
+        out[:, start:start + chunk] = np.abs(shifted @ kernel.T) ** 2
+    return out
 
 
 def compensated(length_m, fraction, **link):
@@ -94,9 +97,9 @@ class TestAnalyticBasics:
     def test_all_peaks_share_fwhm(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
         d = curve.derived
-        terms = component_terms(CAL_50KM, MATCHED, curve.x)
+        terms = component_terms(CAL_50KM, MATCHED, curve.x_relative)
         for pair in PAIRS:
-            width = measured_fwhm(curve.x, terms.j_sq[pair])
+            width = measured_fwhm(curve.x_relative, terms.j_sq[pair])
             assert width == pytest.approx(d.fwhm, rel=1e-2)
 
     def test_intensities_non_negative_and_finite(self):
@@ -125,7 +128,7 @@ class TestAnalyticBasics:
 class TestComponentTerms:
     def test_j_equals_c_prime_squared(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
-        terms = component_terms(CAL_50KM, MATCHED, curve.x)
+        terms = component_terms(CAL_50KM, MATCHED, curve.x_relative)
         for pair in PAIRS:
             np.testing.assert_allclose(terms.j_sq[pair], terms.c_prime[pair] ** 2,
                                        rtol=1e-12)
@@ -133,7 +136,7 @@ class TestComponentTerms:
     def test_cross_terms_obey_cosine_bound(self):
         config = MzConfig(delta_d=0.2501, delta_m=0.2498)
         curve = eval_analytic(CAL_50KM, config)
-        terms = component_terms(CAL_50KM, config, curve.x)
+        terms = component_terms(CAL_50KM, config, curve.x_relative)
         for (a, b) in CROSS_PAIRS:
             bound = terms.c_prime[a] * terms.c_prime[b]
             assert np.all(np.abs(terms.cross[(a, b)]) <= bound * (1.0 + 1e-12) + 1e-300)
@@ -141,32 +144,73 @@ class TestComponentTerms:
     def test_sign_swap_exchanges_exits(self):
         config = MzConfig(delta_d=0.2501, delta_m=0.2498)
         curve = eval_analytic(CAL_50KM, config)
-        terms = component_terms(CAL_50KM, config, curve.x)
+        terms = component_terms(CAL_50KM, config, curve.x_relative)
         swapped_o = sum(s * terms.cross[p] for s, p in zip(SIGNS_P, CROSS_PAIRS))
         swapped_p = sum(s * terms.cross[p] for s, p in zip(SIGNS_O, CROSS_PAIRS))
         assert np.array_equal(swapped_o, terms.ii_p)
         assert np.array_equal(swapped_p, terms.ii_o)
 
 
-def mp_phase_difference(derived, pair_a, pair_b, x):
+def mp_window_center(derived):
+    """Window center n_g (L + 2 l_leg) + 2 delta1 k0 + (d_cm + d_dc)/2 at 50 digits."""
+    with mpmath.workdps(50):
+        p, cfg = derived.params, derived.config
+        mpf = mpmath.mpf
+        return mpf(p.group_index) * (mpf(p.fiber_length) + 2 * mpf(p.leg_length)) \
+            + 2 * mpf(derived.delta1) * mpf(derived.k0) \
+            + (2 * mpf(cfg.delta_c) + mpf(cfg.delta_d) + mpf(cfg.delta_m)) / 2
+
+
+def mp_phase_difference(derived, pair_a, pair_b, offset):
     """z_a(x) - z_b(x) from the raw per-pair phases at 50 significant digits.
 
     z(x) = atan(4 delta1 dk^2)/2 + (k0^2 delta1 - k0 x' - 4 dk^4 delta1 x'^2)/gamma
-    with x' = x - a_sum(pair); the float64 inputs are taken as exact.
+    with x' = x - n_g (L + 2 l_leg) - d_pair, at x = window center + offset;
+    the float64 inputs are taken as exact.
     """
     with mpmath.workdps(50):
         d, p, cfg = derived, derived.params, derived.config
         dk, k0, d1, g = (mpmath.mpf(v) for v in (d.delta_k, d.k0, d.delta1, d.gamma))
         group_delay = mpmath.mpf(p.group_index) * (
             mpmath.mpf(p.fiber_length) + 2 * mpmath.mpf(p.leg_length))
+        x = mp_window_center(d) + mpmath.mpf(offset)
 
         def z(pair):
-            xp = mpmath.mpf(x) - group_delay - mpmath.mpf(cfg.shifter(pair[0])) \
+            xp = x - group_delay - mpmath.mpf(cfg.shifter(pair[0])) \
                 - mpmath.mpf(cfg.shifter(pair[1]))
             return mpmath.atan(4 * d1 * dk**2) / 2 \
                 + (k0**2 * d1 - k0 * xp - 4 * dk**4 * d1 * xp**2) / g
 
         return z(pair_a) - z(pair_b)
+
+
+def mp_intensities(curve, offsets):
+    """Closed-form intensities of both exits at 50 digits, at center + offset.
+
+    The same closed form as ``eval_analytic``: the distance from each
+    component mean is offset + (d_cm + d_dc)/2 - d_pair, and the phase
+    differences come from the raw phases at center + offset.
+    """
+    d, p, cfg = curve.derived, curve.params, curve.config
+    with mpmath.workdps(50):
+        dk, g, t = (mpmath.mpf(v) for v in (d.delta_k, d.gamma, p.t_leg))
+        middle = (2 * mpmath.mpf(cfg.delta_c) + mpmath.mpf(cfg.delta_d)
+                  + mpmath.mpf(cfg.delta_m)) / 2
+        shift = {pair: middle - mpmath.mpf(cfg.shifter(pair[0]))
+                 - mpmath.mpf(cfg.shifter(pair[1])) for pair in PAIRS}
+        prefactor = mpmath.mpf(p.t_fiber) / (32 * mpmath.pi * mpmath.sqrt(2 * mpmath.pi) * dk)
+        out = np.empty((2, len(offsets)))
+        for i, offset in enumerate(offsets):
+            c_prime = {pair: 2 * dk * t * mpmath.sqrt(mpmath.pi) / g**0.25
+                       * mpmath.exp(-dk**2 * (mpmath.mpf(offset) + shift[pair]) ** 2 / g)
+                       for pair in PAIRS}
+            total_j = sum(c_prime[pair] ** 2 for pair in PAIRS)
+            cross = [c_prime[a] * c_prime[b] * mpmath.cos(mp_phase_difference(d, a, b, offset))
+                     for (a, b) in CROSS_PAIRS]
+            for row, signs in enumerate((SIGNS_O, SIGNS_P)):
+                out[row, i] = float(prefactor * (total_j + 2 * sum(
+                    s * c for s, c in zip(signs, cross))))
+        return out
 
 
 class TestPhaseDifference:
@@ -176,12 +220,25 @@ class TestPhaseDifference:
         params = LinkParams(fiber_length=length, convention=convention)
         d = derive(params, MzConfig(delta_d=0.25 + 0.75 * params.lambda0,
                                     delta_m=0.2 + 0.25 * params.lambda0, delta_c=0.01))
-        for offset in np.linspace(-5.0, 5.0, 11):
-            x = d.window_center + offset * d.sigma
+        for offset in np.linspace(-5.0, 5.0, 11) * d.sigma:
             for (a, b) in CROSS_PAIRS:
-                reference = mp_phase_difference(d, a, b, x)
-                value = spectra.z_phase_difference(d, a, b, x)
+                reference = mp_phase_difference(d, a, b, offset)
+                value = spectra.z_phase_difference(d, a, b, offset)
                 assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+class TestAnalyticAccuracy:
+    @pytest.mark.parametrize("convention", ["first_principles", "calibrated"])
+    @pytest.mark.parametrize("length", [0.0, 1e3, 50e3, 500e3])
+    def test_matches_extended_reference(self, length, convention):
+        params = LinkParams(fiber_length=length, convention=convention)
+        config = MzConfig(delta_d=0.25, delta_m=0.25 + params.lambda0 / 8.0)
+        curve = eval_analytic(params, config)
+        picked = np.arange(0, curve.x_relative.size, 16)
+        reference = mp_intensities(curve, curve.x_relative[picked])
+        for row, values in enumerate((curve.intensity_o, curve.intensity_p)):
+            error = np.max(np.abs(values[picked] - reference[row]))
+            assert error <= 1e-9 * reference[row].max()
 
 
 class TestOracleAgreement:
@@ -242,34 +299,8 @@ class TestChirpZ:
         monkeypatch.setattr(spectra, "_chirp_z_intensity", dense_intensity)
         dense = eval_oracle(params, config, grid, **kwargs)
         assert max_normalized_deviation(fast, dense) <= 1e-9
-        assert 0.0 <= fast.checks["grid_offset_phase"] < 1.4e-5
         if kwargs.get("n_k_min"):
             assert fast.checks["n_k"] < grid.n_points
-
-    def test_rounding_offsets_restored(self):
-        dk = derive(CAL_50KM, MATCHED).delta_k
-        u = np.linspace(-10.0 * dk, 10.0 * dk, 4096)
-        center = -1238.0
-        coeffs = np.stack([np.exp(-u**2 / (4.0 * dk**2) - 1j * u * (center + shift))
-                           for shift in (0.0, 4e-4)])
-        uniform = np.linspace(center - 5e-3, center + 5e-3, 200)
-        jitter = np.random.default_rng(7).uniform(-1e-10, 1e-10, uniform.size)
-        jittered = uniform + jitter
-        fast, phase = spectra._chirp_z_intensity(coeffs, u, jittered)
-        dense, _ = dense_intensity(coeffs, u, jittered)
-        peak = dense.max()
-        assert 1e-7 < phase <= 4e-10 * u[-1]
-        assert np.max(np.abs(fast - dense)) / peak <= 1e-9
-        # the offsets alone move the intensity by far more than that
-        on_grid, _ = spectra._chirp_z_intensity(coeffs, u, uniform)
-        assert np.max(np.abs(on_grid - dense)) / peak > 1e-8
-
-    def test_non_uniform_grid_rejected(self):
-        u = np.linspace(-8e3, 8e3, 256)
-        x = np.linspace(0.0, 1.0, 64)
-        x[10] += 1e-6
-        with pytest.raises(ResolutionError):
-            spectra._chirp_z_intensity(np.ones((2, u.size), dtype=complex), u, x)
 
     def test_mass_ledger_independent_of_placement(self):
         params, multiplier, _ = compensated(50e3, 0.5, convention="calibrated")
@@ -300,7 +331,7 @@ class TestOracleProperty:
         grid = GridSpec(n_points=512)
         oracle = eval_oracle(params, config, grid, precomp=multiplier)
         analytic = eval_analytic(active, config, grid)
-        assert max_normalized_deviation(analytic, oracle) <= 1e-6
+        assert max_normalized_deviation(analytic, oracle) <= 1e-8
 
 
 class TestMasses:
@@ -403,6 +434,14 @@ class TestPrecompensation:
             PrecompMultiplier(t_cp=0.0)
         with pytest.raises(ValueError):
             PrecompMultiplier(b_cp=float("nan"))
+
+    @pytest.mark.parametrize("grid", [GridSpec(), RELATIVE], ids=["default", "relative"])
+    def test_compensated_curve_shares_relative_grid(self, grid):
+        params, multiplier, active = compensated(500e3, 0.9, convention="calibrated")
+        oracle = eval_oracle(params, WIDE, grid, precomp=multiplier)
+        analytic = eval_analytic(active, WIDE, grid)
+        assert np.max(np.abs(oracle.x_relative - analytic.x_relative)) <= 1e-12
+        assert max_normalized_deviation(analytic, oracle) <= 1e-8
 
     def test_relative_axis_comparison_detects_grid_mismatch(self):
         a = eval_analytic(CAL_50KM, MATCHED, GridSpec(n_points=256))
