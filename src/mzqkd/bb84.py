@@ -6,7 +6,8 @@ offset difference reaches the middle pulse, whose interference phase is
 (2*pi/lambda0)*(phi_m - phi_d) times a bracket 1 + G*(dx - delta_c) carrying
 the residual dispersion correction.  This module provides the offset tables,
 both forms of the phase difference, the G-term study and the end-to-end
-detection truth table.
+detection truth table, whose shares are exact window masses of the closed-form
+spectra.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .core import (DerivedQuantities, LinkParams, MzConfig, accumulated_dispersi
                    broadening, derive, x_rho)
 from .design import min_phase_sum
 from .errors import InfeasibleDesignError
-from .spectra import GridSpec, eval_analytic, middle_window_masses, z_phase_difference
+from .spectra import exact_window_masses, z_phase_difference
 
 BASES = ("X", "Z")
 ROLES = ("alice", "bob")
@@ -186,14 +187,15 @@ def default_baseline(params: LinkParams, rho: float = 3.0) -> float:
 
 def detection_table(params: LinkParams, baseline: float,
                     link_length: float | None = None,
-                    rho_window: float = MIDDLE_WINDOW_RHO,
-                    grid: GridSpec | None = None) -> DetectionTable:
+                    rho_window: float = MIDDLE_WINDOW_RHO) -> DetectionTable:
     """Detection shares of both exits for all eight encoding combinations.
 
-    Each combination runs the analytic spectra with delta_d/delta_m set to
-    baseline plus the table offsets and integrates the middle window.  A
-    warning is attached when the baseline fails the rho=3 separation bound;
-    a baseline below the 1/e overlap point is a hard error.
+    Each combination sets delta_d/delta_m to baseline plus the table offsets;
+    its shares are the exact masses of the analytic spectra inside the middle
+    window (``spectra.exact_window_masses``, no position grid), all eight
+    combinations in one evaluation.  A warning is attached when the baseline
+    fails the rho=3 separation bound; a baseline below the 1/e overlap point
+    is a hard error.
     """
     if link_length is not None:
         params = replace(params, fiber_length=float(link_length))
@@ -208,18 +210,15 @@ def detection_table(params: LinkParams, baseline: float,
         warning = (f"baseline sum {2.0 * baseline:.4g} m is below the rho=3 "
                    f"separation bound {bound:.4g} m")
 
-    rows = []
-    for alice_basis in BASES:
-        for bit in (0, 1):
-            alice = phase_for(params, "alice", alice_basis, bit, baseline)
-            for bob_basis in BASES:
-                bob = phase_for(params, "bob", bob_basis, baseline=baseline)
-                config = MzConfig(delta_d=alice.total_shift, delta_m=bob.total_shift)
-                curve = eval_analytic(params, config, grid or GridSpec())
-                mass_o, mass_p = middle_window_masses(curve, rho_window)
-                rows.append(DetectionRow(
-                    alice_basis=alice_basis, bit=bit, bob_basis=bob_basis,
-                    phi_d=alice.phase_offset, phi_m=bob.phase_offset,
-                    mass_o=mass_o, mass_p=mass_p))
-    return DetectionTable(rows=tuple(rows), baseline=baseline,
+    settings = [(phase_for(params, "alice", alice_basis, bit, baseline),
+                 phase_for(params, "bob", bob_basis, baseline=baseline))
+                for alice_basis in BASES for bit in (0, 1) for bob_basis in BASES]
+    masses = exact_window_masses(
+        params, [MzConfig(delta_d=alice.total_shift, delta_m=bob.total_shift)
+                 for alice, bob in settings], rho_window)
+    rows = tuple(DetectionRow(alice_basis=alice.basis, bit=alice.bit, bob_basis=bob.basis,
+                              phi_d=alice.phase_offset, phi_m=bob.phase_offset,
+                              mass_o=float(mass_o), mass_p=float(mass_p))
+                 for (alice, bob), (mass_o, mass_p) in zip(settings, masses))
+    return DetectionTable(rows=rows, baseline=baseline,
                           link_length=params.fiber_length, warning=warning)

@@ -1,14 +1,20 @@
 """Output position spectra of the two-interferometer link.
 
-Two independent evaluation routes are provided.  ``eval_analytic`` computes
-the closed-form intensity: four Gaussian leg-pair components plus six
-cosine-weighted cross terms.  ``eval_oracle`` builds the wavenumber-domain
-transfer function of the full setup, multiplies it onto the Gaussian input
-spectrum and inverse-transforms to position space: the trapezoid quadrature
-over a uniform wavenumber grid, evaluated on the uniform position grid as a
-chirp-z transform (one FFT convolution).  The two must agree to high
-precision; the oracle is the verification reference for the analytic route
-and for compensation studies.
+Two independent evaluation routes are provided.  The analytic route is one
+list of Gaussian-cosine terms per link (``component_terms``): four Gaussian
+leg-pair components plus six cosine-weighted cross terms, each of the form
+amp * exp(-p y^2) * cos(dd (k0 + slope y)) with y the offset from the term's
+center.  That list is read two ways: pointwise on a grid (``eval_analytic``)
+and exactly on the middle-pulse window (``exact_window_masses``), where each
+cross term integrates to a difference of complex error functions, evaluated
+through the Faddeeva function w(z) (Abramowitz & Stegun 7.1; Weideman's
+rational approximation, SIAM J. Numer. Anal. 31 (1994) 1497).
+``eval_oracle`` builds the wavenumber-domain transfer function of the full
+setup, multiplies it onto the Gaussian input spectrum and inverse-transforms
+to position space: the trapezoid quadrature over a uniform wavenumber grid,
+evaluated on the uniform position grid as a chirp-z transform (one FFT
+convolution).  The two must agree to high precision; the oracle is the
+verification reference for the analytic route and for compensation studies.
 
 Position bookkeeping: intensities are probability densities over the
 vacuum-equivalent propagation distance x.  At telecom lengths x is hundreds
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -106,13 +112,33 @@ class SpectrumCurve:
 
 @dataclass(frozen=True)
 class ComponentTerms:
-    """Per-pair pieces of the analytic intensity on a shared grid."""
+    """The analytic intensity of both exits as ten Gaussian-cosine terms.
 
-    j_sq: Mapping[str, np.ndarray]       # |J_ij|^2
-    c_prime: Mapping[str, np.ndarray]    # Gaussian cross-term amplitudes
-    cross: Mapping[tuple, np.ndarray]    # Re[J_ij J*_kl] for CROSS_PAIRS
-    ii_o: np.ndarray
-    ii_p: np.ndarray
+    Term t contributes amp[exit, t] * exp(-p y^2) * cos(dd[t] (k0 + slope y))
+    with y = offset - center[t], the distance from the term's center.  Terms
+    0-3 are the leg-pair Gaussians in PAIRS order (dd = 0, centered on the
+    component means); terms 4-9 are the cross terms in CROSS_PAIRS order,
+    centered halfway between their two means.  Row 0 of ``amp`` is exit o,
+    row 1 exit p; the exits differ only in the cross-term signs.
+    """
+
+    amp: np.ndarray      # (2, 10), 1/m
+    center: np.ndarray   # (10,) offsets from the window center, m
+    dd: np.ndarray       # (10,) shifter-sum differences d_a - d_b, m
+    p: float             # 2 dk^2 / gamma, 1/m^2
+    k0: float            # 1/m
+    slope: float         # 8 dk^4 delta1 / gamma, 1/m^2
+
+    def shapes(self, offset: np.ndarray) -> np.ndarray:
+        """exp(-p y^2) cos(phase) of every term at the offsets, shape (10, n).
+
+        The Gaussian terms' phase is zero, so only the cross terms take a cosine.
+        """
+        y = offset - self.center[:, None]
+        shape = np.exp(-self.p * y * y)
+        cross = slice(len(PAIRS), None)
+        shape[cross] *= np.cos(_fringe_phase(self.dd[cross, None], self.k0, self.slope, y[cross]))
+        return shape
 
 
 def _middle_sum(config: MzConfig) -> float:
@@ -152,6 +178,16 @@ def _moments(derived: DerivedQuantities) -> PulseMoments:
                         delta1=derived.delta1, gamma=derived.gamma)
 
 
+def _fringe_slope(derived: DerivedQuantities) -> float:
+    """Chirp 8 dk^4 delta1 / gamma of the cross-term phases, 1/m^2."""
+    return 8.0 * derived.delta_k**4 * derived.delta1 / derived.gamma
+
+
+def _fringe_phase(dd, k0: float, slope: float, y):
+    """Cross-term phase dd (k0 + slope y) at distance y from the term's center, rad."""
+    return dd * (k0 + slope * y)
+
+
 def z_phase_difference(derived: DerivedQuantities, pair_a: str, pair_b: str, offset):
     """Difference z_a - z_b of two leg-pair phases at an offset from the window center, rad.
 
@@ -168,68 +204,162 @@ def z_phase_difference(derived: DerivedQuantities, pair_a: str, pair_b: str, off
     The window center is x_c = n_g (L + 2 l_leg) + 2 delta1 k0 + mid with
     mid = (d_cm + d_dc)/2, so at x = x_c + offset the sum is
     x'_a + x'_b = 2 offset + 2 mid - d_a - d_b + 4 delta1 k0.  The last term
-    contributes 16 dk^4 delta1^2 k0 = (gamma - 1) k0, which leaves
+    contributes 16 dk^4 delta1^2 k0 = (gamma - 1) k0, which leaves, with
+    c = (d_a + d_b)/2 - mid the offset halfway between the two component means,
 
-        z_a - z_b = (d_a - d_b) (k0 + 4 dk^4 delta1 (2 offset + 2 mid - d_a - d_b) / gamma).
+        z_a - z_b = (d_a - d_b) (k0 + 8 dk^4 delta1 (offset - c) / gamma).
 
-    2 offset + 2 mid - d_a - d_b is the sum of the distances from the two
-    component means.  Every term is of the size of the shifters and offsets,
-    so the form is well-conditioned in float64 at any link length.
+    Every term is of the size of the shifters and offsets, so the form is
+    well-conditioned in float64 at any link length.  The cross terms of
+    ``component_terms`` carry the same phase.
     """
     d = derived
     dsum_a = d.config.delta_sum(pair_a)
     dsum_b = d.config.delta_sum(pair_b)
-    distance_sum = 2.0 * offset + (2.0 * _middle_sum(d.config) - dsum_a - dsum_b)
-    return (dsum_a - dsum_b) * (d.k0 + 4.0 * d.delta_k**4 * d.delta1 * distance_sum / d.gamma)
+    center = 0.5 * (dsum_a + dsum_b) - _middle_sum(d.config)
+    return _fringe_phase(dsum_a - dsum_b, d.k0, _fringe_slope(d), offset - center)
 
 
-def component_terms(params: LinkParams, config: MzConfig,
-                    offset: np.ndarray) -> ComponentTerms:
-    """Evaluate every analytic component at offsets from the window center."""
+_CROSS_A = np.array([PAIRS.index(a) for a, _ in CROSS_PAIRS])
+_CROSS_B = np.array([PAIRS.index(b) for _, b in CROSS_PAIRS])
+
+
+def component_terms(params: LinkParams, config: MzConfig) -> ComponentTerms:
+    """The analytic intensity of one link as its list of Gaussian-cosine terms.
+
+    The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
+    Gaussian of exponent p = 2 dk^2 / gamma centered halfway between the means,
+    scaled by exp(-p (mu_a - mu_b)^2 / 4).  A Gaussian term's amplitude
+    t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)) integrates to t_fiber t_leg^2 / 16
+    over the real line; a cross term carries twice that amplitude, the scale
+    above and its exit's interference sign.
+    """
     d = derive(params, config)
-    dk, g = d.delta_k, d.gamma
-    t = params.t_leg
-    rel_mu = _relative_means(config)
+    dsum = np.array([config.delta_sum(pair) for pair in PAIRS])
+    middle = _middle_sum(config)
+    dd = dsum[_CROSS_A] - dsum[_CROSS_B]
+    p = 2.0 * d.delta_k**2 / d.gamma
+    gauss = (params.t_fiber * params.t_leg**2 * d.delta_k
+             / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
+    cross = 2.0 * gauss * np.exp(-0.25 * p * dd * dd)
+    amp = np.array([np.concatenate((np.full(len(PAIRS), gauss), np.array(signs) * cross))
+                    for signs in (SIGNS_O, SIGNS_P)])
+    center = np.concatenate((dsum - middle, 0.5 * (dsum[_CROSS_A] + dsum[_CROSS_B]) - middle))
+    return ComponentTerms(amp=amp, center=center, dd=np.concatenate((np.zeros(len(PAIRS)), dd)),
+                          p=p, k0=d.k0, slope=_fringe_slope(d))
 
-    j_sq = {}
-    c_prime = {}
-    for pair in PAIRS:
-        env = np.exp(-dk**2 * (offset - rel_mu[pair]) ** 2 / g)
-        j_sq[pair] = 4.0 * math.pi * dk**2 * t * t * env * env / math.sqrt(g)
-        c_prime[pair] = 2.0 * dk * t * math.sqrt(math.pi) * env / g**0.25
 
-    cross = {(a, b): c_prime[a] * c_prime[b] * np.cos(z_phase_difference(d, a, b, offset))
-             for (a, b) in CROSS_PAIRS}
-    ii_o = sum(s * cross[p] for s, p in zip(SIGNS_O, CROSS_PAIRS))
-    ii_p = sum(s * cross[p] for s, p in zip(SIGNS_P, CROSS_PAIRS))
-    return ComponentTerms(j_sq=j_sq, c_prime=c_prime, cross=cross, ii_o=ii_o, ii_p=ii_p)
+def _clip_rounding_noise(values: np.ndarray, what: str) -> np.ndarray:
+    """Clip negatives of rounding-noise size, 1e-10 of the largest value.
+
+    Destructive points and exits cancel to rounding noise; anything beyond
+    noise scale is a genuine sign error, and a non-finite value means the
+    parameters left the numeric range.  Both raise VerificationError.
+    """
+    if not np.all(np.isfinite(values)):
+        raise VerificationError(f"non-finite {what}; parameters out of numeric range")
+    if values.min() < -1e-10 * values.max():
+        raise VerificationError(f"negative {what} beyond rounding noise")
+    return np.maximum(values, 0.0)
+
+
+# eval_analytic evaluates the terms on at most this many offsets at a time: a
+# (10, 1024) float64 temporary is 80 KB, which stays in cache and which glibc's
+# allocator serves from reused memory.  One (10, 4096) expression faulted in
+# ~290 fresh pages per call and ran about 1.5x slower on a 2-core x86-64 host.
+_BLOCK = 1024
 
 
 def eval_analytic(params: LinkParams, config: MzConfig,
                   grid: GridSpec | None = None) -> SpectrumCurve:
-    """Closed-form output spectra of both exits."""
+    """Closed-form output spectra of both exits: the term list on a grid."""
     grid = grid or GridSpec()
     d = derive(params, config)
     moments = _moments(d)
     offset = _grid_for(_relative_means(config), moments, grid)
-    terms = component_terms(params, config, offset)
-    prefactor = params.t_fiber / (32.0 * math.pi * math.sqrt(2.0 * math.pi) * d.delta_k)
-    total_j = sum(terms.j_sq[pair] for pair in PAIRS)
-    intensity_o = prefactor * (total_j + 2.0 * terms.ii_o)
-    intensity_p = prefactor * (total_j + 2.0 * terms.ii_p)
-    if not (np.all(np.isfinite(intensity_o)) and np.all(np.isfinite(intensity_p))):
-        raise VerificationError("non-finite intensity; parameters out of numeric range")
-    # destructive points cancel to rounding noise; clip it, but treat anything
-    # beyond noise scale as a genuine sign error
-    floor = -1e-10 * max(float(intensity_o.max()), float(intensity_p.max()))
-    if intensity_o.min() < floor or intensity_p.min() < floor:
-        raise VerificationError("negative intensity beyond rounding noise")
-    intensity_o = np.maximum(intensity_o, 0.0)
-    intensity_p = np.maximum(intensity_p, 0.0)
+    terms = component_terms(params, config)
+    blocks = np.array_split(offset, -(-offset.size // _BLOCK))
+    intensity_o, intensity_p = _clip_rounding_noise(
+        np.concatenate([np.einsum("et,tn->en", terms.amp, terms.shapes(block))
+                        for block in blocks], axis=1),
+        "intensity")
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
                          intensity_p=intensity_p, params=params, config=config,
                          derived=d, window_center=moments.window_center,
                          sigma=moments.sigma)
+
+
+def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
+    """Scale L and the n polynomial coefficients of Weideman's w(z), highest first.
+
+    The coefficients are terms 1..n of the 2m-point discrete Fourier transform
+    (m = 2n) of f(t) = exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta/2),
+    theta = k pi/m.  f is even in k, so the transform is a cosine sum, summed
+    directly: numpy loads its FFT module lazily, and importing it here would
+    cost every process that never runs the oracle ~1.5 MB and ~1 ms.
+    """
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    theta = np.arange(-m + 1, m) * math.pi / m
+    t = scale * np.tan(theta / 2.0)
+    f = np.exp(-t * t) * (scale * scale + t * t)
+    return scale, np.sum(np.cos(np.outer(np.arange(n, 0, -1), theta)) * f, axis=1) / (2 * m)
+
+
+_W_SCALE, _W_COEFFS = _weideman_coefficients(40)
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z) for Im z >= 0.
+
+    Weideman's rational approximation with N = 40: with Z = (L + i z)/(L - i z),
+    w = 2 P(Z)/(L - i z)^2 + 1/(sqrt(pi) (L - i z)).  About 1e-15 relative in
+    the closed upper half-plane; the lower half-plane is not supported.
+    """
+    denominator = _W_SCALE - 1j * z
+    poly = np.polyval(_W_COEFFS, (_W_SCALE + 1j * z) / denominator)
+    return 2.0 * poly / denominator**2 + 1.0 / (math.sqrt(math.pi) * denominator)
+
+
+def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
+                        rho_window: float) -> np.ndarray:
+    """Exact probability mass of each exit inside the middle-pulse window, shape (n, 2).
+
+    One row (exit o, exit p) per config.  The window is [-X, X] around the
+    window center with X = rho_window*sqrt(2)*sigma, so sqrt(p) X = rho_window.
+    Each term integrates in closed form, with a = sqrt(p) y at the window edges:
+    a Gaussian term to amp sqrt(pi/p)/2 [erf(a)] between the edges, a cross
+    term to the real part of exp(i dd k0) amp sqrt(pi/p)/2 exp(-s^2)
+    [erf(a - i s)] with s = dd slope / (2 sqrt(p)).  exp(-s^2) erf(a - i s) is
+    sign(a) [exp(-s^2) - exp(-a^2 + 2 i a s) w(sign(a) (s + i a))], so every
+    w argument lies in the upper half-plane and exp(+s^2), about e^(2e4) for
+    the outer pairs, is never formed.  All cross terms share one w call.
+    """
+    if not rho_window > 0:
+        raise ValueError("rho_window must be positive")
+    terms = [component_terms(params, config) for config in configs]
+    amp = np.array([t.amp for t in terms])                 # (n, 2, 10)
+    center = np.array([t.center for t in terms])           # (n, 10)
+    dd = np.array([t.dd for t in terms])
+    # p, k0 and the slope depend on the link alone, not on the shifters
+    link = terms[0]
+    root_p = math.sqrt(link.p)
+    edges = np.stack((-rho_window - root_p * center, rho_window - root_p * center))
+    n_gauss = len(PAIRS)
+
+    erf_edges = np.array([math.erf(a) for a in edges[:, :, :n_gauss].ravel()])
+    erf_edges = erf_edges.reshape(2, -1, n_gauss)
+    a = edges[:, :, n_gauss:]
+    s = dd[:, n_gauss:] * link.slope / (2.0 * root_p)
+    sign = np.where(a >= 0.0, 1.0, -1.0)
+    scaled_erf = sign * (np.exp(-s * s)
+                         - np.exp(-a * a + 2j * a * s) * _faddeeva(sign * (s + 1j * a)))
+    integrals = np.concatenate(
+        (erf_edges[1] - erf_edges[0],
+         (np.exp(1j * dd[:, n_gauss:] * link.k0) * (scaled_erf[1] - scaled_erf[0])).real),
+        axis=-1)
+    masses = 0.5 * math.sqrt(math.pi) / root_p * np.einsum("cet,ct->ce", amp, integrals)
+    return _clip_rounding_noise(masses, "window mass")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ import pytest
 
 from mzqkd.bb84 import (MIDDLE_WINDOW_RHO, default_baseline, detection_table,
                         g_term_analysis, g_term_value, phase_for, z_difference)
-from mzqkd.core import LinkParams, MzConfig, derive
+from mzqkd.core import LinkParams, MzConfig, derive, x_rho
 from mzqkd.errors import InfeasibleDesignError
+from mzqkd.spectra import component_terms
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 LAM = CAL_50KM.lambda0
@@ -147,6 +148,22 @@ class TestGTerm:
             assert second == abs(g_term_value(d) * (3.0 * d.sigma - 0.01))
 
 
+def gauss_legendre_masses(params, config, rho_window, panels=256, nodes=64):
+    """Middle-window masses of both exits by composite Gauss-Legendre quadrature.
+
+    Integrates the pointwise term list on ``panels`` equal panels of
+    ``nodes`` nodes each; the fringes of the cross terms are resolved by
+    many nodes per period at every length tested.
+    """
+    terms = component_terms(params, config)
+    half = x_rho(derive(params, config), rho_window)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(-half, half, panels + 1)
+    center, scale = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    x = (center[:, None] + scale[:, None] * t).ravel()
+    return (terms.amp @ terms.shapes(x)) @ (scale[:, None] * w).ravel()
+
+
 @pytest.fixture(scope="module")
 def table():
     return detection_table(CAL_50KM, baseline=0.25)
@@ -176,6 +193,33 @@ class TestDetectionTable:
         for basis in ("X", "Z"):
             asym = abs(table.row(basis, 0, basis).p_o - table.row(basis, 1, basis).p_p)
             assert asym < 5e-7
+
+    @staticmethod
+    def bit_flip_asymmetry(table):
+        return max(abs(table.row(basis, 0, basis).p_o - table.row(basis, 1, basis).p_p)
+                   for basis in ("X", "Z"))
+
+    def test_bit_flip_asymmetry_exact_value(self, table):
+        # acceptance 6b's asymmetry; (pi*dlam/lam0)^2/4 = 9.87e-8 is 2.7 % high
+        assert self.bit_flip_asymmetry(table) == pytest.approx(9.60638e-8, rel=1e-6)
+        # far from the neighbouring pulses it is (pi*dlam/lam0)^2/4 times the
+        # second moment of the pulse over the +-3 sigma window
+        density = math.exp(-4.5) / math.sqrt(2.0 * math.pi)
+        moment = 1.0 - 6.0 * density / math.erf(3.0 / math.sqrt(2.0))
+        leading = (math.pi * CAL_50KM.delta_lambda / LAM) ** 2 / 4.0 * moment
+        far_apart = detection_table(CAL_50KM, baseline=1.5)
+        assert self.bit_flip_asymmetry(far_apart) == pytest.approx(leading, rel=1e-6)
+
+    @pytest.mark.parametrize("convention", ["first_principles", "calibrated"])
+    @pytest.mark.parametrize("length", [0.0, 1e3, 50e3, 200e3, 500e3])
+    def test_shares_match_gauss_legendre_reference(self, length, convention):
+        params = LinkParams(fiber_length=length, convention=convention)
+        baseline = default_baseline(params)
+        for row in detection_table(params, baseline).rows:
+            config = MzConfig(delta_d=baseline + row.phi_d, delta_m=baseline + row.phi_m)
+            mass_o, mass_p = gauss_legendre_masses(params, config, MIDDLE_WINDOW_RHO)
+            assert abs(row.p_o - mass_o / (mass_o + mass_p)) <= 1e-12
+            assert abs(row.p_p - mass_p / (mass_o + mass_p)) <= 1e-12
 
     def test_shares_sum_to_one(self, table):
         for row in table.rows:

@@ -156,6 +156,15 @@ class TestBb84Command:
         files = sorted(p.name for p in dump.iterdir())
         assert len(files) == 8
         assert "aliceX0_bobX.csv" in files
+        # the dump writes gridded curves beside the grid-free table, which it
+        # leaves unchanged
+        for name in files:
+            lines = (dump / name).read_text().strip().split("\n")
+            assert len(lines) == 4097
+        code, _, _ = run(capsys, "bb84", *CAL, "--baseline-m", "0.25",
+                         "--output", str(tmp_path / "plain.csv"))
+        assert code == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
 
 
 class TestGtermCommand:
@@ -201,19 +210,37 @@ class TestOracleCheckCommand:
 class TestExitCodes:
     """Numeric failures are verification failures, not config errors."""
 
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda terms: terms.ii_o * np.nan, "non-finite intensity"),
-        (lambda terms: -sum(terms.j_sq.values()), "negative intensity"),
-    ])
-    def test_numeric_failure_exits_4(self, capsys, monkeypatch, corrupt, message):
+    # the negative case flips the sign of exit o's terms only
+    CORRUPTIONS = [
+        (lambda amp: amp * np.nan, "non-finite intensity"),
+        (lambda amp: amp * np.array([[-1.0], [1.0]]), "negative intensity"),
+    ]
+
+    @staticmethod
+    def corrupt_terms(monkeypatch, corrupt):
         exact = spectra.component_terms
 
-        def corrupted(params, config, x):
-            terms = exact(params, config, x)
-            return replace(terms, ii_o=corrupt(terms))
+        def corrupted(params, config):
+            terms = exact(params, config)
+            return replace(terms, amp=corrupt(terms.amp))
 
         monkeypatch.setattr(spectra, "component_terms", corrupted)
+
+    @pytest.mark.parametrize("corrupt, message", CORRUPTIONS)
+    def test_numeric_failure_exits_4(self, capsys, monkeypatch, corrupt, message):
+        self.corrupt_terms(monkeypatch, corrupt)
         code, out, err = run(capsys, "spectra", *CAL, "--n-points", "128")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("verification failure") and message in err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (corrupt, message.replace("intensity", "window mass"))
+        for corrupt, message in CORRUPTIONS])
+    def test_numeric_failure_in_window_masses_exits_4(self, capsys, monkeypatch,
+                                                      corrupt, message):
+        self.corrupt_terms(monkeypatch, corrupt)
+        code, out, err = run(capsys, "bb84", *CAL, "--baseline-m", "0.25")
         assert code == 4
         assert out == ""
         assert err.startswith("verification failure") and message in err

@@ -69,7 +69,7 @@ def test_curve_csv_and_json():
 
 
 def test_detection_table_csv_has_eight_rows():
-    table = detection_table(CAL, baseline=0.25, grid=GridSpec(n_points=2048))
+    table = detection_table(CAL, baseline=0.25)
     text = io_mod.detection_table_csv(table)
     lines = text.strip().split("\n")
     assert len(lines) == 9

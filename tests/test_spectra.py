@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzqkd import spectra
+from mzqkd.bb84 import MIDDLE_WINDOW_RHO, default_baseline, detection_table
 from mzqkd.compensation import DcfParams, precompensate_input
 from mzqkd.core import LinkParams, MzConfig, PAIRS, derive, x_rho
 from mzqkd.errors import ResolutionError
 from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec,
                            PrecompMultiplier, component_terms,
                            effective_moments, eval_analytic, eval_oracle,
-                           max_normalized_deviation, middle_window_masses,
-                           total_mass)
+                           exact_window_masses, max_normalized_deviation,
+                           middle_window_masses, total_mass)
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
@@ -97,9 +98,9 @@ class TestAnalyticBasics:
     def test_all_peaks_share_fwhm(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
         d = curve.derived
-        terms = component_terms(CAL_50KM, MATCHED, curve.x_relative)
-        for pair in PAIRS:
-            width = measured_fwhm(curve.x_relative, terms.j_sq[pair])
+        shapes = component_terms(CAL_50KM, MATCHED).shapes(curve.x_relative)
+        for term in range(len(PAIRS)):
+            width = measured_fwhm(curve.x_relative, shapes[term])
             assert width == pytest.approx(d.fwhm, rel=1e-2)
 
     def test_intensities_non_negative_and_finite(self):
@@ -125,30 +126,68 @@ class TestAnalyticBasics:
             GridSpec(x_min=0.0)
 
 
+def pair_envelopes(params, config, offset):
+    """Per-pair amplitudes c'_ij = 2 dk t_leg sqrt(pi) exp(-dk^2 (x - mu)^2/gamma)/gamma^(1/4).
+
+    The intensity of an exit is prefactor * (sum of c'^2 + 2 * signed sum of
+    c'_a c'_b cos(z_a - z_b)), with prefactor t_fiber/(32 pi sqrt(2 pi) dk).
+    Returns the prefactor and c' keyed by PAIRS.
+    """
+    d = derive(params, config)
+    middle = 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
+    c_prime = {pair: 2.0 * d.delta_k * params.t_leg * math.sqrt(math.pi) / d.gamma**0.25
+               * np.exp(-d.delta_k**2 * (offset - config.delta_sum(pair) + middle) ** 2
+                        / d.gamma)
+               for pair in PAIRS}
+    prefactor = params.t_fiber / (32.0 * math.pi * math.sqrt(2.0 * math.pi) * d.delta_k)
+    return prefactor, c_prime
+
+
 class TestComponentTerms:
+    PARAMS = replace(CAL_50KM, t_fiber=0.7, t_leg=0.9)
+    CONFIG = MzConfig(delta_d=0.2501, delta_m=0.2498, delta_c=0.003)
+
+    def terms_on_grid(self):
+        curve = eval_analytic(self.PARAMS, self.CONFIG)
+        terms = component_terms(self.PARAMS, self.CONFIG)
+        return curve.x_relative, terms, terms.amp[:, :, None] * terms.shapes(curve.x_relative)
+
     def test_j_equals_c_prime_squared(self):
-        curve = eval_analytic(CAL_50KM, MATCHED)
-        terms = component_terms(CAL_50KM, MATCHED, curve.x_relative)
-        for pair in PAIRS:
-            np.testing.assert_allclose(terms.j_sq[pair], terms.c_prime[pair] ** 2,
-                                       rtol=1e-12)
+        offset, terms, values = self.terms_on_grid()
+        prefactor, c_prime = pair_envelopes(self.PARAMS, self.CONFIG, offset)
+        assert np.all(terms.dd[:len(PAIRS)] == 0.0)
+        for term, pair in enumerate(PAIRS):
+            for exit_values in values:
+                np.testing.assert_allclose(exit_values[term], prefactor * c_prime[pair] ** 2,
+                                           rtol=1e-12, atol=0)
 
     def test_cross_terms_obey_cosine_bound(self):
-        config = MzConfig(delta_d=0.2501, delta_m=0.2498)
-        curve = eval_analytic(CAL_50KM, config)
-        terms = component_terms(CAL_50KM, config, curve.x_relative)
-        for (a, b) in CROSS_PAIRS:
-            bound = terms.c_prime[a] * terms.c_prime[b]
-            assert np.all(np.abs(terms.cross[(a, b)]) <= bound * (1.0 + 1e-12) + 1e-300)
+        offset, _, values = self.terms_on_grid()
+        prefactor, c_prime = pair_envelopes(self.PARAMS, self.CONFIG, offset)
+        for term, (a, b) in enumerate(CROSS_PAIRS, start=len(PAIRS)):
+            bound = 2.0 * prefactor * c_prime[a] * c_prime[b]
+            assert np.all(np.abs(values[:, term]) <= bound * (1.0 + 1e-12) + 1e-300)
+
+    def test_cross_terms_factor_into_pair_envelopes(self):
+        # each cross term is 2 c'_a c'_b cos(z_a - z_b) with its exit's sign; the
+        # phase of a ~1e6 rad fringe rounds to ~1e-10 rad in either grouping
+        offset, _, values = self.terms_on_grid()
+        prefactor, c_prime = pair_envelopes(self.PARAMS, self.CONFIG, offset)
+        d = derive(self.PARAMS, self.CONFIG)
+        for term, (a, b) in enumerate(CROSS_PAIRS, start=len(PAIRS)):
+            bound = 2.0 * prefactor * c_prime[a] * c_prime[b]
+            expected = bound * np.cos(spectra.z_phase_difference(d, a, b, offset))
+            for row, signs in enumerate((SIGNS_O, SIGNS_P)):
+                sign = signs[term - len(PAIRS)]
+                error = np.abs(values[row, term] - sign * expected)
+                assert np.all(error <= 1e-9 * bound.max())
 
     def test_sign_swap_exchanges_exits(self):
-        config = MzConfig(delta_d=0.2501, delta_m=0.2498)
-        curve = eval_analytic(CAL_50KM, config)
-        terms = component_terms(CAL_50KM, config, curve.x_relative)
-        swapped_o = sum(s * terms.cross[p] for s, p in zip(SIGNS_P, CROSS_PAIRS))
-        swapped_p = sum(s * terms.cross[p] for s, p in zip(SIGNS_O, CROSS_PAIRS))
-        assert np.array_equal(swapped_o, terms.ii_p)
-        assert np.array_equal(swapped_p, terms.ii_o)
+        terms = component_terms(self.PARAMS, self.CONFIG)
+        gauss, cross = slice(0, len(PAIRS)), slice(len(PAIRS), None)
+        assert np.array_equal(terms.amp[0, gauss], terms.amp[1, gauss])
+        assert np.array_equal(terms.amp[0, cross] * np.array(SIGNS_P),
+                              terms.amp[1, cross] * np.array(SIGNS_O))
 
 
 def mp_window_center(derived):
@@ -373,6 +412,70 @@ class TestMasses:
             middle_window_masses(curve, 40.0)
         with pytest.raises(ValueError):
             middle_window_masses(curve, 0.0)
+
+
+def mp_faddeeva(z):
+    """w(z) = exp(-z^2) erfc(-i z) at 30 significant digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
+
+
+def recorded_faddeeva_arguments(monkeypatch, tables):
+    """Every w argument that detection_table forms for the given (params, baseline)."""
+    seen = []
+    exact = spectra._faddeeva
+
+    def recording(z):
+        seen.append(np.ravel(z))
+        return exact(z)
+
+    monkeypatch.setattr(spectra, "_faddeeva", recording)
+    for params, baseline in tables:
+        detection_table(params, baseline)
+    monkeypatch.undo()
+    return np.concatenate(seen)
+
+
+class TestFaddeeva:
+    def test_matches_extended_reference(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        real = np.concatenate((np.linspace(-200.0, 200.0, 41), rng.uniform(-200.0, 200.0, 9)))
+        imag = np.array([0.0, 1e-9, 1e-4, 0.01, 0.3, 1.0, 2.5, 6.0, 15.0, 40.0, 100.0, 200.0])
+        grid = (real[:, None] + 1j * imag[None, :]).ravel()
+        # near-real arguments: large |Re z| (s = dd slope / (2 sqrt(p))) over
+        # Im z of a few units (the window edges)
+        used = recorded_faddeeva_arguments(monkeypatch, [
+            (CAL_50KM, 0.25), (CAL_500KM, default_baseline(CAL_500KM))])
+        assert np.max(np.abs(used.real)) > 200.0
+        assert np.any(np.abs(used.imag) < 0.01 * np.abs(used.real))
+        for z in (grid, used):
+            reference = np.array([mp_faddeeva(v) for v in z])
+            error = np.abs(spectra._faddeeva(z) - reference) / np.abs(reference)
+            assert error.max() <= 1e-13
+
+
+class TestExactWindowMasses:
+    def test_grid_disagreement_shrinks_with_grid_size(self):
+        baseline = default_baseline(CAL_500KM)
+        configs = [MzConfig(delta_d=baseline + pd, delta_m=baseline + pm)
+                   for pd in (0.0, 0.25 * CAL_500KM.lambda0, 0.5 * CAL_500KM.lambda0)
+                   for pm in (0.0, 0.25 * CAL_500KM.lambda0)]
+        exact = exact_window_masses(CAL_500KM, configs, MIDDLE_WINDOW_RHO)
+        disagreement = []
+        for n_points in (4096, 16384, 65536):
+            sampled = np.array([
+                middle_window_masses(eval_analytic(CAL_500KM, config, GridSpec(n_points=n_points)),
+                                     MIDDLE_WINDOW_RHO)
+                for config in configs])
+            disagreement.append(np.max(np.abs(sampled - exact)))
+        # the trapezoid rule is second order: 4x the points, ~16x less error
+        assert disagreement[1] <= disagreement[0] / 4.0
+        assert disagreement[2] <= disagreement[1] / 4.0
+
+    def test_rejects_non_positive_window(self):
+        with pytest.raises(ValueError):
+            exact_window_masses(CAL_50KM, [MATCHED], 0.0)
 
 
 class TestCurveStructure:
