@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible design,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -232,7 +233,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, so one instance serves every ``main``
+    call in a process; building it costs some fifty parses.
+    """
     parser = argparse.ArgumentParser(
         prog="mzqkd",
         description="Design and verification toolkit for dispersion-limited "

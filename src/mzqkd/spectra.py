@@ -397,17 +397,30 @@ def effective_moments(params: LinkParams, config: MzConfig,
                         delta1=delta1, gamma=gamma)
 
 
-def _oracle_n_k(k_span: float, max_inst_offset: float, n_k_min: int) -> int:
-    # Sampling margin 1.5x over the largest instantaneous position offset the
-    # integrand reaches; below that the quadrature aliases.
+# Largest working set the oracle's transform may hold, bytes: enough for 2^20
+# wavenumber samples on a 4096-point grid (146 MiB).
+ORACLE_BUDGET_BYTES = 160 << 20
+
+
+def _oracle_n_k(k_span: float, max_inst_offset: float, n_x: int) -> int:
+    """Wavenumber samples that keep the quadrature from aliasing on the grid.
+
+    The step resolves the largest instantaneous position offset the integrand
+    reaches, with a 1.5x margin.  Raises ResolutionError, before the integrand
+    or the transform is allocated, when the transform would exceed
+    ORACLE_BUDGET_BYTES.
+    """
     du_max = math.pi / (1.5 * max(max_inst_offset, 1e-9))
-    n = max(n_k_min, int(math.ceil(2.0 * k_span / du_max)) + 1)
-    n_pow = 1 << (n - 1).bit_length()
-    if n_pow > (1 << 20):
+    n_k = int(math.ceil(2.0 * k_span / du_max)) + 1
+    # complex128 arrays of FFT length in _chirp_z_intensity: for each of the two
+    # rows the spread input, its transform and the product; once the chirp, its
+    # transform and the FFT's scratch
+    required = 16 * 9 * _fft_length(n_k + n_x - 1)
+    if required > ORACLE_BUDGET_BYTES:
         raise ResolutionError(
-            f"oracle would need {n_pow} wavenumber samples; grid is too wide "
-            "for the available resolution")
-    return n_pow
+            f"oracle would need {n_k} wavenumber samples and {required} bytes of "
+            f"transform arrays, above the {ORACLE_BUDGET_BYTES}-byte budget")
+    return n_k
 
 
 def _fft_length(n: int) -> int:
@@ -453,8 +466,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
                 grid: GridSpec | None = None, *,
                 precomp: PrecompMultiplier | None = None,
                 placement: str = "pre",
-                k_span_sigmas: float = 10.0,
-                n_k_min: int = 1 << 14) -> SpectrumCurve:
+                k_span_sigmas: float = 10.0) -> SpectrumCurve:
     """Numeric propagation through the wavenumber-domain transfer function.
 
     Builds the product of the input Gaussian spectrum, the fiber's linear and
@@ -466,8 +478,9 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     for this linear model all three are equivalent and the option exists for
     verification.
 
-    Raises ResolutionError when the wavenumber sampling cannot represent the
-    requested grid or fails the input-norm self-check (1e-8).
+    Raises ResolutionError when resolving the requested grid would exceed
+    ORACLE_BUDGET_BYTES or the wavenumber sampling fails the input-norm
+    self-check (1e-8).
     """
     if placement not in ("pre", "post", "symmetric"):
         raise ValueError(f"placement must be pre, post or symmetric, got {placement!r}")
@@ -487,7 +500,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     k_span = k_span_sigmas * dk
     delta1_eff = moments.delta1
     max_off = max(abs(float(offset[end]) - m) for end in (0, -1) for m in rel_mu.values())
-    n_k = _oracle_n_k(k_span, max_off + 2.0 * abs(delta1_eff) * k_span, n_k_min)
+    n_k = _oracle_n_k(k_span, max_off + 2.0 * abs(delta1_eff) * k_span, offset.size)
 
     u = np.linspace(-k_span, k_span, n_k)
     du = u[1] - u[0]
@@ -497,7 +510,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     if abs(norm_in - 1.0) > 1e-8:
         raise ResolutionError(
             f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8; "
-            "raise n_k_min or k_span_sigmas")
+            "raise k_span_sigmas")
 
     def leg_factor(delta: float) -> np.ndarray:
         # sqrt(T)*exp(-i[(k0+u)A + (k0+u)^2 B]) for one interferometer leg.

@@ -10,7 +10,7 @@ import pytest
 
 import mzqkd
 from mzqkd import spectra
-from mzqkd.cli import main
+from mzqkd.cli import build_parser, main
 from mzqkd.units import C0
 
 CAL = ["--convention", "calibrated", "--length-km", "50"]
@@ -245,6 +245,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("verification failure") and message in err
 
+    def test_oracle_beyond_memory_budget_exits_4(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--l-km", "50",
+                             "--delta-lambda-nm", "10")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("verification failure")
+        assert f"above the {spectra.ORACLE_BUDGET_BYTES}-byte budget" in err
+
 
 class TestConfigFile:
     INI = """
@@ -317,6 +325,18 @@ class TestDeterminism:
                              "--output", str(target))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_shared_parser_keeps_no_values(self, capsys):
+        assert build_parser() is build_parser()
+        code, with_sum, _ = run(capsys, "design", *CAL, "--sum-m", "0.5")
+        assert code == 0
+        code, after, _ = run(capsys, "design", *CAL)
+        assert code == 0
+        build_parser.cache_clear()
+        code, fresh, _ = run(capsys, "design", *CAL)
+        assert code == 0
+        assert after == fresh
+        assert with_sum != fresh
 
 
 class TestStartup:

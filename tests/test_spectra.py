@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -300,7 +301,40 @@ class TestOracleAgreement:
     def test_oracle_norm_self_check(self):
         with pytest.raises(ResolutionError):
             eval_oracle(LinkParams(fiber_length=0.0), MzConfig(delta_d=0.01, delta_m=0.01),
-                        GridSpec(n_points=128), k_span_sigmas=2.0, n_k_min=1 << 6)
+                        GridSpec(n_points=128), k_span_sigmas=2.0)
+
+    @pytest.mark.parametrize("params, config, grid", [
+        (LinkParams(fiber_length=0.0), MzConfig(delta_d=0.02, delta_m=0.02),
+         GridSpec(n_points=1024)),
+        (CAL_50KM, MATCHED, GridSpec(n_points=1024)),
+        (LinkParams(fiber_length=500e3), MzConfig(delta_d=0.7, delta_m=0.65),
+         GridSpec(n_points=4096)),
+    ])
+    def test_n_k_is_the_aliasing_criterion(self, params, config, grid):
+        # ceil(2 k_span / du_max) + 1 with du_max = pi / (1.5 max offset): no
+        # floor, no rounding to a power of two
+        curve = eval_oracle(params, config, grid)
+        d = derive(params, config)
+        k_span = 10.0 * d.delta_k
+        middle = 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
+        means = [config.delta_sum(pair) - middle for pair in PAIRS]
+        reach = max(abs(end - mean) for end in curve.x_relative[[0, -1]] for mean in means)
+        reach += 2.0 * abs(d.delta1) * k_span
+        expected = math.ceil(2.0 * k_span * 1.5 * reach / math.pi) + 1
+        assert curve.checks["n_k"] == expected
+
+    def test_budget_refuses_before_allocating(self):
+        # 10 nm spread at 50 km needs about 1e7 samples, 1.5 GB of transform arrays
+        params = LinkParams(fiber_length=50e3, delta_lambda=10e-9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError,
+                               match=f"above the {spectra.ORACLE_BUDGET_BYTES}-byte budget"):
+                eval_oracle(params, MzConfig(), GridSpec(n_points=1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_oracle_unitarity_bookkeeping(self):
         curve = eval_oracle(LinkParams(fiber_length=1e3),
@@ -316,6 +350,8 @@ class TestOracleAgreement:
 CAL_500KM = LinkParams(fiber_length=500e3, convention="calibrated")
 WIDE = MzConfig(delta_d=0.7, delta_m=0.65)
 RELATIVE = GridSpec(n_points=128, x_min=-2.0, x_max=2.0, relative=True)
+# 0 km with 0.02 m shifters needs fewer wavenumber samples than grid points
+FEWER_SAMPLES = GridSpec(n_points=1024)
 CHIRP_CASES = [
     pytest.param(replace(CAL_500KM, fiber_length=length), WIDE, GridSpec(n_points=256), {},
                  id=f"{length / 1e3:g}km")
@@ -327,7 +363,7 @@ CHIRP_CASES = [
     for placement in ("pre", "post", "symmetric")
 ] + [
     pytest.param(LinkParams(fiber_length=0.0), MzConfig(delta_d=0.02, delta_m=0.02),
-                 GridSpec(n_points=1024), {"n_k_min": 1 << 6}, id="n_points-above-n_k"),
+                 FEWER_SAMPLES, {}, id="n_points-above-n_k"),
 ]
 
 
@@ -338,7 +374,7 @@ class TestChirpZ:
         monkeypatch.setattr(spectra, "_chirp_z_intensity", dense_intensity)
         dense = eval_oracle(params, config, grid, **kwargs)
         assert max_normalized_deviation(fast, dense) <= 1e-9
-        if kwargs.get("n_k_min"):
+        if grid is FEWER_SAMPLES:
             assert fast.checks["n_k"] < grid.n_points
 
     def test_mass_ledger_independent_of_placement(self):
@@ -349,6 +385,26 @@ class TestChirpZ:
         for key in ("mass_o_kspace", "mass_p_kspace", "unused_exit_remainder"):
             values = [ledger[key] for ledger in ledgers]
             assert max(values) - min(values) <= 1e-12
+
+
+def _calibrated(length_m, **link):
+    return LinkParams(fiber_length=length_m, convention="calibrated", **link)
+
+
+# Inputs the hypothesis test does not vary: (link, shifter sum over 2 x_rho(1),
+# delta_c, whether the oracle resolves it within its memory budget).
+DOMAIN_CASES = [
+    pytest.param(_calibrated(50e3), 2.0, 0.1, True, id="delta_c-0.1m"),
+    pytest.param(LinkParams(fiber_length=50e3, dispersion=0.0), 2.0, 0.0, True, id="D-0"),
+    pytest.param(_calibrated(50e3, leg_length=0.0), 2.0, 0.0, True, id="leg-length-0"),
+    pytest.param(_calibrated(50e3, lambda0=1310e-9), 2.0, 0.0, True, id="1310nm"),
+    pytest.param(_calibrated(50e3), 0.3, 0.0, True, id="overlapping-pulses"),
+    pytest.param(_calibrated(1000e3), 2.0, 0.0, True, id="1000km"),
+    pytest.param(_calibrated(2000e3), 2.0, 0.0, True, id="2000km"),
+    pytest.param(_calibrated(5000e3), 2.0, 0.0, True, id="5000km"),
+    pytest.param(LinkParams(fiber_length=5000e3), 2.0, 0.0, False,
+                 id="5000km-first-principles"),
+]
 
 
 class TestOracleProperty:
@@ -371,6 +427,20 @@ class TestOracleProperty:
         oracle = eval_oracle(params, config, grid, precomp=multiplier)
         analytic = eval_analytic(active, config, grid)
         assert max_normalized_deviation(analytic, oracle) <= 1e-8
+
+    @pytest.mark.parametrize("params, sum_over_2x1, delta_c, resolves", DOMAIN_CASES)
+    def test_named_inputs(self, params, sum_over_2x1, delta_c, resolves):
+        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(params, MzConfig()), 1.0)
+        config = MzConfig(delta_d=0.55 * shifter_sum, delta_m=0.45 * shifter_sum,
+                          delta_c=delta_c)
+        grid = GridSpec(n_points=1024)
+        if not resolves:
+            with pytest.raises(ResolutionError, match="byte budget"):
+                eval_oracle(params, config, grid)
+            return
+        deviation = max_normalized_deviation(eval_analytic(params, config, grid),
+                                             eval_oracle(params, config, grid))
+        assert deviation <= 1e-8
 
 
 class TestMasses:
