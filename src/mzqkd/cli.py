@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -19,83 +19,46 @@ from . import compensation as comp_mod
 from . import io as io_mod
 from .config import (RunConfig, apply_overrides, default_config_path,
                      load_config_file)
-from .core import CONVENTIONS
-from .design import RATE_MODES, build_design_report, sweep_lengths
+from .design import build_design_report, sweep_lengths
 from .errors import ConfigError, InfeasibleDesignError, ResolutionError, VerificationError
 from .spectra import (GridSpec, eval_analytic, eval_oracle,
                       max_normalized_deviation)
 from .units import km_to_m
 
-_OVERRIDE_ATTRS = (
-    "length_km", "lambda0_nm", "delta_lambda_nm", "dispersion_ps_per_km_nm",
-    "group_index", "leg_length_m", "t_fiber", "t_leg", "convention",
-    "delta_d_m", "delta_m_m", "delta_c_m", "t_rising_ns", "t_falling_ns",
-    "detector_profile", "rho", "mode", "safety_factor",
-    "out_format", "out_path", "normalize",
-)
-
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file path (INI); defaults to $MZQKD_CONFIG")
-    link = parser.add_argument_group("link")
-    link.add_argument("--length-km", dest="length_km", type=float)
-    link.add_argument("--lambda0-nm", dest="lambda0_nm", type=float)
-    link.add_argument("--delta-lambda-nm", dest="delta_lambda_nm", type=float)
-    link.add_argument("--dispersion", dest="dispersion_ps_per_km_nm", type=float,
-                      help="dispersion coefficient, ps/(km*nm)")
-    link.add_argument("--group-index", dest="group_index", type=float)
-    link.add_argument("--leg-length-m", dest="leg_length_m", type=float)
-    link.add_argument("--t-fiber", dest="t_fiber", type=float)
-    link.add_argument("--t-leg", dest="t_leg", type=float)
-    link.add_argument("--convention", choices=CONVENTIONS)
-    mz = parser.add_argument_group("interferometer")
-    mz.add_argument("--delta-d-m", dest="delta_d_m", type=float)
-    mz.add_argument("--delta-m-m", dest="delta_m_m", type=float)
-    mz.add_argument("--delta-c-m", dest="delta_c_m", type=float)
-    mz.add_argument("--t-rising-ns", dest="t_rising_ns", type=float)
-    mz.add_argument("--t-falling-ns", dest="t_falling_ns", type=float)
-    mz.add_argument("--detector-profile", dest="detector_profile")
-    design = parser.add_argument_group("design")
-    design.add_argument("--rho", type=float)
-    design.add_argument("--mode", choices=RATE_MODES)
-    design.add_argument("--safety-factor", dest="safety_factor", type=float)
-    out = parser.add_argument_group("output")
-    out.add_argument("--format", dest="out_format",
-                     choices=("text", "csv", "json", "svg-plot"))
-    out.add_argument("--output", dest="out_path",
-                     help="output file; stdout when omitted")
-    out.add_argument("--normalize", choices=("absolute", "peak"))
+    groups = {}
+    for f in fields(RunConfig):
+        section = f.metadata["section"]
+        if section not in groups:
+            groups[section] = parser.add_argument_group(section)
+        groups[section].add_argument(f.metadata["flag"] or "--" + f.name.replace("_", "-"),
+                                     dest=f.name, type=f.metadata["cast"],
+                                     **f.metadata["argparse"])
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """File values (or defaults) under the flags, with the command's format resolved."""
     path = args.config or default_config_path()
-    config = load_config_file(path) if path else RunConfig()
-    overrides = {attr: getattr(args, attr, None) for attr in _OVERRIDE_ATTRS}
-    apply_overrides(config, overrides)
+    config = apply_overrides(load_config_file(path) if path else RunConfig(), args)
     config.validate_design()
-    return config
-
-
-def _resolve_format(config: RunConfig, allowed: tuple[str, ...]) -> str:
-    """Pick the command's output format; the first allowed one is the default."""
     if config.out_format is None:
-        return allowed[0]
-    if config.out_format not in allowed:
+        config.out_format = args.formats[0]
+    elif config.out_format not in args.formats:
         raise ConfigError(f"output.format: {config.out_format!r} not supported "
-                          f"by this command (choose from {allowed})")
-    return config.out_format
+                          f"by this command (choose from {args.formats})")
+    return config
 
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_design(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    out_format = _resolve_format(config, ("text", "json"))
+def cmd_design(args: argparse.Namespace, config: RunConfig) -> int:
     params, mz = config.link_params(), config.mz_config()
     report = build_design_report(params, mz, config.rho,
                                  actual_phase_sum=args.sum_m,
                                  safety_factor=config.safety_factor)
-    if out_format == "json":
+    if config.out_format == "json":
         text = io_mod.design_report_json(report, params, mz)
     else:
         text = io_mod.design_report_text(report)
@@ -103,41 +66,32 @@ def cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    out_format = _resolve_format(config, ("csv", "svg-plot"))
+def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     if args.steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     if not args.l_min_km < args.l_max_km:
         raise ConfigError("sweep range is empty: l-min-km must be below l-max-km")
     params, mz = config.link_params(), config.mz_config()
     lengths = np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
-    rows = sweep_lengths(params, mz, config.rho, lengths)
-    if out_format == "svg-plot":
-        xs = np.array([r["length_m"] for r in rows]) / 1e3
-        if args.quantity == "rate":
-            series = [("rate_linear_hz", xs,
-                       np.array([r["rate_linear_hz"] for r in rows]))]
-            text = io_mod.svg_line_chart(series, "length_km", "rate_hz")
-        else:
-            series = [("min_phase_sum_m", xs,
-                       np.array([r["min_phase_sum_m"] for r in rows]))]
-            text = io_mod.svg_line_chart(series, "length_km", "min_phase_sum_m")
+    columns = sweep_lengths(params, mz, config.rho, lengths)
+    if config.out_format == "svg-plot":
+        name, label = (("rate_linear_hz", "rate_hz") if args.quantity == "rate"
+                       else ("min_phase_sum_m", "min_phase_sum_m"))
+        series = [(name, columns["length_m"] / 1e3, columns[name])]
+        text = io_mod.svg_line_chart(series, "length_km", label)
     else:
-        text = io_mod.sweep_csv(rows)
+        text = io_mod.sweep_csv(columns)
     io_mod.emit(text, config.out_path)
     return 0
 
 
-def cmd_spectra(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    out_format = _resolve_format(config, ("csv", "json", "svg-plot"))
+def cmd_spectra(args: argparse.Namespace, config: RunConfig) -> int:
     params, mz = config.link_params(), config.mz_config()
     grid = GridSpec(n_points=args.n_points, pad_sigmas=args.pad_sigmas)
     curve = eval_analytic(params, mz, grid)
-    if out_format == "json":
+    if config.out_format == "json":
         text = io_mod.curve_json(curve, config.normalize, args.relative_axis)
-    elif out_format == "svg-plot":
+    elif config.out_format == "svg-plot":
         x, yo, yp = io_mod.curve_arrays(curve, config.normalize, args.relative_axis)
         text = io_mod.svg_line_chart(
             [("exit_o", x, yo), ("exit_p", x, yp)],
@@ -148,9 +102,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bb84(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    out_format = _resolve_format(config, ("csv", "json"))
+def cmd_bb84(args: argparse.Namespace, config: RunConfig) -> int:
     params = config.link_params()
     baseline = args.baseline_m
     if baseline is None:
@@ -158,7 +110,7 @@ def cmd_bb84(args: argparse.Namespace) -> int:
     table = bb84_mod.detection_table(params, baseline)
     if table.warning:
         print(f"warning: {table.warning}", file=sys.stderr)
-    if out_format == "json":
+    if config.out_format == "json":
         text = io_mod.detection_table_json(table, params)
     else:
         text = io_mod.detection_table_csv(table)
@@ -183,9 +135,7 @@ def _dump_bb84_spectra(params, table, directory: str, normalize: str) -> None:
                                  io_mod.curve_csv(curve, normalize))
 
 
-def cmd_gterm(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    _resolve_format(config, ("csv",))
+def cmd_gterm(args: argparse.Namespace, config: RunConfig) -> int:
     params = config.link_params()
     if args.steps < 2 or not args.l_min_km < args.l_max_km:
         raise ConfigError("gterm sweep needs at least 2 steps and a non-empty range")
@@ -195,12 +145,10 @@ def cmd_gterm(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compensate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    out_format = _resolve_format(config, ("text", "json"))
+def cmd_compensate(args: argparse.Namespace, config: RunConfig) -> int:
     params = config.link_params()
     plan = comp_mod.plan(params, args.clock_ghz * 1e9, config.rho, config.mode)
-    if out_format == "json":
+    if config.out_format == "json":
         text = io_mod.plan_json(plan, params)
     else:
         text = io_mod.plan_text(plan)
@@ -208,9 +156,7 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    _resolve_format(config, ("text",))
+def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> int:
     params, mz = config.link_params(), config.mz_config()
     lengths_km = args.l_km if args.l_km else [0.0, 1.0, 50.0]
     grid = GridSpec(n_points=args.n_points)
@@ -250,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--sum-m", dest="sum_m", type=float,
                    help="actual shifter sum for the gate-window bound, m")
-    p.set_defaults(func=cmd_design)
+    p.set_defaults(func=cmd_design, formats=("text", "json"))
 
     p = sub.add_parser("sweep", help="design bounds over a fiber-length range")
     _common_flags(p)
@@ -259,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=46)
     p.add_argument("--quantity", choices=("phase-sum", "rate"), default="phase-sum",
                    help="series for svg-plot output")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, formats=("csv", "svg-plot"))
 
     p = sub.add_parser("spectra", help="output position spectra of both exits")
     _common_flags(p)
@@ -267,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pad-sigmas", type=float, default=6.0)
     p.add_argument("--relative-axis", action="store_true",
                    help="emit x as offset from the middle-pulse center")
-    p.set_defaults(func=cmd_spectra)
+    p.set_defaults(func=cmd_spectra, formats=("csv", "json", "svg-plot"))
 
     p = sub.add_parser("bb84", help="phase-encoding detection truth table")
     _common_flags(p)
@@ -276,19 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "rounded up to the next cm")
     p.add_argument("--dump-spectra-dir",
                    help="also write one spectra CSV per table row")
-    p.set_defaults(func=cmd_bb84)
+    p.set_defaults(func=cmd_bb84, formats=("csv", "json"))
 
     p = sub.add_parser("gterm", help="dispersion-correction coefficient over length")
     _common_flags(p)
     p.add_argument("--l-min-km", type=float, default=0.05)
     p.add_argument("--l-max-km", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=4001)
-    p.set_defaults(func=cmd_gterm)
+    p.set_defaults(func=cmd_gterm, formats=("csv",))
 
     p = sub.add_parser("compensate", help="dispersion-compensation plan for a clock rate")
     _common_flags(p)
     p.add_argument("--clock-ghz", type=float, required=True)
-    p.set_defaults(func=cmd_compensate)
+    p.set_defaults(func=cmd_compensate, formats=("text", "json"))
 
     p = sub.add_parser("oracle-check", help="verify analytic spectra against the "
                                             "wavenumber-domain oracle")
@@ -297,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-km", type=float, action="append",
                    help="fiber length to check, km (repeatable; default 0, 1, 50)")
     p.add_argument("--n-points", type=int, default=1024)
-    p.set_defaults(func=cmd_oracle_check)
+    p.set_defaults(func=cmd_oracle_check, formats=("text",))
 
     return parser
 
@@ -306,7 +252,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

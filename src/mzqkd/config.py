@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .core import CONVENTIONS, LinkParams, MzConfig
@@ -20,68 +20,54 @@ from .units import dispersion_to_si, km_to_m, nm_to_m, ns_to_s
 
 ENV_CONFIG_PATH = "MZQKD_CONFIG"
 
-# section -> key -> (RunConfig attribute, parser)
-_SCHEMA = {
-    "link": {
-        "length_km": ("length_km", float),
-        "lambda0_nm": ("lambda0_nm", float),
-        "delta_lambda_nm": ("delta_lambda_nm", float),
-        "dispersion_ps_per_km_nm": ("dispersion_ps_per_km_nm", float),
-        "group_index": ("group_index", float),
-        "leg_length_m": ("leg_length_m", float),
-        "t_fiber": ("t_fiber", float),
-        "t_leg": ("t_leg", float),
-        "convention": ("convention", str),
-    },
-    "interferometer": {
-        "delta_d_m": ("delta_d_m", float),
-        "delta_m_m": ("delta_m_m", float),
-        "delta_c_m": ("delta_c_m", float),
-        "t_rising_ns": ("t_rising_ns", float),
-        "t_falling_ns": ("t_falling_ns", float),
-        "detector_profile": ("detector_profile", str),
-    },
-    "design": {
-        "rho": ("rho", float),
-        "mode": ("mode", str),
-        "safety_factor": ("safety_factor", float),
-    },
-    "output": {
-        "format": ("out_format", str),
-        "path": ("out_path", str),
-        "normalize": ("normalize", str),
-    },
-}
+
+def _setting(section: str, default, cast=float, *, key: Optional[str] = None,
+             flag: Optional[str] = None, **argparse_kwargs):
+    """A RunConfig field that is also file key ``section.key`` and flag ``flag``.
+
+    ``key`` defaults to the field name and ``flag`` to ``--field-name``;
+    ``argparse_kwargs`` (``choices``, ``help``) go to the flag, and a file
+    value must lie in the same ``choices``.
+    """
+    return field(default=default, metadata={
+        "section": section, "cast": cast, "key": key, "flag": flag,
+        "argparse": argparse_kwargs})
 
 
 @dataclass
 class RunConfig:
     """All tunables of one command invocation, in human units."""
 
-    length_km: float = 50.0
-    lambda0_nm: float = 1550.0
-    delta_lambda_nm: float = 0.31
-    dispersion_ps_per_km_nm: float = 17.0
-    group_index: float = 1.4682
-    leg_length_m: float = 1.0
-    t_fiber: float = 1.0
-    t_leg: float = 1.0
-    convention: str = "first_principles"
+    length_km: float = _setting("link", 50.0)
+    lambda0_nm: float = _setting("link", 1550.0)
+    delta_lambda_nm: float = _setting("link", 0.31)
+    dispersion_ps_per_km_nm: float = _setting(
+        "link", 17.0, flag="--dispersion", help="dispersion coefficient, ps/(km*nm)")
+    group_index: float = _setting("link", 1.4682)
+    leg_length_m: float = _setting("link", 1.0)
+    t_fiber: float = _setting("link", 1.0)
+    t_leg: float = _setting("link", 1.0)
+    convention: str = _setting("link", "first_principles", str, choices=CONVENTIONS)
 
-    delta_d_m: float = 0.25
-    delta_m_m: float = 0.25
-    delta_c_m: float = 0.0
-    t_rising_ns: Optional[float] = None
-    t_falling_ns: Optional[float] = None
-    detector_profile: Optional[str] = None
+    delta_d_m: float = _setting("interferometer", 0.25)
+    delta_m_m: float = _setting("interferometer", 0.25)
+    delta_c_m: float = _setting("interferometer", 0.0)
+    t_rising_ns: Optional[float] = _setting("interferometer", None)
+    t_falling_ns: Optional[float] = _setting("interferometer", None)
+    detector_profile: Optional[str] = _setting("interferometer", None, str)
 
-    rho: float = 3.0
-    mode: str = "linear"
-    safety_factor: float = 1.0
+    rho: float = _setting("design", 3.0)
+    mode: str = _setting("design", "linear", str, choices=RATE_MODES)
+    safety_factor: float = _setting("design", 1.0)
 
-    out_format: Optional[str] = None  # per-command default when unset
-    out_path: Optional[str] = None
-    normalize: str = "absolute"
+    # per-command default when unset
+    out_format: Optional[str] = _setting(
+        "output", None, str, key="format", flag="--format",
+        choices=("text", "csv", "json", "svg-plot"))
+    out_path: Optional[str] = _setting(
+        "output", None, str, key="path", flag="--output",
+        help="output file; stdout when omitted")
+    normalize: str = _setting("output", "absolute", str, choices=("absolute", "peak"))
 
     def resolved_edge_times(self) -> tuple[float, float]:
         """Detector edge times in seconds: explicit values beat the profile."""
@@ -98,9 +84,6 @@ class RunConfig:
         return rising, falling
 
     def link_params(self) -> LinkParams:
-        if self.convention not in CONVENTIONS:
-            raise ConfigError(f"link.convention: must be one of {CONVENTIONS}, "
-                              f"got {self.convention!r}")
         try:
             return LinkParams(
                 lambda0=nm_to_m(self.lambda0_nm),
@@ -132,34 +115,40 @@ class RunConfig:
     def validate_design(self) -> None:
         if not self.rho > 0:
             raise ConfigError(f"design.rho: must be positive, got {self.rho!r}")
-        if self.mode not in RATE_MODES:
-            raise ConfigError(f"design.mode: must be one of {RATE_MODES}, "
-                              f"got {self.mode!r}")
         if not self.safety_factor > 0:
             raise ConfigError("design.safety_factor: must be positive, "
                               f"got {self.safety_factor!r}")
 
 
 def load_config_file(path: str) -> RunConfig:
-    """Parse one INI file into a RunConfig, rejecting unknown keys."""
+    """Parse one INI file into a RunConfig, rejecting unknown keys and values."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    schema: dict[str, dict] = {}
+    for f in fields(RunConfig):
+        schema.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = f
     config = RunConfig()
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in schema:
             raise ConfigError(f"{section}: unknown config section "
-                              f"(expected one of {sorted(_SCHEMA)})")
+                              f"(expected one of {sorted(schema)})")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            f = schema[section].get(key)
+            if f is None:
                 raise ConfigError(f"{section}.{key}: unknown config key")
-            attr, cast = _SCHEMA[section][key]
+            cast = f.metadata["cast"]
             try:
-                setattr(config, attr, cast(raw))
+                value = cast(raw)
             except ValueError:
                 raise ConfigError(
                     f"{section}.{key}: could not parse {raw!r} as {cast.__name__}")
+            choices = f.metadata["argparse"].get("choices")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{section}.{key}: must be one of {choices}, "
+                                  f"got {value!r}")
+            setattr(config, f.name, value)
     return config
 
 
@@ -167,13 +156,10 @@ def default_config_path() -> Optional[str]:
     return os.environ.get(ENV_CONFIG_PATH) or None
 
 
-def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
-    """Apply CLI-sourced attribute overrides (None means not given)."""
-    valid = {f.name for f in fields(RunConfig)}
-    for attr, value in overrides.items():
-        if value is None:
-            continue
-        if attr not in valid:
-            raise ConfigError(f"unknown override {attr!r}")
-        setattr(config, attr, value)
+def apply_overrides(config: RunConfig, args) -> RunConfig:
+    """Apply the flags of a parsed namespace, by field name (None means not given)."""
+    for f in fields(RunConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            setattr(config, f.name, value)
     return config

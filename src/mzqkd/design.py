@@ -138,11 +138,11 @@ def build_design_report(params: LinkParams, config: MzConfig, rho: float,
 
 
 def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
-                  lengths_m: Iterable[float]) -> list[dict[str, float]]:
+                  lengths_m: Iterable[float]) -> dict[str, np.ndarray]:
     """Evaluate the design bounds over a range of fiber lengths.
 
-    Returns one row per length with keys length_m, min_phase_sum_m,
-    rate_linear_hz, rate_nonlinear_hz, rate_general_hz.
+    Returns one array per column, each with one entry per length: length_m,
+    min_phase_sum_m, rate_linear_hz, rate_nonlinear_hz, rate_general_hz.
     """
     lengths = np.array(list(lengths_m), dtype=float)
     if lengths.size == 0:
@@ -152,11 +152,10 @@ def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
     _, sigma = broadening(derive(params, MzConfig()).delta_k,
                           accumulated_dispersion(params, lengths))
     half = half_width(sigma, rho)
-    columns = {
+    return {
         "length_m": lengths,
         "min_phase_sum_m": _phase_sum_bound(params, half, config.t_rising, config.t_falling),
         "rate_linear_hz": _rate_bound(params, half, "linear"),
         "rate_nonlinear_hz": _rate_bound(params, half, "nonlinear"),
         "rate_general_hz": _rate_bound(params, half, "general"),
     }
-    return [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]

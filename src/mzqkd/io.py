@@ -29,12 +29,19 @@ def fmt(value) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write the full text, then move it into place in one step."""
+    """Write the full text, then move it into place in one step.
+
+    The file gets the permissions a plain ``open`` would give it (0o666 less
+    the umask), not the 0o600 of the temporary file it is written through.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mzqkd-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -120,11 +127,10 @@ def design_report_json(report: DesignReport, params: LinkParams,
     return to_json(payload)
 
 
-def sweep_csv(rows: Sequence[Mapping[str, float]]) -> str:
+def sweep_csv(columns: Mapping[str, np.ndarray]) -> str:
     header = ["length_km", "min_phase_sum_m", "rate_linear_hz",
               "rate_nonlinear_hz", "rate_general_hz"]
-    body = [(r["length_m"] / 1e3, r["min_phase_sum_m"], r["rate_linear_hz"],
-             r["rate_nonlinear_hz"], r["rate_general_hz"]) for r in rows]
+    body = zip(columns["length_m"] / 1e3, *(columns[name] for name in header[1:]))
     return csv_table(header, body)
 
 

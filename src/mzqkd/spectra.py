@@ -36,7 +36,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import DerivedQuantities, LinkParams, MzConfig, PAIRS, broadening, derive
+from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, broadening, derive,
+                   half_width)
 from .errors import ResolutionError, VerificationError
 
 # Cross-term ordering and the interference sign of each output.  Exit o takes
@@ -586,9 +587,7 @@ def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float
     and the center halfway between the two middle-component means.  Raises
     ValueError when the window is not fully inside the sampled grid.
     """
-    if not rho_window > 0:
-        raise ValueError("rho_window must be positive")
-    half = rho_window * math.sqrt(2.0) * curve.sigma
+    half = half_width(curve.sigma, rho_window)
     offset = curve.x_relative
     if -half < offset[0] or half > offset[-1]:
         raise ValueError("integration window exceeds the sampled grid")

@@ -215,19 +215,19 @@ def test_09_sweep_shapes():
     lengths = np.linspace(50e3, 500e3, 46)
     config = MzConfig()
 
-    rows_fp = sweep_lengths(LinkParams(), config, 3.0, lengths)
-    sums_fp = np.array([r["min_phase_sum_m"] for r in rows_fp])
+    sweep_fp = sweep_lengths(LinkParams(), config, 3.0, lengths)
+    sums_fp = sweep_fp["min_phase_sum_m"]
     slope_fp, intercept = np.polyfit(lengths, sums_fp, 1)
     fitted = slope_fp * lengths + intercept
     ss_res = float(np.sum((sums_fp - fitted) ** 2))
     ss_tot = float(np.sum((sums_fp - sums_fp.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot
 
-    products = np.array([r["rate_linear_hz"] for r in rows_fp]) * lengths
+    products = sweep_fp["rate_linear_hz"] * lengths
     product_spread = float(products.max() / products.min() - 1.0)
 
-    rows_cal = sweep_lengths(LinkParams(convention="calibrated"), config, 3.0, lengths)
-    sums_cal = np.array([r["min_phase_sum_m"] for r in rows_cal])
+    sums_cal = sweep_lengths(LinkParams(convention="calibrated"), config, 3.0,
+                             lengths)["min_phase_sum_m"]
     slope_cal = np.polyfit(lengths, sums_cal, 1)[0] * 1e5  # m per 100 km
     slope_err = abs(slope_cal - 0.8454) / 0.8454
 

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 
 import mzqkd
 from mzqkd import spectra
-from mzqkd.cli import build_parser, main
+from mzqkd.cli import _resolve_config, build_parser, main
+from mzqkd.config import RunConfig, load_config_file
 from mzqkd.units import C0
 
 CAL = ["--convention", "calibrated", "--length-km", "50"]
@@ -306,6 +307,49 @@ format = json
         code, _, err = run(capsys, "design", "--config", "/nonexistent.ini")
         assert code == 2
         assert "not found" in err
+
+    @pytest.mark.parametrize("section, key", [("output", "normalize"),
+                                              ("link", "convention")])
+    def test_value_outside_choices_exits_2(self, capsys, tmp_path, section, key):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = bogus\n")
+        code, _, err = run(capsys, "design", "--config", str(path))
+        assert code == 2
+        assert f"{section}.{key}" in err
+
+    # The README's rule: a flag is its file key with dashes, except these.
+    RENAMED_FLAGS = {"dispersion_ps_per_km_nm": "--dispersion", "path": "--output"}
+
+    @pytest.mark.parametrize("setting", fields(RunConfig), ids=lambda f: f.name)
+    def test_flag_and_file_key_agree(self, tmp_path, monkeypatch, setting):
+        monkeypatch.delenv("MZQKD_CONFIG", raising=False)
+        section, key = setting.metadata["section"], setting.metadata["key"] or setting.name
+        choices = setting.metadata["argparse"].get("choices")
+        value = choices[-1] if choices else {
+            "detector_profile": "snspd-5ns", "out_path": "out.csv"}.get(setting.name, "2.5")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        flag = self.RENAMED_FLAGS.get(key, "--" + key.replace("_", "-"))
+        parser = build_parser()
+        by_flag = _resolve_config(parser.parse_args(["spectra", flag, value]))
+        by_file = _resolve_config(parser.parse_args(["spectra", "--config", str(path)]))
+        assert by_flag == by_file
+        assert by_flag != RunConfig(out_format="csv")
+
+    def test_readme_example_names_every_file_key_once(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        named, section = [], None
+        for line in block.splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line:
+                named.append((section, line.split("=", 1)[0].strip()))
+        assert sorted(named) == sorted((f.metadata["section"], f.metadata["key"] or f.name)
+                                       for f in fields(RunConfig))
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        load_config_file(str(path))
 
 
 class TestDeterminism:

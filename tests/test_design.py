@@ -169,10 +169,10 @@ class TestReportAndSweep:
         assert report.gate_window is None
 
     def test_sweep_monotone_columns(self):
-        rows = sweep_lengths(LinkParams(), MzConfig(), 3.0,
-                             np.linspace(10e3, 200e3, 20))
-        sums = [r["min_phase_sum_m"] for r in rows]
-        rates = [r["rate_linear_hz"] for r in rows]
+        columns = sweep_lengths(LinkParams(), MzConfig(), 3.0,
+                                np.linspace(10e3, 200e3, 20))
+        sums = columns["min_phase_sum_m"]
+        rates = columns["rate_linear_hz"]
         assert all(b >= a for a, b in zip(sums, sums[1:]))
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
@@ -181,12 +181,13 @@ class TestReportAndSweep:
         params = LinkParams(convention=convention)
         config = MzConfig(t_rising=2.5e-9, t_falling=1e-9)
         lengths = [0.0, 1.0, 1236.0, 50e3, 405e3, 500e3]
-        for length, row in zip(lengths, sweep_lengths(params, config, 2.7, lengths)):
+        columns = sweep_lengths(params, config, 2.7, lengths)
+        for i, length in enumerate(lengths):
             p = replace(params, fiber_length=length)
-            assert row["length_m"] == length
-            assert row["min_phase_sum_m"] == min_phase_sum(p, 2.7, 2.5e-9, 1e-9)
+            assert columns["length_m"][i] == length
+            assert columns["min_phase_sum_m"][i] == min_phase_sum(p, 2.7, 2.5e-9, 1e-9)
             for mode in ("linear", "nonlinear", "general"):
-                assert row[f"rate_{mode}_hz"] == max_rate(p, 2.7, mode)
+                assert columns[f"rate_{mode}_hz"][i] == max_rate(p, 2.7, mode)
 
     def test_sweep_rejects_empty(self):
         with pytest.raises(ValueError):

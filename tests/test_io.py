@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ def test_atomic_write(tmp_path):
     assert target.read_text() == "payload\n"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_atomic_write_keeps_umask_permissions(tmp_path):
+    target = tmp_path / "out.txt"
+    previous = os.umask(0o022)
+    try:
+        io_mod.atomic_write_text(str(target), "payload\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
 
 def test_csv_table_header_and_rows():
