@@ -43,6 +43,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or default_config_path()
     config = apply_overrides(load_config_file(path) if path else RunConfig(), args)
     config.validate_design()
+    config.mz_config()  # every command checks the interferometer settings
     if config.out_format is None:
         config.out_format = args.formats[0]
     elif config.out_format not in args.formats:

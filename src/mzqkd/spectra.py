@@ -11,10 +11,11 @@ through the Faddeeva function w(z) (Abramowitz & Stegun 7.1; Weideman's
 rational approximation, SIAM J. Numer. Anal. 31 (1994) 1497).
 ``eval_oracle`` builds the wavenumber-domain transfer function of the full
 setup, multiplies it onto the Gaussian input spectrum and inverse-transforms
-to position space: the trapezoid quadrature over a uniform wavenumber grid,
-evaluated on the uniform position grid as a chirp-z transform (one FFT
-convolution).  The two must agree to high precision; the oracle is the
-verification reference for the analytic route and for compensation studies.
+to position space: the trapezoid quadrature over a uniform wavenumber grid
+whose step is commensurate with the position grid's, so the samples fold into
+the bins of one short inverse FFT (the DFT aliasing identity).  The two must
+agree to high precision; the oracle is the verification reference for the
+analytic route and for compensation studies.
 
 Position bookkeeping: intensities are probability densities over the
 vacuum-equivalent propagation distance x.  At telecom lengths x is hundreds
@@ -398,30 +399,46 @@ def effective_moments(params: LinkParams, config: MzConfig,
                         delta1=delta1, gamma=gamma)
 
 
-# Largest working set the oracle's transform may hold, bytes: enough for 2^20
-# wavenumber samples on a 4096-point grid (146 MiB).
+# Largest working set the oracle may hold, bytes, as counted by _oracle_bytes.
 ORACLE_BUDGET_BYTES = 160 << 20
 
 
-def _oracle_n_k(k_span: float, max_inst_offset: float, n_x: int) -> int:
-    """Wavenumber samples that keep the quadrature from aliasing on the grid.
+def _oracle_bytes(n_k: int, m: int) -> int:
+    """Bytes the oracle holds at its peak for n_k samples folded into m bins.
 
-    The step resolves the largest instantaneous position offset the integrand
-    reaches, with a 1.5x margin.  Raises ResolutionError, before the integrand
-    or the transform is allocated, when the transform would exceed
-    ORACLE_BUDGET_BYTES.
+    At most eight complex128 arrays of length n_k are live at once.  While the
+    transfer-function rows are built: the wavenumber axis, the input spectrum,
+    k0 + u and the quadratic phase (float64, two arrays' worth), the common
+    factor, the compensator's multiplier, two leg factors and the two rows.
+    While they are transformed: the axis and the spectrum, the rows, their
+    padded copy and the carrier exp(i u x0) with its temporary.  The padding,
+    the folded rows, their inverse FFT and its scratch add at most eight of
+    length m.
+    """
+    return 16 * 8 * (n_k + m)
+
+
+def _oracle_n_k(k_span: float, max_inst_offset: float, step: float,
+                n_x: int) -> tuple[int, int]:
+    """Wavenumber samples and fold length (n_k, m) of the oracle's quadrature.
+
+    The wavenumber step resolves the largest instantaneous position offset
+    the integrand reaches, with a 1.5x margin: du <= du_max.  It is set to
+    du = 2 pi / (m step) for the smallest 2*3*5-smooth m that is at least n_x
+    and 2 pi / (du_max step), so that the transform folds the samples into m
+    bins (``_folded_intensity``).  Raises ResolutionError, before the
+    integrand or the transform is allocated, when the oracle would hold more
+    than ORACLE_BUDGET_BYTES.
     """
     du_max = math.pi / (1.5 * max(max_inst_offset, 1e-9))
-    n_k = int(math.ceil(2.0 * k_span / du_max)) + 1
-    # complex128 arrays of FFT length in _chirp_z_intensity: for each of the two
-    # rows the spread input, its transform and the product; once the chirp, its
-    # transform and the FFT's scratch
-    required = 16 * 9 * _fft_length(n_k + n_x - 1)
+    m = _fft_length(max(n_x, math.ceil(2.0 * math.pi / (du_max * step))))
+    n_k = math.ceil(2.0 * k_span * m * step / (2.0 * math.pi)) + 1
+    required = _oracle_bytes(n_k, m)
     if required > ORACLE_BUDGET_BYTES:
         raise ResolutionError(
             f"oracle would need {n_k} wavenumber samples and {required} bytes of "
-            f"transform arrays, above the {ORACLE_BUDGET_BYTES}-byte budget")
-    return n_k
+            f"working arrays, above the {ORACLE_BUDGET_BYTES}-byte budget")
+    return n_k, m
 
 
 def _fft_length(n: int) -> int:
@@ -437,30 +454,61 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _chirp_z_intensity(coeffs: np.ndarray, u: np.ndarray, x0: float, h: float,
-                       n_x: int) -> np.ndarray:
+def _folded_intensity(coeffs: np.ndarray, u: np.ndarray, x0: float, n_x: int,
+                      m: int) -> np.ndarray:
     """|sum_n coeffs[r, n] exp(i u_n x_j)|^2 at x_j = x0 + j h, for each row r.
 
-    ``u`` is uniform, u_n = u0 + n du.  The identity j n = (j^2 + n^2 -
-    (j - n)^2)/2 turns the sum into one FFT convolution with the chirp
-    exp(-i du h m^2/2) (Bluestein 1970); the remaining per-point factor
-    exp(i(u0 j h + du h j^2/2)) has unit modulus and drops out of the
-    intensity.  It is the same quadrature as the dense sum, re-associated.
-    The grid is given by its start and step, so the positions are exactly
-    uniform.
+    ``u`` is uniform, u_n = u_0 + n du, with du h m = 2 pi for an integer
+    m >= n_x.  Then exp(i u_n j h) = exp(i u_0 j h) exp(2 pi i n j / m): the
+    first factor has unit modulus and drops out of the intensity, and the
+    second is periodic in n with period m.  So the terms coeffs exp(i u_n x0) are
+    summed into m bins by n mod m, and one inverse FFT of length m gives the
+    sums at every x_j (the DFT aliasing identity).  It is the same quadrature
+    as the dense sum, re-associated.
     """
     n_rows, n_k = coeffs.shape
-    theta = (u[-1] - u[0]) / (n_k - 1) * h
-    n = np.arange(n_k)
-    size = _fft_length(n_k + n_x - 1)
-    spread = np.zeros((n_rows, size), dtype=complex)
-    spread[:, :n_k] = coeffs * np.exp(1j * (u * x0 + 0.5 * theta * (n * n)))
-    # chirp at every lag m = j - n; negative lags wrap to the end
-    lag = np.arange(-(n_k - 1), n_x)
-    chirp = np.zeros(size, dtype=complex)
-    chirp[lag] = np.exp(-0.5j * theta * (lag * lag))
-    conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(chirp), axis=-1)[:, :n_x]
-    return np.abs(conv) ** 2
+    folded = np.zeros((n_rows, -(-n_k // m) * m), dtype=complex)
+    np.multiply(coeffs, np.exp(1j * x0 * u), out=folded[:, :n_k])
+    sums = np.fft.ifft(folded.reshape(n_rows, -1, m).sum(axis=1), axis=-1)[:, :n_x]
+    return m * m * np.abs(sums) ** 2
+
+
+def _transfer_rows(params: LinkParams, config: MzConfig, d: DerivedQuantities,
+                   u: np.ndarray, precomp: PrecompMultiplier | None,
+                   placement: str) -> np.ndarray:
+    """Transfer functions of exits o and p at the wavenumbers k0 + u, shape (2, n_k).
+
+    The fiber's quadratic phase, both interferometers' leg factors and the
+    optional compensating element.  Only the u-dependent part of the fiber's
+    and the compensator's phase is kept: the k0^2 piece and the k0-linear
+    carrier are global phases of psi and cancel in the intensity.
+    """
+    k = d.k0 + u
+    b_leg = -d.kappa * params.leg_length
+
+    def leg_factor(delta: float) -> np.ndarray:
+        # sqrt(T)*exp(-i[(k0+u)A + (k0+u)^2 B]) for one interferometer leg.
+        a = delta + params.group_index * params.leg_length
+        return math.sqrt(params.t_leg) * np.exp(-1j * (k * a + k * k * b_leg))
+
+    quadratic = 2.0 * d.k0 * u + u * u
+    common = np.exp(1j * quadratic * (d.kappa * params.fiber_length))
+    if precomp is not None:
+        mult_cp = math.sqrt(precomp.t_cp) * np.exp(-1j * quadratic * precomp.b_cp)
+        if placement == "symmetric":
+            mult_cp = np.sqrt(mult_cp)
+        if placement != "post":
+            common *= mult_cp
+    e_c = leg_factor(config.delta_c)
+    common *= leg_factor(config.delta_d) - e_c
+    if precomp is not None and placement != "pre":
+        common *= mult_cp
+    e_m = leg_factor(config.delta_m)
+    rows = np.empty((2, u.size), dtype=complex)
+    np.subtract(e_m, e_c, out=rows[0])
+    np.add(e_m, e_c, out=rows[1])
+    rows *= common
+    return rows
 
 
 def eval_oracle(params: LinkParams, config: MzConfig,
@@ -473,11 +521,12 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     Builds the product of the input Gaussian spectrum, the fiber's linear and
     quadratic phase, both interferometers' leg factors and (optionally) a
     compensating element, then inverse-transforms to position space by
-    trapezoid quadrature, evaluated as a chirp-z transform on the grid of
-    offsets from the window center.  ``placement`` applies the
-    compensating multiplier before, after, or split around the link factors;
-    for this linear model all three are equivalent and the option exists for
-    verification.
+    trapezoid quadrature on the grid of offsets from the window center.  The
+    wavenumber step is commensurate with the grid step, so the quadrature is
+    one fold of the samples and one short inverse FFT (``_folded_intensity``).
+    ``placement`` applies the compensating multiplier before, after, or split
+    around the link factors; for this linear model all three are equivalent
+    and the option exists for verification.
 
     Raises ResolutionError when resolving the requested grid would exceed
     ORACLE_BUDGET_BYTES or the wavenumber sampling fails the input-norm
@@ -490,21 +539,18 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     moments = effective_moments(params, config, precomp)
     rel_mu = _relative_means(config)
     offset = _grid_for(rel_mu, moments, grid)
+    step = (offset[-1] - offset[0]) / (offset.size - 1)
 
-    dk, k0 = d.delta_k, d.k0
-    kappa_signed = -d.kappa
-    b_fiber = kappa_signed * params.fiber_length
-    b_leg = kappa_signed * params.leg_length
-    b_cp = precomp.b_cp if precomp is not None else 0.0
+    dk = d.delta_k
     t_cp = precomp.t_cp if precomp is not None else 1.0
-
     k_span = k_span_sigmas * dk
     delta1_eff = moments.delta1
-    max_off = max(abs(float(offset[end]) - m) for end in (0, -1) for m in rel_mu.values())
-    n_k = _oracle_n_k(k_span, max_off + 2.0 * abs(delta1_eff) * k_span, offset.size)
+    max_off = max(abs(float(offset[end]) - mu) for end in (0, -1) for mu in rel_mu.values())
+    n_k, m = _oracle_n_k(k_span, max_off + 2.0 * abs(delta1_eff) * k_span, step,
+                         offset.size)
 
-    u = np.linspace(-k_span, k_span, n_k)
-    du = u[1] - u[0]
+    du = 2.0 * math.pi / (m * step)
+    u = (np.arange(n_k) - 0.5 * (n_k - 1)) * du
     alpha_in = (2.0 * math.pi * dk**2) ** -0.25 * np.exp(-u**2 / (4.0 * dk**2))
 
     norm_in = _trapz(alpha_in**2, dx=du)
@@ -513,58 +559,28 @@ def eval_oracle(params: LinkParams, config: MzConfig,
             f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8; "
             "raise k_span_sigmas")
 
-    def leg_factor(delta: float) -> np.ndarray:
-        # sqrt(T)*exp(-i[(k0+u)A + (k0+u)^2 B]) for one interferometer leg.
-        a = delta + params.group_index * params.leg_length
-        phase = (k0 + u) * a + (k0 + u) ** 2 * b_leg
-        return math.sqrt(params.t_leg) * np.exp(-1j * phase)
-
-    # Common factors: the fiber's quadratic phase and the compensator's,
-    # keeping only the u-dependent part (the k0^2 piece and the k0-linear
-    # carrier are global phases of psi and cancel in the intensity).
-    chirp_fiber = np.exp(-1j * (2.0 * k0 * u + u * u) * b_fiber)
-    mult_cp = math.sqrt(t_cp) * np.exp(-1j * (2.0 * k0 * u + u * u) * b_cp)
-
-    e_d = leg_factor(config.delta_d)
-    e_m = leg_factor(config.delta_m)
-    e_c = leg_factor(config.delta_c)
-
-    first_mz = e_d - e_c
-    if placement == "pre":
-        source = alpha_in * mult_cp * chirp_fiber
-        base_o = source * (e_m - e_c) * first_mz
-        base_p = source * (e_m + e_c) * first_mz
-    elif placement == "post":
-        source = alpha_in * chirp_fiber
-        base_o = source * (e_m - e_c) * first_mz * mult_cp
-        base_p = source * (e_m + e_c) * first_mz * mult_cp
-    else:
-        half = np.sqrt(mult_cp)
-        source = alpha_in * half * chirp_fiber
-        base_o = source * (e_m - e_c) * first_mz * half
-        base_p = source * (e_m + e_c) * first_mz * half
+    rows = _transfer_rows(params, config, d, u, precomp, placement)
+    rows *= alpha_in
 
     # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
     # space plus the share that left through the first interferometer's
-    # unused exit.  |base| is the same for every placement.
+    # unused exit.  |rows| is the same for every placement.
     mass_scale = 0.0625 * params.t_fiber
-    mass_o = mass_scale * float(_trapz(np.abs(base_o) ** 2, dx=du))
-    mass_p = mass_scale * float(_trapz(np.abs(base_p) ** 2, dx=du))
+    mass_o = mass_scale * float(_trapz(np.abs(rows[0]) ** 2, dx=du))
+    mass_p = mass_scale * float(_trapz(np.abs(rows[1]) ** 2, dx=du))
 
-    weights = np.ones(n_k)
-    weights[0] = weights[-1] = 0.5
-    scale = 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
+    # trapezoid weights times the transform's normalization
+    rows *= 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
+    rows[:, [0, -1]] *= 0.5
 
-    # Inverse transform: psi(x) ~ sum_u base(u) exp(i u X), X measured from
+    # Inverse transform: psi(x) ~ sum_u rows(u) exp(i u X), X measured from
     # the linear path n_g*L + a_cp of fiber plus compensator (their carrier
     # phase exp(i k0 X) has unit modulus and is dropped).  The window center
     # sits at X = 2 n_g l_leg + 2 delta1_eff k0 + mid, so X = offset + that.
-    center = (2.0 * params.group_index * params.leg_length + 2.0 * delta1_eff * k0
+    center = (2.0 * params.group_index * params.leg_length + 2.0 * delta1_eff * d.k0
               + _middle_sum(config))
-    step = (offset[-1] - offset[0]) / (offset.size - 1)
-    intensity_o, intensity_p = _chirp_z_intensity(
-        np.stack((base_o, base_p)) * (weights * scale), u, center + offset[0], step,
-        offset.size)
+    intensity_o, intensity_p = _folded_intensity(rows, u, center + offset[0],
+                                                 offset.size, m)
 
     checks = {
         "norm_in": float(norm_in),
@@ -573,6 +589,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         "unused_exit_remainder": float(norm_in * params.t_fiber * t_cp
                                        * params.t_leg**2 - mass_o - mass_p),
         "n_k": n_k,
+        "fold_length": m,
     }
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
                          intensity_p=intensity_p, params=params, config=config,

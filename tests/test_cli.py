@@ -246,6 +246,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("verification failure") and message in err
 
+    @pytest.mark.parametrize("argv", [
+        ("compensate", "--length-km", "50", "--clock-ghz", "1",
+         "--detector-profile", "bogus"),
+        ("gterm", "--steps", "5", "--t-rising-ns", "-1"),
+        ("bb84", "--length-km", "50", "--detector-profile", "bogus"),
+    ], ids=["compensate", "gterm", "bb84"])
+    def test_bad_interferometer_setting_exits_2(self, capsys, argv):
+        # these commands build their own interferometers, yet the settings
+        # are checked as for design
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: interferometer")
+
     def test_oracle_beyond_memory_budget_exits_4(self, capsys):
         code, out, err = run(capsys, "oracle-check", "--l-km", "50",
                              "--delta-lambda-nm", "10")

@@ -23,13 +23,14 @@ MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
 WINDOW_RHO = 3.0 / math.sqrt(2.0)  # half-width of 3 sigma
 
 
-def dense_intensity(coeffs, u, x0, h, n_x):
+def dense_intensity(coeffs, u, x0, n_x, m):
     """Reference for the oracle's transform: the quadrature summed directly.
 
-    Same signature as ``spectra._chirp_z_intensity``.  The sum over u of
-    coeffs exp(i u (x0 + j h)) is built as exp(i u x0) times exp(i u j h), in
-    blocks of about 2M kernel entries.
+    Same signature as ``spectra._folded_intensity``: the grid step h follows
+    from du h m = 2 pi.  The sum over u of coeffs exp(i u (x0 + j h)) is built
+    as exp(i u x0) times exp(i u j h), in blocks of about 2M kernel entries.
     """
+    h = 2.0 * math.pi / (m * (u[-1] - u[0]) / (u.size - 1))
     shifted = coeffs * np.exp(1j * u * x0)
     steps = h * np.arange(n_x)
     out = np.empty((coeffs.shape[0], n_x))
@@ -311,20 +312,26 @@ class TestOracleAgreement:
          GridSpec(n_points=4096)),
     ])
     def test_n_k_is_the_aliasing_criterion(self, params, config, grid):
-        # ceil(2 k_span / du_max) + 1 with du_max = pi / (1.5 max offset): no
-        # floor, no rounding to a power of two
+        # du = 2 pi / (m h) with m the smallest 2*3*5-smooth length at least
+        # n_x and 2 pi / (du_max h), du_max = pi / (1.5 max offset); n_k covers
+        # +-k_span at that step
         curve = eval_oracle(params, config, grid)
         d = derive(params, config)
         k_span = 10.0 * d.delta_k
         middle = 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
         means = [config.delta_sum(pair) - middle for pair in PAIRS]
-        reach = max(abs(end - mean) for end in curve.x_relative[[0, -1]] for mean in means)
+        x = curve.x_relative
+        reach = max(abs(end - mean) for end in x[[0, -1]] for mean in means)
         reach += 2.0 * abs(d.delta1) * k_span
-        expected = math.ceil(2.0 * k_span * 1.5 * reach / math.pi) + 1
-        assert curve.checks["n_k"] == expected
+        h = (x[-1] - x[0]) / (x.size - 1)
+        du_max = math.pi / (1.5 * reach)
+        m = spectra._fft_length(max(x.size, math.ceil(2.0 * math.pi / (du_max * h))))
+        assert curve.checks["fold_length"] == m
+        assert curve.checks["n_k"] == math.ceil(2.0 * k_span * m * h / (2.0 * math.pi)) + 1
+        assert 2.0 * math.pi / (m * h) <= math.pi / (1.5 * reach)
 
     def test_budget_refuses_before_allocating(self):
-        # 10 nm spread at 50 km needs about 1e7 samples, 1.5 GB of transform arrays
+        # 10 nm spread at 50 km needs about 1e7 samples, 1.3 GB of working arrays
         params = LinkParams(fiber_length=50e3, delta_lambda=10e-9)
         tracemalloc.start()
         try:
@@ -350,9 +357,9 @@ class TestOracleAgreement:
 CAL_500KM = LinkParams(fiber_length=500e3, convention="calibrated")
 WIDE = MzConfig(delta_d=0.7, delta_m=0.65)
 RELATIVE = GridSpec(n_points=128, x_min=-2.0, x_max=2.0, relative=True)
-# 0 km with 0.02 m shifters needs fewer wavenumber samples than grid points
+# 0 km with 0.02 m shifters needs fewer wavenumber samples than fold bins
 FEWER_SAMPLES = GridSpec(n_points=1024)
-CHIRP_CASES = [
+FOLD_CASES = [
     pytest.param(replace(CAL_500KM, fiber_length=length), WIDE, GridSpec(n_points=256), {},
                  id=f"{length / 1e3:g}km")
     for length in (0.0, 1e3, 50e3, 500e3)
@@ -363,19 +370,44 @@ CHIRP_CASES = [
     for placement in ("pre", "post", "symmetric")
 ] + [
     pytest.param(LinkParams(fiber_length=0.0), MzConfig(delta_d=0.02, delta_m=0.02),
-                 FEWER_SAMPLES, {}, id="n_points-above-n_k"),
+                 FEWER_SAMPLES, {}, id="n_k-below-fold-length"),
+    pytest.param(replace(CAL_500KM, fiber_length=1e3), WIDE, GridSpec(n_points=4096), {},
+                 id="4096-points"),
+    pytest.param(replace(CAL_500KM, fiber_length=5000e3), WIDE, GridSpec(n_points=64), {},
+                 id="5000km"),
 ]
 
 
-class TestChirpZ:
-    @pytest.mark.parametrize("params, config, grid, kwargs", CHIRP_CASES)
+class TestFoldedTransform:
+    @pytest.mark.parametrize("params, config, grid, kwargs", FOLD_CASES)
     def test_matches_dense_quadrature(self, monkeypatch, params, config, grid, kwargs):
         fast = eval_oracle(params, config, grid, **kwargs)
-        monkeypatch.setattr(spectra, "_chirp_z_intensity", dense_intensity)
+        monkeypatch.setattr(spectra, "_folded_intensity", dense_intensity)
         dense = eval_oracle(params, config, grid, **kwargs)
         assert max_normalized_deviation(fast, dense) <= 1e-9
+        n_k, m = fast.checks["n_k"], fast.checks["fold_length"]
+        assert m >= grid.n_points
+        # the last fold is partial, and with n_k < m the only one
+        assert n_k % m != 0
         if grid is FEWER_SAMPLES:
-            assert fast.checks["n_k"] < grid.n_points
+            assert n_k < m
+
+    @pytest.mark.parametrize("params, config, grid, kwargs", [
+        (LinkParams(fiber_length=500e3), WIDE, GridSpec(n_points=4096), {}),
+        (replace(CAL_500KM, fiber_length=5000e3), WIDE, GridSpec(n_points=1024), {}),
+        (CAL_500KM, WIDE, RELATIVE,
+         {"precomp": compensated(500e3, 0.6, convention="calibrated")[1],
+          "placement": "symmetric"}),
+    ], ids=["500km-4096-points", "5000km", "500km-compensated"])
+    def test_budget_counts_the_peak(self, params, config, grid, kwargs):
+        eval_oracle(params, config, grid, **kwargs)  # numpy's FFT module loads on first use
+        tracemalloc.start()
+        try:
+            curve = eval_oracle(params, config, grid, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spectra._oracle_bytes(curve.checks["n_k"], curve.checks["fold_length"])
 
     def test_mass_ledger_independent_of_placement(self):
         params, multiplier, _ = compensated(50e3, 0.5, convention="calibrated")
