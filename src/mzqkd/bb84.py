@@ -13,7 +13,7 @@ spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -185,9 +185,7 @@ def default_baseline(params: LinkParams, rho: float = 3.0) -> float:
     return math.ceil(min_phase_sum(params, rho) / 2.0 * 100.0) / 100.0
 
 
-def detection_table(params: LinkParams, baseline: float,
-                    link_length: float | None = None,
-                    rho_window: float = MIDDLE_WINDOW_RHO) -> DetectionTable:
+def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
     """Detection shares of both exits for all eight encoding combinations.
 
     Each combination sets delta_d/delta_m to baseline plus the table offsets;
@@ -197,8 +195,6 @@ def detection_table(params: LinkParams, baseline: float,
     fails the rho=3 separation bound; a baseline below the 1/e overlap point
     is a hard error.
     """
-    if link_length is not None:
-        params = replace(params, fiber_length=float(link_length))
     derived = derive(params, MzConfig(delta_d=baseline, delta_m=baseline))
     if 2.0 * baseline < 4.0 * x_rho(derived, 1.0):
         raise InfeasibleDesignError(
@@ -215,7 +211,7 @@ def detection_table(params: LinkParams, baseline: float,
                 for alice_basis in BASES for bit in (0, 1) for bob_basis in BASES]
     masses = exact_window_masses(
         params, [MzConfig(delta_d=alice.total_shift, delta_m=bob.total_shift)
-                 for alice, bob in settings], rho_window)
+                 for alice, bob in settings], MIDDLE_WINDOW_RHO)
     rows = tuple(DetectionRow(alice_basis=alice.basis, bit=alice.bit, bob_basis=bob.basis,
                               phi_d=alice.phase_offset, phi_m=bob.phase_offset,
                               mass_o=float(mass_o), mass_p=float(mass_p))

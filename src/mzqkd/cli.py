@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -158,6 +159,8 @@ def cmd_compensate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ConfigError(f"threshold must be positive and finite, got {args.threshold!r}")
     params, mz = config.link_params(), config.mz_config()
     lengths_km = args.l_km if args.l_km else [0.0, 1.0, 50.0]
     grid = GridSpec(n_points=args.n_points)

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import LinkParams, MzConfig, derive
+from .core import LinkParams, MzConfig, PrecompMultiplier, derive
 from .design import MODE_FACTOR, RATE_MODES, max_rate, min_phase_sum
 from .errors import InfeasibleDesignError
-from .spectra import PrecompMultiplier
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ and :func:`RunConfig.mz_config`.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -113,11 +114,11 @@ class RunConfig:
             raise ConfigError(f"interferometer: {exc}") from exc
 
     def validate_design(self) -> None:
-        if not self.rho > 0:
-            raise ConfigError(f"design.rho: must be positive, got {self.rho!r}")
-        if not self.safety_factor > 0:
-            raise ConfigError("design.safety_factor: must be positive, "
-                              f"got {self.safety_factor!r}")
+        for name in ("rho", "safety_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"design.{name}: must be positive and finite, "
+                                  f"got {value!r}")
 
 
 def load_config_file(path: str) -> RunConfig:

@@ -135,18 +135,21 @@ class MzConfig:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Every derived scalar of one link instance.
+    """Every derived scalar of one link instance, with any compensating element.
 
     Attributes:
         delta_k: RMS wavenumber spread, 1/m.
         k0: central wavenumber 2*pi/lambda0, 1/m.
-        kappa: dispersion parameter magnitude, m.  The signed value is
-            negative for normal positive-D fiber; delta1 carries the sign.
-        delta1: accumulated dispersion kappa_signed*(fiber_length + 2*leg_length), m^2.
+        kappa: dispersion parameter magnitude of the link fiber, m.  The
+            signed value is negative for normal positive-D fiber; delta1
+            carries the sign.
+        delta1: accumulated dispersion kappa_signed*(fiber_length + 2*leg_length),
+            plus the compensating element's b_cp, m^2.
         gamma: pulse broadening factor, >= 1, equal for every leg pair.
         sigma: position-spectrum standard deviation sqrt(gamma)/(2*delta_k), m.
         fwhm: full width at half maximum sqrt(8 ln 2)*sigma, m.
-        mu: mean position of each leg-pair component, m, keyed by PAIRS.
+        mu: mean position of each leg-pair component, m, keyed by PAIRS; the
+            compensating element adds its a_cp (and 2*b_cp*k0 through delta1).
     """
 
     params: LinkParams
@@ -194,21 +197,50 @@ def broadening(delta_k: float, delta1):
     return gamma, np.sqrt(gamma) / (2.0 * delta_k)
 
 
-def derive(params: LinkParams, config: MzConfig) -> DerivedQuantities:
+@dataclass(frozen=True)
+class PrecompMultiplier:
+    """Wavenumber-domain multiplier of a dispersion-compensating element.
+
+    Multiplies the input spectrum by sqrt(t_cp)*exp(-i k a_cp - i k^2 b_cp).
+    ``a_cp`` is the element's linear path term (group index times physical
+    length, m) and ``b_cp`` its accumulated dispersion (m^2); cancellation
+    requires b_cp to oppose the link's own accumulated dispersion.
+    """
+
+    t_cp: float = 1.0
+    a_cp: float = 0.0
+    b_cp: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.t_cp <= 1:
+            raise ValueError("t_cp must lie in (0, 1]")
+        for name in ("a_cp", "b_cp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
+
+def derive(params: LinkParams, config: MzConfig,
+           precomp: PrecompMultiplier | None = None) -> DerivedQuantities:
     """Compute the full derived-scalar chain for one link instance.
 
-    Raises ValueError for out-of-range inputs (delegated to the dataclass
-    validators when constructing params/config directly).
+    An optional compensating element adds its b_cp to delta1 (so gamma, sigma
+    and fwhm are those of the compensated pulse) and its a_cp to every
+    component mean.  Raises ValueError for out-of-range inputs (delegated to
+    the dataclass validators when constructing params/config directly).
     """
     delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
     k0 = 2.0 * math.pi / params.lambda0
     kappa = effective_kappa(params)
     delta1 = accumulated_dispersion(params, params.fiber_length)
+    path = params.group_index * params.fiber_length \
+        + 2.0 * params.group_index * params.leg_length
+    if precomp is not None:
+        delta1 += precomp.b_cp
+        path += precomp.a_cp
     gamma, sigma = broadening(delta_k, delta1)
     sigma = float(sigma)
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
-    base = params.group_index * params.fiber_length \
-        + 2.0 * params.group_index * params.leg_length + 2.0 * delta1 * k0
+    base = path + 2.0 * delta1 * k0
     mu = {pair: base + config.delta_sum(pair) for pair in PAIRS}
     return DerivedQuantities(
         params=params, config=config, delta_k=delta_k, k0=k0, kappa=kappa,

@@ -19,13 +19,12 @@ from .core import (LinkParams, MzConfig, accumulated_dispersion, broadening, der
                    half_width, x_rho)
 from .errors import InfeasibleDesignError
 
-RATE_MODES = ("linear", "nonlinear", "general")
-
 # Denominator of c0/(q * X_rho) per mode: "linear" ignores photon-photon
 # non-linearity (consecutive symbols may interleave exterior pulses),
 # "nonlinear" keeps consecutive symbols fully disjoint, "general" is the
 # single-pulse variant for setups without exterior pulses.
 MODE_FACTOR = {"linear": 4.0, "nonlinear": 6.0, "general": 2.0}
+RATE_MODES = tuple(MODE_FACTOR)
 
 # Named detector edge-time presets (seconds).  The SNSPD profile splits a
 # 5 ns response time evenly between the rising and falling edge.
@@ -105,8 +104,11 @@ def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> floa
     """Longest detector gate centered on the middle pulse, s.
 
     Requires actual_phase_sum >= 2*X_rho; anything smaller cannot isolate the
-    middle pulse and raises InfeasibleDesignError.
+    middle pulse and raises InfeasibleDesignError.  A non-finite phase sum
+    raises ValueError.
     """
+    if not math.isfinite(actual_phase_sum):
+        raise ValueError(f"actual phase sum must be finite, got {actual_phase_sum!r}")
     half = pulse_half_width(params, rho)
     margin = actual_phase_sum - 2.0 * half
     if margin < 0:

@@ -37,7 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, broadening, derive,
+from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, PrecompMultiplier, derive,
                    half_width)
 from .errors import ResolutionError, VerificationError
 
@@ -71,20 +71,14 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_points < 2:
             raise ValueError("grid needs at least 2 points")
+        for name in ("pad_sigmas", "x_min", "x_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if (self.x_min is None) != (self.x_max is None):
             raise ValueError("x_min and x_max must be given together")
         if self.x_min is None and self.pad_sigmas < 5.0:
             raise ValueError("pad_sigmas below 5 leaves pulse tails outside the grid")
-
-
-@dataclass(frozen=True)
-class PulseMoments:
-    """Window center and width of the components, after any pre-compensation."""
-
-    window_center: float
-    sigma: float
-    delta1: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,8 @@ class SpectrumCurve:
 
     The grid is stored as offsets from the window center (the middle-pulse
     center, m); ``x`` adds the center back for callers that want absolute
-    positions.
+    positions.  ``derived`` includes any compensating element, so the window
+    center and the width are those of the pulse that was evaluated.
     """
 
     x_relative: np.ndarray
@@ -102,9 +97,17 @@ class SpectrumCurve:
     params: LinkParams
     config: MzConfig
     derived: DerivedQuantities = field(repr=False)
-    window_center: float
-    sigma: float
     checks: Optional[dict] = None
+
+    @property
+    def window_center(self) -> float:
+        """Center of the middle pulse, m."""
+        return self.derived.window_center
+
+    @property
+    def sigma(self) -> float:
+        """Position-spectrum standard deviation of every component, m."""
+        return self.derived.sigma
 
     @property
     def x(self) -> np.ndarray:
@@ -154,30 +157,25 @@ def _relative_means(config: MzConfig) -> dict:
     return {pair: config.delta_sum(pair) - middle for pair in PAIRS}
 
 
-def _grid_for(rel_mu: Mapping[str, float], moments: PulseMoments,
+def _grid_for(rel_mu: Mapping[str, float], d: DerivedQuantities,
               grid: GridSpec) -> np.ndarray:
     """Grid offsets from the window center; absolute bounds are converted once."""
     mu_lo = min(rel_mu.values())
     mu_hi = max(rel_mu.values())
     if grid.x_min is None:
-        lo = mu_lo - grid.pad_sigmas * moments.sigma
-        hi = mu_hi + grid.pad_sigmas * moments.sigma
+        lo = mu_lo - grid.pad_sigmas * d.sigma
+        hi = mu_hi + grid.pad_sigmas * d.sigma
     else:
         lo, hi = grid.x_min, grid.x_max
         if not grid.relative:
-            lo -= moments.window_center
-            hi -= moments.window_center
-        if lo > mu_lo - 5.0 * moments.sigma or hi < mu_hi + 5.0 * moments.sigma:
+            lo -= d.window_center
+            hi -= d.window_center
+        if lo > mu_lo - 5.0 * d.sigma or hi < mu_hi + 5.0 * d.sigma:
             raise ValueError(
                 "grid too narrow: must cover +-5 sigma around the outer component means")
     if not lo < hi:
         raise ValueError("empty position grid")
     return np.linspace(lo, hi, grid.n_points)
-
-
-def _moments(derived: DerivedQuantities) -> PulseMoments:
-    return PulseMoments(window_center=derived.window_center, sigma=derived.sigma,
-                        delta1=derived.delta1, gamma=derived.gamma)
 
 
 def _fringe_slope(derived: DerivedQuantities) -> float:
@@ -277,8 +275,7 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     """Closed-form output spectra of both exits: the term list on a grid."""
     grid = grid or GridSpec()
     d = derive(params, config)
-    moments = _moments(d)
-    offset = _grid_for(_relative_means(config), moments, grid)
+    offset = _grid_for(_relative_means(config), d, grid)
     terms = component_terms(params, config)
     blocks = np.array_split(offset, -(-offset.size // _BLOCK))
     intensity_o, intensity_p = _clip_rounding_noise(
@@ -287,8 +284,7 @@ def eval_analytic(params: LinkParams, config: MzConfig,
         "intensity")
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
                          intensity_p=intensity_p, params=params, config=config,
-                         derived=d, window_center=moments.window_center,
-                         sigma=moments.sigma)
+                         derived=d)
 
 
 def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
@@ -362,41 +358,6 @@ def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
         axis=-1)
     masses = 0.5 * math.sqrt(math.pi) / root_p * np.einsum("cet,ct->ce", amp, integrals)
     return _clip_rounding_noise(masses, "window mass")
-
-
-@dataclass(frozen=True)
-class PrecompMultiplier:
-    """Wavenumber-domain multiplier of a dispersion-compensating element.
-
-    Multiplies the input spectrum by sqrt(t_cp)*exp(-i k a_cp - i k^2 b_cp).
-    ``a_cp`` is the element's linear path term (group index times physical
-    length, m) and ``b_cp`` its accumulated dispersion (m^2); cancellation
-    requires b_cp to oppose the link's own accumulated dispersion.
-    """
-
-    t_cp: float = 1.0
-    a_cp: float = 0.0
-    b_cp: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.t_cp <= 1:
-            raise ValueError("t_cp must lie in (0, 1]")
-        for name in ("a_cp", "b_cp"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-def effective_moments(params: LinkParams, config: MzConfig,
-                      precomp: PrecompMultiplier | None = None) -> PulseMoments:
-    """Window center and width including an optional compensating element."""
-    d = derive(params, config)
-    if precomp is None:
-        return _moments(d)
-    delta1 = d.delta1 + precomp.b_cp
-    gamma, sigma = broadening(d.delta_k, delta1)
-    shift = precomp.a_cp + 2.0 * (delta1 - d.delta1) * d.k0
-    return PulseMoments(window_center=d.window_center + shift, sigma=float(sigma),
-                        delta1=delta1, gamma=gamma)
 
 
 # Largest working set the oracle may hold, bytes, as counted by _oracle_bytes.
@@ -535,18 +496,16 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     if placement not in ("pre", "post", "symmetric"):
         raise ValueError(f"placement must be pre, post or symmetric, got {placement!r}")
     grid = grid or GridSpec()
-    d = derive(params, config)
-    moments = effective_moments(params, config, precomp)
+    d = derive(params, config, precomp)
     rel_mu = _relative_means(config)
-    offset = _grid_for(rel_mu, moments, grid)
+    offset = _grid_for(rel_mu, d, grid)
     step = (offset[-1] - offset[0]) / (offset.size - 1)
 
     dk = d.delta_k
     t_cp = precomp.t_cp if precomp is not None else 1.0
     k_span = k_span_sigmas * dk
-    delta1_eff = moments.delta1
     max_off = max(abs(float(offset[end]) - mu) for end in (0, -1) for mu in rel_mu.values())
-    n_k, m = _oracle_n_k(k_span, max_off + 2.0 * abs(delta1_eff) * k_span, step,
+    n_k, m = _oracle_n_k(k_span, max_off + 2.0 * abs(d.delta1) * k_span, step,
                          offset.size)
 
     du = 2.0 * math.pi / (m * step)
@@ -576,8 +535,9 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     # Inverse transform: psi(x) ~ sum_u rows(u) exp(i u X), X measured from
     # the linear path n_g*L + a_cp of fiber plus compensator (their carrier
     # phase exp(i k0 X) has unit modulus and is dropped).  The window center
-    # sits at X = 2 n_g l_leg + 2 delta1_eff k0 + mid, so X = offset + that.
-    center = (2.0 * params.group_index * params.leg_length + 2.0 * delta1_eff * d.k0
+    # sits at X = 2 n_g l_leg + 2 delta1 k0 + mid, with delta1 including the
+    # compensator's b_cp, so X = offset + that.
+    center = (2.0 * params.group_index * params.leg_length + 2.0 * d.delta1 * d.k0
               + _middle_sum(config))
     intensity_o, intensity_p = _folded_intensity(rows, u, center + offset[0],
                                                  offset.size, m)
@@ -593,8 +553,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     }
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
                          intensity_p=intensity_p, params=params, config=config,
-                         derived=d, window_center=moments.window_center,
-                         sigma=moments.sigma, checks=checks)
+                         derived=d, checks=checks)
 
 
 def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float, float]:

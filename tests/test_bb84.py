@@ -240,7 +240,7 @@ class TestDetectionTable:
             detection_table(CAL_50KM, baseline=0.03)
 
     def test_link_length_override(self):
-        table = detection_table(CAL_50KM, baseline=0.25, link_length=10e3)
+        table = detection_table(replace(CAL_50KM, fiber_length=10e3), baseline=0.25)
         assert table.link_length == 10e3
 
     def test_default_baseline_rounds_up_to_cm(self):

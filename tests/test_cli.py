@@ -207,6 +207,15 @@ class TestOracleCheckCommand:
         assert code == 4
         assert "verification failure" in err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_threshold_must_be_positive_and_finite(self, capsys, threshold):
+        # a nan threshold would pass any deviation: worst > nan is false
+        code, out, err = run(capsys, "oracle-check", "--l-km", "1",
+                             "--threshold", threshold)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: threshold") and threshold in err
+
 
 class TestExitCodes:
     """Numeric failures are verification failures, not config errors."""
@@ -259,6 +268,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: interferometer")
+
+    @pytest.mark.parametrize("argv, value", [
+        (("design", "--sum-m", "nan"), "nan"),
+        (("design", "--sum-m", "inf"), "inf"),
+        (("design", "--rho", "inf"), "inf"),
+        (("design", "--safety-factor", "inf"), "inf"),
+        (("spectra", "--n-points", "64", "--pad-sigmas", "inf"), "inf"),
+        (("spectra", "--n-points", "64", "--pad-sigmas", "nan"), "nan"),
+    ], ids=["sum-nan", "sum-inf", "rho-inf", "safety-inf", "pad-inf", "pad-nan"])
+    def test_non_finite_number_exits_2(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error") and f"got {value}" in err
 
     def test_oracle_beyond_memory_budget_exits_4(self, capsys):
         code, out, err = run(capsys, "oracle-check", "--l-km", "50",

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from mzqkd import spectra
 from mzqkd.bb84 import MIDDLE_WINDOW_RHO, default_baseline, detection_table
 from mzqkd.compensation import DcfParams, precompensate_input
-from mzqkd.core import LinkParams, MzConfig, PAIRS, derive, x_rho
+from mzqkd.core import (LinkParams, MzConfig, PAIRS, PrecompMultiplier, broadening, derive,
+                        x_rho)
 from mzqkd.errors import ResolutionError
-from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec,
-                           PrecompMultiplier, component_terms,
-                           effective_moments, eval_analytic, eval_oracle,
-                           exact_window_masses, max_normalized_deviation,
-                           middle_window_masses, total_mass)
+from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec, component_terms,
+                           eval_analytic, eval_oracle, exact_window_masses,
+                           max_normalized_deviation, middle_window_masses, total_mass)
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
@@ -126,6 +125,10 @@ class TestAnalyticBasics:
             GridSpec(pad_sigmas=3.0)
         with pytest.raises(ValueError):
             GridSpec(x_min=0.0)
+        with pytest.raises(ValueError, match="x_min must be finite"):
+            GridSpec(x_min=-math.inf, x_max=2.0, relative=True)
+        with pytest.raises(ValueError, match="x_max must be finite"):
+            GridSpec(x_min=-2.0, x_max=math.nan, relative=True)
 
 
 def pair_envelopes(params, config, offset):
@@ -603,16 +606,14 @@ class TestBroadeningSymmetry:
         # overcompensation flips the sign of the accumulated dispersion;
         # the broadening factor and width must not change
         d = derive(CAL_50KM, MATCHED)
-        flipped = effective_moments(CAL_50KM, MATCHED,
-                                    PrecompMultiplier(b_cp=-2.0 * d.delta1))
+        flipped = derive(CAL_50KM, MATCHED, PrecompMultiplier(b_cp=-2.0 * d.delta1))
         assert flipped.delta1 == pytest.approx(-d.delta1, rel=1e-12)
         assert flipped.gamma == pytest.approx(d.gamma, rel=1e-12)
         assert flipped.sigma == pytest.approx(d.sigma, rel=1e-12)
 
     def test_sigma_strictly_increasing_in_magnitude(self):
         d = derive(CAL_50KM, MATCHED)
-        partial = effective_moments(CAL_50KM, MATCHED,
-                                    PrecompMultiplier(b_cp=-0.5 * d.delta1))
+        partial = derive(CAL_50KM, MATCHED, PrecompMultiplier(b_cp=-0.5 * d.delta1))
         assert partial.sigma < d.sigma
 
 
@@ -621,9 +622,29 @@ class TestPrecompensation:
         d = derive(CAL_50KM, MATCHED)
         full = PrecompMultiplier(b_cp=d.kappa * (CAL_50KM.fiber_length
                                                  + 2 * CAL_50KM.leg_length))
-        moments = effective_moments(CAL_50KM, MATCHED, full)
+        moments = derive(CAL_50KM, MATCHED, full)
         assert moments.delta1 == pytest.approx(0.0, abs=1e-20)
         assert moments.sigma == pytest.approx(1.0 / (2.0 * d.delta_k), rel=1e-12)
+
+    def test_compensated_curve_carries_compensated_record(self):
+        # with an element, delta1 gains b_cp, the width follows from the one
+        # broadening formula and the window center moves by a_cp + 2 b_cp k0;
+        # the oracle curve reads its width and center from that record alone
+        params, multiplier, _ = compensated(500e3, 0.9, convention="calibrated")
+        plain = derive(params, WIDE)
+        d = derive(params, WIDE, multiplier)
+        delta1 = plain.delta1 + multiplier.b_cp
+        gamma, sigma = broadening(plain.delta_k, delta1)
+        assert d.delta1 == pytest.approx(delta1, rel=1e-12)
+        assert d.gamma == pytest.approx(gamma, rel=1e-12)
+        assert d.sigma == pytest.approx(sigma, rel=1e-12)
+        assert d.window_center == pytest.approx(
+            plain.window_center + multiplier.a_cp + 2.0 * multiplier.b_cp * plain.k0,
+            rel=1e-12)
+        curve = eval_oracle(params, WIDE, GridSpec(n_points=256), precomp=multiplier)
+        assert curve.derived == d
+        assert curve.sigma == curve.derived.sigma
+        assert curve.window_center == curve.derived.window_center
 
     def test_identity_multiplier_is_noop(self):
         params = LinkParams(fiber_length=2e3)
