@@ -53,6 +53,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _length_range_m(args: argparse.Namespace) -> np.ndarray:
+    """--steps lengths from --l-min-km to --l-max-km, m; both ends must be finite in m."""
+    for name in ("l_min_km", "l_max_km"):
+        km = getattr(args, name)
+        if not math.isfinite(km_to_m(km)):
+            raise ConfigError(f"{name.replace('_', '-')} must be finite in metres, got {km!r}")
+    return np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_design(args: argparse.Namespace, config: RunConfig) -> int:
@@ -74,7 +83,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     if not args.l_min_km < args.l_max_km:
         raise ConfigError("sweep range is empty: l-min-km must be below l-max-km")
     params, mz = config.link_params(), config.mz_config()
-    lengths = np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
+    lengths = _length_range_m(args)
     columns = sweep_lengths(params, mz, config.rho, lengths)
     if config.out_format == "svg-plot":
         name, label = (("rate_linear_hz", "rate_hz") if args.quantity == "rate"
@@ -141,7 +150,7 @@ def cmd_gterm(args: argparse.Namespace, config: RunConfig) -> int:
     params = config.link_params()
     if args.steps < 2 or not args.l_min_km < args.l_max_km:
         raise ConfigError("gterm sweep needs at least 2 steps and a non-empty range")
-    lengths = np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
+    lengths = _length_range_m(args)
     analysis = bb84_mod.g_term_analysis(params, lengths, delta_c=config.delta_c_m)
     io_mod.emit(io_mod.gterm_csv(analysis), config.out_path)
     return 0

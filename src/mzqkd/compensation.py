@@ -62,6 +62,8 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
     """
     if not clock_rate > 0:
         raise ValueError("clock_rate must be positive")
+    if not math.isfinite(clock_rate):
+        raise ValueError(f"clock_rate must be finite, got {clock_rate!r}")
     if mode not in RATE_MODES:
         raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
     link = params.fiber_length

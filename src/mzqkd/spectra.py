@@ -10,12 +10,13 @@ cross term integrates to a difference of complex error functions, evaluated
 through the Faddeeva function w(z) (Abramowitz & Stegun 7.1; Weideman's
 rational approximation, SIAM J. Numer. Anal. 31 (1994) 1497).
 ``eval_oracle`` builds the wavenumber-domain transfer function of the full
-setup, multiplies it onto the Gaussian input spectrum and inverse-transforms
-to position space: the trapezoid quadrature over a uniform wavenumber grid
-whose step is commensurate with the position grid's, so the samples fold into
-the bins of one short inverse FFT (the DFT aliasing identity).  The two must
-agree to high precision; the oracle is the verification reference for the
-analytic route and for compensation studies.
+setup, times the Gaussian input spectrum, as one small phase polynomial and
+two shifter factors, and inverse-transforms to position space: the trapezoid
+quadrature over a uniform wavenumber grid whose step is commensurate with the
+position grid's, so the samples fold into the bins of one short inverse FFT
+(the DFT aliasing identity).  The two must agree to high precision; the
+oracle is the verification reference for the analytic route and for
+compensation studies.
 
 Position bookkeeping: intensities are probability densities over the
 vacuum-equivalent propagation distance x.  At telecom lengths x is hundreds
@@ -368,13 +369,12 @@ def _oracle_bytes(n_k: int, m: int) -> int:
     """Bytes the oracle holds at its peak for n_k samples folded into m bins.
 
     At most eight complex128 arrays of length n_k are live at once.  While the
-    transfer-function rows are built: the wavenumber axis, the input spectrum,
-    k0 + u and the quadratic phase (float64, two arrays' worth), the common
-    factor, the compensator's multiplier, two leg factors and the two rows.
-    While they are transformed: the axis and the spectrum, the rows, their
-    padded copy and the carrier exp(i u x0) with its temporary.  The padding,
-    the folded rows, their inverse FFT and its scratch add at most eight of
-    length m.
+    transfer-function rows are built: the wavenumber axis, the input spectrum
+    and its scaled copy (float64, 1.5 arrays' worth), the common factor, up to
+    three shifter factors or their difference and the two rows.  While they
+    are transformed: the axis and the spectrum, the rows and their padded
+    copy.  The padding, the folded rows, their inverse FFT and its scratch add
+    at most eight of length m.
     """
     return 16 * 8 * (n_k + m)
 
@@ -415,56 +415,64 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _folded_intensity(coeffs: np.ndarray, u: np.ndarray, x0: float, n_x: int,
-                      m: int) -> np.ndarray:
-    """|sum_n coeffs[r, n] exp(i u_n x_j)|^2 at x_j = x0 + j h, for each row r.
+def _folded_intensity(coeffs: np.ndarray, n_x: int, m: int) -> np.ndarray:
+    """|sum_n coeffs[r, n] exp(i u_n j h)|^2 for j < n_x, for each row r.
 
-    ``u`` is uniform, u_n = u_0 + n du, with du h m = 2 pi for an integer
-    m >= n_x.  Then exp(i u_n j h) = exp(i u_0 j h) exp(2 pi i n j / m): the
-    first factor has unit modulus and drops out of the intensity, and the
-    second is periodic in n with period m.  So the terms coeffs exp(i u_n x0) are
-    summed into m bins by n mod m, and one inverse FFT of length m gives the
-    sums at every x_j (the DFT aliasing identity).  It is the same quadrature
-    as the dense sum, re-associated.
+    ``coeffs`` carry the carrier of the grid's first point, and u_n = u_0 +
+    n du with du h m = 2 pi for an integer m >= n_x.  Then exp(i u_n j h) =
+    exp(i u_0 j h) exp(2 pi i n j / m): the first factor has unit modulus and
+    drops out of the intensity, and the second is periodic in n with period m.
+    So the coefficients are summed into m bins by n mod m, and one inverse FFT
+    of length m gives the sums at every grid point (the DFT aliasing identity):
+    the dense quadrature, re-associated.
     """
     n_rows, n_k = coeffs.shape
     folded = np.zeros((n_rows, -(-n_k // m) * m), dtype=complex)
-    np.multiply(coeffs, np.exp(1j * x0 * u), out=folded[:, :n_k])
+    folded[:, :n_k] = coeffs
     sums = np.fft.ifft(folded.reshape(n_rows, -1, m).sum(axis=1), axis=-1)[:, :n_x]
     return m * m * np.abs(sums) ** 2
 
 
+def _unit_phasor(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta), its cosine and sine written into one complex array."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _shifter_factor(delta: float, k0: float, u: np.ndarray):
+    """exp(-i (k0 + u) delta), or 1 for a zero shifter; exp(-i k0 delta) is one scalar."""
+    if delta == 0.0:
+        return 1.0
+    factor = _unit_phasor(-delta * u)
+    factor *= np.exp(-1j * k0 * delta)
+    return factor
+
+
 def _transfer_rows(params: LinkParams, config: MzConfig, d: DerivedQuantities,
-                   u: np.ndarray, precomp: PrecompMultiplier | None,
-                   placement: str) -> np.ndarray:
-    """Transfer functions of exits o and p at the wavenumbers k0 + u, shape (2, n_k).
+                   u: np.ndarray, alpha_in: np.ndarray, precomp: PrecompMultiplier | None,
+                   start: float) -> np.ndarray:
+    """Exits o and p at the wavenumbers k0 + u, times input and carrier, shape (2, n_k).
 
-    The fiber's quadratic phase, both interferometers' leg factors and the
-    optional compensating element.  Only the u-dependent part of the fiber's
-    and the compensator's phase is kept: the k0^2 piece and the k0-linear
-    carrier are global phases of psi and cancel in the intensity.
+    The input spectrum, the fiber, both interferometers' legs, the optional
+    compensating element and the carrier exp(i u X) of the grid's first
+    offset ``start``, X = 2 n_g l_leg + 2 delta1 k0 + mid + start from the
+    linear path n_g L + a_cp, mid = (d_cm + d_dc)/2.  Their quadratic phases
+    add up to -delta1 (2 k0 u + u^2); the carrier cancels the k0-linear part
+    and the legs' 2 n_g l_leg u.  With - for exit o, + for p:
+
+        t_leg sqrt(t_cp) alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
+        phi = -delta1 u^2 + u (mid + start),   E_x = exp(-i k0 delta_x) exp(-i u delta_x).
+
+    Constant phases of psi are dropped; no phase of 1e7 rad is formed.
     """
-    k = d.k0 + u
-    b_leg = -d.kappa * params.leg_length
-
-    def leg_factor(delta: float) -> np.ndarray:
-        # sqrt(T)*exp(-i[(k0+u)A + (k0+u)^2 B]) for one interferometer leg.
-        a = delta + params.group_index * params.leg_length
-        return math.sqrt(params.t_leg) * np.exp(-1j * (k * a + k * k * b_leg))
-
-    quadratic = 2.0 * d.k0 * u + u * u
-    common = np.exp(1j * quadratic * (d.kappa * params.fiber_length))
-    if precomp is not None:
-        mult_cp = math.sqrt(precomp.t_cp) * np.exp(-1j * quadratic * precomp.b_cp)
-        if placement == "symmetric":
-            mult_cp = np.sqrt(mult_cp)
-        if placement != "post":
-            common *= mult_cp
-    e_c = leg_factor(config.delta_c)
-    common *= leg_factor(config.delta_d) - e_c
-    if precomp is not None and placement != "pre":
-        common *= mult_cp
-    e_m = leg_factor(config.delta_m)
+    scale = params.t_leg * math.sqrt(precomp.t_cp if precomp else 1.0) * alpha_in
+    common = _unit_phasor(u * (_middle_sum(config) + start - d.delta1 * u))
+    common *= scale
+    e_c = _shifter_factor(config.delta_c, d.k0, u)
+    common *= _shifter_factor(config.delta_d, d.k0, u) - e_c
+    e_m = _shifter_factor(config.delta_m, d.k0, u)
     rows = np.empty((2, u.size), dtype=complex)
     np.subtract(e_m, e_c, out=rows[0])
     np.add(e_m, e_c, out=rows[1])
@@ -485,9 +493,9 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     trapezoid quadrature on the grid of offsets from the window center.  The
     wavenumber step is commensurate with the grid step, so the quadrature is
     one fold of the samples and one short inverse FFT (``_folded_intensity``).
-    ``placement`` applies the compensating multiplier before, after, or split
-    around the link factors; for this linear model all three are equivalent
-    and the option exists for verification.
+    ``placement`` is accepted and checked but changes nothing: the factored
+    transfer function (``_transfer_rows``) is one product with one order, so
+    the compensating multiplier has no before, after or split placement.
 
     Raises ResolutionError when resolving the requested grid would exceed
     ORACLE_BUDGET_BYTES or the wavenumber sampling fails the input-norm
@@ -518,12 +526,11 @@ def eval_oracle(params: LinkParams, config: MzConfig,
             f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8; "
             "raise k_span_sigmas")
 
-    rows = _transfer_rows(params, config, d, u, precomp, placement)
-    rows *= alpha_in
+    rows = _transfer_rows(params, config, d, u, alpha_in, precomp, float(offset[0]))
 
     # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
     # space plus the share that left through the first interferometer's
-    # unused exit.  |rows| is the same for every placement.
+    # unused exit.
     mass_scale = 0.0625 * params.t_fiber
     mass_o = mass_scale * float(_trapz(np.abs(rows[0]) ** 2, dx=du))
     mass_p = mass_scale * float(_trapz(np.abs(rows[1]) ** 2, dx=du))
@@ -531,16 +538,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     # trapezoid weights times the transform's normalization
     rows *= 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
     rows[:, [0, -1]] *= 0.5
-
-    # Inverse transform: psi(x) ~ sum_u rows(u) exp(i u X), X measured from
-    # the linear path n_g*L + a_cp of fiber plus compensator (their carrier
-    # phase exp(i k0 X) has unit modulus and is dropped).  The window center
-    # sits at X = 2 n_g l_leg + 2 delta1 k0 + mid, with delta1 including the
-    # compensator's b_cp, so X = offset + that.
-    center = (2.0 * params.group_index * params.leg_length + 2.0 * d.delta1 * d.k0
-              + _middle_sum(config))
-    intensity_o, intensity_p = _folded_intensity(rows, u, center + offset[0],
-                                                 offset.size, m)
+    intensity_o, intensity_p = _folded_intensity(rows, offset.size, m)
 
     checks = {
         "norm_in": float(norm_in),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -194,6 +195,13 @@ class TestCompensateCommand:
         assert code == 3
         assert "infeasible" in err
 
+    def test_infinite_clock_exits_2(self, capsys):
+        code, out, err = run(capsys, "compensate", "--length-km", "405",
+                             "--clock-ghz", "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error") and "got inf" in err
+
 
 class TestOracleCheckCommand:
     def test_default_passes(self, capsys):
@@ -276,12 +284,21 @@ class TestExitCodes:
         (("design", "--safety-factor", "inf"), "inf"),
         (("spectra", "--n-points", "64", "--pad-sigmas", "inf"), "inf"),
         (("spectra", "--n-points", "64", "--pad-sigmas", "nan"), "nan"),
-    ], ids=["sum-nan", "sum-inf", "rho-inf", "safety-inf", "pad-inf", "pad-nan"])
+        (("sweep", "--l-min-km", "0", "--l-max-km", "inf"), "inf"),
+        (("sweep", "--l-min-km=-inf", "--l-max-km", "5"), "-inf"),
+        (("gterm", "--l-min-km", "0", "--l-max-km", "inf"), "inf"),
+        (("gterm", "--l-min-km", "0", "--l-max-km", "1e306"), "1e+306"),
+    ], ids=["sum-nan", "sum-inf", "rho-inf", "safety-inf", "pad-inf", "pad-nan",
+            "sweep-max-inf", "sweep-min-inf", "gterm-max-inf", "gterm-max-inf-in-metres"])
     def test_non_finite_number_exits_2(self, capsys, argv, value):
-        code, out, err = run(capsys, *argv)
+        # a RuntimeWarning from numpy would mean the value reached arithmetic
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("config error") and f"got {value}" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_oracle_beyond_memory_budget_exits_4(self, capsys):
         code, out, err = run(capsys, "oracle-check", "--l-km", "50",

@@ -98,6 +98,8 @@ class TestPlan:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             plan(CAL_405KM, 0.0, 3.0)
+        with pytest.raises(ValueError, match="finite"):
+            plan(CAL_405KM, math.inf, 3.0)
         with pytest.raises(ValueError):
             plan(CAL_405KM, 1e9, 3.0, "warp")
 

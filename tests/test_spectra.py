@@ -22,22 +22,57 @@ MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
 WINDOW_RHO = 3.0 / math.sqrt(2.0)  # half-width of 3 sigma
 
 
-def dense_intensity(coeffs, u, x0, n_x, m):
+def dense_intensity(coeffs, n_x, m):
     """Reference for the oracle's transform: the quadrature summed directly.
 
-    Same signature as ``spectra._folded_intensity``: the grid step h follows
-    from du h m = 2 pi.  The sum over u of coeffs exp(i u (x0 + j h)) is built
-    as exp(i u x0) times exp(i u j h), in blocks of about 2M kernel entries.
+    Same signature as ``spectra._folded_intensity``: the coefficients carry
+    the carrier of the grid's first point and du h m = 2 pi, so, up to a
+    unit-modulus factor, the sum over u_n of coeffs exp(i u_n j h) is the sum
+    of coeffs exp(i (u_n h) j) with u_n h = 2 pi (n - c) / m about the middle
+    sample c.  Built in blocks of about 2M kernel entries.
     """
-    h = 2.0 * math.pi / (m * (u[-1] - u[0]) / (u.size - 1))
-    shifted = coeffs * np.exp(1j * u * x0)
-    steps = h * np.arange(n_x)
+    n_k = coeffs.shape[1]
+    u_h = (np.arange(n_k) - 0.5 * (n_k - 1)) * (2.0 * math.pi / m)
     out = np.empty((coeffs.shape[0], n_x))
-    chunk = max(1, int(2.0e6 // u.size))
+    chunk = max(1, int(2.0e6 // n_k))
     for start in range(0, n_x, chunk):
-        kernel = np.exp(1j * np.outer(steps[start:start + chunk], u))
-        out[:, start:start + chunk] = np.abs(shifted @ kernel.T) ** 2
+        kernel = np.exp(1j * np.outer(np.arange(start, min(start + chunk, n_x)), u_h))
+        out[:, start:start + chunk] = np.abs(coeffs @ kernel.T) ** 2
     return out
+
+
+def reference_transfer_rows(params, config, d, u, precomp, placement):
+    """Reference for ``spectra._transfer_rows``: each factor as its own exponential.
+
+    The fiber's quadratic phase, one factor per interferometer leg with its
+    full (k0 + u) phase, and the compensating multiplier applied before, after
+    or split around the leg factors.  Only the u-dependent part of the fiber's
+    and the compensator's phase is kept; the input spectrum and the carrier
+    are left out.  The phases reach 1e7-1e8 rad on long links and carry
+    their rounding.
+    """
+    k = d.k0 + u
+    b_leg = -d.kappa * params.leg_length
+
+    def leg_factor(delta):
+        # sqrt(T)*exp(-i[(k0+u)A + (k0+u)^2 B]) for one interferometer leg.
+        a = delta + params.group_index * params.leg_length
+        return math.sqrt(params.t_leg) * np.exp(-1j * (k * a + k * k * b_leg))
+
+    quadratic = 2.0 * d.k0 * u + u * u
+    common = np.exp(1j * quadratic * (d.kappa * params.fiber_length))
+    if precomp is not None:
+        mult_cp = math.sqrt(precomp.t_cp) * np.exp(-1j * quadratic * precomp.b_cp)
+        if placement == "symmetric":
+            mult_cp = np.sqrt(mult_cp)
+        if placement != "post":
+            common *= mult_cp
+    e_c = leg_factor(config.delta_c)
+    common *= leg_factor(config.delta_d) - e_c
+    if precomp is not None and placement != "pre":
+        common *= mult_cp
+    e_m = leg_factor(config.delta_m)
+    return np.array([e_m - e_c, e_m + e_c]) * common
 
 
 def compensated(length_m, fraction, **link):
@@ -412,6 +447,43 @@ class TestFoldedTransform:
             tracemalloc.stop()
         assert peak <= spectra._oracle_bytes(curve.checks["n_k"], curve.checks["fold_length"])
 
+    @pytest.mark.parametrize("params, config, grid, kwargs", [
+        pytest.param(replace(CAL_500KM, fiber_length=length), WIDE, GridSpec(n_points=256), {},
+                     id=f"{length / 1e3:g}km")
+        for length in (50e3, 500e3)
+    ] + [
+        pytest.param(replace(CAL_500KM, fiber_length=5000e3), WIDE, GridSpec(n_points=64), {},
+                     id="5000km"),
+        pytest.param(CAL_500KM, replace(WIDE, delta_c=0.05), GridSpec(n_points=256), {},
+                     id="delta_c-0.05m"),
+    ] + [
+        pytest.param(CAL_500KM, WIDE, RELATIVE,
+                     {"precomp": compensated(500e3, 0.6, convention="calibrated")[1],
+                      "placement": placement}, id=f"500km-compensated-{placement}")
+        for placement in ("pre", "post", "symmetric")
+    ])
+    def test_factored_rows_match_reference(self, monkeypatch, params, config, grid, kwargs):
+        built = []
+        factored = spectra._transfer_rows
+
+        def spy(*args):
+            rows = factored(*args)
+            built.append((args, rows.copy()))
+            return rows
+
+        monkeypatch.setattr(spectra, "_transfer_rows", spy)
+        eval_oracle(params, config, grid, **kwargs)
+        (_, _, d, u, alpha_in, precomp, start), rows = built[0]
+        # the carrier of the grid's first point, measured from the linear path
+        center = (2.0 * params.group_index * params.leg_length + 2.0 * d.delta1 * d.k0
+                  + 0.5 * (config.delta_sum("cm") + config.delta_sum("dc")))
+        reference = (reference_transfer_rows(params, config, d, u, precomp,
+                                             kwargs.get("placement", "pre"))
+                     * alpha_in * np.exp(1j * (center + start) * u))
+        # the two forms drop different constant phases of psi
+        reference *= np.exp(1j * np.angle(np.vdot(reference, rows)))
+        assert np.max(np.abs(rows - reference)) <= 1e-7 * np.max(np.abs(rows))
+
     def test_mass_ledger_independent_of_placement(self):
         params, multiplier, _ = compensated(50e3, 0.5, convention="calibrated")
         ledgers = [eval_oracle(params, MATCHED, GridSpec(n_points=128),
@@ -445,14 +517,15 @@ DOMAIN_CASES = [
 class TestOracleProperty:
     """Analytic and oracle routes agree over the validated domain."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(length_km=st.floats(0.0, 500.0),
-           convention=st.sampled_from(("first_principles", "calibrated")),
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(link=st.one_of(st.tuples(st.floats(0.0, 5000.0), st.just("calibrated")),
+                          st.tuples(st.floats(0.0, 1500.0), st.just("first_principles"))),
            t_fiber=st.floats(0.05, 1.0), t_leg=st.floats(0.05, 1.0),
            sum_over_2x1=st.floats(1.0, 3.0), split=st.floats(0.2, 0.8),
            compensated_fraction=st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
-    def test_analytic_matches_oracle(self, length_km, convention, t_fiber, t_leg,
-                                     sum_over_2x1, split, compensated_fraction):
+    def test_analytic_matches_oracle(self, link, t_fiber, t_leg, sum_over_2x1, split,
+                                     compensated_fraction):
+        length_km, convention = link
         params, multiplier, active = compensated(
             length_km * 1e3, compensated_fraction, convention=convention,
             t_fiber=t_fiber, t_leg=t_leg)
