@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: design, sweep, spectra, bb84, gterm, compensate, oracle-check.
+Each takes --config, --format, --output and the flags of the settings it reads.
 Exit codes: 0 success, 2 configuration error, 3 infeasible design,
 4 verification failure.
 """
@@ -27,10 +28,20 @@ from .spectra import (GridSpec, eval_analytic, eval_oracle,
 from .units import km_to_m
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+# RunConfig fields that several subcommands read together.
+DISPERSION = ("lambda0_nm", "delta_lambda_nm", "dispersion_ps_per_km_nm", "leg_length_m",
+              "convention")
+SHIFTERS = ("delta_d_m", "delta_m_m", "delta_c_m")
+EDGES = ("t_rising_ns", "t_falling_ns", "detector_profile")
+
+
+def _common_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--config, --format, --output and the flags of the RunConfig fields ``names``."""
     parser.add_argument("--config", help="config file path (INI); defaults to $MZQKD_CONFIG")
     groups = {}
     for f in fields(RunConfig):
+        if f.name not in names and f.name not in ("out_format", "out_path"):
+            continue
         section = f.metadata["section"]
         if section not in groups:
             groups[section] = parser.add_argument_group(section)
@@ -54,7 +65,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _length_range_m(args: argparse.Namespace) -> np.ndarray:
-    """--steps lengths from --l-min-km to --l-max-km, m; both ends must be finite in m."""
+    """--steps >= 2 lengths from --l-min-km up to --l-max-km, m; both ends finite in m."""
+    if args.steps < 2:
+        raise ConfigError(f"{args.command} needs at least 2 steps")
+    if not args.l_min_km < args.l_max_km:
+        raise ConfigError(f"{args.command} range is empty: l-min-km must be below l-max-km")
     for name in ("l_min_km", "l_max_km"):
         km = getattr(args, name)
         if not math.isfinite(km_to_m(km)):
@@ -78,13 +93,9 @@ def cmd_design(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.steps < 2:
-        raise ConfigError("sweep needs at least 2 steps")
-    if not args.l_min_km < args.l_max_km:
-        raise ConfigError("sweep range is empty: l-min-km must be below l-max-km")
     params, mz = config.link_params(), config.mz_config()
     lengths = _length_range_m(args)
-    columns = sweep_lengths(params, mz, config.rho, lengths)
+    columns = sweep_lengths(params, mz, config.rho, lengths, config.safety_factor)
     if config.out_format == "svg-plot":
         name, label = (("rate_linear_hz", "rate_hz") if args.quantity == "rate"
                        else ("min_phase_sum_m", "min_phase_sum_m"))
@@ -148,8 +159,6 @@ def _dump_bb84_spectra(params, table, directory: str, normalize: str) -> None:
 
 def cmd_gterm(args: argparse.Namespace, config: RunConfig) -> int:
     params = config.link_params()
-    if args.steps < 2 or not args.l_min_km < args.l_max_km:
-        raise ConfigError("gterm sweep needs at least 2 steps and a non-empty range")
     lengths = _length_range_m(args)
     analysis = bb84_mod.g_term_analysis(params, lengths, delta_c=config.delta_c_m)
     io_mod.emit(io_mod.gterm_csv(analysis), config.out_path)
@@ -157,8 +166,9 @@ def cmd_gterm(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_compensate(args: argparse.Namespace, config: RunConfig) -> int:
-    params = config.link_params()
-    plan = comp_mod.plan(params, args.clock_ghz * 1e9, config.rho, config.mode)
+    params, mz = config.link_params(), config.mz_config()
+    plan = comp_mod.plan(params, args.clock_ghz * 1e9, config.rho, config.mode,
+                         mz.t_rising, mz.t_falling, config.safety_factor)
     if config.out_format == "json":
         text = io_mod.plan_json(plan, params)
     else:
@@ -206,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="visibility, shifter bound, rates, gate window")
-    _common_flags(p)
+    _common_flags(p, "length_km", *DISPERSION, *EDGES, "rho", "safety_factor")
     p.add_argument("--sum-m", dest="sum_m", type=float,
                    help="actual shifter sum for the gate-window bound, m")
     p.set_defaults(func=cmd_design, formats=("text", "json"))
 
     p = sub.add_parser("sweep", help="design bounds over a fiber-length range")
-    _common_flags(p)
+    _common_flags(p, *DISPERSION, *EDGES, "rho", "safety_factor")
     p.add_argument("--l-min-km", type=float, required=True)
     p.add_argument("--l-max-km", type=float, required=True)
     p.add_argument("--steps", type=int, default=46)
@@ -221,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, formats=("csv", "svg-plot"))
 
     p = sub.add_parser("spectra", help="output position spectra of both exits")
-    _common_flags(p)
+    _common_flags(p, "length_km", *DISPERSION, "group_index", "t_fiber", "t_leg", *SHIFTERS,
+                  "normalize")
     p.add_argument("--n-points", type=int, default=4096)
     p.add_argument("--pad-sigmas", type=float, default=6.0)
     p.add_argument("--relative-axis", action="store_true",
@@ -229,29 +240,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectra, formats=("csv", "json", "svg-plot"))
 
     p = sub.add_parser("bb84", help="phase-encoding detection truth table")
-    _common_flags(p)
+    _common_flags(p, "length_km", *DISPERSION, "rho", "group_index", "t_fiber", "t_leg",
+                  "normalize")
     p.add_argument("--baseline-m", type=float,
                    help="common shifter baseline; default: half the rho bound, "
                         "rounded up to the next cm")
     p.add_argument("--dump-spectra-dir",
-                   help="also write one spectra CSV per table row")
+                   help="also write one spectra CSV per table row (the dump alone "
+                        "reads --group-index, --t-fiber, --t-leg and --normalize)")
     p.set_defaults(func=cmd_bb84, formats=("csv", "json"))
 
     p = sub.add_parser("gterm", help="dispersion-correction coefficient over length")
-    _common_flags(p)
+    _common_flags(p, *DISPERSION, "delta_c_m")
     p.add_argument("--l-min-km", type=float, default=0.05)
     p.add_argument("--l-max-km", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=4001)
     p.set_defaults(func=cmd_gterm, formats=("csv",))
 
     p = sub.add_parser("compensate", help="dispersion-compensation plan for a clock rate")
-    _common_flags(p)
+    _common_flags(p, "length_km", *DISPERSION, "rho", "mode", *EDGES, "safety_factor")
     p.add_argument("--clock-ghz", type=float, required=True)
     p.set_defaults(func=cmd_compensate, formats=("text", "json"))
 
     p = sub.add_parser("oracle-check", help="verify analytic spectra against the "
                                             "wavenumber-domain oracle")
-    _common_flags(p)
+    _common_flags(p, *DISPERSION, *SHIFTERS)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--l-km", type=float, action="append",
                    help="fiber length to check, km (repeatable; default 0, 1, 50)")

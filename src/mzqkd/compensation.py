@@ -54,9 +54,12 @@ class CompensationPlan:
 
 
 def plan(params: LinkParams, clock_rate: float, rho: float,
-         mode: str = "linear") -> CompensationPlan:
+         mode: str = "linear", t_rising: float = 0.0, t_falling: float = 0.0,
+         safety_factor: float = 1.0) -> CompensationPlan:
     """Choose the compensation regime and minimum compensated span.
 
+    The shifter requirement is ``min_phase_sum`` at the active length, with
+    the same detector edge times and safety factor as a design there.
     Raises InfeasibleDesignError when even a fully compensated link (only
     leg dispersion left) cannot reach the clock rate.
     """
@@ -75,7 +78,8 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
         return CompensationPlan(
             regime="no_dcf", clock_rate=clock_rate, link_length=link,
             active_length=link, dcf_equivalent_length=0.0, dcf_params=None,
-            phase_sum_requirement=min_phase_sum(params, rho),
+            phase_sum_requirement=min_phase_sum(params, rho, t_rising, t_falling,
+                                                safety_factor),
             rho=rho, mode=mode)
 
     if clock_rate > rate_at(0.0):
@@ -103,7 +107,7 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
         active_length=active, dcf_equivalent_length=span,
         dcf_params=DcfParams(kappa_cp=d.kappa, l_cp=span),
         phase_sum_requirement=min_phase_sum(
-            replace(params, fiber_length=active), rho),
+            replace(params, fiber_length=active), rho, t_rising, t_falling, safety_factor),
         rho=rho, mode=mode)
 
 

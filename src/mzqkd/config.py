@@ -158,9 +158,9 @@ def default_config_path() -> Optional[str]:
 
 
 def apply_overrides(config: RunConfig, args) -> RunConfig:
-    """Apply the flags of a parsed namespace, by field name (None means not given)."""
+    """Apply the flags of a parsed namespace, by field name (absent or None: not given)."""
     for f in fields(RunConfig):
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)
         if value is not None:
             setattr(config, f.name, value)
     return config

@@ -73,10 +73,6 @@ def min_phase_sum(params: LinkParams, rho: float,
     An ideal gate needs 4*X_rho; detector edge times extend the bound by
     c0*(t_rising + t_falling).  The safety factor multiplies the whole bound.
     """
-    if t_rising < 0 or t_falling < 0:
-        raise ValueError("detector edge times must be non-negative")
-    if safety_factor <= 0:
-        raise ValueError("safety_factor must be positive")
     return _phase_sum_bound(params, pulse_half_width(params, rho),
                             t_rising, t_falling, safety_factor)
 
@@ -92,7 +88,11 @@ def max_rate(params: LinkParams, rho: float, mode: str = "linear") -> float:
 # array), shared by the scalar functions above and the length sweep.
 
 def _phase_sum_bound(params: LinkParams, half, t_rising: float, t_falling: float,
-                     safety_factor: float = 1.0):
+                     safety_factor: float):
+    if t_rising < 0 or t_falling < 0:
+        raise ValueError("detector edge times must be non-negative")
+    if safety_factor <= 0:
+        raise ValueError("safety_factor must be positive")
     return safety_factor * (4.0 * half + params.c0 * (t_rising + t_falling))
 
 
@@ -140,7 +140,8 @@ def build_design_report(params: LinkParams, config: MzConfig, rho: float,
 
 
 def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
-                  lengths_m: Iterable[float]) -> dict[str, np.ndarray]:
+                  lengths_m: Iterable[float],
+                  safety_factor: float = 1.0) -> dict[str, np.ndarray]:
     """Evaluate the design bounds over a range of fiber lengths.
 
     Returns one array per column, each with one entry per length: length_m,
@@ -156,7 +157,8 @@ def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
     half = half_width(sigma, rho)
     return {
         "length_m": lengths,
-        "min_phase_sum_m": _phase_sum_bound(params, half, config.t_rising, config.t_falling),
+        "min_phase_sum_m": _phase_sum_bound(params, half, config.t_rising, config.t_falling,
+                                            safety_factor),
         "rate_linear_hz": _rate_bound(params, half, "linear"),
         "rate_nonlinear_hz": _rate_bound(params, half, "nonlinear"),
         "rate_general_hz": _rate_bound(params, half, "general"),

@@ -15,7 +15,31 @@ from mzqkd.cli import _resolve_config, build_parser, main
 from mzqkd.config import RunConfig, load_config_file
 from mzqkd.units import C0
 
-CAL = ["--convention", "calibrated", "--length-km", "50"]
+CALIBRATED = ["--convention", "calibrated"]
+CAL = [*CALIBRATED, "--length-km", "50"]
+
+# The RunConfig fields each subcommand reads, beside --format and --output
+# that every command takes.  A flag for any other field exits 2.
+DISPERSION = {"lambda0_nm", "delta_lambda_nm", "dispersion_ps_per_km_nm", "leg_length_m",
+              "convention"}
+SHIFTERS = {"delta_d_m", "delta_m_m", "delta_c_m"}
+EDGES = {"t_rising_ns", "t_falling_ns", "detector_profile"}
+READS = {
+    "design": {"length_km", *DISPERSION, *EDGES, "rho", "safety_factor"},
+    "sweep": {*DISPERSION, *EDGES, "rho", "safety_factor"},
+    "spectra": {"length_km", *DISPERSION, "group_index", "t_fiber", "t_leg", *SHIFTERS,
+                "normalize"},
+    # group_index, t_fiber, t_leg and normalize act on --dump-spectra-dir only
+    "bb84": {"length_km", *DISPERSION, "rho", "group_index", "t_fiber", "t_leg", "normalize"},
+    "gterm": {*DISPERSION, "delta_c_m"},
+    "compensate": {"length_km", *DISPERSION, "rho", "mode", *EDGES, "safety_factor"},
+    "oracle-check": {*DISPERSION, *SHIFTERS},
+}
+EVERY_COMMAND = {"out_format", "out_path"}
+
+
+def flag_of(setting) -> str:
+    return setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
 
 
 def run(capsys, *argv):
@@ -68,8 +92,10 @@ class TestDesign:
 
 class TestSweep:
     def test_rows_match_single_calls(self, capsys, tmp_path):
+        # both commands apply the detector edges and the safety factor
+        bounds = ["--safety-factor", "2", "--t-rising-ns", "1"]
         out_file = tmp_path / "sweep.csv"
-        code, _, _ = run(capsys, "sweep", *CAL, "--l-min-km", "50",
+        code, _, _ = run(capsys, "sweep", *CALIBRATED, *bounds, "--l-min-km", "50",
                          "--l-max-km", "150", "--steps", "3",
                          "--output", str(out_file))
         assert code == 0
@@ -78,13 +104,13 @@ class TestSweep:
         assert len(lines) == 4
         for line in lines[1:]:
             length_km, min_sum = line.split(",")[:2]
-            code, out, _ = run(capsys, "design", "--convention", "calibrated",
+            code, out, _ = run(capsys, "design", *CALIBRATED, *bounds,
                                "--length-km", length_km, "--rho", "3")
             single = float(out.split("min_phase_sum")[1].split()[0])
             assert float(min_sum) == pytest.approx(single, rel=1e-12)
 
     def test_rate_times_length_constant(self, capsys):
-        code, out, _ = run(capsys, "sweep", *CAL, "--l-min-km", "50",
+        code, out, _ = run(capsys, "sweep", *CALIBRATED, "--l-min-km", "50",
                            "--l-max-km", "500", "--steps", "10")
         assert code == 0
         products = []
@@ -94,7 +120,7 @@ class TestSweep:
         assert max(products) / min(products) - 1.0 < 0.01
 
     def test_svg_output(self, capsys):
-        code, out, _ = run(capsys, "sweep", *CAL, "--l-min-km", "50",
+        code, out, _ = run(capsys, "sweep", *CALIBRATED, "--l-min-km", "50",
                            "--l-max-km", "100", "--steps", "5",
                            "--format", "svg-plot")
         assert code == 0
@@ -189,6 +215,22 @@ class TestCompensateCommand:
         assert payload["dcf_equivalent_length_m"] == pytest.approx(
             405e3 - payload["active_length_m"], abs=1e-6)
 
+    @pytest.mark.parametrize("clock_ghz, regime", [("2.5", "partial_dcf"),
+                                                   ("0.05", "no_dcf")])
+    def test_requirement_is_design_bound_at_active_length(self, capsys, clock_ghz, regime):
+        # the same detector edges and safety factor enter both bounds
+        bounds = [*CALIBRATED, "--t-rising-ns", "4", "--safety-factor", "2"]
+        code, out, _ = run(capsys, "compensate", *bounds, "--length-km", "405",
+                           "--clock-ghz", clock_ghz, "--format", "json")
+        assert code == 0
+        plan = json.loads(out)
+        assert plan["regime"] == regime
+        code, out, _ = run(capsys, "design", *bounds, "--format", "json",
+                           "--length-km", repr(plan["active_length_m"] / 1e3))
+        assert code == 0
+        assert plan["phase_sum_requirement_m"] == pytest.approx(
+            json.loads(out)["report"]["min_phase_sum_m"], rel=1e-12)
+
     def test_infeasible_clock_exits_3(self, capsys):
         code, _, err = run(capsys, "compensate", "--length-km", "405",
                            "--clock-ghz", "100")
@@ -263,16 +305,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("verification failure") and message in err
 
-    @pytest.mark.parametrize("argv", [
-        ("compensate", "--length-km", "50", "--clock-ghz", "1",
-         "--detector-profile", "bogus"),
-        ("gterm", "--steps", "5", "--t-rising-ns", "-1"),
-        ("bb84", "--length-km", "50", "--detector-profile", "bogus"),
+    @pytest.mark.parametrize("argv, setting", [
+        (("compensate", "--length-km", "50", "--clock-ghz", "1"), "detector_profile = bogus"),
+        (("gterm", "--steps", "5"), "t_rising_ns = -1"),
+        (("bb84", "--length-km", "50"), "detector_profile = bogus"),
     ], ids=["compensate", "gterm", "bb84"])
-    def test_bad_interferometer_setting_exits_2(self, capsys, argv):
-        # these commands build their own interferometers, yet the settings
-        # are checked as for design
-        code, out, err = run(capsys, *argv)
+    def test_bad_interferometer_setting_exits_2(self, capsys, tmp_path, argv, setting):
+        # these commands build their own interferometers, and gterm and bb84
+        # take no edge flags; a shared config file's settings are still
+        # checked as for design
+        path = tmp_path / "run.ini"
+        path.write_text(f"[interferometer]\n{setting}\n")
+        code, out, err = run(capsys, *argv, "--config", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("config error: interferometer")
@@ -299,6 +343,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error") and f"got {value}" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["sweep", "gterm"])
+    @pytest.mark.parametrize("argv, message", [
+        (("--l-min-km", "1", "--l-max-km", "2", "--steps", "1"), "needs at least 2 steps"),
+        (("--l-min-km", "2", "--l-max-km", "2"), "range is empty"),
+        (("--l-min-km", "nan", "--l-max-km", "2"), "range is empty"),
+    ], ids=["one-step", "empty", "nan"])
+    def test_bad_length_range_exits_2(self, capsys, command, argv, message):
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {command} ") and message in err
 
     def test_oracle_beyond_memory_budget_exits_4(self, capsys):
         code, out, err = run(capsys, "oracle-check", "--l-km", "50",
@@ -373,6 +429,8 @@ format = json
 
     # The README's rule: a flag is its file key with dashes, except these.
     RENAMED_FLAGS = {"dispersion_ps_per_km_nm": "--dispersion", "path": "--output"}
+    # commands that between them accept every flag, with their required flags
+    ACCEPTING = [("spectra", []), ("design", []), ("compensate", ["--clock-ghz", "1"])]
 
     @pytest.mark.parametrize("setting", fields(RunConfig), ids=lambda f: f.name)
     def test_flag_and_file_key_agree(self, tmp_path, monkeypatch, setting):
@@ -384,11 +442,14 @@ format = json
         path = tmp_path / "run.ini"
         path.write_text(f"[{section}]\n{key} = {value}\n")
         flag = self.RENAMED_FLAGS.get(key, "--" + key.replace("_", "-"))
+        command, required = next((c, r) for c, r in self.ACCEPTING
+                                 if setting.name in READS[c] | EVERY_COMMAND)
         parser = build_parser()
-        by_flag = _resolve_config(parser.parse_args(["spectra", flag, value]))
-        by_file = _resolve_config(parser.parse_args(["spectra", "--config", str(path)]))
+        by_flag = _resolve_config(parser.parse_args([command, *required, flag, value]))
+        by_file = _resolve_config(parser.parse_args([command, *required,
+                                                     "--config", str(path)]))
         assert by_flag == by_file
-        assert by_flag != RunConfig(out_format="csv")
+        assert by_flag != _resolve_config(parser.parse_args([command, *required]))
 
     def test_readme_example_names_every_file_key_once(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -406,11 +467,56 @@ format = json
         load_config_file(str(path))
 
 
+class TestFlagsPerCommand:
+    """Each subcommand accepts the flags of the settings it reads, and no others."""
+
+    BASE = {
+        "design": ["--sum-m", "200"],
+        "sweep": ["--l-min-km", "10", "--l-max-km", "100", "--steps", "3"],
+        "spectra": ["--n-points", "64"],
+        "bb84": ["--dump-spectra-dir", "DUMP"],
+        "gterm": ["--steps", "5"],
+        "compensate": ["--clock-ghz", "2.5"],
+        "oracle-check": ["--l-km", "1", "--n-points", "128", "--threshold", "1"],
+    }
+    OTHER = {"length_km": "100", "lambda0_nm": "1310", "delta_lambda_nm": "0.5",
+             "dispersion_ps_per_km_nm": "10", "group_index": "1.5", "leg_length_m": "2",
+             "t_fiber": "0.5", "t_leg": "0.5", "convention": "calibrated",
+             "delta_d_m": "0.3", "delta_m_m": "0.3", "delta_c_m": "0.1",
+             "t_rising_ns": "1", "t_falling_ns": "1", "detector_profile": "snspd-5ns",
+             "rho": "2", "mode": "nonlinear", "safety_factor": "2", "normalize": "peak"}
+
+    @staticmethod
+    def outputs(capsys, directory, argv):
+        """Exit code, stdout and the files written into ``directory``, DUMP in argv."""
+        code = main([str(directory) if a == "DUMP" else a for a in argv])
+        written = {p.name: p.read_bytes() for p in sorted(directory.glob("*"))}
+        return code, capsys.readouterr().out, written
+
+    @pytest.mark.parametrize("setting", [f for f in fields(RunConfig)
+                                         if f.name not in EVERY_COMMAND],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("command", READS)
+    def test_flag_changes_output_or_exits_2(self, capsys, tmp_path, command, setting):
+        argv = [command, *self.BASE[command]]
+        other = [flag_of(setting), self.OTHER[setting.name]]
+        if setting.name not in READS[command]:
+            with pytest.raises(SystemExit) as exc:
+                self.outputs(capsys, tmp_path, [*argv, *other])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(other)}" in capsys.readouterr().err
+            return
+        base = self.outputs(capsys, tmp_path / "base", argv)
+        changed = self.outputs(capsys, tmp_path / "changed", [*argv, *other])
+        assert base[0] == changed[0] == 0
+        assert base[1:] != changed[1:]
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for target in (a, b):
-            code, _, _ = run(capsys, "sweep", *CAL, "--l-min-km", "50",
+            code, _, _ = run(capsys, "sweep", *CALIBRATED, "--l-min-km", "50",
                              "--l-max-km", "200", "--steps", "7",
                              "--output", str(target))
             assert code == 0

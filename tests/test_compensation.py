@@ -62,6 +62,14 @@ class TestPlan:
         assert rate >= clock
         assert rate / clock - 1.0 < 1e-12
 
+    @pytest.mark.parametrize("clock, regime", [(2.5e9, "partial_dcf"), (1e6, "no_dcf")])
+    def test_requirement_is_design_bound_at_active_length(self, clock, regime):
+        result = plan(CAL_405KM, clock, 3.0, "linear", 4e-9, 1e-9, 2.0)
+        assert result.regime == regime
+        active = replace(CAL_405KM, fiber_length=result.active_length)
+        assert result.phase_sum_requirement == min_phase_sum(active, 3.0, 4e-9, 1e-9, 2.0)
+        assert result.active_length == plan(CAL_405KM, clock, 3.0).active_length
+
     def test_bisection_contract(self):
         result = plan(CAL_405KM, 2.5e9, 3.0)
         rate = max_rate(replace(CAL_405KM, fiber_length=result.active_length), 3.0)

@@ -182,16 +182,22 @@ class TestReportAndSweep:
         config = MzConfig(t_rising=2.5e-9, t_falling=1e-9)
         lengths = [0.0, 1.0, 1236.0, 50e3, 405e3, 500e3]
         columns = sweep_lengths(params, config, 2.7, lengths)
+        safer = sweep_lengths(params, config, 2.7, lengths, safety_factor=1.7)
         for i, length in enumerate(lengths):
             p = replace(params, fiber_length=length)
             assert columns["length_m"][i] == length
             assert columns["min_phase_sum_m"][i] == min_phase_sum(p, 2.7, 2.5e-9, 1e-9)
+            assert safer["min_phase_sum_m"][i] == min_phase_sum(p, 2.7, 2.5e-9, 1e-9, 1.7)
             for mode in ("linear", "nonlinear", "general"):
                 assert columns[f"rate_{mode}_hz"][i] == max_rate(p, 2.7, mode)
+                assert safer[f"rate_{mode}_hz"][i] == columns[f"rate_{mode}_hz"][i]
 
     def test_sweep_rejects_empty(self):
         with pytest.raises(ValueError):
             sweep_lengths(LinkParams(), MzConfig(), 3.0, [])
+        for bad in (0.0, -2.0):
+            with pytest.raises(ValueError, match="safety_factor"):
+                sweep_lengths(LinkParams(), MzConfig(), 3.0, [10e3], safety_factor=bad)
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 sweep_lengths(LinkParams(), MzConfig(), 3.0, [10e3, bad])
