@@ -4,18 +4,15 @@ from .bb84 import (
     DetectionRow,
     DetectionTable,
     GTermAnalysis,
-    PhaseChoice,
     default_baseline,
     detection_table,
     g_term_analysis,
     g_term_value,
-    phase_for,
     z_difference,
 )
 from .compensation import (
     CompensationPlan,
     DcfParams,
-    full_compensation_dcf,
     plan,
     precompensate_input,
 )
@@ -49,7 +46,6 @@ from .spectra import (
     exact_window_masses,
     max_normalized_deviation,
     middle_window_masses,
-    total_mass,
 )
 from .units import C0
 
@@ -72,7 +68,6 @@ __all__ = [
     "LinkParams",
     "MzConfig",
     "PAIRS",
-    "PhaseChoice",
     "PrecompMultiplier",
     "ResolutionError",
     "SpectrumCurve",
@@ -85,7 +80,6 @@ __all__ = [
     "eval_analytic",
     "eval_oracle",
     "exact_window_masses",
-    "full_compensation_dcf",
     "g_term_analysis",
     "g_term_value",
     "gate_window",
@@ -93,11 +87,9 @@ __all__ = [
     "max_rate",
     "middle_window_masses",
     "min_phase_sum",
-    "phase_for",
     "plan",
     "precompensate_input",
     "sweep_lengths",
-    "total_mass",
     "visibility_of_rho",
     "x_rho",
     "z_difference",

@@ -4,10 +4,10 @@ Alice encodes each bit as one of four wavelength-scale offsets added to her
 long-arm shifter; Bob decodes with one of two reader offsets.  Only the
 offset difference reaches the middle pulse, whose interference phase is
 (2*pi/lambda0)*(phi_m - phi_d) times a bracket 1 + G*(dx - delta_c) carrying
-the residual dispersion correction.  This module provides the offset tables,
-both forms of the phase difference, the G-term study and the end-to-end
-detection truth table, whose shares are exact window masses of the closed-form
-spectra.
+the residual dispersion correction.  This module provides both forms of the
+phase difference, the G-term study and the end-to-end detection truth table,
+whose rows carry the offsets and whose shares are exact window masses of the
+closed-form spectra.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import InfeasibleDesignError
 from .spectra import exact_window_masses, z_phase_difference
 
 BASES = ("X", "Z")
-ROLES = ("alice", "bob")
 
 # Offsets as fractions of lambda0.  First table entry per basis is bit 0.
 _ALICE_OFFSETS = {("X", 0): 0.0, ("X", 1): 0.5, ("Z", 0): 0.25, ("Z", 1): 0.75}
@@ -33,41 +32,6 @@ _BOB_OFFSETS = {"X": 0.0, "Z": 0.25}
 
 # Probability integration half-width of 3*sigma, expressed through X_rho.
 MIDDLE_WINDOW_RHO = 3.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class PhaseChoice:
-    """One party's shifter setting: basis, optional bit, offset and baseline."""
-
-    role: str
-    basis: str
-    bit: Optional[int]
-    phase_offset: float   # m, in {0, lambda0/4, lambda0/2, 3*lambda0/4}
-    baseline: float       # m, common additive shifter length
-
-    @property
-    def total_shift(self) -> float:
-        """Full shifter value baseline + offset, m."""
-        return self.baseline + self.phase_offset
-
-
-def phase_for(params: LinkParams, role: str, basis: str,
-              bit: int | None = None, baseline: float = 0.0) -> PhaseChoice:
-    """Table lookup of the encoding/reading offset for one party."""
-    if role not in ROLES:
-        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    if role == "alice":
-        if bit not in (0, 1):
-            raise ValueError("alice requires bit 0 or 1")
-        fraction = _ALICE_OFFSETS[(basis, bit)]
-    else:
-        if bit is not None:
-            raise ValueError("bob does not take a bit")
-        fraction = _BOB_OFFSETS[basis]
-    return PhaseChoice(role=role, basis=basis, bit=bit,
-                       phase_offset=fraction * params.lambda0, baseline=baseline)
 
 
 def g_term_value(derived: DerivedQuantities) -> float:
@@ -196,25 +160,25 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
     is a hard error.
     """
     derived = derive(params, MzConfig(delta_d=baseline, delta_m=baseline))
-    if 2.0 * baseline < 4.0 * x_rho(derived, 1.0):
+    x_1 = x_rho(derived.sigma, 1.0)
+    if 2.0 * baseline < 4.0 * x_1:
         raise InfeasibleDesignError(
             f"baseline {baseline!r} m leaves the three pulses overlapping "
-            f"(2*baseline < 4*X_1 = {4.0 * x_rho(derived, 1.0):.4g} m)")
+            f"(2*baseline < 4*X_1 = {4.0 * x_1:.4g} m)")
     warning = None
     bound = min_phase_sum(params, 3.0)
     if 2.0 * baseline < bound:
         warning = (f"baseline sum {2.0 * baseline:.4g} m is below the rho=3 "
                    f"separation bound {bound:.4g} m")
 
-    settings = [(phase_for(params, "alice", alice_basis, bit, baseline),
-                 phase_for(params, "bob", bob_basis, baseline=baseline))
-                for alice_basis in BASES for bit in (0, 1) for bob_basis in BASES]
+    keys = [(alice_basis, bit, bob_basis)
+            for alice_basis in BASES for bit in (0, 1) for bob_basis in BASES]
+    offsets = [(_ALICE_OFFSETS[alice_basis, bit] * params.lambda0,
+                _BOB_OFFSETS[bob_basis] * params.lambda0) for alice_basis, bit, bob_basis in keys]
     masses = exact_window_masses(
-        params, [MzConfig(delta_d=alice.total_shift, delta_m=bob.total_shift)
-                 for alice, bob in settings], MIDDLE_WINDOW_RHO)
-    rows = tuple(DetectionRow(alice_basis=alice.basis, bit=alice.bit, bob_basis=bob.basis,
-                              phi_d=alice.phase_offset, phi_m=bob.phase_offset,
-                              mass_o=float(mass_o), mass_p=float(mass_p))
-                 for (alice, bob), (mass_o, mass_p) in zip(settings, masses))
+        params, [MzConfig(delta_d=baseline + phi_d, delta_m=baseline + phi_m)
+                 for phi_d, phi_m in offsets], MIDDLE_WINDOW_RHO)
+    rows = tuple(DetectionRow(*key, *offset, mass_o=float(mass_o), mass_p=float(mass_p))
+                 for key, offset, (mass_o, mass_p) in zip(keys, offsets, masses))
     return DetectionTable(rows=rows, baseline=baseline,
                           link_length=params.fiber_length, warning=warning)

@@ -35,8 +35,11 @@ SHIFTERS = ("delta_d_m", "delta_m_m", "delta_c_m")
 EDGES = ("t_rising_ns", "t_falling_ns", "detector_profile")
 
 
-def _common_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """--config, --format, --output and the flags of the RunConfig fields ``names``."""
+def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...],
+                  *names: str) -> None:
+    """--config, --format (one of ``formats``, the first by default), --output
+    and the flags of the RunConfig fields ``names``."""
+    parser.set_defaults(formats=formats)
     parser.add_argument("--config", help="config file path (INI); defaults to $MZQKD_CONFIG")
     groups = {}
     for f in fields(RunConfig):
@@ -45,9 +48,11 @@ def _common_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         section = f.metadata["section"]
         if section not in groups:
             groups[section] = parser.add_argument_group(section)
+        kwargs = f.metadata["argparse"]
+        if f.name == "out_format":
+            kwargs = dict(kwargs, choices=formats)
         groups[section].add_argument(f.metadata["flag"] or "--" + f.name.replace("_", "-"),
-                                     dest=f.name, type=f.metadata["cast"],
-                                     **f.metadata["argparse"])
+                                     dest=f.name, type=f.metadata["cast"], **kwargs)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -216,60 +221,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="visibility, shifter bound, rates, gate window")
-    _common_flags(p, "length_km", *DISPERSION, *EDGES, "rho", "safety_factor")
+    _common_flags(p, ("text", "json"), "length_km", *DISPERSION, *EDGES, "rho",
+                  "safety_factor")
     p.add_argument("--sum-m", dest="sum_m", type=float,
                    help="actual shifter sum for the gate-window bound, m")
-    p.set_defaults(func=cmd_design, formats=("text", "json"))
+    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("sweep", help="design bounds over a fiber-length range")
-    _common_flags(p, *DISPERSION, *EDGES, "rho", "safety_factor")
+    _common_flags(p, ("csv", "svg-plot"), *DISPERSION, *EDGES, "rho", "safety_factor")
     p.add_argument("--l-min-km", type=float, required=True)
     p.add_argument("--l-max-km", type=float, required=True)
     p.add_argument("--steps", type=int, default=46)
     p.add_argument("--quantity", choices=("phase-sum", "rate"), default="phase-sum",
                    help="series for svg-plot output")
-    p.set_defaults(func=cmd_sweep, formats=("csv", "svg-plot"))
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("spectra", help="output position spectra of both exits")
-    _common_flags(p, "length_km", *DISPERSION, "group_index", "t_fiber", "t_leg", *SHIFTERS,
-                  "normalize")
+    _common_flags(p, ("csv", "json", "svg-plot"), "length_km", *DISPERSION, "group_index",
+                  "t_fiber", "t_leg", *SHIFTERS, "normalize")
     p.add_argument("--n-points", type=int, default=4096)
     p.add_argument("--pad-sigmas", type=float, default=6.0)
     p.add_argument("--relative-axis", action="store_true",
                    help="emit x as offset from the middle-pulse center")
-    p.set_defaults(func=cmd_spectra, formats=("csv", "json", "svg-plot"))
+    p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("bb84", help="phase-encoding detection truth table")
-    _common_flags(p, "length_km", *DISPERSION, "rho", "group_index", "t_fiber", "t_leg",
-                  "normalize")
+    _common_flags(p, ("csv", "json"), "length_km", *DISPERSION, "rho", "group_index",
+                  "t_fiber", "t_leg", "normalize")
     p.add_argument("--baseline-m", type=float,
                    help="common shifter baseline; default: half the rho bound, "
                         "rounded up to the next cm")
     p.add_argument("--dump-spectra-dir",
                    help="also write one spectra CSV per table row (the dump alone "
                         "reads --group-index, --t-fiber, --t-leg and --normalize)")
-    p.set_defaults(func=cmd_bb84, formats=("csv", "json"))
+    p.set_defaults(func=cmd_bb84)
 
     p = sub.add_parser("gterm", help="dispersion-correction coefficient over length")
-    _common_flags(p, *DISPERSION, "delta_c_m")
+    _common_flags(p, ("csv",), *DISPERSION, "delta_c_m")
     p.add_argument("--l-min-km", type=float, default=0.05)
     p.add_argument("--l-max-km", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=4001)
-    p.set_defaults(func=cmd_gterm, formats=("csv",))
+    p.set_defaults(func=cmd_gterm)
 
     p = sub.add_parser("compensate", help="dispersion-compensation plan for a clock rate")
-    _common_flags(p, "length_km", *DISPERSION, "rho", "mode", *EDGES, "safety_factor")
+    _common_flags(p, ("text", "json"), "length_km", *DISPERSION, "rho", "mode", *EDGES,
+                  "safety_factor")
     p.add_argument("--clock-ghz", type=float, required=True)
-    p.set_defaults(func=cmd_compensate, formats=("text", "json"))
+    p.set_defaults(func=cmd_compensate)
 
     p = sub.add_parser("oracle-check", help="verify analytic spectra against the "
                                             "wavenumber-domain oracle")
-    _common_flags(p, *DISPERSION, *SHIFTERS)
+    _common_flags(p, ("text",), *DISPERSION, *SHIFTERS)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--l-km", type=float, action="append",
                    help="fiber length to check, km (repeatable; default 0, 1, 50)")
     p.add_argument("--n-points", type=int, default=1024)
-    p.set_defaults(func=cmd_oracle_check, formats=("text",))
+    p.set_defaults(func=cmd_oracle_check)
 
     return parser
 

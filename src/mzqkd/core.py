@@ -59,7 +59,6 @@ class LinkParams:
         convention: "first_principles" evaluates kappa = D*lambda0^2*c0/(4*pi)
             exactly; "calibrated" divides kappa by CALIBRATED_KAPPA_SCALE to
             match the published reference design curves.
-        c0: vacuum speed of light, m/s (fixed constant).
     """
 
     lambda0: float = 1550e-9
@@ -71,11 +70,10 @@ class LinkParams:
     t_fiber: float = 1.0
     t_leg: float = 1.0
     convention: str = "first_principles"
-    c0: float = C0
 
     def __post_init__(self) -> None:
         for name in ("lambda0", "delta_lambda", "dispersion", "group_index",
-                     "fiber_length", "leg_length", "t_fiber", "t_leg", "c0"):
+                     "fiber_length", "leg_length", "t_fiber", "t_leg"):
             _require_finite(name, getattr(self, name))
         if self.lambda0 <= 0:
             raise ValueError("lambda0 must be positive")
@@ -96,8 +94,6 @@ class LinkParams:
                 raise ValueError(f"{name} must lie in (0, 1], got {t!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class DerivedQuantities:
 
 def effective_kappa(params: LinkParams) -> float:
     """Magnitude of the dispersion parameter under the configured convention, m."""
-    kappa = params.dispersion * params.lambda0**2 * params.c0 / (4.0 * math.pi)
+    kappa = params.dispersion * params.lambda0**2 * C0 / (4.0 * math.pi)
     if params.convention == "calibrated":
         kappa /= CALIBRATED_KAPPA_SCALE
     return kappa
@@ -248,16 +244,12 @@ def derive(params: LinkParams, config: MzConfig,
     )
 
 
-def x_rho(derived: DerivedQuantities, rho: float) -> float:
-    """Half width at which the pulse energy falls to exp(-rho^2) of its peak, m.
+def x_rho(sigma, rho: float):
+    """Half width X_rho at which the pulse energy falls to exp(-rho^2) of its peak, m.
 
+    ``sigma`` is the position width of the pulse, a float or a numpy array.
     rho=1 gives the classical 1/e half width; rho=sqrt(ln 2) gives FWHM/2.
     """
-    return half_width(derived.sigma, rho)
-
-
-def half_width(sigma, rho: float):
-    """X_rho of a pulse of position width sigma (a float or a numpy array), m."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho!r}")
     return rho * math.sqrt(2.0) * sigma

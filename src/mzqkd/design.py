@@ -15,9 +15,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import (LinkParams, MzConfig, accumulated_dispersion, broadening, derive,
-                   half_width, x_rho)
+from .core import LinkParams, MzConfig, accumulated_dispersion, broadening, derive, x_rho
 from .errors import InfeasibleDesignError
+from .units import C0
 
 # Denominator of c0/(q * X_rho) per mode: "linear" ignores photon-photon
 # non-linearity (consecutive symbols may interleave exterior pulses),
@@ -49,9 +49,9 @@ class DesignReport:
     actual_phase_sum: Optional[float] = None  # m
 
 
-def pulse_half_width(params: LinkParams, rho: float) -> float:
+def _pulse_half_width(params: LinkParams, rho: float) -> float:
     """X_rho of the broadened pulse at the far end of the link, m."""
-    return x_rho(derive(params, MzConfig()), rho)
+    return x_rho(derive(params, MzConfig()).sigma, rho)
 
 
 def visibility_of_rho(rho: float) -> float:
@@ -73,31 +73,29 @@ def min_phase_sum(params: LinkParams, rho: float,
     An ideal gate needs 4*X_rho; detector edge times extend the bound by
     c0*(t_rising + t_falling).  The safety factor multiplies the whole bound.
     """
-    return _phase_sum_bound(params, pulse_half_width(params, rho),
-                            t_rising, t_falling, safety_factor)
+    return _phase_sum_bound(_pulse_half_width(params, rho), t_rising, t_falling, safety_factor)
 
 
 def max_rate(params: LinkParams, rho: float, mode: str = "linear") -> float:
     """Largest symbol rate without intersymbol overlap, Hz."""
     if mode not in MODE_FACTOR:
         raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
-    return _rate_bound(params, pulse_half_width(params, rho), mode)
+    return _rate_bound(_pulse_half_width(params, rho), mode)
 
 
 # The two bounds as functions of the half width X_rho (a float or a numpy
 # array), shared by the scalar functions above and the length sweep.
 
-def _phase_sum_bound(params: LinkParams, half, t_rising: float, t_falling: float,
-                     safety_factor: float):
+def _phase_sum_bound(half, t_rising: float, t_falling: float, safety_factor: float):
     if t_rising < 0 or t_falling < 0:
         raise ValueError("detector edge times must be non-negative")
     if safety_factor <= 0:
         raise ValueError("safety_factor must be positive")
-    return safety_factor * (4.0 * half + params.c0 * (t_rising + t_falling))
+    return safety_factor * (4.0 * half + C0 * (t_rising + t_falling))
 
 
-def _rate_bound(params: LinkParams, half, mode: str):
-    return params.c0 / (MODE_FACTOR[mode] * half)
+def _rate_bound(half, mode: str):
+    return C0 / (MODE_FACTOR[mode] * half)
 
 
 def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> float:
@@ -109,13 +107,13 @@ def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> floa
     """
     if not math.isfinite(actual_phase_sum):
         raise ValueError(f"actual phase sum must be finite, got {actual_phase_sum!r}")
-    half = pulse_half_width(params, rho)
+    half = _pulse_half_width(params, rho)
     margin = actual_phase_sum - 2.0 * half
     if margin < 0:
         raise InfeasibleDesignError(
             f"phase sum {actual_phase_sum:.6g} m is below 2*X_rho = "
             f"{2.0 * half:.6g} m; the gate window would be negative")
-    return margin / params.c0
+    return margin / C0
 
 
 def build_design_report(params: LinkParams, config: MzConfig, rho: float,
@@ -154,12 +152,12 @@ def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
         raise ValueError("lengths must be finite and non-negative")
     _, sigma = broadening(derive(params, MzConfig()).delta_k,
                           accumulated_dispersion(params, lengths))
-    half = half_width(sigma, rho)
+    half = x_rho(sigma, rho)
     return {
         "length_m": lengths,
-        "min_phase_sum_m": _phase_sum_bound(params, half, config.t_rising, config.t_falling,
+        "min_phase_sum_m": _phase_sum_bound(half, config.t_rising, config.t_falling,
                                             safety_factor),
-        "rate_linear_hz": _rate_bound(params, half, "linear"),
-        "rate_nonlinear_hz": _rate_bound(params, half, "nonlinear"),
-        "rate_general_hz": _rate_bound(params, half, "general"),
+        "rate_linear_hz": _rate_bound(half, "linear"),
+        "rate_nonlinear_hz": _rate_bound(half, "nonlinear"),
+        "rate_general_hz": _rate_bound(half, "general"),
     }

@@ -19,6 +19,7 @@ from .compensation import CompensationPlan
 from .core import LinkParams, MzConfig
 from .design import DesignReport
 from .spectra import SpectrumCurve
+from .units import C0
 
 
 def fmt(value) -> str:
@@ -75,7 +76,7 @@ def params_as_dict(params: LinkParams, config: MzConfig) -> dict:
         "t_fiber": params.t_fiber,
         "t_leg": params.t_leg,
         "convention": params.convention,
-        "c0_m_per_s": params.c0,
+        "c0_m_per_s": C0,
         "delta_d_m": config.delta_d,
         "delta_m_m": config.delta_m,
         "delta_c_m": config.delta_c,
@@ -162,7 +163,7 @@ def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
                relative_axis: bool = False) -> str:
     x, yo, yp = curve_arrays(curve, normalize, relative_axis)
     payload = {
-        "config_si": params_as_dict(curve.params, curve.config),
+        "config_si": params_as_dict(curve.derived.params, curve.derived.config),
         "derived": {
             "delta_k_per_m": curve.derived.delta_k,
             "kappa_m": curve.derived.kappa,
@@ -237,6 +238,9 @@ def plan_json(plan: CompensationPlan, params: LinkParams) -> str:
         "phase_sum_requirement_m": plan.phase_sum_requirement,
         "rho": plan.rho,
         "mode": plan.mode,
+        "safety_factor": plan.safety_factor,
+        "t_rising_s": plan.t_rising,
+        "t_falling_s": plan.t_falling,
         "convention": params.convention,
     }
     return to_json(payload)
@@ -259,12 +263,11 @@ def plan_text(plan: CompensationPlan) -> str:
 # -------------------------------------------------------------------- svg
 
 def svg_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
-                   x_label: str, y_label: str,
-                   width: int = 640, height: int = 420) -> str:
-    """Minimal deterministic line chart; one polyline per named series."""
+                   x_label: str, y_label: str) -> str:
+    """Minimal deterministic 640 x 420 line chart; one polyline per named series."""
     if not series:
         raise ValueError("chart needs at least one series")
-    margin = 60
+    width, height, margin = 640, 420, 60
     inner_w, inner_h = width - 2 * margin, height - 2 * margin
     x_min = min(float(np.min(x)) for _, x, _ in series)
     x_max = max(float(np.max(x)) for _, x, _ in series)

@@ -39,7 +39,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, PrecompMultiplier, derive,
-                   half_width)
+                   x_rho)
 from .errors import ResolutionError, VerificationError
 
 # Cross-term ordering and the interference sign of each output.  Exit o takes
@@ -88,15 +88,14 @@ class SpectrumCurve:
 
     The grid is stored as offsets from the window center (the middle-pulse
     center, m); ``x`` adds the center back for callers that want absolute
-    positions.  ``derived`` includes any compensating element, so the window
-    center and the width are those of the pulse that was evaluated.
+    positions.  ``derived`` carries the link and interferometer inputs and
+    includes any compensating element, so the window center and the width
+    are those of the pulse that was evaluated.
     """
 
     x_relative: np.ndarray
     intensity_o: np.ndarray
     intensity_p: np.ndarray
-    params: LinkParams
-    config: MzConfig
     derived: DerivedQuantities = field(repr=False)
     checks: Optional[dict] = None
 
@@ -284,8 +283,7 @@ def eval_analytic(params: LinkParams, config: MzConfig,
                         for block in blocks], axis=1),
         "intensity")
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
-                         intensity_p=intensity_p, params=params, config=config,
-                         derived=d)
+                         intensity_p=intensity_p, derived=d)
 
 
 def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
@@ -363,6 +361,10 @@ def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
 
 # Largest working set the oracle may hold, bytes, as counted by _oracle_bytes.
 ORACLE_BUDGET_BYTES = 160 << 20
+
+# The oracle's wavenumber samples span +-K_SPAN_SIGMAS input widths delta_k
+# around k0, where the input amplitude has fallen to exp(-25) of its peak.
+K_SPAN_SIGMAS = 10.0
 
 
 def _oracle_bytes(n_k: int, m: int) -> int:
@@ -483,8 +485,7 @@ def _transfer_rows(params: LinkParams, config: MzConfig, d: DerivedQuantities,
 def eval_oracle(params: LinkParams, config: MzConfig,
                 grid: GridSpec | None = None, *,
                 precomp: PrecompMultiplier | None = None,
-                placement: str = "pre",
-                k_span_sigmas: float = 10.0) -> SpectrumCurve:
+                placement: str = "pre") -> SpectrumCurve:
     """Numeric propagation through the wavenumber-domain transfer function.
 
     Builds the product of the input Gaussian spectrum, the fiber's linear and
@@ -511,7 +512,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
 
     dk = d.delta_k
     t_cp = precomp.t_cp if precomp is not None else 1.0
-    k_span = k_span_sigmas * dk
+    k_span = K_SPAN_SIGMAS * dk
     max_off = max(abs(float(offset[end]) - mu) for end in (0, -1) for mu in rel_mu.values())
     n_k, m = _oracle_n_k(k_span, max_off + 2.0 * abs(d.delta1) * k_span, step,
                          offset.size)
@@ -523,8 +524,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     norm_in = _trapz(alpha_in**2, dx=du)
     if abs(norm_in - 1.0) > 1e-8:
         raise ResolutionError(
-            f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8; "
-            "raise k_span_sigmas")
+            f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8")
 
     rows = _transfer_rows(params, config, d, u, alpha_in, precomp, float(offset[0]))
 
@@ -550,8 +550,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         "fold_length": m,
     }
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
-                         intensity_p=intensity_p, params=params, config=config,
-                         derived=d, checks=checks)
+                         intensity_p=intensity_p, derived=d, checks=checks)
 
 
 def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float, float]:
@@ -561,7 +560,7 @@ def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float
     and the center halfway between the two middle-component means.  Raises
     ValueError when the window is not fully inside the sampled grid.
     """
-    half = half_width(curve.sigma, rho_window)
+    half = x_rho(curve.sigma, rho_window)
     offset = curve.x_relative
     if -half < offset[0] or half > offset[-1]:
         raise ValueError("integration window exceeds the sampled grid")
@@ -574,12 +573,6 @@ def _window_mass(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
     xs = np.concatenate(([lo], x[inside], [hi]))
     ys = np.concatenate(([np.interp(lo, x, y)], y[inside], [np.interp(hi, x, y)]))
     return float(_trapz(ys, xs))
-
-
-def total_mass(curve: SpectrumCurve) -> tuple[float, float]:
-    """Trapezoid-integrated mass of each exit over the whole grid."""
-    return (float(_trapz(curve.intensity_o, curve.x_relative)),
-            float(_trapz(curve.intensity_p, curve.x_relative)))
 
 
 def max_normalized_deviation(a: SpectrumCurve, b: SpectrumCurve) -> float:

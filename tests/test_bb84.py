@@ -5,43 +5,42 @@ import numpy as np
 import pytest
 
 from mzqkd.bb84 import (MIDDLE_WINDOW_RHO, default_baseline, detection_table,
-                        g_term_analysis, g_term_value, phase_for, z_difference)
+                        g_term_analysis, g_term_value, z_difference)
 from mzqkd.core import LinkParams, MzConfig, derive, x_rho
 from mzqkd.errors import InfeasibleDesignError
-from mzqkd.spectra import component_terms
+from mzqkd.spectra import component_terms, exact_window_masses
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 LAM = CAL_50KM.lambda0
 
 
 class TestPhaseTables:
+    """The offsets as the truth table's rows carry them."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return detection_table(CAL_50KM, default_baseline(CAL_50KM))
+
     @pytest.mark.parametrize("basis,bit,fraction", [
         ("X", 0, 0.0), ("X", 1, 0.5), ("Z", 0, 0.25), ("Z", 1, 0.75),
     ])
-    def test_alice_offsets(self, basis, bit, fraction):
-        choice = phase_for(CAL_50KM, "alice", basis, bit)
-        assert choice.phase_offset == pytest.approx(fraction * LAM, rel=1e-15)
+    def test_alice_offsets(self, table, basis, bit, fraction):
+        for bob_basis in ("X", "Z"):
+            row = table.row(basis, bit, bob_basis)
+            assert row.phi_d == pytest.approx(fraction * LAM, rel=1e-15)
 
     @pytest.mark.parametrize("basis,fraction", [("X", 0.0), ("Z", 0.25)])
-    def test_bob_offsets(self, basis, fraction):
-        choice = phase_for(CAL_50KM, "bob", basis)
-        assert choice.phase_offset == pytest.approx(fraction * LAM, rel=1e-15)
+    def test_bob_offsets(self, table, basis, fraction):
+        for alice_basis in ("X", "Z"):
+            for bit in (0, 1):
+                row = table.row(alice_basis, bit, basis)
+                assert row.phi_m == pytest.approx(fraction * LAM, rel=1e-15)
 
     def test_total_shift_includes_baseline(self):
-        choice = phase_for(CAL_50KM, "alice", "Z", 1, baseline=0.25)
-        assert choice.total_shift == pytest.approx(0.25 + 0.75 * LAM, rel=1e-15)
-
-    def test_invalid_combinations(self):
-        with pytest.raises(ValueError):
-            phase_for(CAL_50KM, "alice", "X")          # missing bit
-        with pytest.raises(ValueError):
-            phase_for(CAL_50KM, "alice", "X", 2)       # bad bit
-        with pytest.raises(ValueError):
-            phase_for(CAL_50KM, "bob", "X", 0)         # bob takes no bit
-        with pytest.raises(ValueError):
-            phase_for(CAL_50KM, "alice", "Y", 0)       # unknown basis
-        with pytest.raises(ValueError):
-            phase_for(CAL_50KM, "eve", "X", 0)         # unknown role
+        row = detection_table(CAL_50KM, 0.25).row("Z", 1, "Z")
+        config = MzConfig(delta_d=0.25 + 0.75 * LAM, delta_m=0.25 + 0.25 * LAM)
+        [(mass_o, mass_p)] = exact_window_masses(CAL_50KM, [config], MIDDLE_WINDOW_RHO)
+        assert (row.mass_o, row.mass_p) == pytest.approx((mass_o, mass_p), rel=1e-14)
 
 
 class TestZDifference:
@@ -156,7 +155,7 @@ def gauss_legendre_masses(params, config, rho_window, panels=256, nodes=64):
     many nodes per period at every length tested.
     """
     terms = component_terms(params, config)
-    half = x_rho(derive(params, config), rho_window)
+    half = x_rho(derive(params, config).sigma, rho_window)
     t, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(-half, half, panels + 1)
     center, scale = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)

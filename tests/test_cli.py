@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -76,9 +77,10 @@ class TestDesign:
         assert "infeasible" in err
 
     def test_unsupported_format_exits_2(self, capsys):
-        code, _, err = run(capsys, "design", "--format", "csv")
-        assert code == 2
-        assert "format" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_detector_profile(self, capsys):
         code_ideal, out_ideal, _ = run(capsys, "design", *CAL)
@@ -230,6 +232,19 @@ class TestCompensateCommand:
         assert code == 0
         assert plan["phase_sum_requirement_m"] == pytest.approx(
             json.loads(out)["report"]["min_phase_sum_m"], rel=1e-12)
+
+    def test_json_records_the_inputs_of_the_requirement(self, capsys):
+        plans = []
+        for factor in ("1", "2"):
+            code, out, _ = run(capsys, "compensate", "--length-km", "405", "--clock-ghz", "2.5",
+                               "--t-rising-ns", "4", "--safety-factor", factor,
+                               "--format", "json")
+            assert code == 0
+            plans.append(json.loads(out))
+        inputs = [(p["rho"], p["mode"], p["safety_factor"], p["t_rising_s"], p["t_falling_s"])
+                  for p in plans]
+        assert inputs == [(3.0, "linear", 1.0, 4e-9, 0.0), (3.0, "linear", 2.0, 4e-9, 0.0)]
+        assert plans[0]["phase_sum_requirement_m"] != plans[1]["phase_sum_requirement_m"]
 
     def test_infeasible_clock_exits_3(self, capsys):
         code, _, err = run(capsys, "compensate", "--length-km", "405",
@@ -418,6 +433,14 @@ format = json
         assert code == 2
         assert "not found" in err
 
+    def test_format_of_another_command_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[output]\nformat = json\n")
+        code, out, err = run(capsys, "gterm", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "output.format: 'json' not supported" in err
+
     @pytest.mark.parametrize("section, key", [("output", "normalize"),
                                               ("link", "convention")])
     def test_value_outside_choices_exits_2(self, capsys, tmp_path, section, key):
@@ -510,6 +533,19 @@ class TestFlagsPerCommand:
         changed = self.outputs(capsys, tmp_path / "changed", [*argv, *other])
         assert base[0] == changed[0] == 0
         assert base[1:] != changed[1:]
+
+
+    FORMATS = {"design": "text,json", "sweep": "csv,svg-plot", "spectra": "csv,json,svg-plot",
+               "bb84": "csv,json", "gterm": "csv", "compensate": "text,json",
+               "oracle-check": "text"}
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_only_the_command_formats(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"--format \{([^}]*)\}", capsys.readouterr().out)
+        assert listed == [self.FORMATS[command]] * 2  # usage line and option list
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,22 +56,27 @@ class TestGoldenValues:
 class TestXRho:
     def test_one_over_e_half_width(self):
         d = default_derived()
-        assert x_rho(d, 1.0) == pytest.approx(math.sqrt(2.0) * d.sigma, rel=1e-15)
+        assert x_rho(d.sigma, 1.0) == pytest.approx(math.sqrt(2.0) * d.sigma, rel=1e-15)
 
     def test_sqrt_ln2_gives_half_fwhm(self):
         d = default_derived()
-        assert x_rho(d, math.sqrt(math.log(2.0))) == pytest.approx(d.fwhm / 2.0, rel=1e-14)
+        assert x_rho(d.sigma, math.sqrt(math.log(2.0))) == pytest.approx(d.fwhm / 2.0,
+                                                                          rel=1e-14)
 
     def test_gamma_one_closed_form(self):
         d = default_derived(fiber_length=0.0, leg_length=0.0)
         # 3*sqrt(2)/(2*delta_k) from the 40-digit reference
-        assert x_rho(d, 3.0) == pytest.approx(0.0026165442938315894, rel=1e-14)
+        assert x_rho(d.sigma, 3.0) == pytest.approx(0.0026165442938315894, rel=1e-14)
 
     def test_rejects_non_positive_rho(self):
         d = default_derived()
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
-                x_rho(d, bad)
+                x_rho(d.sigma, bad)
+
+    def test_array_of_widths_matches_scalars(self):
+        sigmas = [default_derived(fiber_length=length).sigma for length in (0.0, 50e3, 500e3)]
+        assert list(x_rho(np.array(sigmas), 3.0)) == [x_rho(s, 3.0) for s in sigmas]
 
 
 link_params = st.builds(
@@ -109,7 +115,7 @@ class TestDerivedProperties:
     @given(link_params, mz_configs, st.floats(0.1, 5.0))
     def test_x_rho_linearity(self, params, config, rho):
         d = derive(params, config)
-        assert x_rho(d, 2.0 * rho) == 2.0 * x_rho(d, rho)
+        assert x_rho(d.sigma, 2.0 * rho) == 2.0 * x_rho(d.sigma, rho)
 
     @given(link_params, mz_configs)
     def test_mu_ordering_and_differences(self, params, config):

@@ -114,13 +114,13 @@ class TestGateWindow:
     def test_boundary_is_zero(self):
         params = LinkParams()
         d = derive(params, MzConfig())
-        boundary = 2.0 * x_rho(d, 3.0)
+        boundary = 2.0 * x_rho(d.sigma, 3.0)
         assert gate_window(boundary, params, 3.0) == 0.0
 
     def test_linearity_in_margin(self):
         params = LinkParams()
         d = derive(params, MzConfig())
-        two_x = 2.0 * x_rho(d, 3.0)
+        two_x = 2.0 * x_rho(d.sigma, 3.0)
         w1 = gate_window(two_x + 0.1, params, 3.0)
         w2 = gate_window(two_x + 0.2, params, 3.0)
         assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
@@ -129,7 +129,7 @@ class TestGateWindow:
         params = LinkParams()
         d = derive(params, MzConfig())
         window = gate_window(min_phase_sum(params, 3.0), params, 3.0)
-        assert window == pytest.approx(2.0 * x_rho(d, 3.0) / C0, rel=1e-12)
+        assert window == pytest.approx(2.0 * x_rho(d.sigma, 3.0) / C0, rel=1e-12)
 
     def test_calibrated_reference_window(self):
         params = LinkParams(fiber_length=50e3, convention="calibrated")

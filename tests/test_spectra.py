@@ -9,17 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from mzqkd import spectra
 from mzqkd.bb84 import MIDDLE_WINDOW_RHO, default_baseline, detection_table
-from mzqkd.compensation import DcfParams, precompensate_input
 from mzqkd.core import (LinkParams, MzConfig, PAIRS, PrecompMultiplier, broadening, derive,
                         x_rho)
 from mzqkd.errors import ResolutionError
 from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec, component_terms,
                            eval_analytic, eval_oracle, exact_window_masses,
-                           max_normalized_deviation, middle_window_masses, total_mass)
+                           max_normalized_deviation, middle_window_masses)
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
 WINDOW_RHO = 3.0 / math.sqrt(2.0)  # half-width of 3 sigma
+
+
+def total_mass(curve):
+    """Trapezoid-integrated mass of each exit over the whole grid."""
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    return (float(trapz(curve.intensity_o, curve.x_relative)),
+            float(trapz(curve.intensity_p, curve.x_relative)))
 
 
 def dense_intensity(coeffs, n_x, m):
@@ -83,8 +89,8 @@ def compensated(length_m, fraction, **link):
     """
     params = LinkParams(fiber_length=length_m, **link)
     l_cp = fraction * length_m
-    multiplier = precompensate_input(
-        params, DcfParams(kappa_cp=derive(params, MzConfig()).kappa, l_cp=l_cp))
+    multiplier = PrecompMultiplier(a_cp=params.group_index * l_cp,
+                                   b_cp=derive(params, MzConfig()).kappa * l_cp)
     return params, multiplier, replace(params, fiber_length=length_m - l_cp)
 
 
@@ -270,7 +276,7 @@ def mp_intensities(curve, offsets):
     component mean is offset + (d_cm + d_dc)/2 - d_pair, and the phase
     differences come from the raw phases at center + offset.
     """
-    d, p, cfg = curve.derived, curve.params, curve.config
+    d, p, cfg = curve.derived, curve.derived.params, curve.derived.config
     with mpmath.workdps(50):
         dk, g, t = (mpmath.mpf(v) for v in (d.delta_k, d.gamma, p.t_leg))
         middle = (2 * mpmath.mpf(cfg.delta_c) + mpmath.mpf(cfg.delta_d)
@@ -337,10 +343,11 @@ class TestOracleAgreement:
                                              eval_oracle(params, config, grid))
         assert deviation < 1e-6
 
-    def test_oracle_norm_self_check(self):
+    def test_oracle_norm_self_check(self, monkeypatch):
+        monkeypatch.setattr(spectra, "K_SPAN_SIGMAS", 2.0)
         with pytest.raises(ResolutionError):
             eval_oracle(LinkParams(fiber_length=0.0), MzConfig(delta_d=0.01, delta_m=0.01),
-                        GridSpec(n_points=128), k_span_sigmas=2.0)
+                        GridSpec(n_points=128))
 
     @pytest.mark.parametrize("params, config, grid", [
         (LinkParams(fiber_length=0.0), MzConfig(delta_d=0.02, delta_m=0.02),
@@ -529,7 +536,7 @@ class TestOracleProperty:
         params, multiplier, active = compensated(
             length_km * 1e3, compensated_fraction, convention=convention,
             t_fiber=t_fiber, t_leg=t_leg)
-        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(active, MzConfig()), 1.0)
+        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(active, MzConfig()).sigma, 1.0)
         config = MzConfig(delta_d=split * shifter_sum, delta_m=(1.0 - split) * shifter_sum)
         grid = GridSpec(n_points=512)
         oracle = eval_oracle(params, config, grid, precomp=multiplier)
@@ -538,7 +545,7 @@ class TestOracleProperty:
 
     @pytest.mark.parametrize("params, sum_over_2x1, delta_c, resolves", DOMAIN_CASES)
     def test_named_inputs(self, params, sum_over_2x1, delta_c, resolves):
-        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(params, MzConfig()), 1.0)
+        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(params, MzConfig()).sigma, 1.0)
         config = MzConfig(delta_d=0.55 * shifter_sum, delta_m=0.45 * shifter_sum,
                           delta_c=delta_c)
         grid = GridSpec(n_points=1024)
