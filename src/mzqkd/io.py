@@ -64,24 +64,21 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def params_as_dict(params: LinkParams, config: MzConfig) -> dict:
-    """Resolved SI-unit inputs, embedded into JSON outputs for reproducibility."""
+def link_as_dict(params: LinkParams) -> dict:
+    """The SI-unit link inputs that every command with JSON output reads.
+
+    Each JSON output embeds these plus the settings of its own command, for
+    reproducibility; a setting the command does not read is left out, so
+    that the output does not change with it.
+    """
     return {
         "lambda0_m": params.lambda0,
         "delta_lambda_m": params.delta_lambda,
         "dispersion_s_per_m2": params.dispersion,
-        "group_index": params.group_index,
         "fiber_length_m": params.fiber_length,
         "leg_length_m": params.leg_length,
-        "t_fiber": params.t_fiber,
-        "t_leg": params.t_leg,
         "convention": params.convention,
         "c0_m_per_s": C0,
-        "delta_d_m": config.delta_d,
-        "delta_m_m": config.delta_m,
-        "delta_c_m": config.delta_c,
-        "t_rising_s": config.t_rising,
-        "t_falling_s": config.t_falling,
     }
 
 
@@ -112,7 +109,8 @@ def design_report_text(report: DesignReport) -> str:
 def design_report_json(report: DesignReport, params: LinkParams,
                        config: MzConfig) -> str:
     payload = {
-        "config_si": params_as_dict(params, config),
+        "config_si": {**link_as_dict(params),
+                      "t_rising_s": config.t_rising, "t_falling_s": config.t_falling},
         "report": {
             "rho": report.rho,
             "visibility": report.visibility,
@@ -162,8 +160,15 @@ def curve_csv(curve: SpectrumCurve, normalize: str = "absolute",
 def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
                relative_axis: bool = False) -> str:
     x, yo, yp = curve_arrays(curve, normalize, relative_axis)
+    params, config = curve.derived.params, curve.derived.config
     payload = {
-        "config_si": params_as_dict(curve.derived.params, curve.derived.config),
+        "config_si": {**link_as_dict(params),
+                      "group_index": params.group_index,
+                      "t_fiber": params.t_fiber,
+                      "t_leg": params.t_leg,
+                      "delta_d_m": config.delta_d,
+                      "delta_m_m": config.delta_m,
+                      "delta_c_m": config.delta_c},
         "derived": {
             "delta_k_per_m": curve.derived.delta_k,
             "kappa_m": curve.derived.kappa,

@@ -14,9 +14,12 @@ setup, times the Gaussian input spectrum, as one small phase polynomial and
 two shifter factors, and inverse-transforms to position space: the trapezoid
 quadrature over a uniform wavenumber grid whose step is commensurate with the
 position grid's, so the samples fold into the bins of one short inverse FFT
-(the DFT aliasing identity).  The two must agree to high precision; the
-oracle is the verification reference for the analytic route and for
-compensation studies.
+(the DFT aliasing identity).  The wavenumber axis is symmetric, so the even
+factors (input spectrum and fiber chirp) are evaluated on half of it and
+mirrored, and each linear phase is the outer product of two tables of about
+sqrt(n_k) phasors: no cosine or sine is taken on the whole axis.  The two
+routes must agree to high precision; the oracle is the verification
+reference for the analytic route and for compensation studies.
 
 Position bookkeeping: intensities are probability densities over the
 vacuum-equivalent propagation distance x.  At telecom lengths x is hundreds
@@ -371,12 +374,12 @@ def _oracle_bytes(n_k: int, m: int) -> int:
     """Bytes the oracle holds at its peak for n_k samples folded into m bins.
 
     At most eight complex128 arrays of length n_k are live at once.  While the
-    transfer-function rows are built: the wavenumber axis, the input spectrum
-    and its scaled copy (float64, 1.5 arrays' worth), the common factor, up to
-    three shifter factors or their difference and the two rows.  While they
-    are transformed: the axis and the spectrum, the rows and their padded
-    copy.  The padding, the folded rows, their inverse FFT and its scratch add
-    at most eight of length m.
+    transfer-function rows are built: the wavenumber axis and the input
+    spectrum (float64, one array's worth), the even factor's first half, the
+    common factor, one linear phasor or up to two shifter factors with their
+    difference, and the two rows.  While they are transformed: the axis and
+    the spectrum, the rows and one row's power (float64).  The folded rows,
+    their inverse FFT and its scratch add at most eight of length m.
     """
     return 16 * 8 * (n_k + m)
 
@@ -417,6 +420,13 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _power(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as real^2 + imag^2, without the hypot of ``abs``."""
+    power = np.square(z.real)
+    power += np.square(z.imag)
+    return power
+
+
 def _folded_intensity(coeffs: np.ndarray, n_x: int, m: int) -> np.ndarray:
     """|sum_n coeffs[r, n] exp(i u_n j h)|^2 for j < n_x, for each row r.
 
@@ -424,15 +434,16 @@ def _folded_intensity(coeffs: np.ndarray, n_x: int, m: int) -> np.ndarray:
     n du with du h m = 2 pi for an integer m >= n_x.  Then exp(i u_n j h) =
     exp(i u_0 j h) exp(2 pi i n j / m): the first factor has unit modulus and
     drops out of the intensity, and the second is periodic in n with period m.
-    So the coefficients are summed into m bins by n mod m, and one inverse FFT
-    of length m gives the sums at every grid point (the DFT aliasing identity):
-    the dense quadrature, re-associated.
+    So the coefficients are summed into m bins by n mod m, and one unscaled
+    inverse FFT of length m gives the sums at every grid point (the DFT
+    aliasing identity): the dense quadrature, re-associated.  The whole folds
+    are summed through a view; the partial last one adds into the first bins.
     """
     n_rows, n_k = coeffs.shape
-    folded = np.zeros((n_rows, -(-n_k // m) * m), dtype=complex)
-    folded[:, :n_k] = coeffs
-    sums = np.fft.ifft(folded.reshape(n_rows, -1, m).sum(axis=1), axis=-1)[:, :n_x]
-    return m * m * np.abs(sums) ** 2
+    whole = n_k - n_k % m
+    folded = coeffs[:, :whole].reshape(n_rows, -1, m).sum(axis=1)
+    folded[:, :n_k - whole] += coeffs[:, whole:]
+    return _power(np.fft.ifft(folded, axis=-1, norm="forward")[:, :n_x])
 
 
 def _unit_phasor(theta: np.ndarray) -> np.ndarray:
@@ -443,18 +454,51 @@ def _unit_phasor(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifter_factor(delta: float, k0: float, u: np.ndarray):
+def _linear_phasor(slope: float, du: float, n_k: int, factor: complex = 1.0) -> np.ndarray:
+    """factor exp(i slope u_n) on the oracle's axis u_n = (n - c) du, c = (n_k - 1)/2.
+
+    With n = b w + j and w = ceil(sqrt(n_k)), slope u_n = slope du (b w - c) +
+    slope du j, so the n_k phasors are the outer product of two tables of
+    about sqrt(n_k) entries: 2 sqrt(n_k) cosines and sines and one complex
+    product per sample.  ``du`` must be the step the axis was built from: a
+    step recovered as u[1] - u[0] carries the rounding of u[0], which the
+    table multiplies by up to n_k.
+    """
+    width = math.isqrt(n_k - 1) + 1
+    blocks = _unit_phasor(slope * du * (np.arange(0, n_k, width) - 0.5 * (n_k - 1)))
+    blocks *= factor
+    within = _unit_phasor(slope * du * np.arange(width))
+    # into an array of exactly n_k samples, so the allocator reuses the
+    # oracle's other arrays' memory: whole blocks, then the partial last one
+    out = np.empty(n_k, dtype=complex)
+    whole = n_k - n_k % width
+    np.multiply(blocks[:whole // width, None], within, out=out[:whole].reshape(-1, width))
+    np.multiply(blocks[-1], within[:n_k - whole], out=out[whole:])
+    return out
+
+
+def _mirrored(half: np.ndarray, n_k: int) -> np.ndarray:
+    """An even function of u on all n_k samples, from its first ceil(n_k/2).
+
+    The axis is symmetric to the bit, u[n_k - 1 - n] == -u[n], so the second
+    half is the first one reversed, without its middle sample when n_k is odd.
+    """
+    out = np.empty(n_k, dtype=half.dtype)
+    out[:half.size] = half
+    out[half.size:] = half[:n_k - half.size][::-1]
+    return out
+
+
+def _shifter_factor(delta: float, k0: float, du: float, n_k: int):
     """exp(-i (k0 + u) delta), or 1 for a zero shifter; exp(-i k0 delta) is one scalar."""
     if delta == 0.0:
         return 1.0
-    factor = _unit_phasor(-delta * u)
-    factor *= np.exp(-1j * k0 * delta)
-    return factor
+    return _linear_phasor(-delta, du, n_k, np.exp(-1j * k0 * delta))
 
 
 def _transfer_rows(params: LinkParams, config: MzConfig, d: DerivedQuantities,
-                   u: np.ndarray, alpha_in: np.ndarray, precomp: PrecompMultiplier | None,
-                   start: float) -> np.ndarray:
+                   u: np.ndarray, du: float, alpha_in: np.ndarray,
+                   precomp: PrecompMultiplier | None, start: float) -> np.ndarray:
     """Exits o and p at the wavenumbers k0 + u, times input and carrier, shape (2, n_k).
 
     The input spectrum, the fiber, both interferometers' legs, the optional
@@ -467,15 +511,22 @@ def _transfer_rows(params: LinkParams, config: MzConfig, d: DerivedQuantities,
         t_leg sqrt(t_cp) alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
         phi = -delta1 u^2 + u (mid + start),   E_x = exp(-i k0 delta_x) exp(-i u delta_x).
 
-    Constant phases of psi are dropped; no phase of 1e7 rad is formed.
+    Constant phases of psi are dropped; no phase of 1e7 rad is formed.  The
+    even factor alpha_in exp(-i delta1 u^2) is evaluated on the first half of
+    the symmetric axis and mirrored (``_mirrored``); each linear phase is the
+    outer product of two short tables on the axis step ``du``
+    (``_linear_phasor``).  No cosine or sine is taken on the whole axis.
     """
-    scale = params.t_leg * math.sqrt(precomp.t_cp if precomp else 1.0) * alpha_in
-    common = _unit_phasor(u * (_middle_sum(config) + start - d.delta1 * u))
-    common *= scale
-    e_c = _shifter_factor(config.delta_c, d.k0, u)
-    common *= _shifter_factor(config.delta_d, d.k0, u) - e_c
-    e_m = _shifter_factor(config.delta_m, d.k0, u)
-    rows = np.empty((2, u.size), dtype=complex)
+    n_k = u.size
+    even = _unit_phasor(-d.delta1 * u[:(n_k + 1) // 2] ** 2)
+    even *= alpha_in[:even.size]
+    common = _mirrored(even, n_k)
+    scale = params.t_leg * math.sqrt(precomp.t_cp if precomp else 1.0)
+    common *= _linear_phasor(_middle_sum(config) + start, du, n_k, scale)
+    e_c = _shifter_factor(config.delta_c, d.k0, du, n_k)
+    common *= _shifter_factor(config.delta_d, d.k0, du, n_k) - e_c
+    e_m = _shifter_factor(config.delta_m, d.k0, du, n_k)
+    rows = np.empty((2, n_k), dtype=complex)
     np.subtract(e_m, e_c, out=rows[0])
     np.add(e_m, e_c, out=rows[1])
     rows *= common
@@ -519,26 +570,28 @@ def eval_oracle(params: LinkParams, config: MzConfig,
 
     du = 2.0 * math.pi / (m * step)
     u = (np.arange(n_k) - 0.5 * (n_k - 1)) * du
-    alpha_in = (2.0 * math.pi * dk**2) ** -0.25 * np.exp(-u**2 / (4.0 * dk**2))
+    half = u[:(n_k + 1) // 2]
+    alpha_in = _mirrored((2.0 * math.pi * dk**2) ** -0.25 * np.exp(-half**2 / (4.0 * dk**2)),
+                         n_k)
 
     norm_in = _trapz(alpha_in**2, dx=du)
     if abs(norm_in - 1.0) > 1e-8:
         raise ResolutionError(
             f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8")
 
-    rows = _transfer_rows(params, config, d, u, alpha_in, precomp, float(offset[0]))
+    rows = _transfer_rows(params, config, d, u, du, alpha_in, precomp, float(offset[0]))
 
     # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
     # space plus the share that left through the first interferometer's
     # unused exit.
-    mass_scale = 0.0625 * params.t_fiber
-    mass_o = mass_scale * float(_trapz(np.abs(rows[0]) ** 2, dx=du))
-    mass_p = mass_scale * float(_trapz(np.abs(rows[1]) ** 2, dx=du))
+    mass_o, mass_p = (0.0625 * params.t_fiber * float(_trapz(_power(row), dx=du))
+                      for row in rows)
 
-    # trapezoid weights times the transform's normalization
-    rows *= 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
+    # trapezoid end weights; the constant weight and the transform's
+    # normalization scale the folded intensity
     rows[:, [0, -1]] *= 0.5
-    intensity_o, intensity_p = _folded_intensity(rows, offset.size, m)
+    weight = 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
+    intensity_o, intensity_p = _folded_intensity(rows, offset.size, m) * weight**2
 
     checks = {
         "norm_in": float(norm_in),

@@ -414,6 +414,20 @@ format = json
         assert code == 0
         assert json.loads(out)["config_si"]["fiber_length_m"] == 75e3
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["design", *CAL], "delta_d_m = 0.3"),
+        (["spectra", *CAL, "--n-points", "64"], "t_rising_ns = 0.2"),
+    ], ids=["design", "spectra"])
+    def test_json_records_only_settings_read(self, capsys, tmp_path, argv, unread):
+        # config_si embeds the settings the command reads, so a file value of
+        # any other setting leaves the output byte-identical
+        path = tmp_path / "run.ini"
+        path.write_text(f"[interferometer]\n{unread}\n")
+        _, plain, _ = run(capsys, *argv, "--format", "json")
+        code, with_file, _ = run(capsys, *argv, "--format", "json", "--config", str(path))
+        assert code == 0
+        assert with_file == plain
+
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[link]\nwarp_factor = 9\n")

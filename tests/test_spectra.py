@@ -81,6 +81,49 @@ def reference_transfer_rows(params, config, d, u, precomp, placement):
     return np.array([e_m - e_c, e_m + e_c]) * common
 
 
+def spied_rows(monkeypatch, params, config, grid, kwargs):
+    """The arguments and the result of the first ``_transfer_rows`` call of an oracle run."""
+    built = []
+    factored = spectra._transfer_rows
+
+    def spy(*args):
+        rows = factored(*args)
+        built.append((args, rows.copy()))
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_transfer_rows", spy)
+        eval_oracle(params, config, grid, **kwargs)
+    return built[0]
+
+
+def mp_factored_rows(params, config, d, u, precomp, start):
+    """Exits o and p of ``_transfer_rows``'s factored form at one wavenumber u, 50 digits.
+
+        t_leg sqrt(t_cp) alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
+        phi = -delta1 u^2 + u (mid + start),   E_x = exp(-i k0 delta_x) exp(-i u delta_x),
+
+    with alpha_in the Gaussian input spectrum.  The float64 inputs are taken
+    as exact, u among them.  Each shifter's constant phase k0 delta_x is
+    taken as the float64 product the code forms: its rounding, up to 2e-10
+    rad at 0.7 m, is one fixed phase per shifter, the same at every u.
+    """
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        u, dk = mpf(u), mpf(d.delta_k)
+        mid = (2 * mpf(config.delta_c) + mpf(config.delta_d) + mpf(config.delta_m)) / 2
+        alpha_in = (2 * mpmath.pi * dk**2) ** mpf(-0.25) * mpmath.exp(-u**2 / (4 * dk**2))
+        scale = mpf(params.t_leg) * mpmath.sqrt(mpf(precomp.t_cp if precomp else 1.0))
+        common = scale * alpha_in * mpmath.expj(-mpf(d.delta1) * u**2 + u * (mid + mpf(start)))
+
+        def e(delta):
+            return mpmath.expj(-mpf(d.k0 * delta)) * mpmath.expj(-u * mpf(delta))
+
+        common *= e(config.delta_d) - e(config.delta_c)
+        return (complex(common * (e(config.delta_m) - e(config.delta_c))),
+                complex(common * (e(config.delta_m) + e(config.delta_c))))
+
+
 def compensated(length_m, fraction, **link):
     """Link with a fraction of its fiber dispersion cancelled before it.
 
@@ -470,17 +513,8 @@ class TestFoldedTransform:
         for placement in ("pre", "post", "symmetric")
     ])
     def test_factored_rows_match_reference(self, monkeypatch, params, config, grid, kwargs):
-        built = []
-        factored = spectra._transfer_rows
-
-        def spy(*args):
-            rows = factored(*args)
-            built.append((args, rows.copy()))
-            return rows
-
-        monkeypatch.setattr(spectra, "_transfer_rows", spy)
-        eval_oracle(params, config, grid, **kwargs)
-        (_, _, d, u, alpha_in, precomp, start), rows = built[0]
+        (_, _, d, u, _, alpha_in, precomp, start), rows = spied_rows(
+            monkeypatch, params, config, grid, kwargs)
         # the carrier of the grid's first point, measured from the linear path
         center = (2.0 * params.group_index * params.leg_length + 2.0 * d.delta1 * d.k0
                   + 0.5 * (config.delta_sum("cm") + config.delta_sum("dc")))
@@ -490,6 +524,34 @@ class TestFoldedTransform:
         # the two forms drop different constant phases of psi
         reference *= np.exp(1j * np.angle(np.vdot(reference, rows)))
         assert np.max(np.abs(rows - reference)) <= 1e-7 * np.max(np.abs(rows))
+
+    @pytest.mark.parametrize("params, config, grid, kwargs", [
+        pytest.param(CAL_500KM, WIDE, GridSpec(n_points=256), {}, id="500km"),
+        pytest.param(replace(CAL_500KM, fiber_length=5000e3), WIDE, GridSpec(n_points=64), {},
+                     id="5000km"),
+        pytest.param(CAL_500KM, replace(WIDE, delta_c=0.05), GridSpec(n_points=256), {},
+                     id="delta_c-0.05m"),
+        pytest.param(CAL_500KM, WIDE, RELATIVE,
+                     {"precomp": compensated(500e3, 0.6, convention="calibrated")[1]},
+                     id="500km-compensated"),
+    ])
+    def test_rows_match_extended_factored_form(self, monkeypatch, params, config, grid,
+                                               kwargs):
+        # The linear phases come from tables on the axis step du; a step
+        # recovered as u[1] - u[0] reads 1.6e-6 of the rows at 5000 km.
+        (_, _, d, u, _, _, precomp, start), rows = spied_rows(
+            monkeypatch, params, config, grid, kwargs)
+        index = [*range(0, u.size, u.size // 200), u.size - 1]
+        reference = np.array([mp_factored_rows(params, config, d, u[n], precomp, start)
+                              for n in index]).T
+        assert np.max(np.abs(rows[:, index] - reference)) <= 1e-10 * np.max(np.abs(rows))
+
+    def test_axis_is_mirror_symmetric(self, monkeypatch):
+        # the even factors are evaluated on half the axis and mirrored
+        axes = [spied_rows(monkeypatch, *case.values)[0][3]
+                for case in FOLD_CASES if case.id in ("0km", "4096-points")]
+        assert {u.size % 2 for u in axes} == {0, 1}
+        assert all(np.array_equal(u[::-1], -u) for u in axes)
 
     def test_mass_ledger_independent_of_placement(self):
         params, multiplier, _ = compensated(50e3, 0.5, convention="calibrated")
