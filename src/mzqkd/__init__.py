@@ -12,7 +12,6 @@ from .bb84 import (
 )
 from .compensation import (
     CompensationPlan,
-    DcfParams,
     plan,
     precompensate_input,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "CompensationPlan",
     "ComponentTerms",
     "ConfigError",
-    "DcfParams",
     "DerivedQuantities",
     "DesignReport",
     "DetectionRow",

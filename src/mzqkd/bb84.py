@@ -13,7 +13,7 @@ closed-form spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -95,7 +95,9 @@ def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
     lengths = np.asarray(lengths, dtype=float)
     if lengths.size == 0 or not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
         raise ValueError("length sweep must be non-empty, finite and non-negative")
-    d0 = derive(params, MzConfig())
+    # the longest length has the widest pulse: its derive rejects a sweep whose
+    # widths leave the float range before the array arithmetic overflows
+    d0 = derive(replace(params, fiber_length=float(lengths.max())), MzConfig())
     delta1 = accumulated_dispersion(params, lengths)
     gamma, sigma = broadening(d0.delta_k, delta1)
     g_values = _g_term(params.lambda0, gamma, delta1)

@@ -152,7 +152,10 @@ def _dump_bb84_spectra(params, table, directory: str, normalize: str) -> None:
 
     from .core import MzConfig
 
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {directory!r}: {exc.strerror}") from exc
     for row in table.rows:
         mz = MzConfig(delta_d=table.baseline + row.phi_d,
                       delta_m=table.baseline + row.phi_m)
@@ -177,7 +180,7 @@ def cmd_compensate(args: argparse.Namespace, config: RunConfig) -> int:
     if config.out_format == "json":
         text = io_mod.plan_json(plan, params)
     else:
-        text = io_mod.plan_text(plan)
+        text = io_mod.plan_text(plan, params)
     io_mod.emit(text, config.out_path)
     return 0
 

@@ -13,31 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
-from .core import LinkParams, MzConfig, PrecompMultiplier, derive
+from .core import LinkParams, MzConfig, PrecompMultiplier, derive, effective_kappa
 from .design import MODE_FACTOR, RATE_MODES, max_rate, min_phase_sum
 from .errors import InfeasibleDesignError
 from .units import C0
-
-
-@dataclass(frozen=True)
-class DcfParams:
-    """A plan's compensating element: only the product kappa_cp*l_cp acts.
-
-    kappa_cp is the link's own kappa and l_cp the compensated span, so the
-    element's b_cp >= 0 opposes the link's accumulated dispersion, which is
-    -kappa*(fiber_length + 2*leg_length) <= 0.
-    """
-
-    kappa_cp: float  # m
-    l_cp: float      # m
-    t_cp: float = 1.0
-
-    @property
-    def b_cp(self) -> float:
-        """Accumulated dispersion of the element, m^2."""
-        return self.kappa_cp * self.l_cp
 
 
 @dataclass(frozen=True)
@@ -49,7 +29,6 @@ class CompensationPlan:
     link_length: float             # m
     active_length: float           # m, uncompensated remainder
     dcf_equivalent_length: float   # m, link_length - active_length
-    dcf_params: Optional[DcfParams]
     phase_sum_requirement: float   # m, shifter bound at the active length
     rho: float
     mode: str
@@ -79,7 +58,7 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
     def rate_at(active: float) -> float:
         return max_rate(replace(params, fiber_length=active), rho, mode)
 
-    active, dcf = link, None
+    active, regime = link, "no_dcf"
     if clock_rate > rate_at(link):
         if clock_rate > rate_at(0.0):
             raise InfeasibleDesignError(
@@ -99,11 +78,10 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
         while rate_at(active) < clock_rate:
             active = max(active - step, 0.0)
             step *= 2.0
-        dcf = DcfParams(kappa_cp=d.kappa, l_cp=link - active)
+        regime = "partial_dcf"
     return CompensationPlan(
-        regime="no_dcf" if dcf is None else "partial_dcf", clock_rate=clock_rate,
+        regime=regime, clock_rate=clock_rate,
         link_length=link, active_length=active, dcf_equivalent_length=link - active,
-        dcf_params=dcf,
         phase_sum_requirement=min_phase_sum(
             replace(params, fiber_length=active), rho, t_rising, t_falling, safety_factor),
         rho=rho, mode=mode, safety_factor=safety_factor, t_rising=t_rising,
@@ -112,12 +90,14 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
 
 def precompensate_input(params: LinkParams,
                         compensation: CompensationPlan) -> PrecompMultiplier:
-    """Wavenumber-domain multiplier realizing a plan's compensating element.
+    """The compensating element of a plan, as its wavenumber-domain multiplier.
 
-    The multiplier is sqrt(t_cp)*exp(-i k a_cp - i k^2 b_cp) with
-    a_cp = group_index*l_cp and b_cp = kappa_cp*l_cp.
+    The element is fiber of the link's own kappa over the span l_cp =
+    ``dcf_equivalent_length``, lossless (t_cp = 1): a_cp = group_index*l_cp
+    and b_cp = kappa*l_cp >= 0, which opposes the link's accumulated
+    dispersion -kappa*(fiber_length + 2*leg_length).
     """
-    dcf = compensation.dcf_params
-    if dcf is None:
+    if compensation.regime == "no_dcf":
         raise ValueError("plan prescribes no compensating element (no_dcf regime)")
-    return PrecompMultiplier(t_cp=dcf.t_cp, a_cp=params.group_index * dcf.l_cp, b_cp=dcf.b_cp)
+    l_cp = compensation.dcf_equivalent_length
+    return PrecompMultiplier(a_cp=params.group_index * l_cp, b_cp=effective_kappa(params) * l_cp)

@@ -146,6 +146,7 @@ class DerivedQuantities:
         fwhm: full width at half maximum sqrt(8 ln 2)*sigma, m.
         mu: mean position of each leg-pair component, m, keyed by PAIRS; the
             compensating element adds its a_cp (and 2*b_cp*k0 through delta1).
+        t_cp: power transmission of the compensating element, 1.0 without one.
     """
 
     params: LinkParams
@@ -158,6 +159,7 @@ class DerivedQuantities:
     sigma: float
     fwhm: float
     mu: Mapping[str, float] = field(repr=False)
+    t_cp: float
 
     @property
     def window_center(self) -> float:
@@ -221,26 +223,38 @@ def derive(params: LinkParams, config: MzConfig,
 
     An optional compensating element adds its b_cp to delta1 (so gamma, sigma
     and fwhm are those of the compensated pulse) and its a_cp to every
-    component mean.  Raises ValueError for out-of-range inputs (delegated to
-    the dataclass validators when constructing params/config directly).
+    component mean, and its t_cp is recorded.  Raises ValueError for
+    out-of-range inputs (delegated to the dataclass validators when
+    constructing params/config directly) and when delta_k, gamma or sigma is
+    not a positive finite float.
     """
-    delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
-    k0 = 2.0 * math.pi / params.lambda0
-    kappa = effective_kappa(params)
-    delta1 = accumulated_dispersion(params, params.fiber_length)
-    path = params.group_index * params.fiber_length \
-        + 2.0 * params.group_index * params.leg_length
-    if precomp is not None:
-        delta1 += precomp.b_cp
-        path += precomp.a_cp
-    gamma, sigma = broadening(delta_k, delta1)
-    sigma = float(sigma)
+    try:
+        delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
+        k0 = 2.0 * math.pi / params.lambda0
+        kappa = effective_kappa(params)
+        delta1 = accumulated_dispersion(params, params.fiber_length)
+        path = params.group_index * params.fiber_length \
+            + 2.0 * params.group_index * params.leg_length
+        if precomp is not None:
+            delta1 += precomp.b_cp
+            path += precomp.a_cp
+        gamma, sigma = broadening(delta_k, delta1)
+        sigma = float(sigma)
+        in_range = 0.0 < delta_k < math.inf and gamma < math.inf and 0.0 < sigma < math.inf
+    except ArithmeticError:  # lambda0^2 underflows to zero, or a power overflows
+        in_range = False
+    if not in_range:
+        raise ValueError(
+            "the wavenumber spread or the pulse width leaves the float range "
+            f"(lambda0 {params.lambda0!r} m, delta_lambda {params.delta_lambda!r} m, "
+            f"fiber_length {params.fiber_length!r} m)")
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
     base = path + 2.0 * delta1 * k0
     mu = {pair: base + config.delta_sum(pair) for pair in PAIRS}
     return DerivedQuantities(
         params=params, config=config, delta_k=delta_k, k0=k0, kappa=kappa,
         delta1=delta1, gamma=gamma, sigma=sigma, fwhm=fwhm, mu=mu,
+        t_cp=precomp.t_cp if precomp is not None else 1.0,
     )
 
 

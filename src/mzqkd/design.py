@@ -10,7 +10,7 @@ stay open.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -102,11 +102,12 @@ def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> floa
     """Longest detector gate centered on the middle pulse, s.
 
     Requires actual_phase_sum >= 2*X_rho; anything smaller cannot isolate the
-    middle pulse and raises InfeasibleDesignError.  A non-finite phase sum
-    raises ValueError.
+    middle pulse and raises InfeasibleDesignError.  A negative or non-finite
+    phase sum is no shifter setting and raises ValueError.
     """
-    if not math.isfinite(actual_phase_sum):
-        raise ValueError(f"actual phase sum must be finite, got {actual_phase_sum!r}")
+    if not 0.0 <= actual_phase_sum < math.inf:
+        raise ValueError(f"actual phase sum must be non-negative and finite, "
+                         f"got {actual_phase_sum!r}")
     half = _pulse_half_width(params, rho)
     margin = actual_phase_sum - 2.0 * half
     if margin < 0:
@@ -150,8 +151,10 @@ def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
         raise ValueError("length sweep must contain at least one value")
     if not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
         raise ValueError("lengths must be finite and non-negative")
-    _, sigma = broadening(derive(params, MzConfig()).delta_k,
-                          accumulated_dispersion(params, lengths))
+    # the longest length has the widest pulse: its derive rejects a sweep whose
+    # widths leave the float range before the array arithmetic overflows
+    longest = derive(replace(params, fiber_length=float(lengths.max())), MzConfig())
+    _, sigma = broadening(longest.delta_k, accumulated_dispersion(params, lengths))
     half = x_rho(sigma, rho)
     return {
         "length_m": lengths,

@@ -15,9 +15,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bb84 import DetectionTable, GTermAnalysis
-from .compensation import CompensationPlan
-from .core import LinkParams, MzConfig
+from .compensation import CompensationPlan, precompensate_input
+from .core import LinkParams, MzConfig, effective_kappa
 from .design import DesignReport
+from .errors import ConfigError
 from .spectra import SpectrumCurve
 from .units import C0
 
@@ -34,19 +35,23 @@ def atomic_write_text(path: str, text: str) -> None:
 
     The file gets the permissions a plain ``open`` would give it (0o666 less
     the umask), not the 0o600 of the temporary file it is written through.
+    A path that cannot be written raises ConfigError and leaves no file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mzqkd-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mzqkd-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def emit(text: str, path: str | None) -> None:
@@ -177,7 +182,7 @@ def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
             "sigma_m": curve.derived.sigma,
             "fwhm_m": curve.derived.fwhm,
             "mu_m": dict(curve.derived.mu),
-            "window_center_m": curve.window_center,
+            "window_center_m": curve.derived.window_center,
         },
         "normalize": normalize,
         "relative_axis": relative_axis,
@@ -226,12 +231,13 @@ def gterm_csv(analysis: GTermAnalysis) -> str:
 
 def plan_json(plan: CompensationPlan, params: LinkParams) -> str:
     dcf = None
-    if plan.dcf_params is not None:
+    if plan.regime != "no_dcf":
+        element = precompensate_input(params, plan)
         dcf = {
-            "kappa_cp_m": plan.dcf_params.kappa_cp,
-            "l_cp_m": plan.dcf_params.l_cp,
-            "t_cp": plan.dcf_params.t_cp,
-            "b_cp_m2": plan.dcf_params.b_cp,
+            "kappa_cp_m": effective_kappa(params),
+            "l_cp_m": plan.dcf_equivalent_length,
+            "t_cp": element.t_cp,
+            "b_cp_m2": element.b_cp,
         }
     payload = {
         "regime": plan.regime,
@@ -251,7 +257,7 @@ def plan_json(plan: CompensationPlan, params: LinkParams) -> str:
     return to_json(payload)
 
 
-def plan_text(plan: CompensationPlan) -> str:
+def plan_text(plan: CompensationPlan, params: LinkParams) -> str:
     lines = [
         f"regime                  {plan.regime}",
         f"clock_rate              {fmt(plan.clock_rate)} Hz",
@@ -260,8 +266,9 @@ def plan_text(plan: CompensationPlan) -> str:
         f"dcf_equivalent_length   {fmt(plan.dcf_equivalent_length)} m",
         f"phase_sum_requirement   {fmt(plan.phase_sum_requirement)} m",
     ]
-    if plan.dcf_params is not None:
-        lines.append(f"dcf kappa_cp*l_cp       {fmt(plan.dcf_params.b_cp)} m^2")
+    if plan.regime != "no_dcf":
+        b_cp = precompensate_input(params, plan).b_cp
+        lines.append(f"dcf kappa_cp*l_cp       {fmt(b_cp)} m^2")
     return "\n".join(lines) + "\n"
 
 

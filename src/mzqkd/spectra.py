@@ -92,8 +92,8 @@ class SpectrumCurve:
     The grid is stored as offsets from the window center (the middle-pulse
     center, m); ``x`` adds the center back for callers that want absolute
     positions.  ``derived`` carries the link and interferometer inputs and
-    includes any compensating element, so the window center and the width
-    are those of the pulse that was evaluated.
+    includes any compensating element, so its window center and width are
+    those of the pulse that was evaluated.
     """
 
     x_relative: np.ndarray
@@ -103,19 +103,9 @@ class SpectrumCurve:
     checks: Optional[dict] = None
 
     @property
-    def window_center(self) -> float:
-        """Center of the middle pulse, m."""
-        return self.derived.window_center
-
-    @property
-    def sigma(self) -> float:
-        """Position-spectrum standard deviation of every component, m."""
-        return self.derived.sigma
-
-    @property
     def x(self) -> np.ndarray:
         """Absolute grid positions, window center plus offset, m."""
-        return self.window_center + self.x_relative
+        return self.derived.window_center + self.x_relative
 
 
 @dataclass(frozen=True)
@@ -227,22 +217,24 @@ _CROSS_A = np.array([PAIRS.index(a) for a, _ in CROSS_PAIRS])
 _CROSS_B = np.array([PAIRS.index(b) for _, b in CROSS_PAIRS])
 
 
-def component_terms(params: LinkParams, config: MzConfig) -> ComponentTerms:
-    """The analytic intensity of one link as its list of Gaussian-cosine terms.
+def component_terms(d: DerivedQuantities) -> ComponentTerms:
+    """The analytic intensity of one derived link as its list of Gaussian-cosine terms.
 
     The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
     Gaussian of exponent p = 2 dk^2 / gamma centered halfway between the means,
     scaled by exp(-p (mu_a - mu_b)^2 / 4).  A Gaussian term's amplitude
-    t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)) integrates to t_fiber t_leg^2 / 16
-    over the real line; a cross term carries twice that amplitude, the scale
-    above and its exit's interference sign.
+    t_fiber t_leg^2 t_cp dk / (8 sqrt(2 pi gamma)) integrates to
+    t_fiber t_leg^2 t_cp / 16 over the real line; a cross term carries twice
+    that amplitude, the scale above and its exit's interference sign.  A
+    compensating element enters through the record: its b_cp through delta1
+    and gamma, its t_cp as that amplitude factor.
     """
-    d = derive(params, config)
+    config = d.config
     dsum = np.array([config.delta_sum(pair) for pair in PAIRS])
     middle = _middle_sum(config)
     dd = dsum[_CROSS_A] - dsum[_CROSS_B]
     p = 2.0 * d.delta_k**2 / d.gamma
-    gauss = (params.t_fiber * params.t_leg**2 * d.delta_k
+    gauss = (d.params.t_fiber * d.params.t_leg**2 * d.t_cp * d.delta_k
              / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
     cross = 2.0 * gauss * np.exp(-0.25 * p * dd * dd)
     amp = np.array([np.concatenate((np.full(len(PAIRS), gauss), np.array(signs) * cross))
@@ -279,7 +271,7 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     grid = grid or GridSpec()
     d = derive(params, config)
     offset = _grid_for(_relative_means(config), d, grid)
-    terms = component_terms(params, config)
+    terms = component_terms(d)
     blocks = np.array_split(offset, -(-offset.size // _BLOCK))
     intensity_o, intensity_p = _clip_rounding_noise(
         np.concatenate([np.einsum("et,tn->en", terms.amp, terms.shapes(block))
@@ -337,7 +329,7 @@ def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
     """
     if not rho_window > 0:
         raise ValueError("rho_window must be positive")
-    terms = [component_terms(params, config) for config in configs]
+    terms = [component_terms(derive(params, config)) for config in configs]
     amp = np.array([t.amp for t in terms])                 # (n, 2, 10)
     center = np.array([t.center for t in terms])           # (n, 10)
     dd = np.array([t.dd for t in terms])
@@ -496,13 +488,12 @@ def _shifter_factor(delta: float, k0: float, du: float, n_k: int):
     return _linear_phasor(-delta, du, n_k, np.exp(-1j * k0 * delta))
 
 
-def _transfer_rows(params: LinkParams, config: MzConfig, d: DerivedQuantities,
-                   u: np.ndarray, du: float, alpha_in: np.ndarray,
-                   precomp: PrecompMultiplier | None, start: float) -> np.ndarray:
+def _transfer_rows(d: DerivedQuantities, u: np.ndarray, du: float, alpha_in: np.ndarray,
+                   start: float) -> np.ndarray:
     """Exits o and p at the wavenumbers k0 + u, times input and carrier, shape (2, n_k).
 
-    The input spectrum, the fiber, both interferometers' legs, the optional
-    compensating element and the carrier exp(i u X) of the grid's first
+    The input spectrum, the fiber, both interferometers' legs, the record's
+    compensating element (if any) and the carrier exp(i u X) of the grid's first
     offset ``start``, X = 2 n_g l_leg + 2 delta1 k0 + mid + start from the
     linear path n_g L + a_cp, mid = (d_cm + d_dc)/2.  Their quadratic phases
     add up to -delta1 (2 k0 u + u^2); the carrier cancels the k0-linear part
@@ -518,10 +509,11 @@ def _transfer_rows(params: LinkParams, config: MzConfig, d: DerivedQuantities,
     (``_linear_phasor``).  No cosine or sine is taken on the whole axis.
     """
     n_k = u.size
+    config = d.config
     even = _unit_phasor(-d.delta1 * u[:(n_k + 1) // 2] ** 2)
     even *= alpha_in[:even.size]
     common = _mirrored(even, n_k)
-    scale = params.t_leg * math.sqrt(precomp.t_cp if precomp else 1.0)
+    scale = d.params.t_leg * math.sqrt(d.t_cp)
     common *= _linear_phasor(_middle_sum(config) + start, du, n_k, scale)
     e_c = _shifter_factor(config.delta_c, d.k0, du, n_k)
     common *= _shifter_factor(config.delta_d, d.k0, du, n_k) - e_c
@@ -562,7 +554,6 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     step = (offset[-1] - offset[0]) / (offset.size - 1)
 
     dk = d.delta_k
-    t_cp = precomp.t_cp if precomp is not None else 1.0
     k_span = K_SPAN_SIGMAS * dk
     max_off = max(abs(float(offset[end]) - mu) for end in (0, -1) for mu in rel_mu.values())
     n_k, m = _oracle_n_k(k_span, max_off + 2.0 * abs(d.delta1) * k_span, step,
@@ -579,7 +570,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         raise ResolutionError(
             f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8")
 
-    rows = _transfer_rows(params, config, d, u, du, alpha_in, precomp, float(offset[0]))
+    rows = _transfer_rows(d, u, du, alpha_in, float(offset[0]))
 
     # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
     # space plus the share that left through the first interferometer's
@@ -597,7 +588,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         "norm_in": float(norm_in),
         "mass_o_kspace": mass_o,
         "mass_p_kspace": mass_p,
-        "unused_exit_remainder": float(norm_in * params.t_fiber * t_cp
+        "unused_exit_remainder": float(norm_in * params.t_fiber * d.t_cp
                                        * params.t_leg**2 - mass_o - mass_p),
         "n_k": n_k,
         "fold_length": m,
@@ -613,7 +604,7 @@ def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float
     and the center halfway between the two middle-component means.  Raises
     ValueError when the window is not fully inside the sampled grid.
     """
-    half = x_rho(curve.sigma, rho_window)
+    half = x_rho(curve.derived.sigma, rho_window)
     offset = curve.x_relative
     if -half < offset[0] or half > offset[-1]:
         raise ValueError("integration window exceeds the sampled grid")

@@ -154,7 +154,7 @@ def gauss_legendre_masses(params, config, rho_window, panels=256, nodes=64):
     ``nodes`` nodes each; the fringes of the cross terms are resolved by
     many nodes per period at every length tested.
     """
-    terms = component_terms(params, config)
+    terms = component_terms(derive(params, config))
     half = x_rho(derive(params, config).sigma, rho_window)
     t, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(-half, half, panels + 1)

@@ -246,6 +246,77 @@ class TestCompensateCommand:
         assert inputs == [(3.0, "linear", 1.0, 4e-9, 0.0), (3.0, "linear", 2.0, 4e-9, 0.0)]
         assert plans[0]["phase_sum_requirement_m"] != plans[1]["phase_sum_requirement_m"]
 
+    # Recorded before the compensating element became the plan's multiplier
+    # alone.  The plan uses only math and np.sqrt (correctly rounded), so the
+    # bytes do not depend on the CPU.
+    PARTIAL_TEXT = """\
+regime                  partial_dcf
+clock_rate              2500000000 Hz
+link_length             405000 m
+active_length           14128.515002 m
+dcf_equivalent_length   390871.484998 m
+phase_sum_requirement   0.1199169832 m
+dcf kappa_cp*l_cp       0.000120085847346 m^2
+"""
+    PARTIAL_JSON = """\
+{
+  "active_length_m": 14128.515002003373,
+  "clock_rate_hz": 2500000000.0,
+  "convention": "calibrated",
+  "dcf_equivalent_length_m": 390871.48499799665,
+  "dcf_params": {
+    "b_cp_m2": 0.00012008584734611833,
+    "kappa_cp_m": 3.072259091673925e-10,
+    "l_cp_m": 390871.48499799665,
+    "t_cp": 1.0
+  },
+  "link_length_m": 405000.0,
+  "mode": "linear",
+  "phase_sum_requirement_m": 0.11991698320000001,
+  "regime": "partial_dcf",
+  "rho": 3.0,
+  "safety_factor": 1.0,
+  "t_falling_s": 0.0,
+  "t_rising_s": 0.0
+}
+"""
+    NO_DCF_TEXT = """\
+regime                  no_dcf
+clock_rate              100000000 Hz
+link_length             50000 m
+active_length           50000 m
+dcf_equivalent_length   0 m
+phase_sum_requirement   1.34068938758 m
+"""
+    NO_DCF_JSON = """\
+{
+  "active_length_m": 50000.0,
+  "clock_rate_hz": 100000000.0,
+  "convention": "first_principles",
+  "dcf_equivalent_length_m": 0.0,
+  "dcf_params": null,
+  "link_length_m": 50000.0,
+  "mode": "linear",
+  "phase_sum_requirement_m": 1.3406893875809611,
+  "regime": "no_dcf",
+  "rho": 3.0,
+  "safety_factor": 1.0,
+  "t_falling_s": 0.0,
+  "t_rising_s": 0.0
+}
+"""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ((*CALIBRATED, "--length-km", "405", "--clock-ghz", "2.5"), PARTIAL_TEXT),
+        ((*CALIBRATED, "--length-km", "405", "--clock-ghz", "2.5", "--format", "json"),
+         PARTIAL_JSON),
+        (("--length-km", "50", "--clock-ghz", "0.1"), NO_DCF_TEXT),
+        (("--length-km", "50", "--clock-ghz", "0.1", "--format", "json"), NO_DCF_JSON),
+    ], ids=["partial-text", "partial-json", "no-dcf-text", "no-dcf-json"])
+    def test_exact_output(self, capsys, argv, expected):
+        code, out, err = run(capsys, "compensate", *argv)
+        assert (code, out, err) == (0, expected, "")
+
     def test_infeasible_clock_exits_3(self, capsys):
         code, _, err = run(capsys, "compensate", "--length-km", "405",
                            "--clock-ghz", "100")
@@ -295,8 +366,8 @@ class TestExitCodes:
     def corrupt_terms(monkeypatch, corrupt):
         exact = spectra.component_terms
 
-        def corrupted(params, config):
-            terms = exact(params, config)
+        def corrupted(derived):
+            terms = exact(derived)
             return replace(terms, amp=corrupt(terms.amp))
 
         monkeypatch.setattr(spectra, "component_terms", corrupted)
@@ -358,6 +429,56 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error") and f"got {value}" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bb84", "--length-km", "1e300"), "leaves the float range"),
+        (("spectra", "--lambda0-nm", "1e-300", "--delta-lambda-nm", "1e-310"),
+         "leaves the float range"),
+        (("design", "--length-km", "1e300"), "leaves the float range"),
+        (("sweep", "--l-min-km", "0", "--l-max-km", "1e300"), "leaves the float range"),
+        (("gterm", "--l-min-km", "0", "--l-max-km", "1e300"), "leaves the float range"),
+        (("spectra", "--length-km", "1e300"), "leaves the float range"),
+        (("oracle-check", "--l-km", "1e300"), "leaves the float range"),
+        (("design", "--sum-m", "-1"), "must be non-negative and finite, got -1.0"),
+    ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
+            "gterm-length", "spectra-length", "oracle-length", "design-negative-sum"])
+    def test_out_of_range_number_exits_2(self, capsys, argv, message):
+        # pytest turns a numpy RuntimeWarning into an error; the widths are
+        # checked before any array arithmetic overflows
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "config-file"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, via_file):
+        target = str(tmp_path / "missing" / "x.txt")
+        if via_file:
+            path = tmp_path / "run.ini"
+            path.write_text(f"[output]\npath = {target}\n")
+            argv = ("--config", str(path))
+        else:
+            argv = ("--output", target)
+        code, out, err = run(capsys, "design", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"config error: cannot write {target!r}: No such file or directory\n"
+
+    def test_output_onto_a_directory_exits_2_and_leaves_no_file(self, capsys, tmp_path):
+        (tmp_path / "adir").mkdir()
+        code, out, err = run(capsys, "design", "--output", str(tmp_path / "adir"))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: cannot write") and "adir" in err
+        assert os.listdir(tmp_path) == ["adir"]
+
+    def test_dump_dir_under_a_file_exits_2(self, capsys, tmp_path):
+        (tmp_path / "afile").write_text("")
+        directory = str(tmp_path / "afile" / "sub")
+        code, _, err = run(capsys, "bb84", *CAL, "--baseline-m", "0.25",
+                           "--dump-spectra-dir", directory)
+        assert code == 2
+        assert err == f"config error: cannot create {directory!r}: Not a directory\n"
+        assert os.listdir(tmp_path) == ["afile"]
 
     @pytest.mark.parametrize("command", ["sweep", "gterm"])
     @pytest.mark.parametrize("argv, message", [

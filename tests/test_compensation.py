@@ -40,7 +40,6 @@ class TestPlan:
         assert result.regime == "no_dcf"
         assert result.active_length == 100e3
         assert result.dcf_equivalent_length == 0.0
-        assert result.dcf_params is None
 
     def test_fast_clock_needs_partial_dcf(self):
         result = plan(CAL_405KM, 2.5e9, 3.0)

@@ -102,7 +102,7 @@ def test_plan_serializations():
     payload = json.loads(io_mod.plan_json(result, CAL_405))
     assert payload["regime"] == "partial_dcf"
     assert payload["dcf_params"]["b_cp_m2"] > 0
-    text = io_mod.plan_text(result)
+    text = io_mod.plan_text(result, CAL_405)
     assert "partial_dcf" in text
 
 
