@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -141,21 +142,22 @@ def cmd_bb84(args: argparse.Namespace, config: RunConfig) -> int:
         text = io_mod.detection_table_json(table, params)
     else:
         text = io_mod.detection_table_csv(table)
+    directory = args.dump_spectra_dir
+    if directory:
+        # a directory that cannot be made fails the run before the table is out
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {directory!r}: {exc.strerror}") from exc
     io_mod.emit(text, config.out_path)
-    if args.dump_spectra_dir:
-        _dump_bb84_spectra(params, table, args.dump_spectra_dir, config.normalize)
+    if directory:
+        _dump_bb84_spectra(params, table, directory, config.normalize)
     return 0
 
 
 def _dump_bb84_spectra(params, table, directory: str, normalize: str) -> None:
-    import os
-
     from .core import MzConfig
 
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {directory!r}: {exc.strerror}") from exc
     for row in table.rows:
         mz = MzConfig(delta_d=table.baseline + row.phi_d,
                       delta_m=table.baseline + row.phi_m)

@@ -95,6 +95,12 @@ def _phase_sum_bound(half, t_rising: float, t_falling: float, safety_factor: flo
 
 
 def _rate_bound(half, mode: str):
+    # The rate is largest where X_rho is smallest, and an X_rho that a tiny rho
+    # has brought near 0 leaves it no finite value there.
+    smallest = float(np.min(half)) if isinstance(half, np.ndarray) else half
+    if not (smallest > 0 and C0 / (MODE_FACTOR[mode] * smallest) < math.inf):
+        raise ValueError(f"the {mode} rate bound leaves the float range: "
+                         f"X_rho = {smallest:.6g} m")
     return C0 / (MODE_FACTOR[mode] * half)
 
 

@@ -1,12 +1,17 @@
 """Deterministic file emission: CSV, JSON, aligned text and minimal SVG.
 
-Identical inputs must produce byte-identical outputs, so everything is
-formatted through one float formatter, JSON keys are sorted, and the SVG
-writer emits plain hand-assembled markup with no timestamps or random ids.
+Identical inputs must produce byte-identical outputs, so each number form
+has one spelling: ``%.12g`` in CSV and text (``fmt``), ``float.__repr__`` in
+JSON (as ``json`` writes it) and ``%.2f`` for SVG coordinates.  JSON keys are
+sorted, and the SVG writer emits plain hand-assembled markup with no
+timestamps or random ids.  Float arrays are formatted a chunk of rows at a
+time (``format_rows``) or by ``json``'s C encoder (``json_array``), not by
+one Python call per value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -69,6 +74,31 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Rows per chunk of format_rows: the lists of one chunk stay small, so the
+# whole table never exists as Python floats at once.
+CHUNK_ROWS = 512
+
+
+def format_rows(row_format: str, columns: Sequence, sep: str = "") -> str:
+    """Each row of equal-length float columns through one %-format, joined by sep.
+
+    ``"%.12g" % v`` and ``format(v, ".12g")`` take the same double-to-string
+    path (``-0``, ``nan`` and ``inf`` included), so a CSV row reads as
+    ``csv_table`` would write it.  Each chunk of rows becomes Python floats
+    through one ``tolist()``.
+    """
+    table = np.array(columns, dtype=float)
+    chunks = (zip(*table[:, start:start + CHUNK_ROWS].tolist())
+              for start in range(0, table.shape[1], CHUNK_ROWS))
+    return sep.join(map(row_format.__mod__, itertools.chain.from_iterable(chunks)))
+
+
+def float_csv(header: Sequence[str], columns: Sequence) -> str:
+    """A CSV table of float columns, as ``csv_table`` writes their rows."""
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + format_rows(row_format, columns)
+
+
 def link_as_dict(params: LinkParams) -> dict:
     """The SI-unit link inputs that every command with JSON output reads.
 
@@ -89,6 +119,19 @@ def link_as_dict(params: LinkParams) -> dict:
 
 def to_json(payload: Mapping) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def json_array(values) -> str:
+    """A float list as ``to_json`` writes it under a top-level key.
+
+    ``indent=2`` sends ``json`` through its pure-Python encoder; these
+    separators give the same text from the C encoder, ``NaN`` and
+    ``Infinity`` included.
+    """
+    values = np.asarray(values, dtype=float).tolist()
+    if not values:
+        return "[]"
+    return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
 
 
 # ---------------------------------------------------------------- reports
@@ -134,8 +177,8 @@ def design_report_json(report: DesignReport, params: LinkParams,
 def sweep_csv(columns: Mapping[str, np.ndarray]) -> str:
     header = ["length_km", "min_phase_sum_m", "rate_linear_hz",
               "rate_nonlinear_hz", "rate_general_hz"]
-    body = zip(columns["length_m"] / 1e3, *(columns[name] for name in header[1:]))
-    return csv_table(header, body)
+    return float_csv(header, [columns["length_m"] / 1e3,
+                              *(columns[name] for name in header[1:])])
 
 
 # ----------------------------------------------------------------- curves
@@ -159,7 +202,7 @@ def curve_csv(curve: SpectrumCurve, normalize: str = "absolute",
     unit = "per_m" if normalize == "absolute" else "peak_normalized"
     header = ["x_m" if not relative_axis else "x_offset_m",
               f"intensity_o_{unit}", f"intensity_p_{unit}"]
-    return csv_table(header, zip(x, yo, yp))
+    return float_csv(header, [x, yo, yp])
 
 
 def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
@@ -186,11 +229,16 @@ def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
         },
         "normalize": normalize,
         "relative_axis": relative_axis,
-        "x": [float(v) for v in x],
-        "intensity_o": [float(v) for v in yo],
-        "intensity_p": [float(v) for v in yp],
     }
-    return to_json(payload)
+    # Each array key first holds its own name; the text is cut at those lines
+    # and joined once with the arrays in their place.
+    arrays = {"x": x, "intensity_o": yo, "intensity_p": yp}
+    rest = to_json({**payload, **{name: name for name in arrays}})
+    pieces = []
+    for name in sorted(arrays):
+        head, rest = rest.split(f'\n  "{name}": "{name}"', 1)
+        pieces += [head, f'\n  "{name}": ', json_array(arrays[name])]
+    return "".join(pieces + [rest])
 
 
 # ------------------------------------------------------------------ bb84
@@ -220,8 +268,8 @@ def detection_table_json(table: DetectionTable, params: LinkParams) -> str:
 
 def gterm_csv(analysis: GTermAnalysis) -> str:
     header = ["length_km", "g_per_m", "second_term"]
-    body = zip(analysis.lengths / 1e3, analysis.g_values, analysis.second_terms)
-    text = csv_table(header, body)
+    text = float_csv(header, [analysis.lengths / 1e3, analysis.g_values,
+                              analysis.second_terms])
     text += f"# argmax_length_m,{fmt(analysis.argmax_length)}\n"
     text += f"# analytic_argmax_m,{fmt(analysis.analytic_argmax)}\n"
     return text
@@ -290,6 +338,9 @@ def svg_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     if y_max == y_min:
         y_max = y_min + 1.0
 
+    # Screen coordinates of a float or a float64 array, by the same operations
+    # in the same order.  A zero span raises ZeroDivisionError at the first
+    # tick label, before any array is scaled.
     def sx(v):
         return margin + (v - x_min) / (x_max - x_min) * inner_w
 
@@ -316,8 +367,9 @@ def svg_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
                  f'{y_label}</text>')
     for idx, (name, xs, ys) in enumerate(series):
         color = colors[idx % len(colors)]
-        points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
-                          for a, b in zip(xs, ys))
+        with np.errstate(all="ignore"):  # as Python float arithmetic: no warnings
+            xy = (sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float)))
+        points = format_rows("%.2f,%.2f", xy, sep=" ")
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         parts.append(f'<text x="{width - margin - 4}" y="{margin + 16 + 14 * idx}" '

@@ -440,8 +440,14 @@ class TestExitCodes:
         (("spectra", "--length-km", "1e300"), "leaves the float range"),
         (("oracle-check", "--l-km", "1e300"), "leaves the float range"),
         (("design", "--sum-m", "-1"), "must be non-negative and finite, got -1.0"),
+        (("design", "--rho", "1e-300"), "rate bound leaves the float range"),
+        (("sweep", "--l-min-km", "0", "--l-max-km", "500", "--rho", "1e-300"),
+         "rate bound leaves the float range"),
+        (("compensate", "--clock-ghz", "1", "--rho", "1e-300"),
+         "rate bound leaves the float range"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
-            "gterm-length", "spectra-length", "oracle-length", "design-negative-sum"])
+            "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
+            "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows
@@ -474,9 +480,9 @@ class TestExitCodes:
     def test_dump_dir_under_a_file_exits_2(self, capsys, tmp_path):
         (tmp_path / "afile").write_text("")
         directory = str(tmp_path / "afile" / "sub")
-        code, _, err = run(capsys, "bb84", *CAL, "--baseline-m", "0.25",
-                           "--dump-spectra-dir", directory)
-        assert code == 2
+        code, out, err = run(capsys, "bb84", *CAL, "--baseline-m", "0.25",
+                             "--dump-spectra-dir", directory)
+        assert (code, out) == (2, "")
         assert err == f"config error: cannot create {directory!r}: Not a directory\n"
         assert os.listdir(tmp_path) == ["afile"]
 

@@ -1,19 +1,193 @@
+import contextlib
+import dataclasses
+import hashlib
+import io
 import json
+import math
 import os
+import re
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzqkd import io as io_mod
 from mzqkd.bb84 import detection_table, g_term_analysis
+from mzqkd.cli import main
 from mzqkd.compensation import plan
+from mzqkd.config import RunConfig
 from mzqkd.core import LinkParams, MzConfig
 from mzqkd.design import build_design_report, sweep_lengths
 from mzqkd.spectra import GridSpec, eval_analytic
 
 CAL = LinkParams(fiber_length=50e3, convention="calibrated")
 MZ = MzConfig()
+
+
+# ------------------------------------------- reference formatters (test-only)
+# The array formatters as they were before they worked a chunk of rows at a
+# time: one Python call per value.  The property tests below hold the array
+# formatters to these.
+
+def reference_float_csv(header, columns):
+    """csv_table over the zipped columns: fmt on each value."""
+    return io_mod.csv_table(header, zip(*columns))
+
+
+def reference_polylines(series):
+    """The points of each polyline of svg_line_chart, through sx/sy one float at a time."""
+    width, height, margin = 640, 420, 60
+    inner_w, inner_h = width - 2 * margin, height - 2 * margin
+    x_min = min(float(np.min(x)) for _, x, _ in series)
+    x_max = max(float(np.max(x)) for _, x, _ in series)
+    y_min = min(float(np.min(y)) for _, _, y in series)
+    y_max = max(float(np.max(y)) for _, _, y in series)
+    if x_max == x_min:
+        x_max = x_min + 1.0
+    if y_max == y_min:
+        y_max = y_min + 1.0
+
+    def sx(v):
+        return margin + (v - x_min) / (x_max - x_min) * inner_w
+
+    def sy(v):
+        return height - margin - (v - y_min) / (y_max - y_min) * inner_h
+
+    return [" ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(xs, ys))
+            for _, xs, ys in series]
+
+
+def reference_curve_json(curve, normalize="absolute", relative_axis=False):
+    """curve_json with the arrays as lists of floats through the indent=2 encoder.
+
+    The small part of the payload is read back from curve_json's own output;
+    the three arrays come from curve_arrays, one ``float`` per value.
+    """
+    payload = json.loads(io_mod.curve_json(curve, normalize, relative_axis))
+    x, yo, yp = io_mod.curve_arrays(curve, normalize, relative_axis)
+    payload.update(x=[float(v) for v in x], intensity_o=[float(v) for v in yo],
+                   intensity_p=[float(v) for v in yp])
+    return io_mod.to_json(payload)
+
+
+# Values whose text is easy to get wrong: signed zeros, subnormals, the ends
+# of the float range, integral floats, non-finite values.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+           1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0, 12345.0, 2.0**53, 1e12,
+           1e15, 0.1, math.nan, math.inf, -math.inf]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(),
+                   st.integers(-2**60, 2**60).map(float))
+# Row counts on both sides of the formatters' chunk edge.
+ROWS = st.sampled_from([0, 1, 2, io_mod.CHUNK_ROWS - 1, io_mod.CHUNK_ROWS,
+                        io_mod.CHUNK_ROWS + 1, 2 * io_mod.CHUNK_ROWS + 1])
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def columns(draw, n_columns, rows=ROWS):
+    """An (n_columns, rows) float64 table of up to 32 drawn values, placed at random."""
+    n = draw(rows)
+    pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=32)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return pool[np.random.default_rng(seed).integers(0, pool.size, (n_columns, n))]
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(columns))
+def test_float_csv_matches_reference(table):
+    header = [f"c{i}" for i in range(len(table))]
+    assert io_mod.float_csv(header, list(table)) == reference_float_csv(header, list(table))
+
+
+@PROPERTY
+@given(columns(1))
+def test_json_array_is_the_indent_2_text(values):
+    expected = json.dumps({"k": [float(v) for v in values[0]]}, indent=2)
+    assert '{\n  "k": ' + io_mod.json_array(values[0]) + "\n}" == expected
+
+
+@PROPERTY
+@given(columns(3))
+def test_curve_csv_and_json_match_references(table):
+    curve = dataclasses.replace(eval_analytic(CAL, MZ, GridSpec(n_points=2)),
+                                x_relative=table[0], intensity_o=table[1],
+                                intensity_p=table[2])
+    header = ["x_offset_m", "intensity_o_per_m", "intensity_p_per_m"]
+    assert io_mod.curve_csv(curve, relative_axis=True) == reference_float_csv(header, table)
+    assert (io_mod.curve_json(curve, relative_axis=True)
+            == reference_curve_json(curve, relative_axis=True))
+
+
+@PROPERTY
+@given(st.integers(1, 2).flatmap(
+    lambda k: st.lists(columns(2, ROWS.filter(bool)), min_size=k, max_size=k)))
+def test_svg_polylines_match_per_point_reference(tables):
+    series = [(f"s{i}", xs, ys) for i, (xs, ys) in enumerate(tables)]
+    try:
+        expected = reference_polylines(series)
+    except ZeroDivisionError:  # a span that adding 1.0 cannot widen
+        with pytest.raises(ZeroDivisionError):
+            io_mod.svg_line_chart(series, "x", "y")
+        return
+    text = io_mod.svg_line_chart(series, "x", "y")
+    assert re.findall(r'points="([^"]*)"', text) == expected
+
+
+def test_sweep_and_gterm_csv_match_reference():
+    rows = sweep_lengths(CAL, MZ, 3.0, np.linspace(0.0, 500e3, 2 * io_mod.CHUNK_ROWS + 3))
+    header = ["length_km", "min_phase_sum_m", "rate_linear_hz", "rate_nonlinear_hz",
+              "rate_general_hz"]
+    assert io_mod.sweep_csv(rows) == reference_float_csv(
+        header, [rows["length_m"] / 1e3, *(rows[name] for name in header[1:])])
+    analysis = g_term_analysis(CAL, np.linspace(50.0, 10e3, 4001), delta_c=0.1)
+    body = reference_float_csv(["length_km", "g_per_m", "second_term"],
+                               [analysis.lengths / 1e3, analysis.g_values,
+                                analysis.second_terms])
+    assert io_mod.gterm_csv(analysis).startswith(body)
+
+
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+# sha256 of the CLI's stdout as the per-value formatters wrote it.  The
+# spectra JSON is not pinned this way: its 17-digit floats carry the last bit
+# of numpy's float64 exp, which differs between SIMD targets (libm's exp
+# changes the JSON's hash and none of these); the next test checks its text.
+PINNED = {
+    ("spectra", "--n-points", "4096", "--format", "csv"):
+        "e81e2b279e0c230792f1ce4519e212914b2e6f4f9e41b738e5424ed6966d8995",
+    ("spectra", "--n-points", "4096", "--format", "svg-plot"):
+        "1430d000ca514eecfe9fee279478e85257fa0a142534d2b9829e55d65a2e2201",
+    ("spectra", "--n-points", "4096", "--format", "svg-plot", "--normalize", "peak",
+     "--relative-axis"):
+        "85156c737368f1767416a3cf2d1a2ce57699220e5e5c2312c1325a4a219450c0",
+    ("gterm", "--steps", "4001"):
+        "9a0d099bc78e7b51d1a2f30784f87ea28f8c0dd301706cc97f19f28186dd2e9d",
+    ("gterm", "--steps", "4001", "--delta-c-m", "0.1"):
+        "db3ccf52f7a1e18eff900ff6ad16a46a197a6b781ff93d73a7d98b364f5b6129",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+def test_cli_output_is_pinned(monkeypatch, argv):
+    monkeypatch.delenv("MZQKD_CONFIG", raising=False)
+    assert hashlib.sha256(cli_stdout(*argv).encode()).hexdigest() == PINNED[argv]
+
+
+@pytest.mark.parametrize("extra", [(), ("--normalize", "peak", "--relative-axis")],
+                         ids=["absolute", "peak-relative"])
+def test_cli_spectra_json_matches_reference(monkeypatch, extra):
+    monkeypatch.delenv("MZQKD_CONFIG", raising=False)
+    text = cli_stdout("spectra", "--n-points", "4096", "--format", "json", *extra)
+    config = RunConfig()
+    curve = eval_analytic(config.link_params(), config.mz_config(), GridSpec(n_points=4096))
+    normalize = "peak" if extra else "absolute"
+    assert text == reference_curve_json(curve, normalize, relative_axis=bool(extra))
 
 
 def test_fmt_is_stable():
