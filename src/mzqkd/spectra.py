@@ -10,16 +10,19 @@ cross term integrates to a difference of complex error functions, evaluated
 through the Faddeeva function w(z) (Abramowitz & Stegun 7.1; Weideman's
 rational approximation, SIAM J. Numer. Anal. 31 (1994) 1497).
 ``eval_oracle`` builds the wavenumber-domain transfer function of the full
-setup, times the Gaussian input spectrum, as one small phase polynomial and
-two shifter factors, and inverse-transforms to position space: the trapezoid
-quadrature over a uniform wavenumber grid whose step is commensurate with the
-position grid's, so the samples fold into the bins of one short inverse FFT
-(the DFT aliasing identity).  The wavenumber axis is symmetric, so the even
-factors (input spectrum and fiber chirp) are evaluated on half of it and
-mirrored, and each linear phase is the outer product of two tables of about
-sqrt(n_k) phasors: no cosine or sine is taken on the whole axis.  The two
-routes must agree to high precision; the oracle is the verification
-reference for the analytic route and for compensation studies.
+setup, times the Gaussian input spectrum, as one even factor (input spectrum
+and fiber chirp) times four leg-pair linear phasors, and inverse-transforms
+to position space: the trapezoid quadrature over a uniform wavenumber grid
+whose step is commensurate with the position grid's, so the samples fold into
+the bins of one short inverse FFT (the DFT aliasing identity).  Every phasor
+comes from short tables of about sqrt(n_k) directly evaluated entries, the
+way FFT libraries build their twiddle factors (Frigo & Johnson, Proc. IEEE
+93 (2005) 216): the chirp on half of the symmetric axis from a block table
+filled by doubling, mirrored for the other half, and both exits' linear
+phases as one small matrix product of a block table and a within-block
+table.  No cosine or sine is taken on the whole axis.  The two routes must
+agree to high precision; the oracle is the verification reference for the
+analytic route and for compensation studies.
 
 Position bookkeeping: intensities are probability densities over the
 vacuum-equivalent propagation distance x.  At telecom lengths x is hundreds
@@ -52,6 +55,11 @@ CROSS_PAIRS = (("dm", "cm"), ("dm", "dc"), ("cm", "dc"),
                ("dm", "cc"), ("cm", "cc"), ("dc", "cc"))
 SIGNS_O = (-1.0, -1.0, +1.0, +1.0, -1.0, -1.0)
 SIGNS_P = (-1.0, +1.0, -1.0, -1.0, +1.0, -1.0)
+# The same component signs in PAIRS order (cc, cm, dc, dm), exit o then exit p:
+# the terms of (E_d - E_c)(E_m -+ E_c) in the oracle's transfer function.
+_PAIR_SIGNS = np.array([(+1.0, -1.0, -1.0, +1.0), (-1.0, -1.0, +1.0, +1.0)])
+# The legs of each pair in PAIRS order, as indices into the shifters (c, d, m).
+_PAIR_LEGS = np.array([["cdm".index(leg) for leg in pair] for pair in PAIRS])
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -365,13 +373,14 @@ K_SPAN_SIGMAS = 10.0
 def _oracle_bytes(n_k: int, m: int) -> int:
     """Bytes the oracle holds at its peak for n_k samples folded into m bins.
 
-    At most eight complex128 arrays of length n_k are live at once.  While the
-    transfer-function rows are built: the wavenumber axis and the input
-    spectrum (float64, one array's worth), the even factor's first half, the
-    common factor, one linear phasor or up to two shifter factors with their
-    difference, and the two rows.  While they are transformed: the axis and
-    the spectrum, the rows and one row's power (float64).  The folded rows,
-    their inverse FFT and its scratch add at most eight of length m.
+    The count allows eight complex128 arrays of length n_k; at most four are
+    live at once.  While the transfer-function rows are built: the
+    wavenumber axis and the input spectrum (float64, one array's worth), the
+    even factor's first half and the two rows, plus tables of about sqrt(n_k)
+    entries.  While they are transformed: the axis, the spectrum, the rows and
+    the squares of one row's parts (float64, one complex array's worth).  The
+    folded rows, their inverse FFT and its scratch add at most eight of length
+    m.
     """
     return 16 * 8 * (n_k + m)
 
@@ -419,6 +428,17 @@ def _power(z: np.ndarray) -> np.ndarray:
     return power
 
 
+def _trapezoid_power(values: np.ndarray, du: float) -> float:
+    """Trapezoid rule for the integral of |values|^2 on the uniform step du.
+
+    du (sum - (first + last)/2), one pairwise sum over the squares of the real
+    and imaginary parts.  Not ``vdot``: OpenBLAS splits a dot product of more
+    than about 10 000 values over its threads (see ``_GEMM_SAMPLES``).
+    """
+    ends = abs(values[0]) ** 2 + abs(values[-1]) ** 2
+    return float(du * (np.square(values.view(np.float64)).sum() - 0.5 * ends))
+
+
 def _folded_intensity(coeffs: np.ndarray, n_x: int, m: int) -> np.ndarray:
     """|sum_n coeffs[r, n] exp(i u_n j h)|^2 for j < n_x, for each row r.
 
@@ -446,27 +466,46 @@ def _unit_phasor(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _linear_phasor(slope: float, du: float, n_k: int, factor: complex = 1.0) -> np.ndarray:
-    """factor exp(i slope u_n) on the oracle's axis u_n = (n - c) du, c = (n_k - 1)/2.
+def _block_width(n_k: int) -> int:
+    """Table width w = ceil(sqrt(n_k)): sample n of the axis is entry j of block b, n = b w + j."""
+    return math.isqrt(n_k - 1) + 1
 
-    With n = b w + j and w = ceil(sqrt(n_k)), slope u_n = slope du (b w - c) +
-    slope du j, so the n_k phasors are the outer product of two tables of
-    about sqrt(n_k) entries: 2 sqrt(n_k) cosines and sines and one complex
-    product per sample.  ``du`` must be the step the axis was built from: a
-    step recovered as u[1] - u[0] carries the rounding of u[0], which the
-    table multiplies by up to n_k.
+
+def _block_starts(du: float, n_k: int) -> np.ndarray:
+    """T_b = u_(b w), the first wavenumber offset of each block of the axis u_n = (n - c) du.
+
+    c = (n_k - 1)/2.  ``du`` must be the step the axis was built from: a step
+    recovered as u[1] - u[0] carries the rounding of u[0], which the tables
+    multiply by up to n_k.
     """
-    width = math.isqrt(n_k - 1) + 1
-    blocks = _unit_phasor(slope * du * (np.arange(0, n_k, width) - 0.5 * (n_k - 1)))
-    blocks *= factor
-    within = _unit_phasor(slope * du * np.arange(width))
-    # into an array of exactly n_k samples, so the allocator reuses the
-    # oracle's other arrays' memory: whole blocks, then the partial last one
-    out = np.empty(n_k, dtype=complex)
-    whole = n_k - n_k % width
-    np.multiply(blocks[:whole // width, None], within, out=out[:whole].reshape(-1, width))
-    np.multiply(blocks[-1], within[:n_k - whole], out=out[whole:])
-    return out
+    return (np.arange(0, n_k, _block_width(n_k)) - 0.5 * (n_k - 1)) * du
+
+
+def _chirp_half(curv: float, du: float, n_k: int) -> np.ndarray:
+    """exp(i curv u_n^2) on the first ceil(n_k/2) samples of the oracle's axis.
+
+    With u = T_b + t_j, t_j = j du, the phase is curv T_b^2 + curv t_j (2 T_b +
+    t_j), and T_b = T_0 + b w du.  So block b's row is block 0's row times
+    exp(2 i curv b w du^2 j), and one block constant exp(i curv T_b^2).  The
+    rows are filled by doubling: rows s..2s-1 are rows 0..s-1 times the
+    multiplier for s, which is evaluated directly for s = 1, 2, 4, ... rather
+    than squared from the last one, so rounding does not compound.  That is
+    about sqrt(n_k) log2(n_k) cosines and sines in tables of at most w.
+    """
+    width = _block_width(n_k)
+    size = (n_k + 1) // 2
+    starts = _block_starts(du, n_k)[:-(-size // width)]
+    t = np.arange(width) * du
+    table = np.empty((starts.size, width), dtype=complex)
+    table[0] = _unit_phasor(curv * t * (2.0 * starts[0] + t))
+    filled = 1
+    while filled < starts.size:
+        grow = min(filled, starts.size - filled)
+        step = _unit_phasor((2.0 * curv * filled * width * du) * t)
+        np.multiply(table[:grow], step, out=table[filled:filled + grow])
+        filled += grow
+    table *= _unit_phasor(curv * starts * starts)[:, None]
+    return table.reshape(-1)[:size]
 
 
 def _mirrored(half: np.ndarray, n_k: int) -> np.ndarray:
@@ -481,11 +520,12 @@ def _mirrored(half: np.ndarray, n_k: int) -> np.ndarray:
     return out
 
 
-def _shifter_factor(delta: float, k0: float, du: float, n_k: int):
-    """exp(-i (k0 + u) delta), or 1 for a zero shifter; exp(-i k0 delta) is one scalar."""
-    if delta == 0.0:
-        return 1.0
-    return _linear_phasor(-delta, du, n_k, np.exp(-1j * k0 * delta))
+# np.matmul hands complex products to BLAS.  OpenBLAS runs a complex GEMM with
+# m n k above 65536 on all its threads, and waking them took 8-16 ms per call
+# on a shared 2-core x86-64 host, against 0.1-0.3 ms for a whole 40 000-sample
+# product on the calling thread.  With k = 4, products of at most this many
+# samples stay on the calling thread.
+_GEMM_SAMPLES = 1 << 14
 
 
 def _transfer_rows(d: DerivedQuantities, u: np.ndarray, du: float, alpha_in: np.ndarray,
@@ -503,25 +543,40 @@ def _transfer_rows(d: DerivedQuantities, u: np.ndarray, du: float, alpha_in: np.
         phi = -delta1 u^2 + u (mid + start),   E_x = exp(-i k0 delta_x) exp(-i u delta_x).
 
     Constant phases of psi are dropped; no phase of 1e7 rad is formed.  The
-    even factor alpha_in exp(-i delta1 u^2) is evaluated on the first half of
-    the symmetric axis and mirrored (``_mirrored``); each linear phase is the
-    outer product of two short tables on the axis step ``du``
-    (``_linear_phasor``).  No cosine or sine is taken on the whole axis.
+    product of the shifter factors expands into the four leg-pair phasors
+    e_a e_b exp(i u (mid + start - d_a - d_b)), with signs ``_PAIR_SIGNS``.  On
+    u_n = T_b + j du each is a block table entry times a within-block entry,
+    so each exit is the matrix product of its (blocks x 4) block table and the
+    (4 x w) within-block table, written into the rows a few blocks at a time
+    (``_GEMM_SAMPLES``).  The even factor alpha_in exp(-i delta1 u^2) is evaluated on the
+    first half of the symmetric axis (``_chirp_half``) and multiplied into
+    both halves of the rows, the second half reversed.  No cosine or sine is
+    taken on the whole axis; ``u`` gives only the sample count.
     """
     n_k = u.size
     config = d.config
-    even = _unit_phasor(-d.delta1 * u[:(n_k + 1) // 2] ** 2)
-    even *= alpha_in[:even.size]
-    common = _mirrored(even, n_k)
-    scale = d.params.t_leg * math.sqrt(d.t_cp)
-    common *= _linear_phasor(_middle_sum(config) + start, du, n_k, scale)
-    e_c = _shifter_factor(config.delta_c, d.k0, du, n_k)
-    common *= _shifter_factor(config.delta_d, d.k0, du, n_k) - e_c
-    e_m = _shifter_factor(config.delta_m, d.k0, du, n_k)
+    width = _block_width(n_k)
+    legs = np.array([config.shifter(leg) for leg in "cdm"])
+    slope = (_middle_sum(config) + start) - legs[_PAIR_LEGS].sum(axis=1)
+    blocks = _unit_phasor(np.outer(_block_starts(du, n_k), slope))
+    # e_a e_b from the constant phasors exp(-i k0 delta_x), one per shifter
+    blocks *= (d.params.t_leg * math.sqrt(d.t_cp)
+               * np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1))
+    within = _unit_phasor(np.outer(slope, np.arange(width) * du))
     rows = np.empty((2, n_k), dtype=complex)
-    np.subtract(e_m, e_c, out=rows[0])
-    np.add(e_m, e_c, out=rows[1])
-    rows *= common
+    whole = n_k // width
+    per_call = max(1, _GEMM_SAMPLES // width)
+    for row, signed in zip(rows, blocks * _PAIR_SIGNS[:, None, :]):
+        # the whole blocks, a few per product, then the partial last one
+        table = row[:whole * width].reshape(whole, width)
+        for first in range(0, whole, per_call):
+            last = min(first + per_call, whole)
+            np.matmul(signed[first:last], within, out=table[first:last])
+        np.matmul(signed[-1], within[:, :n_k - whole * width], out=row[whole * width:])
+    even = _chirp_half(-d.delta1, du, n_k)
+    even *= alpha_in[:even.size]
+    rows[:, :even.size] *= even
+    rows[:, even.size:] *= even[:n_k - even.size][::-1]
     return rows
 
 
@@ -565,7 +620,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     alpha_in = _mirrored((2.0 * math.pi * dk**2) ** -0.25 * np.exp(-half**2 / (4.0 * dk**2)),
                          n_k)
 
-    norm_in = _trapz(alpha_in**2, dx=du)
+    norm_in = _trapezoid_power(alpha_in, du)
     if abs(norm_in - 1.0) > 1e-8:
         raise ResolutionError(
             f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8")
@@ -575,8 +630,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
     # space plus the share that left through the first interferometer's
     # unused exit.
-    mass_o, mass_p = (0.0625 * params.t_fiber * float(_trapz(_power(row), dx=du))
-                      for row in rows)
+    mass_o, mass_p = (0.0625 * params.t_fiber * _trapezoid_power(row, du) for row in rows)
 
     # trapezoid end weights; the constant weight and the transform's
     # normalization scale the folded intensity
@@ -585,7 +639,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     intensity_o, intensity_p = _folded_intensity(rows, offset.size, m) * weight**2
 
     checks = {
-        "norm_in": float(norm_in),
+        "norm_in": norm_in,
         "mass_o_kspace": mass_o,
         "mass_p_kspace": mass_p,
         "unused_exit_remainder": float(norm_in * params.t_fiber * d.t_cp

@@ -555,6 +555,50 @@ class TestFoldedTransform:
                               for n in index]).T
         assert np.max(np.abs(rows[:, index] - reference)) <= 1e-10 * np.max(np.abs(rows))
 
+    @pytest.mark.parametrize("n_k, whole_blocks", [(400, True), (441, True), (401, False),
+                                                   (402, False)])
+    def test_rows_on_synthetic_axes(self, n_k, whole_blocks):
+        # both parities of n_k, with the axis an exact number of blocks of
+        # w = ceil(sqrt(n_k)) samples and with a partial last block
+        assert (n_k % (math.isqrt(n_k - 1) + 1) == 0) == whole_blocks
+        params, multiplier, _ = compensated(500e3, 0.3, convention="calibrated")
+        config = replace(WIDE, delta_c=0.05)
+        d = derive(params, config, multiplier)
+        # over +-2 delta_k, not the oracle's +-10, so that the input spectrum
+        # keeps the end samples, and the last block, above the bound
+        du = 4.0 * d.delta_k / (n_k - 1)
+        u = (np.arange(n_k) - 0.5 * (n_k - 1)) * du
+        alpha_in = (2.0 * math.pi * d.delta_k**2) ** -0.25 * np.exp(-u**2 / (4.0 * d.delta_k**2))
+        rows = spectra._transfer_rows(d, u, du, alpha_in, -3.1)
+        reference = np.array([mp_factored_rows(params, config, d, value, multiplier, -3.1)
+                              for value in u]).T
+        assert np.max(np.abs(rows - reference)) <= 1e-10 * np.max(np.abs(rows))
+
+    @pytest.mark.parametrize("length", [500e3, 5000e3])
+    def test_no_phasor_on_the_whole_axis(self, monkeypatch, length):
+        # every cosine and sine comes from a table of at most 4 ceil(sqrt(n_k))
+        sizes = []
+        unit_phasor = spectra._unit_phasor
+
+        def spy(theta):
+            sizes.append(np.size(theta))
+            return unit_phasor(theta)
+
+        monkeypatch.setattr(spectra, "_unit_phasor", spy)
+        curve = eval_oracle(replace(CAL_500KM, fiber_length=length), WIDE,
+                            GridSpec(n_points=256))
+        assert sizes and max(sizes) <= 4 * math.ceil(math.sqrt(curve.checks["n_k"]))
+
+    @pytest.mark.parametrize("params, config, grid, kwargs", FOLD_CASES)
+    def test_ledger_sums_match_trapezoid(self, monkeypatch, params, config, grid, kwargs):
+        (_, _, du, alpha_in, _), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
+        checks = eval_oracle(params, config, grid, **kwargs).checks
+        trapz = getattr(np, "trapezoid", None) or np.trapz
+        assert abs(checks["norm_in"] - trapz(alpha_in**2, dx=du)) <= 1e-14
+        for key, row in zip(("mass_o_kspace", "mass_p_kspace"), rows):
+            mass = 0.0625 * params.t_fiber * trapz(np.abs(row) ** 2, dx=du)
+            assert abs(checks[key] - mass) <= 1e-14
+
     def test_axis_is_mirror_symmetric(self, monkeypatch):
         # the even factors are evaluated on half the axis and mirrored
         axes = [spied_rows(monkeypatch, *case.values)[0][1]
