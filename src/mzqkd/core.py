@@ -96,6 +96,10 @@ class LinkParams:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
 
 
+# The MzConfig field that holds each leg's shifter value.
+_SHIFTER_FIELDS = {"c": "delta_c", "d": "delta_d", "m": "delta_m"}
+
+
 @dataclass(frozen=True)
 class MzConfig:
     """Phase-shifter values and detector timing of the two interferometers.
@@ -122,7 +126,7 @@ class MzConfig:
 
     def shifter(self, leg: str) -> float:
         """Shifter value of one leg, m.  Both interferometers' short legs are "c"."""
-        return {"c": self.delta_c, "d": self.delta_d, "m": self.delta_m}[leg]
+        return getattr(self, _SHIFTER_FIELDS[leg])
 
     def delta_sum(self, pair: str) -> float:
         """Sum of the two shifter values of a leg pair, m."""

@@ -11,7 +11,7 @@ from mzqkd import spectra
 from mzqkd.bb84 import MIDDLE_WINDOW_RHO, default_baseline, detection_table
 from mzqkd.core import (LinkParams, MzConfig, PAIRS, PrecompMultiplier, broadening, derive,
                         x_rho)
-from mzqkd.errors import ResolutionError
+from mzqkd.errors import ResolutionError, VerificationError
 from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec, component_terms,
                            eval_analytic, eval_oracle, exact_window_masses,
                            max_normalized_deviation, middle_window_masses)
@@ -81,8 +81,32 @@ def reference_transfer_rows(params, config, d, u, precomp, placement):
     return np.array([e_m - e_c, e_m + e_c]) * common
 
 
+def oracle_axis(n_k, du):
+    """The oracle's whole wavenumber axis u_n = (n - (n_k - 1)/2) du."""
+    return (np.arange(n_k) - 0.5 * (n_k - 1)) * du
+
+
+def input_spectrum(d, u):
+    """The Gaussian input amplitude alpha_in at the wavenumber offsets u."""
+    return (2.0 * math.pi * d.delta_k**2) ** -0.25 * np.exp(-u**2 / (4.0 * d.delta_k**2))
+
+
+def mirrored(half, n_k):
+    """An even function on all n_k samples of the axis from its first ceil(n_k/2).
+
+    The second half is the first one reversed, without its middle sample
+    when n_k is odd.
+    """
+    return np.concatenate((half, half[:n_k - half.size][::-1]))
+
+
 def spied_rows(monkeypatch, params, config, grid, kwargs):
-    """The arguments and the result of the first ``_transfer_rows`` call of an oracle run."""
+    """The arguments and the result of the first ``_transfer_rows`` call of an oracle run.
+
+    The arguments are (d, n_k, du, alpha_half, start): the record, the
+    sample count and step of the axis, the input spectrum on the first
+    ceil(n_k/2) samples and the grid's first offset.
+    """
     built = []
     factored = spectra._transfer_rows
 
@@ -475,6 +499,10 @@ FOLD_CASES = [
 ]
 
 
+# one case of each parity of n_k
+PARITY_CASES = [case for case in FOLD_CASES if case.id in ("0km", "4096-points")]
+
+
 class TestFoldedTransform:
     @pytest.mark.parametrize("params, config, grid, kwargs", FOLD_CASES)
     def test_matches_dense_quadrature(self, monkeypatch, params, config, grid, kwargs):
@@ -522,7 +550,10 @@ class TestFoldedTransform:
         for placement in ("pre", "post", "symmetric")
     ])
     def test_factored_rows_match_reference(self, monkeypatch, params, config, grid, kwargs):
-        (d, u, _, alpha_in, start), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
+        (d, n_k, du, alpha_half, start), rows = spied_rows(monkeypatch, params, config, grid,
+                                                           kwargs)
+        u = oracle_axis(n_k, du)
+        alpha_in = mirrored(alpha_half, n_k)
         precomp = kwargs.get("precomp")
         # the carrier of the grid's first point, measured from the linear path
         center = (2.0 * params.group_index * params.leg_length + 2.0 * d.delta1 * d.k0
@@ -548,7 +579,8 @@ class TestFoldedTransform:
                                                kwargs):
         # The linear phases come from tables on the axis step du; a step
         # recovered as u[1] - u[0] reads 1.6e-6 of the rows at 5000 km.
-        (d, u, _, _, start), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
+        (d, n_k, du, _, start), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
+        u = oracle_axis(n_k, du)
         precomp = kwargs.get("precomp")
         index = [*range(0, u.size, u.size // 200), u.size - 1]
         reference = np.array([mp_factored_rows(params, config, d, u[n], precomp, start)
@@ -567,9 +599,8 @@ class TestFoldedTransform:
         # over +-2 delta_k, not the oracle's +-10, so that the input spectrum
         # keeps the end samples, and the last block, above the bound
         du = 4.0 * d.delta_k / (n_k - 1)
-        u = (np.arange(n_k) - 0.5 * (n_k - 1)) * du
-        alpha_in = (2.0 * math.pi * d.delta_k**2) ** -0.25 * np.exp(-u**2 / (4.0 * d.delta_k**2))
-        rows = spectra._transfer_rows(d, u, du, alpha_in, -3.1)
+        u = oracle_axis(n_k, du)
+        rows = spectra._transfer_rows(d, n_k, du, input_spectrum(d, u[:(n_k + 1) // 2]), -3.1)
         reference = np.array([mp_factored_rows(params, config, d, value, multiplier, -3.1)
                               for value in u]).T
         assert np.max(np.abs(rows - reference)) <= 1e-10 * np.max(np.abs(rows))
@@ -591,20 +622,40 @@ class TestFoldedTransform:
 
     @pytest.mark.parametrize("params, config, grid, kwargs", FOLD_CASES)
     def test_ledger_sums_match_trapezoid(self, monkeypatch, params, config, grid, kwargs):
-        (_, _, du, alpha_in, _), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
+        (_, n_k, du, alpha_half, _), rows = spied_rows(monkeypatch, params, config, grid,
+                                                       kwargs)
         checks = eval_oracle(params, config, grid, **kwargs).checks
         trapz = getattr(np, "trapezoid", None) or np.trapz
+        alpha_in = mirrored(alpha_half, n_k)
         assert abs(checks["norm_in"] - trapz(alpha_in**2, dx=du)) <= 1e-14
         for key, row in zip(("mass_o_kspace", "mass_p_kspace"), rows):
             mass = 0.0625 * params.t_fiber * trapz(np.abs(row) ** 2, dx=du)
             assert abs(checks[key] - mass) <= 1e-14
 
     def test_axis_is_mirror_symmetric(self, monkeypatch):
-        # the even factors are evaluated on half the axis and mirrored
-        axes = [spied_rows(monkeypatch, *case.values)[0][1]
-                for case in FOLD_CASES if case.id in ("0km", "4096-points")]
-        assert {u.size % 2 for u in axes} == {0, 1}
-        assert all(np.array_equal(u[::-1], -u) for u in axes)
+        # the even factors are evaluated on half the axis and mirrored: the
+        # input spectrum handed on is the first half of the whole axis's
+        parities = set()
+        for case in PARITY_CASES:
+            (d, n_k, du, alpha_half, _), _ = spied_rows(monkeypatch, *case.values)
+            parities.add(n_k % 2)
+            u = oracle_axis(n_k, du)
+            assert np.array_equal(u[::-1], -u)
+            assert alpha_half.size == (n_k + 1) // 2
+            assert np.array_equal(alpha_half, input_spectrum(d, u[:alpha_half.size]))
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("params, config, grid, kwargs", PARITY_CASES)
+    def test_input_norm_is_the_whole_axis_trapezoid(self, monkeypatch, params, config, grid,
+                                                    kwargs):
+        # norm_in comes from the half sum; the trapezoid rule on the whole
+        # mirrored spectrum, evaluated directly on the whole axis, agrees
+        (d, n_k, du, alpha_half, _), _ = spied_rows(monkeypatch, params, config, grid, kwargs)
+        alpha_in = mirrored(alpha_half, n_k)
+        assert np.array_equal(alpha_in, input_spectrum(d, oracle_axis(n_k, du)))
+        trapz = getattr(np, "trapezoid", None) or np.trapz
+        norm_in = eval_oracle(params, config, grid, **kwargs).checks["norm_in"]
+        assert abs(norm_in - trapz(alpha_in**2, dx=du)) <= 1e-15
 
     def test_mass_ledger_independent_of_placement(self):
         params, multiplier, _ = compensated(50e3, 0.5, convention="calibrated")
@@ -794,6 +845,37 @@ class TestCurveStructure:
         mid = curve.x_relative[np.argmax(curve.intensity_o
                                          * (np.abs(curve.x_relative) < 0.1))]
         assert abs(mid) < 5 * (curve.x[1] - curve.x[0])
+
+
+class TestVerificationGuards:
+    @pytest.mark.parametrize("shift, same_grid", [(5e-13, True), (2e-12, False),
+                                                  (math.nan, False)],
+                             ids=["5e-13", "2e-12", "nan"])
+    def test_deviation_grid_tolerance(self, shift, same_grid):
+        # the grids must agree to 1e-12 m; a NaN offset never agrees
+        a = eval_analytic(CAL_50KM, MATCHED, GridSpec(n_points=256))
+        offset = a.x_relative.copy()
+        offset[100] += shift
+        b = replace(a, x_relative=offset)
+        if same_grid:
+            assert max_normalized_deviation(a, b) == 0.0
+        else:
+            with pytest.raises(ValueError, match="different relative grids"):
+                max_normalized_deviation(a, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_clip_rejects_non_finite(self, bad):
+        values = np.linspace(0.0, 1.0, 64).reshape(2, 32)
+        values[1, 7] = bad
+        with pytest.raises(VerificationError, match="non-finite intensity"):
+            spectra._clip_rounding_noise(values, "intensity")
+
+    def test_clip_keeps_rounding_noise_and_rejects_sign_errors(self):
+        values = np.array([1.0, -0.5e-10, 0.25])
+        assert np.array_equal(spectra._clip_rounding_noise(values, "mass"), [1.0, 0.0, 0.25])
+        values[1] = -2e-10
+        with pytest.raises(VerificationError, match="negative mass beyond rounding noise"):
+            spectra._clip_rounding_noise(values, "mass")
 
 
 class TestBroadeningSymmetry:
