@@ -13,14 +13,13 @@ closed-form spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (DerivedQuantities, LinkParams, MzConfig, accumulated_dispersion,
-                   broadening, derive, x_rho)
-from .design import min_phase_sum
+from .core import DerivedQuantities, LinkParams, MzConfig, derive, x_rho
+from .design import _phase_sum_bound, _pulse_over_lengths, min_phase_sum
 from .errors import InfeasibleDesignError
 from .spectra import exact_window_masses, z_phase_difference
 
@@ -92,14 +91,8 @@ class GTermAnalysis:
 def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
                     delta_c: float = 0.0) -> GTermAnalysis:
     """Evaluate G over fiber lengths and locate its maximum magnitude."""
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.size == 0 or not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
-        raise ValueError("length sweep must be non-empty, finite and non-negative")
-    # the longest length has the widest pulse: its derive rejects a sweep whose
-    # widths leave the float range before the array arithmetic overflows
-    d0 = derive(replace(params, fiber_length=float(lengths.max())), MzConfig())
-    delta1 = accumulated_dispersion(params, lengths)
-    gamma, sigma = broadening(d0.delta_k, delta1)
+    lengths, d0, delta1, gamma, sigma = _pulse_over_lengths(
+        params, lengths, "length sweep must be non-empty, finite and non-negative")
     g_values = _g_term(params.lambda0, gamma, delta1)
     return GTermAnalysis(
         lengths=lengths, g_values=g_values,
@@ -168,7 +161,7 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
             f"baseline {baseline!r} m leaves the three pulses overlapping "
             f"(2*baseline < 4*X_1 = {4.0 * x_1:.4g} m)")
     warning = None
-    bound = min_phase_sum(params, 3.0)
+    bound = _phase_sum_bound(x_rho(derived.sigma, 3.0), 0.0, 0.0, 1.0)
     if 2.0 * baseline < bound:
         warning = (f"baseline sum {2.0 * baseline:.4g} m is below the rho=3 "
                    f"separation bound {bound:.4g} m")

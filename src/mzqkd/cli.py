@@ -61,7 +61,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or default_config_path()
     config = apply_overrides(load_config_file(path) if path else RunConfig(), args)
     config.validate_design()
-    config.mz_config()  # every command checks the interferometer settings
+    config.resolved_edge_times()  # every command checks the interferometer settings
+    config.mz_config()
     if config.out_format is None:
         config.out_format = args.formats[0]
     elif config.out_format not in args.formats:
@@ -86,12 +87,12 @@ def _length_range_m(args: argparse.Namespace) -> np.ndarray:
 # ------------------------------------------------------------- subcommands
 
 def cmd_design(args: argparse.Namespace, config: RunConfig) -> int:
-    params, mz = config.link_params(), config.mz_config()
-    report = build_design_report(params, mz, config.rho,
-                                 actual_phase_sum=args.sum_m,
-                                 safety_factor=config.safety_factor)
+    params = config.link_params()
+    rising, falling = config.resolved_edge_times()
+    report = build_design_report(params, config.rho, actual_phase_sum=args.sum_m, t_rising=rising,
+                                 t_falling=falling, safety_factor=config.safety_factor)
     if config.out_format == "json":
-        text = io_mod.design_report_json(report, params, mz)
+        text = io_mod.design_report_json(report, params)
     else:
         text = io_mod.design_report_text(report)
     io_mod.emit(text, config.out_path)
@@ -99,9 +100,9 @@ def cmd_design(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
-    params, mz = config.link_params(), config.mz_config()
-    lengths = _length_range_m(args)
-    columns = sweep_lengths(params, mz, config.rho, lengths, config.safety_factor)
+    params = config.link_params()
+    columns = sweep_lengths(params, config.rho, _length_range_m(args),
+                            *config.resolved_edge_times(), config.safety_factor)
     if config.out_format == "svg-plot":
         name, label = (("rate_linear_hz", "rate_hz") if args.quantity == "rate"
                        else ("min_phase_sum_m", "min_phase_sum_m"))
@@ -176,9 +177,9 @@ def cmd_gterm(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_compensate(args: argparse.Namespace, config: RunConfig) -> int:
-    params, mz = config.link_params(), config.mz_config()
+    params = config.link_params()
     plan = comp_mod.plan(params, args.clock_ghz * 1e9, config.rho, config.mode,
-                         mz.t_rising, mz.t_falling, config.safety_factor)
+                         *config.resolved_edge_times(), config.safety_factor)
     if config.out_format == "json":
         text = io_mod.plan_json(plan, params)
     else:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import LinkParams, MzConfig, PrecompMultiplier, derive, effective_kappa
-from .design import MODE_FACTOR, RATE_MODES, max_rate, min_phase_sum
+from .core import LinkParams, PrecompMultiplier, effective_kappa
+from .design import MODE_FACTOR, RATE_MODES, _far_end, max_rate, min_phase_sum
 from .errors import InfeasibleDesignError
 from .units import C0
 
@@ -67,7 +67,7 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
                 "(interferometer legs still disperse)")
         # Invert rate = c0/(q*rho*sqrt(2)*sigma), sigma = sqrt(gamma)/(2*delta_k),
         # gamma = 1 + 16*delta_k^4*delta1^2 and |delta1| = kappa*(active + 2*leg).
-        d = derive(params, MzConfig())
+        d = _far_end(params)
         sigma = C0 / (MODE_FACTOR[mode] * rho * math.sqrt(2.0) * clock_rate)
         gamma = (2.0 * d.delta_k * sigma) ** 2
         total = math.sqrt(max(gamma - 1.0, 0.0) / (16.0 * d.delta_k**4)) / d.kappa

@@ -2,8 +2,8 @@
 
 A config file holds ``key = value`` entries grouped into the sections below.
 Command-line flags override file values; file values override defaults.
-Every value is converted to SI exactly once, in :func:`RunConfig.link_params`
-and :func:`RunConfig.mz_config`.
+Every value is converted to SI exactly once, by :func:`RunConfig.link_params`,
+:func:`RunConfig.mz_config` or :func:`RunConfig.resolved_edge_times`.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class RunConfig:
     normalize: str = _setting("output", "absolute", str, choices=("absolute", "peak"))
 
     def resolved_edge_times(self) -> tuple[float, float]:
-        """Detector edge times in seconds: explicit values beat the profile."""
+        """Detector edge times in s, checked finite and >= 0; set values beat the profile."""
         profile = (0.0, 0.0)
         if self.detector_profile is not None:
             try:
@@ -82,6 +82,11 @@ class RunConfig:
                     f"{self.detector_profile!r}; choose from {sorted(DETECTOR_PROFILES)}")
         rising = ns_to_s(self.t_rising_ns) if self.t_rising_ns is not None else profile[0]
         falling = ns_to_s(self.t_falling_ns) if self.t_falling_ns is not None else profile[1]
+        for name, value in (("t_rising", rising), ("t_falling", falling)):
+            if not math.isfinite(value):
+                raise ConfigError(f"interferometer: {name} must be finite, got {value!r}")
+        if rising < 0 or falling < 0:
+            raise ConfigError("interferometer: detector edge times must be non-negative")
         return rising, falling
 
     def link_params(self) -> LinkParams:
@@ -101,14 +106,11 @@ class RunConfig:
             raise ConfigError(f"link: {exc}") from exc
 
     def mz_config(self) -> MzConfig:
-        rising, falling = self.resolved_edge_times()
         try:
             return MzConfig(
                 delta_d=self.delta_d_m,
                 delta_m=self.delta_m_m,
                 delta_c=self.delta_c_m,
-                t_rising=rising,
-                t_falling=falling,
             )
         except ValueError as exc:
             raise ConfigError(f"interferometer: {exc}") from exc

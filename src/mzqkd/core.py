@@ -102,27 +102,22 @@ _SHIFTER_FIELDS = {"c": "delta_c", "d": "delta_d", "m": "delta_m"}
 
 @dataclass(frozen=True)
 class MzConfig:
-    """Phase-shifter values and detector timing of the two interferometers.
+    """Phase-shifter values of the two interferometers.
 
     delta_d / delta_m are the extra path lengths in the long arms of the first
     and second interferometer; delta_c is a common short-arm offset (normally
-    zero).  The transmission fiber carries no phase shifter.  Detector edge
-    times are in seconds.
+    zero).  The transmission fiber carries no phase shifter.
     """
 
     delta_d: float = 0.25
     delta_m: float = 0.25
     delta_c: float = 0.0
-    t_rising: float = 0.0
-    t_falling: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("delta_d", "delta_m", "delta_c", "t_rising", "t_falling"):
+        for name in ("delta_d", "delta_m", "delta_c"):
             _require_finite(name, getattr(self, name))
         if self.delta_d < 0 or self.delta_m < 0 or self.delta_c < 0:
             raise ValueError("phase shifter lengths must be non-negative")
-        if self.t_rising < 0 or self.t_falling < 0:
-            raise ValueError("detector edge times must be non-negative")
 
     def shifter(self, leg: str) -> float:
         """Shifter value of one leg, m.  Both interferometers' short legs are "c"."""
@@ -229,8 +224,9 @@ def derive(params: LinkParams, config: MzConfig,
     and fwhm are those of the compensated pulse) and its a_cp to every
     component mean, and its t_cp is recorded.  Raises ValueError for
     out-of-range inputs (delegated to the dataclass validators when
-    constructing params/config directly) and when delta_k, gamma or sigma is
-    not a positive finite float.
+    constructing params/config directly), when delta_k, gamma or sigma is
+    not a positive finite float, and when a shifter sum's square is not
+    finite (the closed form squares their differences).
     """
     try:
         delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
@@ -252,9 +248,16 @@ def derive(params: LinkParams, config: MzConfig,
             "the wavenumber spread or the pulse width leaves the float range "
             f"(lambda0 {params.lambda0!r} m, delta_lambda {params.delta_lambda!r} m, "
             f"fiber_length {params.fiber_length!r} m)")
+    sums = {pair: config.delta_sum(pair) for pair in PAIRS}
+    widest = max(sums.values())
+    if not widest * widest < math.inf:
+        raise ValueError(
+            "the shifter sums leave the float range when squared "
+            f"(delta_d {config.delta_d!r} m, delta_m {config.delta_m!r} m, "
+            f"delta_c {config.delta_c!r} m)")
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
     base = path + 2.0 * delta1 * k0
-    mu = {pair: base + config.delta_sum(pair) for pair in PAIRS}
+    mu = {pair: base + sums[pair] for pair in PAIRS}
     return DerivedQuantities(
         params=params, config=config, delta_k=delta_k, k0=k0, kappa=kappa,
         delta1=delta1, gamma=gamma, sigma=sigma, fwhm=fwhm, mu=mu,

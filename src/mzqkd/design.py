@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ DETECTOR_PROFILES = {
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Computed design bounds for one (link, rho) choice."""
+    """Computed design bounds for one (link, rho) choice, with the inputs of its bound."""
 
     rho: float
     visibility: float
@@ -46,12 +46,26 @@ class DesignReport:
     max_rate_general: float       # Hz
     gate_window: Optional[float]  # s, None when no actual phase sum was supplied
     safety_factor: float
+    t_rising: float               # s
+    t_falling: float              # s
     actual_phase_sum: Optional[float] = None  # m
 
 
-def _pulse_half_width(params: LinkParams, rho: float) -> float:
-    """X_rho of the broadened pulse at the far end of the link, m."""
-    return x_rho(derive(params, MzConfig()).sigma, rho)
+def _far_end(params: LinkParams):
+    """The derived record at the link's far end; no bound reads a shifter value."""
+    return derive(params, MzConfig())
+
+
+def _pulse_over_lengths(params: LinkParams, lengths_m, message: str):
+    """Lengths, longest length's record, and delta1, gamma, sigma per length, of a sweep."""
+    lengths = np.asarray(lengths_m, dtype=float)
+    if lengths.size == 0 or not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
+        raise ValueError(message)
+    # the longest length has the widest pulse: its derive rejects a sweep whose
+    # widths leave the float range before the array arithmetic overflows
+    longest = _far_end(replace(params, fiber_length=float(lengths.max())))
+    delta1 = accumulated_dispersion(params, lengths)
+    return (lengths, longest, delta1, *broadening(longest.delta_k, delta1))
 
 
 def visibility_of_rho(rho: float) -> float:
@@ -73,25 +87,33 @@ def min_phase_sum(params: LinkParams, rho: float,
     An ideal gate needs 4*X_rho; detector edge times extend the bound by
     c0*(t_rising + t_falling).  The safety factor multiplies the whole bound.
     """
-    return _phase_sum_bound(_pulse_half_width(params, rho), t_rising, t_falling, safety_factor)
+    return _phase_sum_bound(x_rho(_far_end(params).sigma, rho), t_rising, t_falling, safety_factor)
 
 
 def max_rate(params: LinkParams, rho: float, mode: str = "linear") -> float:
     """Largest symbol rate without intersymbol overlap, Hz."""
     if mode not in MODE_FACTOR:
         raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
-    return _rate_bound(_pulse_half_width(params, rho), mode)
+    return _rate_bound(x_rho(_far_end(params).sigma, rho), mode)
 
 
-# The two bounds as functions of the half width X_rho (a float or a numpy
-# array), shared by the scalar functions above and the length sweep.
+# The bounds as functions of the half width X_rho (a float or a numpy array),
+# shared by the scalar functions above, the report and the length sweep.
 
 def _phase_sum_bound(half, t_rising: float, t_falling: float, safety_factor: float):
     if t_rising < 0 or t_falling < 0:
         raise ValueError("detector edge times must be non-negative")
     if safety_factor <= 0:
         raise ValueError("safety_factor must be positive")
-    return safety_factor * (4.0 * half + C0 * (t_rising + t_falling))
+    edges = C0 * (t_rising + t_falling)
+    # The bound is largest where X_rho is largest; an edge time or a safety
+    # factor near the float limit leaves it no finite value there.
+    largest = float(np.max(half)) if isinstance(half, np.ndarray) else half
+    if not safety_factor * (4.0 * largest + edges) < math.inf:
+        raise ValueError(f"the shifter-sum bound leaves the float range: "
+                         f"X_rho = {largest:.6g} m, c0*(t_rising + t_falling) = {edges:.6g} m, "
+                         f"safety factor {safety_factor:.6g}")
+    return safety_factor * (4.0 * half + edges)
 
 
 def _rate_bound(half, mode: str):
@@ -104,17 +126,10 @@ def _rate_bound(half, mode: str):
     return C0 / (MODE_FACTOR[mode] * half)
 
 
-def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> float:
-    """Longest detector gate centered on the middle pulse, s.
-
-    Requires actual_phase_sum >= 2*X_rho; anything smaller cannot isolate the
-    middle pulse and raises InfeasibleDesignError.  A negative or non-finite
-    phase sum is no shifter setting and raises ValueError.
-    """
+def _gate_bound(actual_phase_sum: float, half: float) -> float:
     if not 0.0 <= actual_phase_sum < math.inf:
         raise ValueError(f"actual phase sum must be non-negative and finite, "
                          f"got {actual_phase_sum!r}")
-    half = _pulse_half_width(params, rho)
     margin = actual_phase_sum - 2.0 * half
     if margin < 0:
         raise InfeasibleDesignError(
@@ -123,49 +138,51 @@ def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> floa
     return margin / C0
 
 
-def build_design_report(params: LinkParams, config: MzConfig, rho: float,
+def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> float:
+    """Longest detector gate centered on the middle pulse, s.
+
+    Requires actual_phase_sum >= 2*X_rho; anything smaller cannot isolate the
+    middle pulse and raises InfeasibleDesignError.  A negative or non-finite
+    phase sum is no shifter setting and raises ValueError.
+    """
+    return _gate_bound(actual_phase_sum, x_rho(_far_end(params).sigma, rho))
+
+
+def build_design_report(params: LinkParams, rho: float, *,
                         actual_phase_sum: float | None = None,
+                        t_rising: float = 0.0, t_falling: float = 0.0,
                         safety_factor: float = 1.0) -> DesignReport:
-    """Assemble every design bound for one link instance."""
-    window = None
-    if actual_phase_sum is not None:
-        window = gate_window(actual_phase_sum, params, rho)
+    """Every design bound of one link instance, from one derived pulse width."""
+    half = x_rho(_far_end(params).sigma, rho)
     return DesignReport(
         rho=rho,
         visibility=visibility_of_rho(rho),
-        min_phase_sum=min_phase_sum(params, rho, config.t_rising, config.t_falling,
-                                    safety_factor),
-        max_rate_linear=max_rate(params, rho, "linear"),
-        max_rate_nonlinear=max_rate(params, rho, "nonlinear"),
-        max_rate_general=max_rate(params, rho, "general"),
-        gate_window=window,
+        gate_window=None if actual_phase_sum is None else _gate_bound(actual_phase_sum, half),
+        min_phase_sum=_phase_sum_bound(half, t_rising, t_falling, safety_factor),
+        max_rate_linear=_rate_bound(half, "linear"),
+        max_rate_nonlinear=_rate_bound(half, "nonlinear"),
+        max_rate_general=_rate_bound(half, "general"),
         safety_factor=safety_factor,
+        t_rising=t_rising,
+        t_falling=t_falling,
         actual_phase_sum=actual_phase_sum,
     )
 
 
-def sweep_lengths(params: LinkParams, config: MzConfig, rho: float,
-                  lengths_m: Iterable[float],
+def sweep_lengths(params: LinkParams, rho: float, lengths_m: Sequence[float] | np.ndarray,
+                  t_rising: float = 0.0, t_falling: float = 0.0,
                   safety_factor: float = 1.0) -> dict[str, np.ndarray]:
     """Evaluate the design bounds over a range of fiber lengths.
 
     Returns one array per column, each with one entry per length: length_m,
     min_phase_sum_m, rate_linear_hz, rate_nonlinear_hz, rate_general_hz.
     """
-    lengths = np.array(list(lengths_m), dtype=float)
-    if lengths.size == 0:
-        raise ValueError("length sweep must contain at least one value")
-    if not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
-        raise ValueError("lengths must be finite and non-negative")
-    # the longest length has the widest pulse: its derive rejects a sweep whose
-    # widths leave the float range before the array arithmetic overflows
-    longest = derive(replace(params, fiber_length=float(lengths.max())), MzConfig())
-    _, sigma = broadening(longest.delta_k, accumulated_dispersion(params, lengths))
+    lengths, _, _, _, sigma = _pulse_over_lengths(params, lengths_m,
+                                                  "lengths must be finite and non-negative")
     half = x_rho(sigma, rho)
     return {
         "length_m": lengths,
-        "min_phase_sum_m": _phase_sum_bound(half, config.t_rising, config.t_falling,
-                                            safety_factor),
+        "min_phase_sum_m": _phase_sum_bound(half, t_rising, t_falling, safety_factor),
         "rate_linear_hz": _rate_bound(half, "linear"),
         "rate_nonlinear_hz": _rate_bound(half, "nonlinear"),
         "rate_general_hz": _rate_bound(half, "general"),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bb84 import DetectionTable, GTermAnalysis
 from .compensation import CompensationPlan, precompensate_input
-from .core import LinkParams, MzConfig, effective_kappa
+from .core import LinkParams, effective_kappa
 from .design import DesignReport
 from .errors import ConfigError
 from .spectra import SpectrumCurve
@@ -154,11 +154,10 @@ def design_report_text(report: DesignReport) -> str:
                    for name, value, unit in rows)
 
 
-def design_report_json(report: DesignReport, params: LinkParams,
-                       config: MzConfig) -> str:
+def design_report_json(report: DesignReport, params: LinkParams) -> str:
     payload = {
         "config_si": {**link_as_dict(params),
-                      "t_rising_s": config.t_rising, "t_falling_s": config.t_falling},
+                      "t_rising_s": report.t_rising, "t_falling_s": report.t_falling},
         "report": {
             "rho": report.rho,
             "visibility": report.visibility,

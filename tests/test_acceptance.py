@@ -214,9 +214,8 @@ def test_08_g_term_maximum():
 
 def test_09_sweep_shapes():
     lengths = np.linspace(50e3, 500e3, 46)
-    config = MzConfig()
 
-    sweep_fp = sweep_lengths(LinkParams(), config, 3.0, lengths)
+    sweep_fp = sweep_lengths(LinkParams(), 3.0, lengths)
     sums_fp = sweep_fp["min_phase_sum_m"]
     slope_fp, intercept = np.polyfit(lengths, sums_fp, 1)
     fitted = slope_fp * lengths + intercept
@@ -227,7 +226,7 @@ def test_09_sweep_shapes():
     products = sweep_fp["rate_linear_hz"] * lengths
     product_spread = float(products.max() / products.min() - 1.0)
 
-    sums_cal = sweep_lengths(LinkParams(convention="calibrated"), config, 3.0,
+    sums_cal = sweep_lengths(LinkParams(convention="calibrated"), 3.0,
                              lengths)["min_phase_sum_m"]
     slope_cal = np.polyfit(lengths, sums_cal, 1)[0] * 1e5  # m per 100 km
     slope_err = abs(slope_cal - 0.8454) / 0.8454

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mzqkd
-from mzqkd import spectra
+from mzqkd import core, spectra
 from mzqkd.cli import _resolve_config, build_parser, main
 from mzqkd.config import RunConfig, load_config_file
 from mzqkd.units import C0
@@ -81,6 +81,26 @@ class TestDesign:
             main(["design", "--format", "csv"])
         assert exc.value.code == 2
         assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [(), ("--sum-m", "0.5"), ("--format", "json"),
+                                      ("--format", "json", "--sum-m", "0.5")],
+                             ids=["text", "text-sum", "json", "json-sum"])
+    def test_derives_the_pulse_once(self, capsys, monkeypatch, argv):
+        # every bound of the report reads one far-end pulse width
+        calls = []
+        real = core.derive
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # the modules import derive by name, so it is patched wherever it is bound
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mzqkd" and getattr(module, "derive", None) is real:
+                monkeypatch.setattr(module, "derive", spy)
+        code, _, _ = run(capsys, "design", *CAL, "--t-rising-ns", "1", *argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_detector_profile(self, capsys):
         code_ideal, out_ideal, _ = run(capsys, "design", *CAL)
@@ -353,6 +373,10 @@ class TestOracleCheckCommand:
         assert err.startswith("config error: threshold") and threshold in err
 
 
+# a safety factor and an edge time whose product leaves the float range
+HUGE_BOUND = ("--safety-factor", "1e308", "--t-rising-ns", "1e10")
+
+
 class TestExitCodes:
     """Numeric failures are verification failures, not config errors."""
 
@@ -445,9 +469,21 @@ class TestExitCodes:
          "rate bound leaves the float range"),
         (("compensate", "--clock-ghz", "1", "--rho", "1e-300"),
          "rate bound leaves the float range"),
+        (("design", *HUGE_BOUND), "shifter-sum bound leaves the float range"),
+        (("sweep", "--l-min-km", "0", "--l-max-km", "10", "--steps", "2", *HUGE_BOUND),
+         "shifter-sum bound leaves the float range"),
+        (("compensate", "--length-km", "100", "--clock-ghz", "1", *HUGE_BOUND),
+         "shifter-sum bound leaves the float range"),
+        (("spectra", "--delta-d-m", "1e200", "--n-points", "8"),
+         "shifter sums leave the float range when squared"),
+        (("oracle-check", "--delta-d-m", "1e200"),
+         "shifter sums leave the float range when squared"),
+        (("bb84", "--baseline-m", "1e154"), "shifter sums leave the float range when squared"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
             "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
-            "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho"])
+            "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho",
+            "design-huge-bound", "sweep-huge-bound", "compensate-huge-bound",
+            "spectra-huge-shifter", "oracle-huge-shifter", "bb84-huge-baseline"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mzqkd.config import RunConfig
 from mzqkd.core import (CALIBRATED_KAPPA_SCALE, LinkParams, MzConfig, PAIRS,
                         derive, effective_kappa, x_rho)
+from mzqkd.errors import ConfigError
 
 # Reference values from a 40-digit evaluation of the closed forms at the
 # default constants (1550 nm, 0.31 nm, 17 ps/(km*nm), 50 km, 1 m legs).
@@ -185,8 +187,19 @@ class TestValidation:
     def test_rejects_negative_shifters_and_times(self):
         with pytest.raises(ValueError):
             MzConfig(delta_d=-0.1)
-        with pytest.raises(ValueError):
-            MzConfig(t_rising=-1e-9)
+        # the detector edge times are checked where the run configuration
+        # resolves them
+        for rising, message in ((-1.0, "detector edge times must be non-negative"),
+                                (math.nan, "t_rising must be finite, got nan")):
+            with pytest.raises(ConfigError, match=f"^interferometer: {message}$"):
+                RunConfig(t_rising_ns=rising).resolved_edge_times()
+
+    def test_rejects_shifter_sums_whose_square_overflows(self):
+        assert derive(LinkParams(), MzConfig(delta_d=1e150, delta_m=1e150)).sigma > 0
+        for config in (MzConfig(delta_d=1e200), MzConfig(delta_d=1e154, delta_m=1e154),
+                       MzConfig(delta_d=1e308, delta_m=1e308)):
+            with pytest.raises(ValueError, match="shifter sums leave the float range"):
+                derive(LinkParams(), config)
 
     def test_delta_sum_lookup(self):
         config = MzConfig(delta_d=0.3, delta_m=0.2, delta_c=0.05)

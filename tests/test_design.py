@@ -157,19 +157,31 @@ class TestMonotonicity:
 class TestReportAndSweep:
     def test_report_fields(self):
         params = LinkParams(fiber_length=50e3, convention="calibrated")
-        report = build_design_report(params, MzConfig(), 3.0, actual_phase_sum=0.5)
+        report = build_design_report(params, 3.0, actual_phase_sum=0.5)
         assert report.visibility == pytest.approx(0.99998, abs=5e-4)
         assert report.max_rate_general == pytest.approx(2.0 * report.max_rate_linear, rel=1e-14)
         assert report.max_rate_nonlinear == pytest.approx(
             report.max_rate_linear * 2.0 / 3.0, rel=1e-14)
         assert report.gate_window is not None and report.gate_window > 0
 
+    def test_report_equals_scalar_bounds_and_records_edges(self):
+        # the report derives the pulse once; each bound is bit-equal to its
+        # scalar function, which derives it again
+        params = LinkParams(fiber_length=300e3, convention="calibrated")
+        report = build_design_report(params, 2.7, actual_phase_sum=2.0, t_rising=1e-9,
+                                     t_falling=2e-9, safety_factor=1.5)
+        assert (report.t_rising, report.t_falling, report.safety_factor) == (1e-9, 2e-9, 1.5)
+        assert report.min_phase_sum == min_phase_sum(params, 2.7, 1e-9, 2e-9, 1.5)
+        assert report.gate_window == gate_window(2.0, params, 2.7)
+        for mode in ("linear", "nonlinear", "general"):
+            assert getattr(report, f"max_rate_{mode}") == max_rate(params, 2.7, mode)
+
     def test_report_without_actual_sum_has_no_window(self):
-        report = build_design_report(LinkParams(), MzConfig(), 3.0)
+        report = build_design_report(LinkParams(), 3.0)
         assert report.gate_window is None
 
     def test_sweep_monotone_columns(self):
-        columns = sweep_lengths(LinkParams(), MzConfig(), 3.0,
+        columns = sweep_lengths(LinkParams(), 3.0,
                                 np.linspace(10e3, 200e3, 20))
         sums = columns["min_phase_sum_m"]
         rates = columns["rate_linear_hz"]
@@ -179,10 +191,9 @@ class TestReportAndSweep:
     @pytest.mark.parametrize("convention", ["first_principles", "calibrated"])
     def test_sweep_rows_equal_scalar_bounds(self, convention):
         params = LinkParams(convention=convention)
-        config = MzConfig(t_rising=2.5e-9, t_falling=1e-9)
         lengths = [0.0, 1.0, 1236.0, 50e3, 405e3, 500e3]
-        columns = sweep_lengths(params, config, 2.7, lengths)
-        safer = sweep_lengths(params, config, 2.7, lengths, safety_factor=1.7)
+        columns = sweep_lengths(params, 2.7, lengths, 2.5e-9, 1e-9)
+        safer = sweep_lengths(params, 2.7, lengths, 2.5e-9, 1e-9, safety_factor=1.7)
         for i, length in enumerate(lengths):
             p = replace(params, fiber_length=length)
             assert columns["length_m"][i] == length
@@ -194,10 +205,10 @@ class TestReportAndSweep:
 
     def test_sweep_rejects_empty(self):
         with pytest.raises(ValueError):
-            sweep_lengths(LinkParams(), MzConfig(), 3.0, [])
+            sweep_lengths(LinkParams(), 3.0, [])
         for bad in (0.0, -2.0):
             with pytest.raises(ValueError, match="safety_factor"):
-                sweep_lengths(LinkParams(), MzConfig(), 3.0, [10e3], safety_factor=bad)
+                sweep_lengths(LinkParams(), 3.0, [10e3], safety_factor=bad)
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                sweep_lengths(LinkParams(), MzConfig(), 3.0, [10e3, bad])
+                sweep_lengths(LinkParams(), 3.0, [10e3, bad])

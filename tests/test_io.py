@@ -135,7 +135,7 @@ def test_svg_polylines_match_per_point_reference(tables):
 
 
 def test_sweep_and_gterm_csv_match_reference():
-    rows = sweep_lengths(CAL, MZ, 3.0, np.linspace(0.0, 500e3, 2 * io_mod.CHUNK_ROWS + 3))
+    rows = sweep_lengths(CAL, 3.0, np.linspace(0.0, 500e3, 2 * io_mod.CHUNK_ROWS + 3))
     header = ["length_km", "min_phase_sum_m", "rate_linear_hz", "rate_nonlinear_hz",
               "rate_general_hz"]
     assert io_mod.sweep_csv(rows) == reference_float_csv(
@@ -223,16 +223,16 @@ def test_csv_table_header_and_rows():
 
 
 def test_design_report_serializations():
-    report = build_design_report(CAL, MZ, 3.0, actual_phase_sum=0.5)
+    report = build_design_report(CAL, 3.0, actual_phase_sum=0.5)
     text = io_mod.design_report_text(report)
     assert "min_phase_sum" in text and "gate_window" in text
-    payload = json.loads(io_mod.design_report_json(report, CAL, MZ))
+    payload = json.loads(io_mod.design_report_json(report, CAL))
     assert payload["config_si"]["convention"] == "calibrated"
     assert payload["report"]["min_phase_sum_m"] == pytest.approx(0.423, rel=5e-3)
 
 
 def test_sweep_csv_units_in_header():
-    rows = sweep_lengths(CAL, MZ, 3.0, np.linspace(50e3, 100e3, 3))
+    rows = sweep_lengths(CAL, 3.0, np.linspace(50e3, 100e3, 3))
     text = io_mod.sweep_csv(rows)
     header = text.split("\n", 1)[0]
     assert header == ("length_km,min_phase_sum_m,rate_linear_hz,"
