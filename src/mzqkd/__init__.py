@@ -7,8 +7,6 @@ from .bb84 import (
     default_baseline,
     detection_table,
     g_term_analysis,
-    g_term_value,
-    z_difference,
 )
 from .compensation import (
     CompensationPlan,
@@ -79,7 +77,6 @@ __all__ = [
     "eval_oracle",
     "exact_window_masses",
     "g_term_analysis",
-    "g_term_value",
     "gate_window",
     "max_normalized_deviation",
     "max_rate",
@@ -90,5 +87,4 @@ __all__ = [
     "sweep_lengths",
     "visibility_of_rho",
     "x_rho",
-    "z_difference",
 ]

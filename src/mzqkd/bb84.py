@@ -4,24 +4,23 @@ Alice encodes each bit as one of four wavelength-scale offsets added to her
 long-arm shifter; Bob decodes with one of two reader offsets.  Only the
 offset difference reaches the middle pulse, whose interference phase is
 (2*pi/lambda0)*(phi_m - phi_d) times a bracket 1 + G*(dx - delta_c) carrying
-the residual dispersion correction.  This module provides both forms of the
-phase difference, the G-term study and the end-to-end detection truth table,
-whose rows carry the offsets and whose shares are exact window masses of the
-closed-form spectra.
+the residual dispersion correction.  This module provides the G-term study
+and the end-to-end detection truth table, whose rows carry the offsets and
+whose shares are exact window masses of the closed-form spectra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DerivedQuantities, LinkParams, MzConfig, derive, x_rho
+from .core import LinkParams, MzConfig, derive, x_rho
 from .design import _phase_sum_bound, _pulse_over_lengths, min_phase_sum
 from .errors import InfeasibleDesignError
-from .spectra import exact_window_masses, z_phase_difference
+from .spectra import exact_window_masses
 
 BASES = ("X", "Z")
 
@@ -33,48 +32,11 @@ _BOB_OFFSETS = {"X": 0.0, "Z": 0.25}
 MIDDLE_WINDOW_RHO = 3.0 / math.sqrt(2.0)
 
 
-def g_term_value(derived: DerivedQuantities) -> float:
-    """Signed dispersion-correction coefficient G, 1/m.  Zero without dispersion."""
-    return float(_g_term(derived.params.lambda0, derived.gamma, derived.delta1))
-
-
 def _g_term(lambda0: float, gamma, delta1) -> np.ndarray:
     """G = lambda0*(1 - 1/gamma)/(4*pi*delta1) elementwise, 0 where delta1 is 0."""
     denominator = 4.0 * math.pi * np.asarray(delta1, dtype=float)
     return np.divide(lambda0 * (1.0 - 1.0 / gamma), denominator,
                      out=np.zeros_like(denominator), where=denominator != 0.0)
-
-
-class ZDifference(NamedTuple):
-    """Middle-pulse phase difference in two algebraic forms, rad."""
-
-    exact: float
-    factored: float
-
-
-def z_difference(params: LinkParams, config: MzConfig, delta_x: float,
-                 pair_a: str, pair_b: str) -> ZDifference:
-    """Phase difference z_a - z_b at offset delta_x from the symbol center.
-
-    ``exact`` is ``spectra.z_phase_difference``, the per-pair phases with
-    their common part cancelled algebraically; ``factored`` evaluates
-    (2*pi/lambda0)*(shifter-sum difference)*(1 + G*[delta_x + s]) where s
-    recenters for the pairs involved.  The two agree to rounding error.
-    """
-    d = derive(params, config)
-    for pair in (pair_a, pair_b):
-        if pair not in d.mu:
-            raise ValueError(f"unknown leg pair {pair!r}")
-    if abs(delta_x) > 5.0 * d.sigma:
-        raise ValueError("delta_x outside +-5 sigma of the symbol center")
-    exact = float(z_phase_difference(d, pair_a, pair_b, delta_x))
-
-    dsum_a = config.delta_sum(pair_a)
-    dsum_b = config.delta_sum(pair_b)
-    recenter = delta_x + 0.5 * (config.delta_d + config.delta_m - dsum_a - dsum_b)
-    factored = (2.0 * math.pi / params.lambda0) * (dsum_a - dsum_b) \
-        * (1.0 + g_term_value(d) * recenter)
-    return ZDifference(exact=exact, factored=factored)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ JSON (as ``json`` writes it) and ``%.2f`` for SVG coordinates.  JSON keys are
 sorted, and the SVG writer emits plain hand-assembled markup with no
 timestamps or random ids.  Float arrays are formatted a chunk of rows at a
 time (``format_rows``) or by ``json``'s C encoder (``json_array``), not by
-one Python call per value.
+one Python call per value.  SVG coordinates are written from numpy digit
+tables: each is rounded to hundredths against its exact binary value, as
+``%.2f`` rounds it, and a chunk holding a non-finite value or one beyond
+``SVG_EXACT_LIMIT`` goes through ``format_rows`` instead.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 CHUNK_ROWS = 512
 
 
-def format_rows(row_format: str, columns: Sequence, sep: str = "") -> str:
-    """Each row of equal-length float columns through one %-format, joined by sep.
+def format_rows(row_format: str, columns: Sequence) -> str:
+    """Each row of equal-length float columns through one %-format, concatenated.
 
     ``"%.12g" % v`` and ``format(v, ".12g")`` take the same double-to-string
     path (``-0``, ``nan`` and ``inf`` included), so a CSV row reads as
@@ -90,7 +93,7 @@ def format_rows(row_format: str, columns: Sequence, sep: str = "") -> str:
     table = np.array(columns, dtype=float)
     chunks = (zip(*table[:, start:start + CHUNK_ROWS].tolist())
               for start in range(0, table.shape[1], CHUNK_ROWS))
-    return sep.join(map(row_format.__mod__, itertools.chain.from_iterable(chunks)))
+    return "".join(map(row_format.__mod__, itertools.chain.from_iterable(chunks)))
 
 
 def float_csv(header: Sequence[str], columns: Sequence) -> str:
@@ -321,6 +324,87 @@ def plan_text(plan: CompensationPlan, params: LinkParams) -> str:
 
 # -------------------------------------------------------------------- svg
 
+# Rows per chunk of the polyline writer: a 4096-point series is one chunk,
+# and a longer one never holds more than one chunk's digit table.
+SVG_CHUNK_ROWS = 4096
+
+# Largest |v| whose "%.2f" text the digit tables decide.  100 v then stays
+# below 2**52, where every half-integer is a float, so a rounding tie in
+# 100 v shows in its rounded product.  A chunk with a larger or a non-finite
+# value goes through format_rows.
+SVG_EXACT_LIMIT = 1e13
+
+# "00" to "99" as rows of ASCII codes
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
+                             dtype=np.uint8).reshape(100, 2)
+
+
+def _hundredths(a: np.ndarray) -> np.ndarray:
+    """Floats 0 <= a <= SVG_EXACT_LIMIT rounded to int64 hundredths as "%.2f" rounds them.
+
+    rint(100 a) is the nearest integer to the exact product unless the
+    rounded product hi is a half-integer.  There the exact product is taken
+    as hi + lo (Dekker's TwoProduct, Numer. Math. 18 (1971) 224, with the
+    2**27 + 1 split; 100 needs none) and the sign of lo decides; lo == 0 is
+    an exact tie, which rint rounds to even, as "%.2f" does.
+    """
+    hi = a * 100.0
+    n = np.rint(hi)
+    tie = np.abs(hi - n) == 0.5
+    if tie.any():
+        a, hi = a[tie], hi[tie]
+        big = a * 134217729.0
+        a_hi = big - (big - a)
+        lo = (a_hi * 100.0 - hi) + (a - a_hi) * 100.0
+        n[tie] = np.where(lo == 0.0, n[tie], hi + np.copysign(0.5, lo))
+    return n.astype(np.int64)
+
+
+def _exact_points(xy: np.ndarray) -> str:
+    """"x,y " per row of an (n, 2) array, each coordinate as "%.2f" writes it.
+
+    The text is a uint8 table with one row per point: per coordinate a sign
+    (only if the chunk has a negative), the integer digits right-aligned in a
+    NUL-padded field, the point, two decimals and a separator.  Dropping the
+    NULs leaves the text.  Integer digits come from int64 division by a
+    scalar, numpy's fast path; an array of divisors ran several times slower.
+    """
+    cents = _hundredths(np.abs(xy))
+    whole = cents // 100
+    negative = np.signbit(xy)
+    lead = int(negative.any())
+    width = len(str(int(whole.max())))
+    table = np.empty(xy.shape + (lead + width + 4,), dtype=np.uint8)
+    if lead:
+        table[:, :, 0] = negative.view(np.uint8) * np.uint8(ord("-"))
+    digits = table[:, :, lead:]
+    rest = whole // 10
+    digits[:, :, width - 1] = whole - 10 * rest + ord("0")   # the ones digit always shows
+    for column in range(width - 2, -1, -1):
+        # a digit above the leading one is padding
+        higher = rest // 10
+        digits[:, :, column] = np.where(rest > 0, rest - 10 * higher + ord("0"), 0)
+        rest = higher
+    digits[:, :, width] = ord(".")
+    digits[:, :, width + 1:width + 3] = np.take(_DIGIT_PAIRS, cents - 100 * whole, axis=0)
+    digits[:, 0, width + 3] = ord(",")
+    digits[:, 1, width + 3] = ord(" ")
+    flat = table.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _polyline_points(xy: np.ndarray) -> str:
+    """The points text "x,y x,y ..." of an (n, 2) float64 array, as "%.2f,%.2f" per row."""
+    pieces = []
+    for start in range(0, len(xy), SVG_CHUNK_ROWS):
+        chunk = xy[start:start + SVG_CHUNK_ROWS]
+        if np.all(np.abs(chunk) <= SVG_EXACT_LIMIT):   # false for nan
+            pieces.append(_exact_points(chunk))
+        else:
+            pieces.append(format_rows("%.2f,%.2f ", chunk.T))
+    return "".join(pieces)[:-1]
+
+
 def svg_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
                    x_label: str, y_label: str) -> str:
     """Minimal deterministic 640 x 420 line chart; one polyline per named series."""
@@ -367,8 +451,9 @@ def svg_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     for idx, (name, xs, ys) in enumerate(series):
         color = colors[idx % len(colors)]
         with np.errstate(all="ignore"):  # as Python float arithmetic: no warnings
-            xy = (sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float)))
-        points = format_rows("%.2f,%.2f", xy, sep=" ")
+            xy = np.stack((sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))),
+                          axis=1)
+        points = _polyline_points(xy)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         parts.append(f'<text x="{width - margin - 4}" y="{margin + 16 + 14 * idx}" '

@@ -236,13 +236,29 @@ def component_terms(d: DerivedQuantities) -> ComponentTerms:
     t_fiber t_leg^2 t_cp / 16 over the real line; a cross term carries twice
     that amplitude, the scale above and its exit's interference sign.  A
     compensating element enters through the record: its b_cp through delta1
-    and gamma, its t_cp as that amplitude factor.
+    and gamma, its t_cp as that amplitude factor.  Raises ValueError when the
+    shifter sums are too far apart for the terms' exponents and phases to
+    stay in the float range.
     """
     config = d.config
     dsum = np.array([config.delta_sum(pair) for pair in PAIRS])
     middle = _middle_sum(config)
     dd = dsum[_CROSS_A] - dsum[_CROSS_B]
     p = 2.0 * d.delta_k**2 / d.gamma
+    slope = _fringe_slope(d)
+    # The largest Gaussian exponent p y^2 and fringe phase dd (k0 + slope y)
+    # that a reader of the terms forms.  A grid or a window reads offsets y
+    # up to about the widest difference from a term center (beyond that, a
+    # few sigma, where p y^2 stays small), and the window masses move each
+    # cross term's center by dd slope / (2 p) into the complex plane; span
+    # doubles the larger of the two.
+    widest = float(np.max(np.abs(dd)))
+    span = 2.0 * widest * max(1.0, abs(slope) / (2.0 * p))
+    if not (p * span * span < math.inf and widest * (d.k0 + abs(slope) * span) < math.inf):
+        raise ValueError(
+            "the shifter sums leave the float range of the analytic terms "
+            f"(widest difference {widest!r} m; delta_d {config.delta_d!r} m, "
+            f"delta_m {config.delta_m!r} m, delta_c {config.delta_c!r} m)")
     gauss = (d.params.t_fiber * d.params.t_leg**2 * d.t_cp * d.delta_k
              / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
     cross = 2.0 * gauss * np.exp(-0.25 * p * dd * dd)
@@ -250,7 +266,7 @@ def component_terms(d: DerivedQuantities) -> ComponentTerms:
                     for signs in (SIGNS_O, SIGNS_P)])
     center = np.concatenate((dsum - middle, 0.5 * (dsum[_CROSS_A] + dsum[_CROSS_B]) - middle))
     return ComponentTerms(amp=amp, center=center, dd=np.concatenate((np.zeros(len(PAIRS)), dd)),
-                          p=p, k0=d.k0, slope=_fringe_slope(d))
+                          p=p, k0=d.k0, slope=slope)
 
 
 def _clip_rounding_noise(values: np.ndarray, what: str) -> np.ndarray:

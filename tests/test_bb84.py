@@ -1,17 +1,48 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mzqkd.bb84 import (MIDDLE_WINDOW_RHO, default_baseline, detection_table,
-                        g_term_analysis, g_term_value, z_difference)
+from mzqkd.bb84 import (MIDDLE_WINDOW_RHO, _g_term, default_baseline, detection_table,
+                        g_term_analysis)
 from mzqkd.core import LinkParams, MzConfig, derive, x_rho
 from mzqkd.errors import InfeasibleDesignError
-from mzqkd.spectra import component_terms, exact_window_masses
+from mzqkd.spectra import component_terms, exact_window_masses, z_phase_difference
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 LAM = CAL_50KM.lambda0
+
+
+# ------------------------------------------ the paper's factored form (test-only)
+
+def g_term_value(derived):
+    """Signed dispersion-correction coefficient G of one link, 1/m.  Zero without dispersion."""
+    return float(_g_term(derived.params.lambda0, derived.gamma, derived.delta1))
+
+
+def z_difference(params, config, delta_x, pair_a, pair_b):
+    """Phase difference z_a - z_b at offset delta_x from the symbol center, two ways.
+
+    Returns (exact, factored): ``exact`` is ``spectra.z_phase_difference``,
+    the per-pair phases with their common part cancelled algebraically;
+    ``factored`` evaluates (2*pi/lambda0)*(shifter-sum difference)*(1 + G*[delta_x + s])
+    where s recenters for the pairs involved.  The two agree to rounding error.
+    """
+    d = derive(params, config)
+    for pair in (pair_a, pair_b):
+        if pair not in d.mu:
+            raise ValueError(f"unknown leg pair {pair!r}")
+    if abs(delta_x) > 5.0 * d.sigma:
+        raise ValueError("delta_x outside +-5 sigma of the symbol center")
+    exact = float(z_phase_difference(d, pair_a, pair_b, delta_x))
+    dsum_a = config.delta_sum(pair_a)
+    dsum_b = config.delta_sum(pair_b)
+    recenter = delta_x + 0.5 * (config.delta_d + config.delta_m - dsum_a - dsum_b)
+    factored = (2.0 * math.pi / params.lambda0) * (dsum_a - dsum_b) \
+        * (1.0 + g_term_value(d) * recenter)
+    return SimpleNamespace(exact=exact, factored=factored)
 
 
 class TestPhaseTables:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mzqkd
 from mzqkd import core, spectra
@@ -479,11 +482,16 @@ class TestExitCodes:
         (("oracle-check", "--delta-d-m", "1e200"),
          "shifter sums leave the float range when squared"),
         (("bb84", "--baseline-m", "1e154"), "shifter sums leave the float range when squared"),
+        (("spectra", "--delta-d-m", "1e153", "--n-points", "8"),
+         "shifter sums leave the float range of the analytic terms"),
+        (("bb84", "--baseline-m", "1e153", "--length-km", "0"),
+         "shifter sums leave the float range of the analytic terms"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
             "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
             "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho",
             "design-huge-bound", "sweep-huge-bound", "compensate-huge-bound",
-            "spectra-huge-shifter", "oracle-huge-shifter", "bb84-huge-baseline"])
+            "spectra-huge-shifter", "oracle-huge-shifter", "bb84-huge-baseline",
+            "spectra-huge-terms", "bb84-huge-terms"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows
@@ -492,6 +500,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error") and message in err
         assert err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(exponent=st.floats(100.0, 300.0),
+           length_km=st.sampled_from(["0", "1", "50", "500"]),
+           command=st.sampled_from(["spectra", "bb84"]))
+    # sums the derived record accepts and the terms overflowed on
+    @example(exponent=152.0, length_km="0", command="bb84")
+    @example(exponent=153.0, length_km="50", command="spectra")
+    def test_huge_shifter_sums_run_or_exit_2(self, exponent, length_km, command):
+        # either the command runs with finite output, or it refuses the sums
+        # (exit 2) before any array arithmetic overflows
+        value = repr(10.0**exponent)
+        argv = (("spectra", "--delta-d-m", value, "--n-points", "8") if command == "spectra"
+                else ("bb84", "--baseline-m", value))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--length-km", length_km])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            assert not re.search(r"nan|inf", out.getvalue(), re.IGNORECASE)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("config error")
 
     @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "config-file"])
     def test_unwritable_output_exits_2(self, capsys, tmp_path, via_file):

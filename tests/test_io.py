@@ -134,6 +134,56 @@ def test_svg_polylines_match_per_point_reference(tables):
     assert re.findall(r'points="([^"]*)"', text) == expected
 
 
+# --------------------------------------------- the polyline writer's kernel
+
+def reference_points(xy):
+    """The points text of an (n, 2) array, "%.2f" on each float."""
+    return " ".join("%.2f,%.2f" % (float(a), float(b)) for a, b in xy)
+
+
+SVG_LIMIT = io_mod.SVG_EXACT_LIMIT
+HALVES = (np.arange(-100_000, 100_001, 37) + 0.5) / 100   # nearest floats to (k + 0.5)/100
+ODD_EIGHTHS = (2.0 * np.arange(-4000, 4001, 7) + 1.0) / 8  # 100 v ends in exactly .5
+# One table per case; each row pairs a value with the reversed table's value.
+EXACT_CASES = {
+    "neighbours-of-half-hundredths": np.concatenate(
+        (np.nextafter(HALVES, -np.inf), HALVES, np.nextafter(HALVES, np.inf))),
+    "exact-binary-ties": np.concatenate(
+        (ODD_EIGHTHS, 1e10 + ODD_EIGHTHS, np.nextafter(ODD_EIGHTHS, 0.0))),
+    "negative-zero": np.array([-0.0, 0.0, -0.001, -0.004999999999999999, -0.005,
+                               -1e-300, -5e-324, 5e-324, -0.00499999999999]),
+    "fast-path-limit": np.array([SVG_LIMIT, -SVG_LIMIT, np.nextafter(SVG_LIMIT, 0.0),
+                                 -np.nextafter(SVG_LIMIT, 0.0), 640.0]),
+    "beyond-the-limit": np.array([np.nextafter(SVG_LIMIT, np.inf), 1.0, -0.125]),
+    "non-finite-and-huge": np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.125]),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_polyline_points_exact(monkeypatch, case):
+    values = EXACT_CASES[case]
+    xy = np.stack((values, values[::-1]), axis=1)
+    fallback = []
+    monkeypatch.setattr(io_mod, "format_rows",
+                        lambda *args: fallback.append(args) or reference_points(args[1].T) + " ")
+    assert io_mod._polyline_points(xy) == reference_points(xy)
+    # only a chunk with a non-finite value or one beyond the limit leaves the tables
+    beyond = not np.all(np.abs(values) <= SVG_LIMIT)
+    assert len(fallback) == beyond
+
+
+@pytest.mark.parametrize("rows", [0, 1, io_mod.SVG_CHUNK_ROWS - 1, io_mod.SVG_CHUNK_ROWS,
+                                  io_mod.SVG_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("last", [0.125, np.nan], ids=["finite", "nan-in-last-chunk"])
+def test_polyline_points_across_chunks(rows, last):
+    pool = np.concatenate([table for name, table in EXACT_CASES.items()
+                           if name not in ("beyond-the-limit", "non-finite-and-huge")])
+    xy = np.random.default_rng(rows).choice(pool, (rows, 2))
+    if rows:
+        xy[-1, 0] = last
+    assert io_mod._polyline_points(xy) == reference_points(xy)
+
+
 def test_sweep_and_gterm_csv_match_reference():
     rows = sweep_lengths(CAL, 3.0, np.linspace(0.0, 500e3, 2 * io_mod.CHUNK_ROWS + 3))
     header = ["length_km", "min_phase_sum_m", "rate_linear_hz", "rate_nonlinear_hz",
