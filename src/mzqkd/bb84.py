@@ -112,9 +112,9 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
     Each combination sets delta_d/delta_m to baseline plus the table offsets;
     its shares are the exact masses of the analytic spectra inside the middle
     window (``spectra.exact_window_masses``, no position grid), all eight
-    combinations in one evaluation.  A warning is attached when the baseline
-    fails the rho=3 separation bound; a baseline below the 1/e overlap point
-    is a hard error.
+    combinations in one evaluation from one derived link.  A warning is
+    attached when the baseline fails the rho=3 separation bound; a baseline
+    below the 1/e overlap point is a hard error.
     """
     derived = derive(params, MzConfig(delta_d=baseline, delta_m=baseline))
     x_1 = x_rho(derived.sigma, 1.0)

@@ -1,14 +1,18 @@
 """Output position spectra of the two-interferometer link.
 
 Two independent evaluation routes are provided.  The analytic route is one
-list of Gaussian-cosine terms per link (``component_terms``): four Gaussian
-leg-pair components plus six cosine-weighted cross terms, each of the form
-amp * exp(-p y^2) * cos(dd (k0 + slope y)) with y the offset from the term's
-center.  That list is read two ways: pointwise on a grid (``eval_analytic``)
-and exactly on the middle-pulse window (``exact_window_masses``), where each
-cross term integrates to a difference of complex error functions, evaluated
-through the Faddeeva function w(z) (Abramowitz & Stegun 7.1; Weideman's
-rational approximation, SIAM J. Numer. Anal. 31 (1994) 1497).
+list of Gaussian-cosine terms per shifter setting (``component_terms``): four
+Gaussian leg-pair components plus six cosine-weighted cross terms, each of
+the form amp * exp(-p y^2) * cos(dd (k0 + slope y)) with y the offset from
+the term's center.  One builder makes the lists of any number of settings on
+one derived link in one array pass (``_term_batch``); p, k0 and the slope
+belong to the link, the amplitudes, centers and dd to the settings.  The
+list is read two ways: pointwise on a grid (``eval_analytic``, one setting)
+and exactly on the middle-pulse window (``exact_window_masses``, every
+setting at once), where each cross term integrates to a difference of
+complex error functions, evaluated through the Faddeeva function w(z)
+(Abramowitz & Stegun 7.1; Weideman's rational approximation, SIAM J. Numer.
+Anal. 31 (1994) 1497).
 ``eval_oracle`` builds the wavenumber-domain transfer function of the full
 setup, times the Gaussian input spectrum, as one even factor (input spectrum
 and fiber chirp) times four leg-pair linear phasors, and inverse-transforms
@@ -126,18 +130,21 @@ class ComponentTerms:
     0-3 are the leg-pair Gaussians in PAIRS order (dd = 0, centered on the
     component means); terms 4-9 are the cross terms in CROSS_PAIRS order,
     centered halfway between their two means.  Row 0 of ``amp`` is exit o,
-    row 1 exit p; the exits differ only in the cross-term signs.
+    row 1 exit p; the exits differ only in the cross-term signs.  The term
+    lists of n shifter settings on one link (``_term_batch``) carry a leading
+    settings axis on ``amp``, ``center`` and ``dd``; p, k0 and the slope
+    depend on the link alone.
     """
 
-    amp: np.ndarray      # (2, 10), 1/m
-    center: np.ndarray   # (10,) offsets from the window center, m
-    dd: np.ndarray       # (10,) shifter-sum differences d_a - d_b, m
+    amp: np.ndarray      # (2, 10) or (n, 2, 10), 1/m
+    center: np.ndarray   # (10,) or (n, 10) offsets from the window center, m
+    dd: np.ndarray       # (10,) or (n, 10) shifter-sum differences d_a - d_b, m
     p: float             # 2 dk^2 / gamma, 1/m^2
     k0: float            # 1/m
     slope: float         # 8 dk^4 delta1 / gamma, 1/m^2
 
     def shapes(self, offset: np.ndarray) -> np.ndarray:
-        """exp(-p y^2) cos(phase) of every term at the offsets, shape (10, n).
+        """exp(-p y^2) cos(phase) of every term of one setting at the offsets, shape (10, n).
 
         The Gaussian terms' phase is zero, so only the cross terms take a cosine.
         """
@@ -177,7 +184,11 @@ def _grid_for(rel_mu: Mapping[str, float], d: DerivedQuantities,
                 "grid too narrow: must cover +-5 sigma around the outer component means")
     if not lo < hi:
         raise ValueError("empty position grid")
-    return np.linspace(lo, hi, grid.n_points)
+    try:
+        return np.linspace(lo, hi, grid.n_points)
+    except MemoryError as exc:
+        raise ValueError(f"n_points {grid.n_points} asks for {8 * grid.n_points} bytes "
+                         "of grid offsets, more than can be allocated") from exc
 
 
 def _fringe_slope(derived: DerivedQuantities) -> float:
@@ -222,11 +233,92 @@ def z_phase_difference(derived: DerivedQuantities, pair_a: str, pair_b: str, off
     return _fringe_phase(dsum_a - dsum_b, d.k0, _fringe_slope(d), offset - center)
 
 
-_CROSS_A = np.array([PAIRS.index(a) for a, _ in CROSS_PAIRS])
-_CROSS_B = np.array([PAIRS.index(b) for _, b in CROSS_PAIRS])
+# The leg pair at each end of each term, a then b: a Gaussian term's pair at
+# both ends, a cross term's two pairs.
+_TERM_ENDS = (PAIRS + tuple(a for a, _ in CROSS_PAIRS), PAIRS + tuple(b for _, b in CROSS_PAIRS))
+_N_TERMS = len(_TERM_ENDS[0])
+# The first and the second leg of the pair at each end of every term, as
+# indices into the shifters (c, d, m), each of shape (2 * 10,).
+_END_LEGS = np.array([["cdm".index(pair[k]) for end in _TERM_ENDS for pair in end]
+                      for k in (0, 1)])
+# The middle cross term (cm, dc) is centered on the window center.
+_MIDDLE_TERM = len(PAIRS) + CROSS_PAIRS.index(("cm", "dc"))
+# Each term's amplitude over 2 gauss exp(-p dd^2 / 4), exit o then exit p: a
+# Gaussian term has dd = 0 and half the cross-term scale.
+_TERM_WEIGHTS = np.array([(0.5,) * len(PAIRS) + signs for signs in (SIGNS_O, SIGNS_P)])
 
 
-def component_terms(d: DerivedQuantities) -> ComponentTerms:
+def _range_checks(p: float, k0: float, slope: float, reach: float, highest, widest) -> tuple:
+    """Whether the float range holds: (sum squares, term exponents and phases, reach).
+
+    ``highest`` is the largest shifter sum and ``widest`` the largest |dd|, a
+    float or one entry per setting; every check is monotone in them, so the
+    largest values of a batch pass only if every setting does.  The terms'
+    check bounds the largest Gaussian exponent p y^2 and fringe phase
+    dd (k0 + slope y) that a reader of the terms forms.  A grid or a window
+    reads offsets y up to about the widest difference from a term center
+    (beyond that, a few sigma, where p y^2 stays small), and the window
+    masses move each cross term's center by dd slope / (2 p) into the complex
+    plane; span doubles the larger of the two.  A reader that goes further
+    passes its ``reach``.
+    """
+    slope = abs(slope)
+    span = 2.0 * widest * max(1.0, slope / (2.0 * p))
+    return (highest * highest < math.inf,
+            (p * span * span < math.inf) & (widest * (k0 + slope * span) < math.inf),
+            (p * reach * reach < math.inf) & (widest * (k0 + slope * reach) < math.inf))
+
+
+def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
+                reach: float = 0.0) -> ComponentTerms:
+    """The term lists of n shifter settings on the link of ``d``, in one array pass.
+
+    Only the link scalars of ``d`` are read (delta_k, gamma, delta1, k0, the
+    transmissions); the shifters come from ``configs``, and the arrays carry a
+    leading settings axis (``ComponentTerms``).  Every entry is computed with
+    the operations of ``derive`` and of the one-setting term list, in their
+    order, so row i equals ``component_terms(derive(params, configs[i]))``
+    bit for bit.  Raises ValueError for the first setting that leaves the
+    float range (``_range_checks``), with ``derive``'s message when its
+    shifter sums' squares do.
+    """
+    legs = np.array([(c.delta_c, c.delta_d, c.delta_m) for c in configs], dtype=float)
+    # a sum overflows only in a setting that the range checks refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        # take keeps the arrays C-contiguous: the order in which einsum sums
+        # the masses' terms follows the layout
+        ends = legs.take(_END_LEGS[0], axis=1) + legs.take(_END_LEGS[1], axis=1)
+        ends = ends.reshape(-1, 2, _N_TERMS)                   # (n, 2, 10): d_a, d_b
+        dd = ends[:, 0] - ends[:, 1]
+        half = 0.5 * (ends[:, 0] + ends[:, 1])
+    p = 2.0 * d.delta_k**2 / d.gamma
+    slope = _fringe_slope(d)
+    highest = ends[:, 0, :len(PAIRS)]
+    widest = np.abs(dd)
+    if not all(_range_checks(p, d.k0, slope, reach, float(highest.max()), float(widest.max()))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _range_checks(p, d.k0, slope, reach, highest.max(axis=1), widest.max(axis=1))
+        first = int(np.argmin(rows[0] & rows[1] & rows[2]))
+        config = configs[first]
+        shifters = (f"delta_d {config.delta_d!r} m, delta_m {config.delta_m!r} m, "
+                    f"delta_c {config.delta_c!r} m")
+        if not rows[0][first]:
+            raise ValueError(f"the shifter sums leave the float range when squared ({shifters})")
+        if not rows[1][first]:
+            raise ValueError(
+                "the shifter sums leave the float range of the analytic terms "
+                f"(widest difference {float(widest[first].max())!r} m; {shifters})")
+        raise ValueError(f"the grid reaches {reach!r} m from a term center, "
+                         "beyond the float range of the analytic terms")
+    gauss = (d.params.t_fiber * d.params.t_leg**2 * d.t_cp * d.delta_k
+             / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
+    scale = 2.0 * gauss * np.exp(-0.25 * p * dd * dd)
+    return ComponentTerms(amp=_TERM_WEIGHTS * scale[:, None, :],
+                          center=half - half[:, _MIDDLE_TERM, None], dd=dd,
+                          p=p, k0=d.k0, slope=slope)
+
+
+def component_terms(d: DerivedQuantities, reach: float = 0.0) -> ComponentTerms:
     """The analytic intensity of one derived link as its list of Gaussian-cosine terms.
 
     The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
@@ -236,37 +328,15 @@ def component_terms(d: DerivedQuantities) -> ComponentTerms:
     t_fiber t_leg^2 t_cp / 16 over the real line; a cross term carries twice
     that amplitude, the scale above and its exit's interference sign.  A
     compensating element enters through the record: its b_cp through delta1
-    and gamma, its t_cp as that amplitude factor.  Raises ValueError when the
-    shifter sums are too far apart for the terms' exponents and phases to
-    stay in the float range.
+    and gamma, its t_cp as that amplitude factor.  The one-setting case of
+    ``_term_batch``: raises ValueError when the shifter sums are too far
+    apart for the terms' exponents and phases to stay in the float range, or
+    when ``reach``, the widest offset from a term center that the caller
+    evaluates (m), takes them out of it.
     """
-    config = d.config
-    dsum = np.array([config.delta_sum(pair) for pair in PAIRS])
-    middle = _middle_sum(config)
-    dd = dsum[_CROSS_A] - dsum[_CROSS_B]
-    p = 2.0 * d.delta_k**2 / d.gamma
-    slope = _fringe_slope(d)
-    # The largest Gaussian exponent p y^2 and fringe phase dd (k0 + slope y)
-    # that a reader of the terms forms.  A grid or a window reads offsets y
-    # up to about the widest difference from a term center (beyond that, a
-    # few sigma, where p y^2 stays small), and the window masses move each
-    # cross term's center by dd slope / (2 p) into the complex plane; span
-    # doubles the larger of the two.
-    widest = float(np.max(np.abs(dd)))
-    span = 2.0 * widest * max(1.0, abs(slope) / (2.0 * p))
-    if not (p * span * span < math.inf and widest * (d.k0 + abs(slope) * span) < math.inf):
-        raise ValueError(
-            "the shifter sums leave the float range of the analytic terms "
-            f"(widest difference {widest!r} m; delta_d {config.delta_d!r} m, "
-            f"delta_m {config.delta_m!r} m, delta_c {config.delta_c!r} m)")
-    gauss = (d.params.t_fiber * d.params.t_leg**2 * d.t_cp * d.delta_k
-             / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
-    cross = 2.0 * gauss * np.exp(-0.25 * p * dd * dd)
-    amp = np.array([np.concatenate((np.full(len(PAIRS), gauss), np.array(signs) * cross))
-                    for signs in (SIGNS_O, SIGNS_P)])
-    center = np.concatenate((dsum - middle, 0.5 * (dsum[_CROSS_A] + dsum[_CROSS_B]) - middle))
-    return ComponentTerms(amp=amp, center=center, dd=np.concatenate((np.zeros(len(PAIRS)), dd)),
-                          p=p, k0=d.k0, slope=slope)
+    batch = _term_batch(d, (d.config,), reach)
+    return ComponentTerms(amp=batch.amp[0], center=batch.center[0], dd=batch.dd[0],
+                          p=batch.p, k0=batch.k0, slope=batch.slope)
 
 
 def _clip_rounding_noise(values: np.ndarray, what: str) -> np.ndarray:
@@ -297,8 +367,13 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     """Closed-form output spectra of both exits: the term list on a grid."""
     grid = grid or GridSpec()
     d = derive(params, config)
-    offset = _grid_for(_relative_means(config), d, grid)
-    terms = component_terms(d)
+    rel_mu = _relative_means(config)
+    offset = _grid_for(rel_mu, d, grid)
+    # every term center lies between the outer means, so the grid's ends are
+    # its widest offsets from them
+    reach = max(float(offset[-1]) - min(rel_mu.values()),
+                max(rel_mu.values()) - float(offset[0]))
+    terms = component_terms(d, reach)
 
     def intensity(block: np.ndarray) -> np.ndarray:
         return np.einsum("et,tn->en", terms.amp, terms.shapes(block))
@@ -349,8 +424,11 @@ def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
                         rho_window: float) -> np.ndarray:
     """Exact probability mass of each exit inside the middle-pulse window, shape (n, 2).
 
-    One row (exit o, exit p) per config.  The window is [-X, X] around the
-    window center with X = rho_window*sqrt(2)*sigma, so sqrt(p) X = rho_window.
+    One row (exit o, exit p) per config.  The link is derived once and the n
+    term lists are built in one array pass (``_term_batch``), shape (n, 2, 10)
+    for the amplitudes and (n, 10) for the centers and dd.  The window is
+    [-X, X] around the window center with X = rho_window*sqrt(2)*sigma, so
+    sqrt(p) X = rho_window.
     Each term integrates in closed form, with a = sqrt(p) y at the window edges:
     a Gaussian term to amp sqrt(pi/p)/2 [erf(a)] between the edges, a cross
     term to the real part of exp(i dd k0) amp sqrt(pi/p)/2 exp(-s^2)
@@ -361,28 +439,26 @@ def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
     """
     if not rho_window > 0:
         raise ValueError("rho_window must be positive")
-    terms = [component_terms(derive(params, config)) for config in configs]
-    amp = np.array([t.amp for t in terms])                 # (n, 2, 10)
-    center = np.array([t.center for t in terms])           # (n, 10)
-    dd = np.array([t.dd for t in terms])
-    # p, k0 and the slope depend on the link alone, not on the shifters
-    link = terms[0]
-    root_p = math.sqrt(link.p)
+    if not configs:
+        raise ValueError("exact_window_masses needs at least one shifter setting")
+    terms = _term_batch(derive(params, configs[0]), configs)
+    center, dd = terms.center, terms.dd
+    root_p = math.sqrt(terms.p)
     edges = np.stack((-rho_window - root_p * center, rho_window - root_p * center))
     n_gauss = len(PAIRS)
 
     erf_edges = np.array([math.erf(a) for a in edges[:, :, :n_gauss].ravel()])
     erf_edges = erf_edges.reshape(2, -1, n_gauss)
     a = edges[:, :, n_gauss:]
-    s = dd[:, n_gauss:] * link.slope / (2.0 * root_p)
+    s = dd[:, n_gauss:] * terms.slope / (2.0 * root_p)
     sign = np.where(a >= 0.0, 1.0, -1.0)
     scaled_erf = sign * (np.exp(-s * s)
                          - np.exp(-a * a + 2j * a * s) * _faddeeva(sign * (s + 1j * a)))
     integrals = np.concatenate(
         (erf_edges[1] - erf_edges[0],
-         (np.exp(1j * dd[:, n_gauss:] * link.k0) * (scaled_erf[1] - scaled_erf[0])).real),
+         (np.exp(1j * dd[:, n_gauss:] * terms.k0) * (scaled_erf[1] - scaled_erf[0])).real),
         axis=-1)
-    masses = 0.5 * math.sqrt(math.pi) / root_p * np.einsum("cet,ct->ce", amp, integrals)
+    masses = 0.5 * math.sqrt(math.pi) / root_p * np.einsum("cet,ct->ce", terms.amp, integrals)
     return _clip_rounding_noise(masses, "window mass")
 
 

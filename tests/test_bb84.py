@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mzqkd import bb84, core, design, spectra
 from mzqkd.bb84 import (MIDDLE_WINDOW_RHO, _g_term, default_baseline, detection_table,
                         g_term_analysis)
 from mzqkd.core import LinkParams, MzConfig, derive, x_rho
@@ -197,6 +198,27 @@ def gauss_legendre_masses(params, config, rho_window, panels=256, nodes=64):
 @pytest.fixture(scope="module")
 def table():
     return detection_table(CAL_50KM, baseline=0.25)
+
+
+def test_detection_table_derives_the_link_a_fixed_number_of_times(monkeypatch):
+    # one derive for the baseline, one for every setting's term list; a loop
+    # over the settings would derive once per setting
+    calls = []
+    exact = core.derive
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+    # every module that derives looks the name up in its own namespace
+    for module in (bb84, core, design, spectra):
+        monkeypatch.setattr(module, "derive", counting)
+    detection_table(CAL_50KM, baseline=0.25)
+    assert len(calls) == 2
+    for n in (1, 8, 50):
+        calls.clear()
+        exact_window_masses(CAL_50KM, [MzConfig(delta_d=0.25, delta_m=0.25 + i * LAM / 8)
+                                       for i in range(n)], MIDDLE_WINDOW_RHO)
+        assert len(calls) == 1
 
 
 class TestDetectionTable:

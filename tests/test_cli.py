@@ -220,6 +220,41 @@ class TestBb84Command:
         assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
 
 
+    # The table's %.12g bytes.  The JSON's 17 digits follow numpy's exp on
+    # each host and are not pinned.
+    EXACT_TABLES = {
+        ("--length-km", "50", "--baseline-m", "0.25"): """\
+alice_basis,bit,bob_basis,phi_d_m,phi_m_m,p_o,p_p
+X,0,X,0,0,0.999999999999,5.04830030168e-13
+X,0,Z,0,3.875e-07,0.499999999872,0.500000000128
+X,1,X,7.75e-07,0,9.60642795608e-08,0.999999903936
+X,1,Z,7.75e-07,3.875e-07,0.499999999757,0.500000000243
+Z,0,X,3.875e-07,0,0.499999999961,0.500000000039
+Z,0,Z,3.875e-07,3.875e-07,0.999999999999,5.04774407735e-13
+Z,1,X,1.1625e-06,0,0.499999999882,0.500000000118
+Z,1,Z,1.1625e-06,3.875e-07,9.60635319765e-08,0.999999903936
+""",
+        ("--length-km", "500"): """\
+alice_basis,bit,bob_basis,phi_d_m,phi_m_m,p_o,p_p
+X,0,X,0,0,0.999999991072,8.92804639939e-09
+X,0,Z,0,3.875e-07,0.500000000363,0.499999999637
+X,1,X,7.75e-07,0,1.04971196202e-07,0.999999895029
+X,1,Z,7.75e-07,3.875e-07,0.50000000035,0.49999999965
+Z,0,X,3.875e-07,0,0.500000001071,0.499999998929
+Z,0,Z,3.875e-07,3.875e-07,0.999999991072,8.92796755949e-09
+Z,1,X,1.1625e-06,0,0.50000000085,0.49999999915
+Z,1,Z,1.1625e-06,3.875e-07,1.04983254813e-07,0.999999895017
+""",
+    }
+
+    @pytest.mark.parametrize("argv", list(EXACT_TABLES), ids=["50km-0.25m", "500km-default"])
+    def test_exact_output(self, capsys, argv):
+        code, out, err = run(capsys, "bb84", *CALIBRATED, *argv)
+        assert code == 0
+        assert err == ""
+        assert out == self.EXACT_TABLES[argv]
+
+
 class TestGtermCommand:
     def test_csv_and_summary(self, capsys):
         code, out, _ = run(capsys, "gterm", "--l-min-km", "0.1",
@@ -391,13 +426,15 @@ class TestExitCodes:
 
     @staticmethod
     def corrupt_terms(monkeypatch, corrupt):
-        exact = spectra.component_terms
+        # the one builder behind the spectra and the window masses; its
+        # amplitudes carry a leading settings axis
+        exact = spectra._term_batch
 
-        def corrupted(derived):
-            terms = exact(derived)
+        def corrupted(derived, configs, reach=0.0):
+            terms = exact(derived, configs, reach)
             return replace(terms, amp=corrupt(terms.amp))
 
-        monkeypatch.setattr(spectra, "component_terms", corrupted)
+        monkeypatch.setattr(spectra, "_term_batch", corrupted)
 
     @pytest.mark.parametrize("corrupt, message", CORRUPTIONS)
     def test_numeric_failure_exits_4(self, capsys, monkeypatch, corrupt, message):
@@ -486,12 +523,18 @@ class TestExitCodes:
          "shifter sums leave the float range of the analytic terms"),
         (("bb84", "--baseline-m", "1e153", "--length-km", "0"),
          "shifter sums leave the float range of the analytic terms"),
+        (("spectra", "--pad-sigmas", "1e200", "--n-points", "8"),
+         "the grid reaches 7.9000879785"),
+        # an allocation this size fails at once, so no memory is taken
+        (("spectra", "--n-points", "100000000000"),
+         "n_points 100000000000 asks for 800000000000 bytes"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
             "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
             "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho",
             "design-huge-bound", "sweep-huge-bound", "compensate-huge-bound",
             "spectra-huge-shifter", "oracle-huge-shifter", "bb84-huge-baseline",
-            "spectra-huge-terms", "bb84-huge-terms"])
+            "spectra-huge-terms", "bb84-huge-terms", "spectra-huge-padding",
+            "spectra-huge-grid"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows

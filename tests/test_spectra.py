@@ -828,6 +828,63 @@ class TestExactWindowMasses:
         with pytest.raises(ValueError):
             exact_window_masses(CAL_50KM, [MATCHED], 0.0)
 
+    def test_needs_a_setting(self):
+        with pytest.raises(ValueError, match="needs at least one shifter setting"):
+            exact_window_masses(CAL_50KM, [], MIDDLE_WINDOW_RHO)
+
+
+def random_settings(rng, n):
+    """n shifter settings around one baseline: table-sized offsets, some delta_c > 0."""
+    baseline = float(rng.uniform(0.05, 2.0))
+    return [MzConfig(delta_d=baseline + float(rng.uniform(0.0, 2e-6)),
+                     delta_m=baseline + float(rng.uniform(0.0, 2e-6)),
+                     delta_c=float(rng.uniform(0.0, 0.05)) if rng.random() < 0.5 else 0.0)
+            for _ in range(n)]
+
+
+class TestTermBatch:
+    """The term lists of many settings in one pass, row by row the one-setting case."""
+
+    def test_rows_equal_one_setting_bit_for_bit(self):
+        rng = np.random.default_rng(2022)
+        for trial in range(24):
+            params = LinkParams(fiber_length=float(rng.uniform(0.0, 500e3)),
+                                convention=("first_principles", "calibrated")[trial % 2],
+                                t_leg=float(rng.uniform(0.5, 1.0)))
+            configs = random_settings(rng, int(rng.integers(1, 10)))
+            configs += configs[:2]  # repeated settings
+            batch = spectra._term_batch(derive(params, configs[0]), configs)
+            masses = exact_window_masses(params, configs, MIDDLE_WINDOW_RHO)
+            for i, config in enumerate(configs):
+                one = component_terms(derive(params, config))
+                assert np.array_equal(batch.amp[i], one.amp)
+                assert np.array_equal(batch.center[i], one.center)
+                assert np.array_equal(batch.dd[i], one.dd)
+                assert (batch.p, batch.k0, batch.slope) == (one.p, one.k0, one.slope)
+                assert np.array_equal(
+                    masses[i], exact_window_masses(params, [config], MIDDLE_WINDOW_RHO)[0])
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+    def test_first_failing_setting_raises_its_own_message(self, order):
+        # one setting whose sums overflow when squared (derive refuses it),
+        # one whose sums are too far apart for the terms (the term list does)
+        candidates = [MATCHED, MzConfig(delta_d=1e154, delta_m=1e154),
+                      MzConfig(delta_d=1e153, delta_m=1e153)]
+        configs = [candidates[i] for i in order]
+        first = configs[1]
+        with pytest.raises(ValueError) as alone:
+            component_terms(derive(CAL_500KM, first))
+        with pytest.raises(ValueError) as batch:
+            exact_window_masses(CAL_500KM, configs, MIDDLE_WINDOW_RHO)
+        assert str(batch.value) == str(alone.value)
+        assert repr(first.delta_d) in str(batch.value)
+
+    def test_grid_reach_is_range_checked(self):
+        d = derive(CAL_50KM, MATCHED)
+        assert np.array_equal(component_terms(d, 1.0).amp, component_terms(d).amp)
+        with pytest.raises(ValueError, match="the grid reaches 1e\\+200 m"):
+            component_terms(d, 1e200)
+
 
 class TestCurveStructure:
     def test_grid_strictly_increasing_and_aligned(self):
