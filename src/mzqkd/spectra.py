@@ -416,7 +416,12 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     the closed upper half-plane; the lower half-plane is not supported.
     """
     denominator = _W_SCALE - 1j * z
-    poly = np.polyval(_W_COEFFS, (_W_SCALE + 1j * z) / denominator)
+    ratio = (_W_SCALE + 1j * z) / denominator
+    # Horner's rule with np.polyval's operations in its order, in place
+    poly = np.zeros_like(ratio)
+    for coeff in _W_COEFFS:
+        poly *= ratio
+        poly += coeff
     return 2.0 * poly / denominator**2 + 1.0 / (math.sqrt(math.pi) * denominator)
 
 
@@ -481,26 +486,28 @@ def _oracle_bytes(n_k: int, m: int) -> int:
     axis and spectrum, the rows and the squares of one row's parts (float64,
     one complex array's worth).  The folded rows, their inverse FFT and its
     scratch add at most eight of length m.  The count was set when the axis
-    and the spectrum spanned the whole axis, and is kept so that the
-    refusal boundaries stay where they were.
+    and the spectrum spanned the whole axis and is kept as it was; where the
+    budget refuses a link follows from ``_oracle_n_k``'s sample count.
     """
     return 16 * 8 * (n_k + m)
 
 
-def _oracle_n_k(k_span: float, max_inst_offset: float, step: float,
-                n_x: int) -> tuple[int, int]:
+def _oracle_n_k(k_span: float, period: float, step: float, n_x: int) -> tuple[int, int]:
     """Wavenumber samples and fold length (n_k, m) of the oracle's quadrature.
 
-    The wavenumber step resolves the largest instantaneous position offset
-    the integrand reaches, with a 1.5x margin: du <= du_max.  It is set to
-    du = 2 pi / (m step) for the smallest 2*3*5-smooth m that is at least n_x
-    and 2 pi / (du_max step), so that the transform folds the samples into m
-    bins (``_folded_intensity``).  Raises ResolutionError, before the
-    integrand or the transform is allocated, when the oracle would hold more
-    than ORACLE_BUDGET_BYTES.
+    By the Poisson summation formula the trapezoid sum on the wavenumber step
+    du is the true field plus copies of it displaced by whole multiples of
+    2 pi / du (Trefethen & Weideman, SIAM Review 56 (2014) 385).  With du =
+    2 pi / (m step) the copies sit m grid steps away, so they miss the grid
+    when m step is at least ``period``: the distance from either grid end to
+    the far edge of the field's support (``eval_oracle``).  m is the smallest
+    2*3*5-smooth length at least n_x and period / step, so that the transform
+    folds the samples into m bins (``_folded_intensity``), and n_k covers
+    +-k_span at that step.  Raises ResolutionError, before the integrand or
+    the transform is allocated, when the oracle would hold more than
+    ORACLE_BUDGET_BYTES.
     """
-    du_max = math.pi / (1.5 * max(max_inst_offset, 1e-9))
-    m = _fft_length(max(n_x, math.ceil(2.0 * math.pi / (du_max * step))))
+    m = _fft_length(max(n_x, math.ceil(period / step)))
     n_k = math.ceil(2.0 * k_span * m * step / (2.0 * math.pi)) + 1
     required = _oracle_bytes(n_k, m)
     if required > ORACLE_BUDGET_BYTES:
@@ -683,7 +690,9 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     compensating element, then inverse-transforms to position space by
     trapezoid quadrature on the grid of offsets from the window center.  The
     wavenumber step is commensurate with the grid step, so the quadrature is
-    one fold of the samples and one short inverse FFT (``_folded_intensity``).
+    one fold of the samples and one short inverse FFT (``_folded_intensity``),
+    and the fold spans the field's support, so that it does not alias on the
+    grid (``_oracle_n_k``).
     ``placement`` is accepted and checked but changes nothing: the factored
     transfer function (``_transfer_rows``) is one product with one order, so
     the compensating multiplier has no before, after or split placement.
@@ -700,11 +709,15 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     offset = _grid_for(rel_mu, d, grid)
     step = (offset[-1] - offset[0]) / (offset.size - 1)
 
+    # The field's support: every component's envelope exp(-y^2 / 4 sigma^2)
+    # falls to exp(-25), the input spectrum's cut at +-k_span, at
+    # K_SPAN_SIGMAS sigma from its mean.
     dk = d.delta_k
     k_span = K_SPAN_SIGMAS * dk
-    max_off = max(abs(float(offset[end]) - mu) for end in (0, -1) for mu in rel_mu.values())
-    n_k, m = _oracle_n_k(k_span, max_off + 2.0 * abs(d.delta1) * k_span, step,
-                         offset.size)
+    reach = K_SPAN_SIGMAS * d.sigma
+    period = max(float(offset[-1]) - (min(rel_mu.values()) - reach),
+                 (max(rel_mu.values()) + reach) - float(offset[0]))
+    n_k, m = _oracle_n_k(k_span, period, step, offset.size)
 
     # the input spectrum on the first half of the symmetric axis
     du = 2.0 * math.pi / (m * step)

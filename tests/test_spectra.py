@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -79,6 +80,32 @@ def reference_transfer_rows(params, config, d, u, precomp, placement):
         common *= mult_cp
     e_m = leg_factor(config.delta_m)
     return np.array([e_m - e_c, e_m + e_c]) * common
+
+
+def smooth_235(n):
+    """Whether n has no prime factor other than 2, 3 and 5."""
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
+def alias_free_sampling(d, x):
+    """The oracle's (n_k, fold length m) for the derived record d on the offsets x.
+
+    du = 2 pi / (m h) with m the smallest 2*3*5-smooth length at least n_x
+    and P / h.  P is the distance from either grid end to the far edge of the
+    field's support, 10 sigma beyond the outer means, so the quadrature's
+    copies of the field, m h apart, miss the grid.  n_k covers +-10 delta_k
+    at that step.
+    """
+    middle = 0.5 * (d.config.delta_sum("cm") + d.config.delta_sum("dc"))
+    means = [d.config.delta_sum(pair) - middle for pair in PAIRS]
+    period = max(x[-1] - (min(means) - 10.0 * d.sigma), (max(means) + 10.0 * d.sigma) - x[0])
+    h = (x[-1] - x[0]) / (x.size - 1)
+    m = next(n for n in itertools.count(max(x.size, math.ceil(period / h))) if smooth_235(n))
+    assert m * h >= period
+    return math.ceil(2.0 * 10.0 * d.delta_k * m * h / (2.0 * math.pi)) + 1, m
 
 
 def oracle_axis(n_k, du):
@@ -433,26 +460,21 @@ class TestOracleAgreement:
          GridSpec(n_points=4096)),
     ])
     def test_n_k_is_the_aliasing_criterion(self, params, config, grid):
-        # du = 2 pi / (m h) with m the smallest 2*3*5-smooth length at least
-        # n_x and 2 pi / (du_max h), du_max = pi / (1.5 max offset); n_k covers
-        # +-k_span at that step
         curve = eval_oracle(params, config, grid)
-        d = derive(params, config)
-        k_span = 10.0 * d.delta_k
-        middle = 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
-        means = [config.delta_sum(pair) - middle for pair in PAIRS]
-        x = curve.x_relative
-        reach = max(abs(end - mean) for end in x[[0, -1]] for mean in means)
-        reach += 2.0 * abs(d.delta1) * k_span
-        h = (x[-1] - x[0]) / (x.size - 1)
-        du_max = math.pi / (1.5 * reach)
-        m = spectra._fft_length(max(x.size, math.ceil(2.0 * math.pi / (du_max * h))))
-        assert curve.checks["fold_length"] == m
-        assert curve.checks["n_k"] == math.ceil(2.0 * k_span * m * h / (2.0 * math.pi)) + 1
-        assert 2.0 * math.pi / (m * h) <= math.pi / (1.5 * reach)
+        expected = alias_free_sampling(derive(params, config), curve.x_relative)
+        assert (curve.checks["n_k"], curve.checks["fold_length"]) == expected
+
+    def test_support_is_the_compensated_pulse(self):
+        # the support's 10 sigma are the compensated pulse's: at 500 km with
+        # 60 % compensated the uncompensated width would ask for a longer fold
+        precomp = compensated(500e3, 0.6, convention="calibrated")[1]
+        curve = eval_oracle(CAL_500KM, WIDE, GridSpec(n_points=256), precomp=precomp)
+        expected = alias_free_sampling(derive(CAL_500KM, WIDE, precomp), curve.x_relative)
+        assert (curve.checks["n_k"], curve.checks["fold_length"]) == expected
+        assert alias_free_sampling(derive(CAL_500KM, WIDE), curve.x_relative)[1] > expected[1]
 
     def test_budget_refuses_before_allocating(self):
-        # 10 nm spread at 50 km needs about 1e7 samples, 1.3 GB of working arrays
+        # 10 nm spread at 50 km needs about 3.6e6 samples, 470 MB of working arrays
         params = LinkParams(fiber_length=50e3, delta_lambda=10e-9)
         tracemalloc.start()
         try:
@@ -516,6 +538,29 @@ class TestFoldedTransform:
         assert n_k % m != 0
         if grid is FEWER_SAMPLES:
             assert n_k < m
+
+    @pytest.mark.parametrize("params, config, grid, kwargs", FOLD_CASES)
+    def test_fold_is_alias_free(self, monkeypatch, params, config, grid, kwargs):
+        # the quadrature's copies of the field already miss the grid: a fold
+        # three times longer, at a third of the wavenumber step, agrees
+        curve = eval_oracle(params, config, grid, **kwargs)
+        smooth_length = spectra._fft_length
+        monkeypatch.setattr(spectra, "_fft_length", lambda n: 3 * smooth_length(n))
+        longer = eval_oracle(params, config, grid, **kwargs)
+        assert longer.checks["fold_length"] == 3 * curve.checks["fold_length"]
+        assert max_normalized_deviation(curve, longer) <= 1e-10
+
+    def test_fold_below_the_support_aliases(self, monkeypatch):
+        # negative control: at 500 km a fold of only the grid's points (256,
+        # not the rule's 320) puts the copies on the grid
+        grid = GridSpec(n_points=256)
+        smooth_length = spectra._fft_length
+        monkeypatch.setattr(spectra, "_fft_length", lambda n: 3 * smooth_length(n))
+        reference = eval_oracle(CAL_500KM, WIDE, grid)
+        monkeypatch.setattr(spectra, "_fft_length", lambda n: grid.n_points)
+        short = eval_oracle(CAL_500KM, WIDE, grid)
+        assert short.checks["fold_length"] == grid.n_points
+        assert max_normalized_deviation(short, reference) > 1e-10
 
     @pytest.mark.parametrize("params, config, grid, kwargs", [
         (LinkParams(fiber_length=500e3), WIDE, GridSpec(n_points=4096), {}),
@@ -682,8 +727,10 @@ DOMAIN_CASES = [
     pytest.param(_calibrated(1000e3), 2.0, 0.0, True, id="1000km"),
     pytest.param(_calibrated(2000e3), 2.0, 0.0, True, id="2000km"),
     pytest.param(_calibrated(5000e3), 2.0, 0.0, True, id="5000km"),
-    pytest.param(LinkParams(fiber_length=5000e3), 2.0, 0.0, False,
+    pytest.param(LinkParams(fiber_length=5000e3), 2.0, 0.0, True,
                  id="5000km-first-principles"),
+    pytest.param(LinkParams(fiber_length=20000e3), 2.0, 0.0, False,
+                 id="20000km-first-principles"),
 ]
 
 
@@ -804,6 +851,17 @@ class TestFaddeeva:
             reference = np.array([mp_faddeeva(v) for v in z])
             error = np.abs(spectra._faddeeva(z) - reference) / np.abs(reference)
             assert error.max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_horner_loop_is_polyval(self, n):
+        # the in-place loop runs np.polyval's operations in its order, so the
+        # window masses keep every bit
+        rng = np.random.default_rng(n)
+        z = rng.uniform(-200.0, 200.0, (2, n, 6)) + 1j * rng.uniform(0.0, 10.0, (2, n, 6))
+        denominator = spectra._W_SCALE - 1j * z
+        poly = np.polyval(spectra._W_COEFFS, (spectra._W_SCALE + 1j * z) / denominator)
+        reference = 2.0 * poly / denominator**2 + 1.0 / (math.sqrt(math.pi) * denominator)
+        assert np.array_equal(spectra._faddeeva(z), reference)
 
 
 class TestExactWindowMasses:
