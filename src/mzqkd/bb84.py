@@ -52,9 +52,12 @@ class GTermAnalysis:
 
 def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
                     delta_c: float = 0.0) -> GTermAnalysis:
-    """Evaluate G over fiber lengths and locate its maximum magnitude."""
+    """Evaluate G over fiber lengths and locate its maximum magnitude; needs kappa > 0."""
     lengths, d0, delta1, gamma, sigma = _pulse_over_lengths(
         params, lengths, "length sweep must be non-empty, finite and non-negative")
+    if d0.kappa == 0.0:
+        raise ValueError("without dispersion G vanishes at every length "
+                         "and has no finite maximum")
     g_values = _g_term(params.lambda0, gamma, delta1)
     return GTermAnalysis(
         lengths=lengths, g_values=g_values,

@@ -92,10 +92,10 @@ def precompensate_input(params: LinkParams,
                         compensation: CompensationPlan) -> PrecompMultiplier:
     """The compensating element of a plan, as its wavenumber-domain multiplier.
 
-    The element is fiber of the link's own kappa over the span l_cp =
-    ``dcf_equivalent_length``, lossless (t_cp = 1): a_cp = group_index*l_cp
-    and b_cp = kappa*l_cp >= 0, which opposes the link's accumulated
-    dispersion -kappa*(fiber_length + 2*leg_length).
+    The element is lossless fiber of the link's own kappa over the span l_cp =
+    ``dcf_equivalent_length``: a_cp = group_index*l_cp and b_cp = kappa*l_cp
+    >= 0, which opposes the link's accumulated dispersion
+    -kappa*(fiber_length + 2*leg_length).
     """
     if compensation.regime == "no_dcf":
         raise ValueError("plan prescribes no compensating element (no_dcf regime)")

@@ -145,7 +145,6 @@ class DerivedQuantities:
         fwhm: full width at half maximum sqrt(8 ln 2)*sigma, m.
         mu: mean position of each leg-pair component, m, keyed by PAIRS; the
             compensating element adds its a_cp (and 2*b_cp*k0 through delta1).
-        t_cp: power transmission of the compensating element, 1.0 without one.
     """
 
     params: LinkParams
@@ -158,7 +157,6 @@ class DerivedQuantities:
     sigma: float
     fwhm: float
     mu: Mapping[str, float] = field(repr=False)
-    t_cp: float
 
     @property
     def window_center(self) -> float:
@@ -196,21 +194,19 @@ def broadening(delta_k: float, delta1):
 
 @dataclass(frozen=True)
 class PrecompMultiplier:
-    """Wavenumber-domain multiplier of a dispersion-compensating element.
+    """Wavenumber-domain multiplier of a lossless dispersion-compensating element.
 
-    Multiplies the input spectrum by sqrt(t_cp)*exp(-i k a_cp - i k^2 b_cp).
-    ``a_cp`` is the element's linear path term (group index times physical
-    length, m) and ``b_cp`` its accumulated dispersion (m^2); cancellation
-    requires b_cp to oppose the link's own accumulated dispersion.
+    Multiplies the input spectrum by exp(-i k a_cp - i k^2 b_cp).  ``a_cp`` is
+    the element's linear path term (group index times physical length, m) and
+    ``b_cp`` its accumulated dispersion (m^2); cancellation requires b_cp to
+    oppose the link's own accumulated dispersion.  A lossy element's power
+    transmission is a factor of the link's ``t_fiber``.
     """
 
-    t_cp: float = 1.0
     a_cp: float = 0.0
     b_cp: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.t_cp <= 1:
-            raise ValueError("t_cp must lie in (0, 1]")
         for name in ("a_cp", "b_cp"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -222,11 +218,11 @@ def derive(params: LinkParams, config: MzConfig,
 
     An optional compensating element adds its b_cp to delta1 (so gamma, sigma
     and fwhm are those of the compensated pulse) and its a_cp to every
-    component mean, and its t_cp is recorded.  Raises ValueError for
-    out-of-range inputs (delegated to the dataclass validators when
-    constructing params/config directly), when delta_k, gamma or sigma is
-    not a positive finite float, and when a shifter sum's square is not
-    finite (the closed form squares their differences).
+    component mean.  Raises ValueError for out-of-range inputs (delegated to
+    the dataclass validators when constructing params/config directly), when
+    delta_k, gamma or sigma is not a positive finite float, and when a
+    shifter sum's square is not finite (the closed form squares their
+    differences).
     """
     try:
         delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
@@ -250,6 +246,8 @@ def derive(params: LinkParams, config: MzConfig,
             f"fiber_length {params.fiber_length!r} m)")
     sums = {pair: config.delta_sum(pair) for pair in PAIRS}
     widest = max(sums.values())
+    # the term list's check comes too late: 1.7e308 m shifters would give
+    # infinite means here and an "empty position grid" in eval_analytic
     if not widest * widest < math.inf:
         raise ValueError(
             "the shifter sums leave the float range when squared "
@@ -261,7 +259,6 @@ def derive(params: LinkParams, config: MzConfig,
     return DerivedQuantities(
         params=params, config=config, delta_k=delta_k, k0=k0, kappa=kappa,
         delta1=delta1, gamma=gamma, sigma=sigma, fwhm=fwhm, mu=mu,
-        t_cp=precomp.t_cp if precomp is not None else 1.0,
     )
 
 

@@ -286,7 +286,7 @@ def plan_json(plan: CompensationPlan, params: LinkParams) -> str:
         dcf = {
             "kappa_cp_m": effective_kappa(params),
             "l_cp_m": plan.dcf_equivalent_length,
-            "t_cp": element.t_cp,
+            "t_cp": 1.0,  # the element is lossless (``precompensate_input``)
             "b_cp_m2": element.b_cp,
         }
     payload = {

@@ -133,7 +133,8 @@ class ComponentTerms:
     row 1 exit p; the exits differ only in the cross-term signs.  The term
     lists of n shifter settings on one link (``_term_batch``) carry a leading
     settings axis on ``amp``, ``center`` and ``dd``; p, k0 and the slope
-    depend on the link alone.
+    depend on the link alone.  A cross term's phase is its two pairs' phase
+    difference with their common parts cancelled, well-conditioned at any length.
     """
 
     amp: np.ndarray      # (2, 10) or (n, 2, 10), 1/m
@@ -151,7 +152,7 @@ class ComponentTerms:
         y = offset - self.center[:, None]
         shape = np.exp(-self.p * y * y)
         cross = slice(len(PAIRS), None)
-        shape[cross] *= np.cos(_fringe_phase(self.dd[cross, None], self.k0, self.slope, y[cross]))
+        shape[cross] *= np.cos(self.dd[cross, None] * (self.k0 + self.slope * y[cross]))
         return shape
 
 
@@ -189,48 +190,6 @@ def _grid_for(rel_mu: Mapping[str, float], d: DerivedQuantities,
     except MemoryError as exc:
         raise ValueError(f"n_points {grid.n_points} asks for {8 * grid.n_points} bytes "
                          "of grid offsets, more than can be allocated") from exc
-
-
-def _fringe_slope(derived: DerivedQuantities) -> float:
-    """Chirp 8 dk^4 delta1 / gamma of the cross-term phases, 1/m^2."""
-    return 8.0 * derived.delta_k**4 * derived.delta1 / derived.gamma
-
-
-def _fringe_phase(dd, k0: float, slope: float, y):
-    """Cross-term phase dd (k0 + slope y) at distance y from the term's center, rad."""
-    return dd * (k0 + slope * y)
-
-
-def z_phase_difference(derived: DerivedQuantities, pair_a: str, pair_b: str, offset):
-    """Difference z_a - z_b of two leg-pair phases at an offset from the window center, rad.
-
-    Each raw phase is, with x' = x - A_pair,
-
-        z(x) = atan(4 delta1 dk^2)/2 + (k0^2 delta1 - k0 x' - 4 dk^4 delta1 x'^2)/gamma,
-
-    where A_pair = n_g (L + 2 l_leg) + d_pair is the pair's linear path term
-    and d_pair its shifter sum.  The pair-independent terms cancel, and
-    x'_a - x'_b = d_b - d_a, so
-
-        z_a - z_b = (d_a - d_b) (k0 + 4 dk^4 delta1 (x'_a + x'_b)) / gamma.
-
-    The window center is x_c = n_g (L + 2 l_leg) + 2 delta1 k0 + mid with
-    mid = (d_cm + d_dc)/2, so at x = x_c + offset the sum is
-    x'_a + x'_b = 2 offset + 2 mid - d_a - d_b + 4 delta1 k0.  The last term
-    contributes 16 dk^4 delta1^2 k0 = (gamma - 1) k0, which leaves, with
-    c = (d_a + d_b)/2 - mid the offset halfway between the two component means,
-
-        z_a - z_b = (d_a - d_b) (k0 + 8 dk^4 delta1 (offset - c) / gamma).
-
-    Every term is of the size of the shifters and offsets, so the form is
-    well-conditioned in float64 at any link length.  The cross terms of
-    ``component_terms`` carry the same phase.
-    """
-    d = derived
-    dsum_a = d.config.delta_sum(pair_a)
-    dsum_b = d.config.delta_sum(pair_b)
-    center = 0.5 * (dsum_a + dsum_b) - _middle_sum(d.config)
-    return _fringe_phase(dsum_a - dsum_b, d.k0, _fringe_slope(d), offset - center)
 
 
 # The leg pair at each end of each term, a then b: a Gaussian term's pair at
@@ -292,7 +251,7 @@ def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
         dd = ends[:, 0] - ends[:, 1]
         half = 0.5 * (ends[:, 0] + ends[:, 1])
     p = 2.0 * d.delta_k**2 / d.gamma
-    slope = _fringe_slope(d)
+    slope = 8.0 * d.delta_k**4 * d.delta1 / d.gamma
     highest = ends[:, 0, :len(PAIRS)]
     widest = np.abs(dd)
     if not all(_range_checks(p, d.k0, slope, reach, float(highest.max()), float(widest.max()))):
@@ -310,7 +269,7 @@ def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
                 f"(widest difference {float(widest[first].max())!r} m; {shifters})")
         raise ValueError(f"the grid reaches {reach!r} m from a term center, "
                          "beyond the float range of the analytic terms")
-    gauss = (d.params.t_fiber * d.params.t_leg**2 * d.t_cp * d.delta_k
+    gauss = (d.params.t_fiber * d.params.t_leg**2 * d.delta_k
              / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
     scale = 2.0 * gauss * np.exp(-0.25 * p * dd * dd)
     return ComponentTerms(amp=_TERM_WEIGHTS * scale[:, None, :],
@@ -324,11 +283,11 @@ def component_terms(d: DerivedQuantities, reach: float = 0.0) -> ComponentTerms:
     The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
     Gaussian of exponent p = 2 dk^2 / gamma centered halfway between the means,
     scaled by exp(-p (mu_a - mu_b)^2 / 4).  A Gaussian term's amplitude
-    t_fiber t_leg^2 t_cp dk / (8 sqrt(2 pi gamma)) integrates to
-    t_fiber t_leg^2 t_cp / 16 over the real line; a cross term carries twice
-    that amplitude, the scale above and its exit's interference sign.  A
-    compensating element enters through the record: its b_cp through delta1
-    and gamma, its t_cp as that amplitude factor.  The one-setting case of
+    t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)) integrates to t_fiber t_leg^2 / 16
+    over the real line; a cross term carries twice that amplitude, the scale
+    above and its exit's interference sign.  A compensating element enters
+    through the record, its b_cp through delta1 and gamma; a lossy element's
+    transmission is a factor of t_fiber.  The one-setting case of
     ``_term_batch``: raises ValueError when the shifter sums are too far
     apart for the terms' exponents and phases to stay in the float range, or
     when ``reach``, the widest offset from a term center that the caller
@@ -505,10 +464,11 @@ def _oracle_n_k(k_span: float, period: float, step: float, n_x: int) -> tuple[in
     folds the samples into m bins (``_folded_intensity``), and n_k covers
     +-k_span at that step.  Raises ResolutionError, before the integrand or
     the transform is allocated, when the oracle would hold more than
-    ORACLE_BUDGET_BYTES.
+    ORACLE_BUDGET_BYTES, or a count beyond the float range.
     """
     m = _fft_length(max(n_x, math.ceil(period / step)))
-    n_k = math.ceil(2.0 * k_span * m * step / (2.0 * math.pi)) + 1
+    samples = 2.0 * k_span * m * float(step) / (2.0 * math.pi)  # inf past the float range
+    n_k = math.ceil(samples) + 1 if samples < math.inf else math.inf
     required = _oracle_bytes(n_k, m)
     if required > ORACLE_BUDGET_BYTES:
         raise ResolutionError(
@@ -630,13 +590,13 @@ def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.nda
     """Exits o and p at the wavenumbers k0 + u, times input and carrier, shape (2, n_k).
 
     The input spectrum, the fiber, both interferometers' legs, the record's
-    compensating element (if any) and the carrier exp(i u X) of the grid's first
-    offset ``start``, X = 2 n_g l_leg + 2 delta1 k0 + mid + start from the
-    linear path n_g L + a_cp, mid = (d_cm + d_dc)/2.  Their quadratic phases
+    lossless compensating element (if any) and the carrier exp(i u X) of the
+    grid's first offset ``start``, X = 2 n_g l_leg + 2 delta1 k0 + mid + start
+    from the linear path n_g L + a_cp, mid = (d_cm + d_dc)/2.  Their quadratic phases
     add up to -delta1 (2 k0 u + u^2); the carrier cancels the k0-linear part
     and the legs' 2 n_g l_leg u.  With - for exit o, + for p:
 
-        t_leg sqrt(t_cp) alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
+        t_leg alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
         phi = -delta1 u^2 + u (mid + start),   E_x = exp(-i k0 delta_x) exp(-i u delta_x).
 
     Constant phases of psi are dropped; no phase of 1e7 rad is formed.  The
@@ -659,8 +619,7 @@ def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.nda
     slope = (_middle_sum(config) + start) - legs[_PAIR_LEGS].sum(axis=1)
     blocks = _unit_phasor(np.outer(_block_starts(du, n_k), slope))
     # e_a e_b from the constant phasors exp(-i k0 delta_x), one per shifter
-    blocks *= (d.params.t_leg * math.sqrt(d.t_cp)
-               * np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1))
+    blocks *= d.params.t_leg * np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1)
     within = _unit_phasor(np.outer(slope, np.arange(width) * du))
     rows = np.empty((2, n_k), dtype=complex)
     whole = n_k // width
@@ -751,8 +710,8 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         "norm_in": norm_in,
         "mass_o_kspace": mass_o,
         "mass_p_kspace": mass_p,
-        "unused_exit_remainder": float(norm_in * params.t_fiber * d.t_cp
-                                       * params.t_leg**2 - mass_o - mass_p),
+        "unused_exit_remainder": float(norm_in * params.t_fiber * params.t_leg**2
+                                       - mass_o - mass_p),
         "n_k": n_k,
         "fold_length": m,
     }

@@ -8,9 +8,9 @@ import pytest
 from mzqkd import bb84, core, design, spectra
 from mzqkd.bb84 import (MIDDLE_WINDOW_RHO, _g_term, default_baseline, detection_table,
                         g_term_analysis)
-from mzqkd.core import LinkParams, MzConfig, derive, x_rho
+from mzqkd.core import LinkParams, MzConfig, PAIRS, derive, x_rho
 from mzqkd.errors import InfeasibleDesignError
-from mzqkd.spectra import component_terms, exact_window_masses, z_phase_difference
+from mzqkd.spectra import CROSS_PAIRS, component_terms, exact_window_masses
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 LAM = CAL_50KM.lambda0
@@ -26,8 +26,9 @@ def g_term_value(derived):
 def z_difference(params, config, delta_x, pair_a, pair_b):
     """Phase difference z_a - z_b at offset delta_x from the symbol center, two ways.
 
-    Returns (exact, factored): ``exact`` is ``spectra.z_phase_difference``,
-    the per-pair phases with their common part cancelled algebraically;
+    Returns (exact, factored): ``exact`` is the phase of the pair's cross term
+    in ``spectra.component_terms``, dd (k0 + slope (delta_x - center)), the
+    per-pair phases with their common part cancelled algebraically;
     ``factored`` evaluates (2*pi/lambda0)*(shifter-sum difference)*(1 + G*[delta_x + s])
     where s recenters for the pairs involved.  The two agree to rounding error.
     """
@@ -37,7 +38,9 @@ def z_difference(params, config, delta_x, pair_a, pair_b):
             raise ValueError(f"unknown leg pair {pair!r}")
     if abs(delta_x) > 5.0 * d.sigma:
         raise ValueError("delta_x outside +-5 sigma of the symbol center")
-    exact = float(z_phase_difference(d, pair_a, pair_b, delta_x))
+    terms = component_terms(d)
+    term = len(PAIRS) + CROSS_PAIRS.index((pair_a, pair_b))
+    exact = float(terms.dd[term] * (terms.k0 + terms.slope * (delta_x - terms.center[term])))
     dsum_a = config.delta_sum(pair_a)
     dsum_b = config.delta_sum(pair_b)
     recenter = delta_x + 0.5 * (config.delta_d + config.delta_m - dsum_a - dsum_b)

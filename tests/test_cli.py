@@ -528,13 +528,15 @@ class TestExitCodes:
         # an allocation this size fails at once, so no memory is taken
         (("spectra", "--n-points", "100000000000"),
          "n_points 100000000000 asks for 800000000000 bytes"),
+        # G vanishes at every length: no maximum to locate
+        (("gterm", "--dispersion", "0"), "without dispersion G vanishes at every length"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
             "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
             "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho",
             "design-huge-bound", "sweep-huge-bound", "compensate-huge-bound",
             "spectra-huge-shifter", "oracle-huge-shifter", "bb84-huge-baseline",
             "spectra-huge-terms", "bb84-huge-terms", "spectra-huge-padding",
-            "spectra-huge-grid"])
+            "spectra-huge-grid", "gterm-no-dispersion"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows

@@ -28,9 +28,9 @@ def closed_form_active_length(params, clock, rho, mode="linear"):
     return total - 2.0 * params.leg_length
 
 
-def element(params, l_cp, t_cp=1.0):
+def element(params, l_cp):
     """Compensating element of the link's own kappa over l_cp of fiber."""
-    return PrecompMultiplier(t_cp=t_cp, a_cp=params.group_index * l_cp,
+    return PrecompMultiplier(a_cp=params.group_index * l_cp,
                              b_cp=derive(params, MzConfig()).kappa * l_cp)
 
 
@@ -162,6 +162,8 @@ class TestPrecompensation:
         config = MzConfig(delta_d=0.3, delta_m=0.28)
         grid = GridSpec(n_points=512)
         clear = eval_oracle(params, config, grid, precomp=element(params, 5e3))
-        lossy = eval_oracle(params, config, grid, precomp=element(params, 5e3, t_cp=0.5))
+        # a lossy element's transmission is a factor of t_fiber
+        lossy = eval_oracle(replace(params, t_fiber=0.5), config, grid,
+                            precomp=element(params, 5e3))
         ratio = lossy.intensity_o.max() / clear.intensity_o.max()
         assert ratio == pytest.approx(0.5, rel=1e-9)
