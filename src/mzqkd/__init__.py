@@ -26,7 +26,6 @@ from .core import (
 from .design import (
     DesignReport,
     build_design_report,
-    gate_window,
     max_rate,
     min_phase_sum,
     sweep_lengths,
@@ -77,7 +76,6 @@ __all__ = [
     "eval_oracle",
     "exact_window_masses",
     "g_term_analysis",
-    "gate_window",
     "max_normalized_deviation",
     "max_rate",
     "middle_window_masses",

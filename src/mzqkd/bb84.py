@@ -136,8 +136,8 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
     offsets = [(_ALICE_OFFSETS[alice_basis, bit] * params.lambda0,
                 _BOB_OFFSETS[bob_basis] * params.lambda0) for alice_basis, bit, bob_basis in keys]
     masses = exact_window_masses(
-        params, [MzConfig(delta_d=baseline + phi_d, delta_m=baseline + phi_m)
-                 for phi_d, phi_m in offsets], MIDDLE_WINDOW_RHO)
+        derived, [MzConfig(delta_d=baseline + phi_d, delta_m=baseline + phi_m)
+                  for phi_d, phi_m in offsets], MIDDLE_WINDOW_RHO)
     rows = tuple(DetectionRow(*key, *offset, mass_o=float(mass_o), mass_p=float(mass_p))
                  for key, offset, (mass_o, mass_p) in zip(keys, offsets, masses))
     return DetectionTable(rows=rows, baseline=baseline,

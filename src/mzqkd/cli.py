@@ -81,7 +81,11 @@ def _length_range_m(args: argparse.Namespace) -> np.ndarray:
         km = getattr(args, name)
         if not math.isfinite(km_to_m(km)):
             raise ConfigError(f"{name.replace('_', '-')} must be finite in metres, got {km!r}")
-    return np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
+    try:
+        return np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
+        raise ConfigError(f"{args.command} steps {args.steps} ask for {8 * args.steps} bytes "
+                          "of lengths, more than can be allocated") from exc
 
 
 # ------------------------------------------------------------- subcommands

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .core import LinkParams, PrecompMultiplier, effective_kappa
-from .design import MODE_FACTOR, RATE_MODES, _far_end, max_rate, min_phase_sum
+from .design import MODE_FACTOR, _far_end, max_rate, min_phase_sum
 from .errors import InfeasibleDesignError
 from .units import C0
 
@@ -51,8 +51,6 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
         raise ValueError("clock_rate must be positive")
     if not math.isfinite(clock_rate):
         raise ValueError(f"clock_rate must be finite, got {clock_rate!r}")
-    if mode not in RATE_MODES:
-        raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
     link = params.fiber_length
 
     def rate_at(active: float) -> float:

@@ -138,16 +138,6 @@ def _gate_bound(actual_phase_sum: float, half: float) -> float:
     return margin / C0
 
 
-def gate_window(actual_phase_sum: float, params: LinkParams, rho: float) -> float:
-    """Longest detector gate centered on the middle pulse, s.
-
-    Requires actual_phase_sum >= 2*X_rho; anything smaller cannot isolate the
-    middle pulse and raises InfeasibleDesignError.  A negative or non-finite
-    phase sum is no shifter setting and raises ValueError.
-    """
-    return _gate_bound(actual_phase_sum, x_rho(_far_end(params).sigma, rho))
-
-
 def build_design_report(params: LinkParams, rho: float, *,
                         actual_phase_sum: float | None = None,
                         t_rising: float = 0.0, t_falling: float = 0.0,

@@ -8,8 +8,9 @@ timestamps or random ids.  Float arrays are formatted a chunk of rows at a
 time (``format_rows``) or by ``json``'s C encoder (``json_array``), not by
 one Python call per value.  SVG coordinates are written from numpy digit
 tables: each is rounded to hundredths against its exact binary value, as
-``%.2f`` rounds it, and a chunk holding a non-finite value or one beyond
-``SVG_EXACT_LIMIT`` goes through ``format_rows`` instead.
+``%.2f`` rounds it.  They take ``svg_line_chart``'s coordinates, each in the
+plot box [60, 580] x [60, 360] or NaN (where a span overflows); a chunk
+holding a NaN goes through ``format_rows``.
 """
 
 from __future__ import annotations
@@ -328,20 +329,15 @@ def plan_text(plan: CompensationPlan, params: LinkParams) -> str:
 # and a longer one never holds more than one chunk's digit table.
 SVG_CHUNK_ROWS = 4096
 
-# Largest |v| whose "%.2f" text the digit tables decide.  100 v then stays
-# below 2**52, where every half-integer is a float, so a rounding tie in
-# 100 v shows in its rounded product.  A chunk with a larger or a non-finite
-# value goes through format_rows.
-SVG_EXACT_LIMIT = 1e13
-
 # "00" to "99" as rows of ASCII codes
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
                              dtype=np.uint8).reshape(100, 2)
 
 
 def _hundredths(a: np.ndarray) -> np.ndarray:
-    """Floats 0 <= a <= SVG_EXACT_LIMIT rounded to int64 hundredths as "%.2f" rounds them.
+    """Plot-box coordinates a >= 0 rounded to int64 hundredths as "%.2f" rounds them.
 
+    100 a stays far below 2**52, where every half-integer is a float, so
     rint(100 a) is the nearest integer to the exact product unless the
     rounded product hi is a half-integer.  There the exact product is taken
     as hi + lo (Dekker's TwoProduct, Numer. Math. 18 (1971) 224, with the
@@ -363,21 +359,16 @@ def _hundredths(a: np.ndarray) -> np.ndarray:
 def _exact_points(xy: np.ndarray) -> str:
     """"x,y " per row of an (n, 2) array, each coordinate as "%.2f" writes it.
 
-    The text is a uint8 table with one row per point: per coordinate a sign
-    (only if the chunk has a negative), the integer digits right-aligned in a
+    The text is a uint8 table with one row per point: per plot-box coordinate
+    (non-negative, so unsigned) the integer digits right-aligned in a
     NUL-padded field, the point, two decimals and a separator.  Dropping the
     NULs leaves the text.  Integer digits come from int64 division by a
     scalar, numpy's fast path; an array of divisors ran several times slower.
     """
-    cents = _hundredths(np.abs(xy))
+    cents = _hundredths(xy)
     whole = cents // 100
-    negative = np.signbit(xy)
-    lead = int(negative.any())
     width = len(str(int(whole.max())))
-    table = np.empty(xy.shape + (lead + width + 4,), dtype=np.uint8)
-    if lead:
-        table[:, :, 0] = negative.view(np.uint8) * np.uint8(ord("-"))
-    digits = table[:, :, lead:]
+    digits = np.empty(xy.shape + (width + 4,), dtype=np.uint8)
     rest = whole // 10
     digits[:, :, width - 1] = whole - 10 * rest + ord("0")   # the ones digit always shows
     for column in range(width - 2, -1, -1):
@@ -389,16 +380,16 @@ def _exact_points(xy: np.ndarray) -> str:
     digits[:, :, width + 1:width + 3] = np.take(_DIGIT_PAIRS, cents - 100 * whole, axis=0)
     digits[:, 0, width + 3] = ord(",")
     digits[:, 1, width + 3] = ord(" ")
-    flat = table.ravel()
+    flat = digits.ravel()
     return flat[flat != 0].tobytes().decode("ascii")
 
 
 def _polyline_points(xy: np.ndarray) -> str:
-    """The points text "x,y x,y ..." of an (n, 2) float64 array, as "%.2f,%.2f" per row."""
+    """The points text "x,y x,y ..." of (n, 2) plot-box coordinates or NaN, "%.2f,%.2f" a row."""
     pieces = []
     for start in range(0, len(xy), SVG_CHUNK_ROWS):
         chunk = xy[start:start + SVG_CHUNK_ROWS]
-        if np.all(np.abs(chunk) <= SVG_EXACT_LIMIT):   # false for nan
+        if np.isfinite(chunk).all():
             pieces.append(_exact_points(chunk))
         else:
             pieces.append(format_rows("%.2f,%.2f ", chunk.T))
@@ -450,6 +441,7 @@ def svg_line_chart(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
                  f'{y_label}</text>')
     for idx, (name, xs, ys) in enumerate(series):
         color = colors[idx % len(colors)]
+        # v - min rounds to at most max - min: a finite coordinate is in the plot box
         with np.errstate(all="ignore"):  # as Python float arithmetic: no warnings
             xy = np.stack((sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))),
                           axis=1)

@@ -202,7 +202,7 @@ _END_LEGS = np.array([["cdm".index(pair[k]) for end in _TERM_ENDS for pair in en
                       for k in (0, 1)])
 # The middle cross term (cm, dc) is centered on the window center.
 _MIDDLE_TERM = len(PAIRS) + CROSS_PAIRS.index(("cm", "dc"))
-# Each term's amplitude over 2 gauss exp(-p dd^2 / 4), exit o then exit p: a
+# Each term's amplitude over 2 _gauss_peak exp(-p dd^2 / 4), exit o then exit p: a
 # Gaussian term has dd = 0 and half the cross-term scale.
 _TERM_WEIGHTS = np.array([(0.5,) * len(PAIRS) + signs for signs in (SIGNS_O, SIGNS_P)])
 
@@ -226,6 +226,12 @@ def _range_checks(p: float, k0: float, slope: float, reach: float, highest, wide
     return (highest * highest < math.inf,
             (p * span * span < math.inf) & (widest * (k0 + slope * span) < math.inf),
             (p * reach * reach < math.inf) & (widest * (k0 + slope * reach) < math.inf))
+
+
+def _gauss_peak(d: DerivedQuantities) -> float:
+    """Peak of one leg-pair Gaussian term, t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)), 1/m."""
+    return (d.params.t_fiber * d.params.t_leg**2 * d.delta_k
+            / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
 
 
 def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
@@ -269,9 +275,7 @@ def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
                 f"(widest difference {float(widest[first].max())!r} m; {shifters})")
         raise ValueError(f"the grid reaches {reach!r} m from a term center, "
                          "beyond the float range of the analytic terms")
-    gauss = (d.params.t_fiber * d.params.t_leg**2 * d.delta_k
-             / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
-    scale = 2.0 * gauss * np.exp(-0.25 * p * dd * dd)
+    scale = 2.0 * _gauss_peak(d) * np.exp(-0.25 * p * dd * dd)
     return ComponentTerms(amp=_TERM_WEIGHTS * scale[:, None, :],
                           center=half - half[:, _MIDDLE_TERM, None], dd=dd,
                           p=p, k0=d.k0, slope=slope)
@@ -384,15 +388,16 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     return 2.0 * poly / denominator**2 + 1.0 / (math.sqrt(math.pi) * denominator)
 
 
-def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
+def exact_window_masses(d: DerivedQuantities, configs: Sequence[MzConfig],
                         rho_window: float) -> np.ndarray:
     """Exact probability mass of each exit inside the middle-pulse window, shape (n, 2).
 
-    One row (exit o, exit p) per config.  The link is derived once and the n
-    term lists are built in one array pass (``_term_batch``), shape (n, 2, 10)
-    for the amplitudes and (n, 10) for the centers and dd.  The window is
-    [-X, X] around the window center with X = rho_window*sqrt(2)*sigma, so
-    sqrt(p) X = rho_window.
+    One row (exit o, exit p) per config on the link of ``d``, whose link
+    scalars alone are read (a compensating element enters through ``derive``).
+    The n term lists are built in one array pass (``_term_batch``), shape
+    (n, 2, 10) for the amplitudes and (n, 10) for the centers and dd.  The
+    window is [-X, X] around the window center with X = rho_window*sqrt(2)*sigma,
+    so sqrt(p) X = rho_window.
     Each term integrates in closed form, with a = sqrt(p) y at the window edges:
     a Gaussian term to amp sqrt(pi/p)/2 [erf(a)] between the edges, a cross
     term to the real part of exp(i dd k0) amp sqrt(pi/p)/2 exp(-s^2)
@@ -405,7 +410,7 @@ def exact_window_masses(params: LinkParams, configs: Sequence[MzConfig],
         raise ValueError("rho_window must be positive")
     if not configs:
         raise ValueError("exact_window_masses needs at least one shifter setting")
-    terms = _term_batch(derive(params, configs[0]), configs)
+    terms = _term_batch(d, configs)
     center, dd = terms.center, terms.dd
     root_p = math.sqrt(terms.p)
     edges = np.stack((-rho_window - root_p * center, rho_window - root_p * center))
@@ -744,6 +749,8 @@ def _window_mass(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
 def max_normalized_deviation(a: SpectrumCurve, b: SpectrumCurve) -> float:
     """Largest pointwise |difference| after normalizing each exit to peak 1.
 
+    The divisor is at least one leg-pair Gaussian's peak on the link of ``a``,
+    so a dark exit, whose peak is rounding noise, reads in the link's units.
     Curves must share the same relative grid: offsets from each curve's own
     window center that agree to 1e-12 m.
     """
@@ -752,10 +759,9 @@ def max_normalized_deviation(a: SpectrumCurve, b: SpectrumCurve) -> float:
     # one max-abs pass; a NaN offset makes it NaN and fails the test
     if not np.max(np.abs(a.x_relative - b.x_relative)) <= 1e-12:
         raise ValueError("curves are sampled on different relative grids")
+    floor = _gauss_peak(a.derived)
     dev = 0.0
     for ya, yb in ((a.intensity_o, b.intensity_o), (a.intensity_p, b.intensity_p)):
-        peak = max(float(ya.max()), float(yb.max()))
-        if peak <= 0:
-            raise ValueError("cannot normalize an all-zero curve")
+        peak = max(float(ya.max()), float(yb.max()), floor)
         dev = max(dev, float(np.max(np.abs(ya - yb))) / peak)
     return dev

@@ -74,7 +74,8 @@ class TestPhaseTables:
     def test_total_shift_includes_baseline(self):
         row = detection_table(CAL_50KM, 0.25).row("Z", 1, "Z")
         config = MzConfig(delta_d=0.25 + 0.75 * LAM, delta_m=0.25 + 0.25 * LAM)
-        [(mass_o, mass_p)] = exact_window_masses(CAL_50KM, [config], MIDDLE_WINDOW_RHO)
+        [(mass_o, mass_p)] = exact_window_masses(derive(CAL_50KM, config), [config],
+                                                 MIDDLE_WINDOW_RHO)
         assert (row.mass_o, row.mass_p) == pytest.approx((mass_o, mass_p), rel=1e-14)
 
 
@@ -204,8 +205,9 @@ def table():
 
 
 def test_detection_table_derives_the_link_a_fixed_number_of_times(monkeypatch):
-    # one derive for the baseline, one for every setting's term list; a loop
-    # over the settings would derive once per setting
+    # one derive for the baseline, whose record serves every setting's term
+    # list; a loop over the settings would derive once per setting
+    d = core.derive(CAL_50KM, MzConfig())
     calls = []
     exact = core.derive
 
@@ -216,12 +218,12 @@ def test_detection_table_derives_the_link_a_fixed_number_of_times(monkeypatch):
     for module in (bb84, core, design, spectra):
         monkeypatch.setattr(module, "derive", counting)
     detection_table(CAL_50KM, baseline=0.25)
-    assert len(calls) == 2
+    assert len(calls) == 1
     for n in (1, 8, 50):
         calls.clear()
-        exact_window_masses(CAL_50KM, [MzConfig(delta_d=0.25, delta_m=0.25 + i * LAM / 8)
-                                       for i in range(n)], MIDDLE_WINDOW_RHO)
-        assert len(calls) == 1
+        exact_window_masses(d, [MzConfig(delta_d=0.25, delta_m=0.25 + i * LAM / 8)
+                                for i in range(n)], MIDDLE_WINDOW_RHO)
+        assert calls == []
 
 
 class TestDetectionTable:

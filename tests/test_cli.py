@@ -105,6 +105,54 @@ class TestDesign:
         assert code == 0
         assert len(calls) == 1
 
+    # The bounds use only math and correctly rounded float operations, so the
+    # bytes do not depend on the CPU.
+    EXACT_TEXT = """\
+rho                 3
+visibility          0.999977909503
+min_phase_sum       0.42284645579 m
+max_rate_linear     708986569.227 Hz
+max_rate_nonlinear  472657712.818 Hz
+max_rate_general    1417973138.45 Hz
+safety_factor       1
+actual_phase_sum    0.5 m
+gate_window         9.62588498825e-10 s
+"""
+    EXACT_JSON = """\
+{
+  "config_si": {
+    "c0_m_per_s": 299792458.0,
+    "convention": "calibrated",
+    "delta_lambda_m": 3.1e-10,
+    "dispersion_s_per_m2": 1.6999999999999996e-05,
+    "fiber_length_m": 50000.0,
+    "lambda0_m": 1.5500000000000002e-06,
+    "leg_length_m": 1.0,
+    "t_falling_s": 0.0,
+    "t_rising_s": 0.0
+  },
+  "report": {
+    "actual_phase_sum_m": 0.5,
+    "gate_window_s": 9.625884988249023e-10,
+    "max_rate_general_hz": 1417973138.4540122,
+    "max_rate_linear_hz": 708986569.2270061,
+    "max_rate_nonlinear_hz": 472657712.8180041,
+    "min_phase_sum_m": 0.4228464557895049,
+    "rho": 3.0,
+    "safety_factor": 1.0,
+    "visibility": 0.9999779095030014
+  }
+}
+"""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("--sum-m", "0.5"), EXACT_TEXT),
+        (("--format", "json", "--sum-m", "0.5"), EXACT_JSON),
+    ], ids=["text", "json"])
+    def test_exact_output(self, capsys, argv, expected):
+        code, out, err = run(capsys, "design", *CAL, *argv)
+        assert (code, out, err) == (0, expected, "")
+
     def test_detector_profile(self, capsys):
         code_ideal, out_ideal, _ = run(capsys, "design", *CAL)
         code_slow, out_slow, _ = run(capsys, "design", *CAL,
@@ -150,6 +198,63 @@ class TestSweep:
                            "--format", "svg-plot")
         assert code == 0
         assert out.startswith("<svg ")
+
+    # As the design bounds, the columns and the chart's coordinates come from
+    # correctly rounded float operations only.
+    EXACT_CSV = """\
+length_km,min_phase_sum_m,rate_linear_hz,rate_nonlinear_hz,rate_general_hz
+0,0.0104663145461,28643555157.9,19095703438.6,57287110315.9
+250,6.7030363484,44724874.2835,29816582.8557,89449748.567
+500,13.4060068165,22362547.036,14908364.6907,44725094.072
+"""
+    EXACT_SVG_SUM = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420">
+<rect x="60" y="60" width="520" height="300" fill="none" stroke="#333333" stroke-width="1"/>
+<text x="60.0" y="378" font-size="11" text-anchor="middle">0</text>
+<text x="54" y="360.0" font-size="11" text-anchor="end" dominant-baseline="middle">0.0104663145461</text>
+<text x="190.0" y="378" font-size="11" text-anchor="middle">125</text>
+<text x="54" y="285.0" font-size="11" text-anchor="end" dominant-baseline="middle">3.35935144004</text>
+<text x="320.0" y="378" font-size="11" text-anchor="middle">250</text>
+<text x="54" y="210.0" font-size="11" text-anchor="end" dominant-baseline="middle">6.70823656554</text>
+<text x="450.0" y="378" font-size="11" text-anchor="middle">375</text>
+<text x="54" y="135.0" font-size="11" text-anchor="end" dominant-baseline="middle">10.057121691</text>
+<text x="580.0" y="378" font-size="11" text-anchor="middle">500</text>
+<text x="54" y="60.0" font-size="11" text-anchor="end" dominant-baseline="middle">13.4060068165</text>
+<text x="320.0" y="408" font-size="13" text-anchor="middle">length_km</text>
+<text x="16" y="210.0" font-size="13" text-anchor="middle" transform="rotate(-90 16 210.0)">min_phase_sum_m</text>
+<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="60.00,360.00 320.00,210.12 580.00,60.00"/>
+<text x="576" y="76" font-size="12" text-anchor="end" fill="#1f77b4">min_phase_sum_m</text>
+</svg>
+"""
+    EXACT_SVG_RATE = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420">
+<rect x="60" y="60" width="520" height="300" fill="none" stroke="#333333" stroke-width="1"/>
+<text x="60.0" y="378" font-size="11" text-anchor="middle">0</text>
+<text x="54" y="360.0" font-size="11" text-anchor="end" dominant-baseline="middle">22362547.036</text>
+<text x="190.0" y="378" font-size="11" text-anchor="middle">125</text>
+<text x="54" y="285.0" font-size="11" text-anchor="end" dominant-baseline="middle">7177660699.76</text>
+<text x="320.0" y="378" font-size="11" text-anchor="middle">250</text>
+<text x="54" y="210.0" font-size="11" text-anchor="end" dominant-baseline="middle">14332958852.5</text>
+<text x="450.0" y="378" font-size="11" text-anchor="middle">375</text>
+<text x="54" y="135.0" font-size="11" text-anchor="end" dominant-baseline="middle">21488257005.2</text>
+<text x="580.0" y="378" font-size="11" text-anchor="middle">500</text>
+<text x="54" y="60.0" font-size="11" text-anchor="end" dominant-baseline="middle">28643555157.9</text>
+<text x="320.0" y="408" font-size="13" text-anchor="middle">length_km</text>
+<text x="16" y="210.0" font-size="13" text-anchor="middle" transform="rotate(-90 16 210.0)">rate_hz</text>
+<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="60.00,60.00 320.00,359.77 580.00,360.00"/>
+<text x="576" y="76" font-size="12" text-anchor="end" fill="#1f77b4">rate_linear_hz</text>
+</svg>
+"""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ((), EXACT_CSV),
+        (("--format", "svg-plot"), EXACT_SVG_SUM),
+        (("--format", "svg-plot", "--quantity", "rate"), EXACT_SVG_RATE),
+    ], ids=["csv", "svg-phase-sum", "svg-rate"])
+    def test_exact_output(self, capsys, argv, expected):
+        code, out, err = run(capsys, "sweep", "--l-min-km", "0", "--l-max-km", "500",
+                             "--steps", "3", *argv)
+        assert (code, out, err) == (0, expected, "")
 
     def test_empty_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--l-min-km", "100", "--l-max-km", "50",
@@ -528,6 +633,11 @@ class TestExitCodes:
         # an allocation this size fails at once, so no memory is taken
         (("spectra", "--n-points", "100000000000"),
          "n_points 100000000000 asks for 800000000000 bytes"),
+        # 8e15 bytes exceed any address space; 8e20 exceed numpy's largest array
+        (("sweep", "--l-min-km", "0", "--l-max-km", "10", "--steps", "1000000000000000"),
+         "sweep steps 1000000000000000 ask for 8000000000000000 bytes"),
+        (("gterm", "--steps", "100000000000000000000"),
+         "gterm steps 100000000000000000000 ask for 800000000000000000000 bytes"),
         # G vanishes at every length: no maximum to locate
         (("gterm", "--dispersion", "0"), "without dispersion G vanishes at every length"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
@@ -536,7 +646,8 @@ class TestExitCodes:
             "design-huge-bound", "sweep-huge-bound", "compensate-huge-bound",
             "spectra-huge-shifter", "oracle-huge-shifter", "bb84-huge-baseline",
             "spectra-huge-terms", "bb84-huge-terms", "spectra-huge-padding",
-            "spectra-huge-grid", "gterm-no-dispersion"])
+            "spectra-huge-grid", "sweep-huge-steps", "gterm-huge-steps",
+            "gterm-no-dispersion"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows
@@ -545,6 +656,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error") and message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("shifter", ["0", "1e-9"], ids=["all-dark", "1e-9m"])
+    def test_dark_exits_pass_the_oracle_check(self, capsys, shifter):
+        # a dark exit reads against one leg-pair Gaussian's peak, not against
+        # its own rounding noise
+        code, out, err = run(capsys, "oracle-check", "--delta-d-m", shifter,
+                             "--delta-m-m", shifter)
+        assert (code, err) == (0, "")
+        assert float(out.split("worst=")[1].split()[0]) < 1e-14
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(exponent=st.floats(100.0, 300.0),

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mzqkd.core import LinkParams, MzConfig, derive, x_rho
-from mzqkd.design import (DETECTOR_PROFILES, build_design_report, gate_window,
-                          max_rate, min_phase_sum, sweep_lengths,
-                          visibility_of_rho)
+from mzqkd.design import (DETECTOR_PROFILES, build_design_report, max_rate, min_phase_sum,
+                          sweep_lengths, visibility_of_rho)
 from mzqkd.errors import InfeasibleDesignError
 from mzqkd.units import C0
 
@@ -110,6 +109,10 @@ class TestMaxRate:
             max_rate(LinkParams(), 3.0, "warp")
 
 
+def gate_window(actual_phase_sum, params, rho):
+    return build_design_report(params, rho, actual_phase_sum=actual_phase_sum).gate_window
+
+
 class TestGateWindow:
     def test_boundary_is_zero(self):
         params = LinkParams()
@@ -172,7 +175,8 @@ class TestReportAndSweep:
                                      t_falling=2e-9, safety_factor=1.5)
         assert (report.t_rising, report.t_falling, report.safety_factor) == (1e-9, 2e-9, 1.5)
         assert report.min_phase_sum == min_phase_sum(params, 2.7, 1e-9, 2e-9, 1.5)
-        assert report.gate_window == gate_window(2.0, params, 2.7)
+        sigma = derive(params, MzConfig()).sigma
+        assert report.gate_window == (2.0 - 2.0 * x_rho(sigma, 2.7)) / C0
         for mode in ("linear", "nonlinear", "general"):
             assert getattr(report, f"max_rate_{mode}") == max_rate(params, 2.7, mode)
 

@@ -141,21 +141,17 @@ def reference_points(xy):
     return " ".join("%.2f,%.2f" % (float(a), float(b)) for a, b in xy)
 
 
-SVG_LIMIT = io_mod.SVG_EXACT_LIMIT
-HALVES = (np.arange(-100_000, 100_001, 37) + 0.5) / 100   # nearest floats to (k + 0.5)/100
-ODD_EIGHTHS = (2.0 * np.arange(-4000, 4001, 7) + 1.0) / 8  # 100 v ends in exactly .5
+# svg_line_chart's coordinates lie in the plot box [60, 580] x [60, 360] or
+# are NaN; the kernel is held to "%.2f" on non-negative values.
+HALVES = (np.arange(0, 100_001, 37) + 0.5) / 100   # nearest floats to (k + 0.5)/100
+ODD_EIGHTHS = (2.0 * np.arange(0, 4001, 7) + 1.0) / 8  # 100 v ends in exactly .5
 # One table per case; each row pairs a value with the reversed table's value.
 EXACT_CASES = {
     "neighbours-of-half-hundredths": np.concatenate(
         (np.nextafter(HALVES, -np.inf), HALVES, np.nextafter(HALVES, np.inf))),
     "exact-binary-ties": np.concatenate(
         (ODD_EIGHTHS, 1e10 + ODD_EIGHTHS, np.nextafter(ODD_EIGHTHS, 0.0))),
-    "negative-zero": np.array([-0.0, 0.0, -0.001, -0.004999999999999999, -0.005,
-                               -1e-300, -5e-324, 5e-324, -0.00499999999999]),
-    "fast-path-limit": np.array([SVG_LIMIT, -SVG_LIMIT, np.nextafter(SVG_LIMIT, 0.0),
-                                 -np.nextafter(SVG_LIMIT, 0.0), 640.0]),
-    "beyond-the-limit": np.array([np.nextafter(SVG_LIMIT, np.inf), 1.0, -0.125]),
-    "non-finite-and-huge": np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.125]),
+    "nan": np.array([np.nan, 60.0, 0.125, 580.0, 360.0]),
 }
 
 
@@ -167,21 +163,57 @@ def test_polyline_points_exact(monkeypatch, case):
     monkeypatch.setattr(io_mod, "format_rows",
                         lambda *args: fallback.append(args) or reference_points(args[1].T) + " ")
     assert io_mod._polyline_points(xy) == reference_points(xy)
-    # only a chunk with a non-finite value or one beyond the limit leaves the tables
-    beyond = not np.all(np.abs(values) <= SVG_LIMIT)
-    assert len(fallback) == beyond
+    # only a chunk with a NaN leaves the tables
+    assert len(fallback) == (not np.isfinite(values).all())
 
 
 @pytest.mark.parametrize("rows", [0, 1, io_mod.SVG_CHUNK_ROWS - 1, io_mod.SVG_CHUNK_ROWS,
                                   io_mod.SVG_CHUNK_ROWS + 1])
 @pytest.mark.parametrize("last", [0.125, np.nan], ids=["finite", "nan-in-last-chunk"])
 def test_polyline_points_across_chunks(rows, last):
-    pool = np.concatenate([table for name, table in EXACT_CASES.items()
-                           if name not in ("beyond-the-limit", "non-finite-and-huge")])
+    pool = np.concatenate([table for name, table in EXACT_CASES.items() if name != "nan"])
     xy = np.random.default_rng(rows).choice(pool, (rows, 2))
     if rows:
         xy[-1, 0] = last
     assert io_mod._polyline_points(xy) == reference_points(xy)
+
+
+# Finite values with spans near the float maximum, and an optional NaN.
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0, 2.0**53, -2.0**53, 1e300, -1e300,
+            8.98846567431158e307, -8.98846567431158e307, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def finite_series(draw):
+    """An (2, rows) table of up to 16 drawn finite values, one entry maybe NaN."""
+    n = draw(st.sampled_from([1, 2, 3, 64, io_mod.SVG_CHUNK_ROWS + 1]))
+    pool = np.array(draw(st.lists(FINITE, min_size=1, max_size=16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = pool[rng.integers(0, pool.size, (2, n))]
+    if draw(st.booleans()):
+        table[rng.integers(0, 2), rng.integers(0, n)] = np.nan
+    return table
+
+
+@PROPERTY
+@given(st.lists(finite_series(), min_size=1, max_size=2))
+def test_svg_coordinates_stay_in_the_plot_box(tables):
+    series = [(f"s{i}", xs, ys) for i, (xs, ys) in enumerate(tables)]
+    try:
+        expected = reference_polylines(series)
+    except ZeroDivisionError:  # a span that adding 1.0 cannot widen
+        with pytest.raises(ZeroDivisionError):
+            io_mod.svg_line_chart(series, "x", "y")
+        return
+    points = re.findall(r'points="([^"]*)"', io_mod.svg_line_chart(series, "x", "y"))
+    assert points == expected
+    for text in points:
+        for pair in text.split(" "):
+            x, y = (float(v) for v in pair.split(","))
+            assert math.isnan(x) or 60.0 <= x <= 580.0
+            assert math.isnan(y) or 60.0 <= y <= 360.0
 
 
 def test_sweep_and_gterm_csv_match_reference():

@@ -851,7 +851,7 @@ class TestExactWindowMasses:
         configs = [MzConfig(delta_d=baseline + pd, delta_m=baseline + pm)
                    for pd in (0.0, 0.25 * CAL_500KM.lambda0, 0.5 * CAL_500KM.lambda0)
                    for pm in (0.0, 0.25 * CAL_500KM.lambda0)]
-        exact = exact_window_masses(CAL_500KM, configs, MIDDLE_WINDOW_RHO)
+        exact = exact_window_masses(derive(CAL_500KM, configs[0]), configs, MIDDLE_WINDOW_RHO)
         disagreement = []
         for n_points in (4096, 16384, 65536):
             sampled = np.array([
@@ -865,11 +865,11 @@ class TestExactWindowMasses:
 
     def test_rejects_non_positive_window(self):
         with pytest.raises(ValueError):
-            exact_window_masses(CAL_50KM, [MATCHED], 0.0)
+            exact_window_masses(derive(CAL_50KM, MATCHED), [MATCHED], 0.0)
 
     def test_needs_a_setting(self):
         with pytest.raises(ValueError, match="needs at least one shifter setting"):
-            exact_window_masses(CAL_50KM, [], MIDDLE_WINDOW_RHO)
+            exact_window_masses(derive(CAL_50KM, MATCHED), [], MIDDLE_WINDOW_RHO)
 
 
 def random_settings(rng, n):
@@ -892,16 +892,18 @@ class TestTermBatch:
                                 t_leg=float(rng.uniform(0.5, 1.0)))
             configs = random_settings(rng, int(rng.integers(1, 10)))
             configs += configs[:2]  # repeated settings
-            batch = spectra._term_batch(derive(params, configs[0]), configs)
-            masses = exact_window_masses(params, configs, MIDDLE_WINDOW_RHO)
+            d = derive(params, configs[0])
+            batch = spectra._term_batch(d, configs)
+            masses = exact_window_masses(d, configs, MIDDLE_WINDOW_RHO)
             for i, config in enumerate(configs):
-                one = component_terms(derive(params, config))
+                one_d = derive(params, config)
+                one = component_terms(one_d)
                 assert np.array_equal(batch.amp[i], one.amp)
                 assert np.array_equal(batch.center[i], one.center)
                 assert np.array_equal(batch.dd[i], one.dd)
                 assert (batch.p, batch.k0, batch.slope) == (one.p, one.k0, one.slope)
                 assert np.array_equal(
-                    masses[i], exact_window_masses(params, [config], MIDDLE_WINDOW_RHO)[0])
+                    masses[i], exact_window_masses(one_d, [config], MIDDLE_WINDOW_RHO)[0])
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
     def test_first_failing_setting_raises_its_own_message(self, order):
@@ -914,7 +916,7 @@ class TestTermBatch:
         with pytest.raises(ValueError) as alone:
             component_terms(derive(CAL_500KM, first))
         with pytest.raises(ValueError) as batch:
-            exact_window_masses(CAL_500KM, configs, MIDDLE_WINDOW_RHO)
+            exact_window_masses(derive(CAL_500KM, MATCHED), configs, MIDDLE_WINDOW_RHO)
         assert str(batch.value) == str(alone.value)
         assert repr(first.delta_d) in str(batch.value)
 
