@@ -220,9 +220,9 @@ def derive(params: LinkParams, config: MzConfig,
     and fwhm are those of the compensated pulse) and its a_cp to every
     component mean.  Raises ValueError for out-of-range inputs (delegated to
     the dataclass validators when constructing params/config directly), when
-    delta_k, gamma or sigma is not a positive finite float, and when a
-    shifter sum's square is not finite (the closed form squares their
-    differences).
+    delta_k, gamma or sigma is not a positive finite float, when a shifter
+    sum's square is not finite (the closed form squares their differences),
+    and when a component mean or the window center is not finite.
     """
     try:
         delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
@@ -246,8 +246,8 @@ def derive(params: LinkParams, config: MzConfig,
             f"fiber_length {params.fiber_length!r} m)")
     sums = {pair: config.delta_sum(pair) for pair in PAIRS}
     widest = max(sums.values())
-    # the term list's check comes too late: 1.7e308 m shifters would give
-    # infinite means here and an "empty position grid" in eval_analytic
+    # the term list's check comes too late: the grid is laid out from these
+    # sums first, and the oracle builds no term list
     if not widest * widest < math.inf:
         raise ValueError(
             "the shifter sums leave the float range when squared "
@@ -256,6 +256,13 @@ def derive(params: LinkParams, config: MzConfig,
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
     base = path + 2.0 * delta1 * k0
     mu = {pair: base + sums[pair] for pair in PAIRS}
+    # twice the window center; finite only when every mean is, since the sums
+    # (squares finite) lie far below the last step of the float range
+    if not math.isfinite(mu["cm"] + mu["dc"]):
+        raise ValueError(
+            "the component means leave the float range "
+            f"(group_index {params.group_index!r}, fiber_length {params.fiber_length!r} m, "
+            f"leg_length {params.leg_length!r} m)")
     return DerivedQuantities(
         params=params, config=config, delta_k=delta_k, k0=k0, kappa=kappa,
         delta1=delta1, gamma=gamma, sigma=sigma, fwhm=fwhm, mu=mu,

@@ -38,14 +38,15 @@ middle-pulse center halfway between the cm and dc means.  Each mean sits at
 the offset delta_sum(pair) - (delta_sum("cm") + delta_sum("dc"))/2, with or
 without a compensating element, so no large position is formed or cancelled;
 absolute positions (``SpectrumCurve.x``) are window center plus offset and
-are formed only where a caller reads them.
+are formed only where a caller reads them.  One builder (``_position_grid``)
+derives the record and lays out the grid of offsets for both routes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,17 +162,20 @@ def _middle_sum(config: MzConfig) -> float:
     return 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
 
 
-def _relative_means(config: MzConfig) -> dict:
-    """Component means as offsets from the window center, m, keyed by PAIRS."""
+def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
+                   precomp: PrecompMultiplier | None = None
+                   ) -> tuple[DerivedQuantities, np.ndarray, float, float]:
+    """The derived record, the grid offsets from the window center and the outer means.
+
+    The component means enter as offsets from the window center (m), of which
+    only the lowest and the highest bound the grid; absolute bounds are
+    converted once.
+    """
+    grid = grid or GridSpec()
+    d = derive(params, config, precomp)
     middle = _middle_sum(config)
-    return {pair: config.delta_sum(pair) - middle for pair in PAIRS}
-
-
-def _grid_for(rel_mu: Mapping[str, float], d: DerivedQuantities,
-              grid: GridSpec) -> np.ndarray:
-    """Grid offsets from the window center; absolute bounds are converted once."""
-    mu_lo = min(rel_mu.values())
-    mu_hi = max(rel_mu.values())
+    means = [config.delta_sum(pair) - middle for pair in PAIRS]
+    mu_lo, mu_hi = min(means), max(means)
     if grid.x_min is None:
         lo = mu_lo - grid.pad_sigmas * d.sigma
         hi = mu_hi + grid.pad_sigmas * d.sigma
@@ -183,13 +187,12 @@ def _grid_for(rel_mu: Mapping[str, float], d: DerivedQuantities,
         if lo > mu_lo - 5.0 * d.sigma or hi < mu_hi + 5.0 * d.sigma:
             raise ValueError(
                 "grid too narrow: must cover +-5 sigma around the outer component means")
-    if not lo < hi:
-        raise ValueError("empty position grid")
     try:
-        return np.linspace(lo, hi, grid.n_points)
-    except MemoryError as exc:
+        offset = np.linspace(lo, hi, grid.n_points)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
         raise ValueError(f"n_points {grid.n_points} asks for {8 * grid.n_points} bytes "
                          "of grid offsets, more than can be allocated") from exc
+    return d, offset, mu_lo, mu_hi
 
 
 # The leg pair at each end of each term, a then b: a Gaussian term's pair at
@@ -328,24 +331,14 @@ _BLOCK = 1024
 def eval_analytic(params: LinkParams, config: MzConfig,
                   grid: GridSpec | None = None) -> SpectrumCurve:
     """Closed-form output spectra of both exits: the term list on a grid."""
-    grid = grid or GridSpec()
-    d = derive(params, config)
-    rel_mu = _relative_means(config)
-    offset = _grid_for(rel_mu, d, grid)
+    d, offset, mu_lo, mu_hi = _position_grid(params, config, grid)
     # every term center lies between the outer means, so the grid's ends are
     # its widest offsets from them
-    reach = max(float(offset[-1]) - min(rel_mu.values()),
-                max(rel_mu.values()) - float(offset[0]))
+    reach = max(float(offset[-1]) - mu_lo, mu_hi - float(offset[0]))
     terms = component_terms(d, reach)
-
-    def intensity(block: np.ndarray) -> np.ndarray:
-        return np.einsum("et,tn->en", terms.amp, terms.shapes(block))
-
-    if offset.size <= _BLOCK:
-        both = intensity(offset)
-    else:
-        blocks = np.array_split(offset, -(-offset.size // _BLOCK))
-        both = np.concatenate([intensity(block) for block in blocks], axis=1)
+    blocks = np.array_split(offset, -(-offset.size // _BLOCK))
+    both = np.concatenate([np.einsum("et,tn->en", terms.amp, terms.shapes(block))
+                           for block in blocks], axis=1)
     intensity_o, intensity_p = _clip_rounding_noise(both, "intensity")
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
                          intensity_p=intensity_p, derived=d)
@@ -667,10 +660,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     """
     if placement not in ("pre", "post", "symmetric"):
         raise ValueError(f"placement must be pre, post or symmetric, got {placement!r}")
-    grid = grid or GridSpec()
-    d = derive(params, config, precomp)
-    rel_mu = _relative_means(config)
-    offset = _grid_for(rel_mu, d, grid)
+    d, offset, mu_lo, mu_hi = _position_grid(params, config, grid, precomp)
     step = (offset[-1] - offset[0]) / (offset.size - 1)
 
     # The field's support: every component's envelope exp(-y^2 / 4 sigma^2)
@@ -679,8 +669,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     dk = d.delta_k
     k_span = K_SPAN_SIGMAS * dk
     reach = K_SPAN_SIGMAS * d.sigma
-    period = max(float(offset[-1]) - (min(rel_mu.values()) - reach),
-                 (max(rel_mu.values()) + reach) - float(offset[0]))
+    period = max(float(offset[-1]) - (mu_lo - reach), (mu_hi + reach) - float(offset[0]))
     n_k, m = _oracle_n_k(k_span, period, step, offset.size)
 
     # the input spectrum on the first half of the symmetric axis

@@ -630,9 +630,14 @@ class TestExitCodes:
          "shifter sums leave the float range of the analytic terms"),
         (("spectra", "--pad-sigmas", "1e200", "--n-points", "8"),
          "the grid reaches 7.9000879785"),
+        # the absolute window center n_g L overflows while the offsets stay finite
+        (("spectra", "--group-index", "1e308", "--length-km", "1e10", "--dispersion", "0",
+          "--n-points", "4"), "the component means leave the float range"),
         # an allocation this size fails at once, so no memory is taken
         (("spectra", "--n-points", "100000000000"),
          "n_points 100000000000 asks for 800000000000 bytes"),
+        (("spectra", "--n-points", "100000000000000000000"),
+         "n_points 100000000000000000000 asks for 800000000000000000000 bytes"),
         # 8e15 bytes exceed any address space; 8e20 exceed numpy's largest array
         (("sweep", "--l-min-km", "0", "--l-max-km", "10", "--steps", "1000000000000000"),
          "sweep steps 1000000000000000 ask for 8000000000000000 bytes"),
@@ -646,7 +651,8 @@ class TestExitCodes:
             "design-huge-bound", "sweep-huge-bound", "compensate-huge-bound",
             "spectra-huge-shifter", "oracle-huge-shifter", "bb84-huge-baseline",
             "spectra-huge-terms", "bb84-huge-terms", "spectra-huge-padding",
-            "spectra-huge-grid", "sweep-huge-steps", "gterm-huge-steps",
+            "spectra-huge-means", "spectra-huge-grid", "spectra-beyond-largest-array",
+            "sweep-huge-steps", "gterm-huge-steps",
             "gterm-no-dispersion"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are

@@ -482,6 +482,12 @@ class TestOracleAgreement:
                            match=f"above the {spectra.ORACLE_BUDGET_BYTES}-byte budget"):
             eval_oracle(LinkParams(), MzConfig(), GridSpec(n_points=64, pad_sigmas=1e305))
 
+    def test_grid_beyond_numpys_largest_array_refused(self):
+        # numpy refuses such a length with a ValueError before allocating anything
+        with pytest.raises(ValueError, match="n_points 100000000000000000000 asks for "
+                                             "800000000000000000000 bytes"):
+            eval_oracle(LinkParams(), MzConfig(), GridSpec(n_points=10**20))
+
     def test_oracle_unitarity_bookkeeping(self):
         curve = eval_oracle(LinkParams(fiber_length=1e3),
                             MzConfig(delta_d=0.06, delta_m=0.055),
@@ -937,6 +943,19 @@ class TestCurveStructure:
         curve = eval_analytic(CAL_50KM, MATCHED)
         assert curve.intensity_o.min() >= 0.0
         assert curve.intensity_p.min() >= 0.0
+
+    @pytest.mark.parametrize("params", [LinkParams(fiber_length=50e3), CAL_500KM],
+                             ids=["50km", "500km-calibrated"])
+    @pytest.mark.parametrize("n_points", [1000, 1024, 1025, 2049, 4096])
+    def test_blocks_match_one_whole_grid_product(self, params, n_points):
+        # the terms are evaluated a block of offsets at a time; no block
+        # boundary may change a bit of the whole-grid product
+        config = MzConfig(delta_d=0.25, delta_m=0.25 + params.lambda0 / 8.0)
+        curve = eval_analytic(params, config, GridSpec(n_points=n_points))
+        terms = component_terms(curve.derived)
+        whole = np.einsum("et,tn->en", terms.amp, terms.shapes(curve.x_relative))
+        assert np.array_equal(np.stack((curve.intensity_o, curve.intensity_p)),
+                              np.maximum(whole, 0.0))
 
     def test_relative_axis_centers_middle_pulse(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
