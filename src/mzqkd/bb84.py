@@ -12,7 +12,7 @@ whose shares are exact window masses of the closed-form spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,24 +52,31 @@ class GTermAnalysis:
 
 def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
                     delta_c: float = 0.0) -> GTermAnalysis:
-    """Evaluate G over fiber lengths and locate its maximum magnitude; needs kappa > 0."""
+    """Evaluate G over fiber lengths and locate its maximum; needs a finite 1/(4 dk^2 kappa)."""
     lengths, d0, delta1, gamma, sigma = _pulse_over_lengths(
         params, lengths, "length sweep must be non-empty, finite and non-negative")
     if d0.kappa == 0.0:
         raise ValueError("without dispersion G vanishes at every length "
                          "and has no finite maximum")
+    denominator = 4.0 * d0.delta_k**2 * d0.kappa
+    if not (denominator > 0.0 and 1.0 / denominator < math.inf):
+        raise ValueError("the analytic argmax 1/(4*delta_k^2*kappa) leaves the float range "
+                         f"(delta_k {d0.delta_k!r} 1/m, kappa {d0.kappa!r} m)")
     g_values = _g_term(params.lambda0, gamma, delta1)
     return GTermAnalysis(
         lengths=lengths, g_values=g_values,
         second_terms=np.abs(g_values * (3.0 * sigma - delta_c)),
         argmax_length=float(lengths[int(np.argmax(np.abs(g_values)))]),
-        analytic_argmax=1.0 / (4.0 * d0.delta_k**2 * d0.kappa),
+        analytic_argmax=1.0 / denominator,
     )
 
 
 @dataclass(frozen=True)
 class DetectionRow:
-    """Middle-window detection shares for one (alice, bob) setting."""
+    """Middle-window detection shares for one (alice, bob) setting.
+
+    The masses are the lossless link's: the transmittances cancel in the shares.
+    """
 
     alice_basis: str
     bit: int
@@ -119,7 +126,8 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
     attached when the baseline fails the rho=3 separation bound; a baseline
     below the 1/e overlap point is a hard error.
     """
-    derived = derive(params, MzConfig(delta_d=baseline, delta_m=baseline))
+    derived = derive(replace(params, t_fiber=1.0, t_leg=1.0),
+                     MzConfig(delta_d=baseline, delta_m=baseline))
     x_1 = x_rho(derived.sigma, 1.0)
     if 2.0 * baseline < 4.0 * x_1:
         raise InfeasibleDesignError(

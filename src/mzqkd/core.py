@@ -96,10 +96,6 @@ class LinkParams:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
 
 
-# The MzConfig field that holds each leg's shifter value.
-_SHIFTER_FIELDS = {"c": "delta_c", "d": "delta_d", "m": "delta_m"}
-
-
 @dataclass(frozen=True)
 class MzConfig:
     """Phase-shifter values of the two interferometers.
@@ -119,13 +115,11 @@ class MzConfig:
         if self.delta_d < 0 or self.delta_m < 0 or self.delta_c < 0:
             raise ValueError("phase shifter lengths must be non-negative")
 
-    def shifter(self, leg: str) -> float:
-        """Shifter value of one leg, m.  Both interferometers' short legs are "c"."""
-        return getattr(self, _SHIFTER_FIELDS[leg])
-
-    def delta_sum(self, pair: str) -> float:
-        """Sum of the two shifter values of a leg pair, m."""
-        return self.shifter(pair[0]) + self.shifter(pair[1])
+    @property
+    def pair_sums(self) -> tuple[float, float, float, float]:
+        """Shifter sums d_a + d_b of the leg pairs in PAIRS order, m (short legs "c")."""
+        c, d, m = self.delta_c, self.delta_d, self.delta_m
+        return (c + c, c + m, d + c, d + m)
 
 
 @dataclass(frozen=True)
@@ -220,9 +214,10 @@ def derive(params: LinkParams, config: MzConfig,
     and fwhm are those of the compensated pulse) and its a_cp to every
     component mean.  Raises ValueError for out-of-range inputs (delegated to
     the dataclass validators when constructing params/config directly), when
-    delta_k, gamma or sigma is not a positive finite float, when a shifter
-    sum's square is not finite (the closed form squares their differences),
-    and when a component mean or the window center is not finite.
+    delta_k, gamma or sigma is not a positive finite float or the term
+    exponent 2 delta_k^2 / gamma underflows to zero, when a shifter sum's
+    square is not finite (the closed form squares their differences), and
+    when a component mean or the window center is not finite.
     """
     try:
         delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
@@ -236,7 +231,8 @@ def derive(params: LinkParams, config: MzConfig,
             path += precomp.a_cp
         gamma, sigma = broadening(delta_k, delta1)
         sigma = float(sigma)
-        in_range = 0.0 < delta_k < math.inf and gamma < math.inf and 0.0 < sigma < math.inf
+        in_range = (0.0 < delta_k < math.inf and gamma < math.inf and 0.0 < sigma < math.inf
+                    and 0.0 < 2.0 * delta_k**2 / gamma)  # the term list's exponent p
     except ArithmeticError:  # lambda0^2 underflows to zero, or a power overflows
         in_range = False
     if not in_range:
@@ -244,8 +240,8 @@ def derive(params: LinkParams, config: MzConfig,
             "the wavenumber spread or the pulse width leaves the float range "
             f"(lambda0 {params.lambda0!r} m, delta_lambda {params.delta_lambda!r} m, "
             f"fiber_length {params.fiber_length!r} m)")
-    sums = {pair: config.delta_sum(pair) for pair in PAIRS}
-    widest = max(sums.values())
+    sums = config.pair_sums
+    widest = max(sums)
     # the term list's check comes too late: the grid is laid out from these
     # sums first, and the oracle builds no term list
     if not widest * widest < math.inf:
@@ -255,7 +251,7 @@ def derive(params: LinkParams, config: MzConfig,
             f"delta_c {config.delta_c!r} m)")
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
     base = path + 2.0 * delta1 * k0
-    mu = {pair: base + sums[pair] for pair in PAIRS}
+    mu = {pair: base + pair_sum for pair, pair_sum in zip(PAIRS, sums)}
     # twice the window center; finite only when every mean is, since the sums
     # (squares finite) lie far below the last step of the float range
     if not math.isfinite(mu["cm"] + mu["dc"]):

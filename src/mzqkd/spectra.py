@@ -35,8 +35,8 @@ of kilometers while the pulse structure lives on a scale of meters, and the
 spectra depend on x only through its distance from the component means.
 Both routes therefore work in offsets from the window center, the
 middle-pulse center halfway between the cm and dc means.  Each mean sits at
-the offset delta_sum(pair) - (delta_sum("cm") + delta_sum("dc"))/2, with or
-without a compensating element, so no large position is formed or cancelled;
+the offset d_pair - (d_cm + d_dc)/2 of the shifter sums ``MzConfig.pair_sums``,
+with or without a compensating element, so no large position is formed or cancelled;
 absolute positions (``SpectrumCurve.x``) are window center plus offset and
 are formed only where a caller reads them.  One builder (``_position_grid``)
 derives the record and lays out the grid of offsets for both routes.
@@ -54,14 +54,11 @@ from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, PrecompMultip
                    x_rho)
 from .errors import ResolutionError, VerificationError
 
-# Cross-term ordering and the interference sign of each output.  Exit o takes
-# component signs (+dm, -cm, -dc, +cc), exit p takes (+dm, -cm, +dc, -cc);
-# the entries below are the products sign(ij)*sign(kl) for each ordered pair.
+# Cross-term ordering; a cross term's interference sign at each exit is the
+# product of its two pairs' component signs (``_PAIR_SIGNS``).
 CROSS_PAIRS = (("dm", "cm"), ("dm", "dc"), ("cm", "dc"),
                ("dm", "cc"), ("cm", "cc"), ("dc", "cc"))
-SIGNS_O = (-1.0, -1.0, +1.0, +1.0, -1.0, -1.0)
-SIGNS_P = (-1.0, +1.0, -1.0, -1.0, +1.0, -1.0)
-# The same component signs in PAIRS order (cc, cm, dc, dm), exit o then exit p:
+# The component signs in PAIRS order (cc, cm, dc, dm), exit o then exit p:
 # the terms of (E_d - E_c)(E_m -+ E_c) in the oracle's transfer function.
 _PAIR_SIGNS = np.array([(+1.0, -1.0, -1.0, +1.0), (-1.0, -1.0, +1.0, +1.0)])
 # The legs of each pair in PAIRS order, as indices into the shifters (c, d, m).
@@ -157,9 +154,9 @@ class ComponentTerms:
         return shape
 
 
-def _middle_sum(config: MzConfig) -> float:
-    """Mean shifter sum of the two middle pairs, (d_cm + d_dc)/2, m."""
-    return 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
+def _middle_sum(sums: tuple[float, ...]) -> float:
+    """Mean shifter sum of the two middle pairs, (d_cm + d_dc)/2, of ``pair_sums``, m."""
+    return 0.5 * (sums[1] + sums[2])
 
 
 def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
@@ -173,9 +170,9 @@ def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
     """
     grid = grid or GridSpec()
     d = derive(params, config, precomp)
-    middle = _middle_sum(config)
-    means = [config.delta_sum(pair) - middle for pair in PAIRS]
-    mu_lo, mu_hi = min(means), max(means)
+    sums = config.pair_sums
+    middle = _middle_sum(sums)
+    mu_lo, mu_hi = min(sums) - middle, max(sums) - middle
     if grid.x_min is None:
         lo = mu_lo - grid.pad_sigmas * d.sigma
         hi = mu_hi + grid.pad_sigmas * d.sigma
@@ -195,19 +192,15 @@ def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
     return d, offset, mu_lo, mu_hi
 
 
-# The leg pair at each end of each term, a then b: a Gaussian term's pair at
-# both ends, a cross term's two pairs.
-_TERM_ENDS = (PAIRS + tuple(a for a, _ in CROSS_PAIRS), PAIRS + tuple(b for _, b in CROSS_PAIRS))
-_N_TERMS = len(_TERM_ENDS[0])
-# The first and the second leg of the pair at each end of every term, as
-# indices into the shifters (c, d, m), each of shape (2 * 10,).
-_END_LEGS = np.array([["cdm".index(pair[k]) for end in _TERM_ENDS for pair in end]
-                      for k in (0, 1)])
+# The leg pair at each end of each term, a then b, as indices into PAIRS,
+# shape (2, 10): a Gaussian term's pair at both ends, a cross term's two pairs.
+_TERM_ENDS = np.array([[PAIRS.index(pair) for pair in PAIRS + end] for end in zip(*CROSS_PAIRS)])
 # The middle cross term (cm, dc) is centered on the window center.
 _MIDDLE_TERM = len(PAIRS) + CROSS_PAIRS.index(("cm", "dc"))
-# Each term's amplitude over 2 _gauss_peak exp(-p dd^2 / 4), exit o then exit p: a
-# Gaussian term has dd = 0 and half the cross-term scale.
-_TERM_WEIGHTS = np.array([(0.5,) * len(PAIRS) + signs for signs in (SIGNS_O, SIGNS_P)])
+# Each term's amplitude over 2 _gauss_peak exp(-p dd^2 / 4), exit o then exit p: its
+# ends' component signs' product, halved on the Gaussian terms (dd = 0).
+_TERM_WEIGHTS = _PAIR_SIGNS.take(_TERM_ENDS, axis=1).prod(axis=1)
+_TERM_WEIGHTS[:, :len(PAIRS)] *= 0.5
 
 
 def _range_checks(p: float, k0: float, slope: float, reach: float, highest, widest) -> tuple:
@@ -250,22 +243,19 @@ def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
     float range (``_range_checks``), with ``derive``'s message when its
     shifter sums' squares do.
     """
-    legs = np.array([(c.delta_c, c.delta_d, c.delta_m) for c in configs], dtype=float)
-    # a sum overflows only in a setting that the range checks refuse
+    sums = np.array([c.pair_sums for c in configs], dtype=float)
+    # take keeps it C-contiguous: einsum sums the masses in the layout's order
+    ends = sums.take(_TERM_ENDS, axis=1)                       # (n, 2, 10): d_a, d_b
+    # the ends' difference or mean overflows only where the range checks refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        # take keeps the arrays C-contiguous: the order in which einsum sums
-        # the masses' terms follows the layout
-        ends = legs.take(_END_LEGS[0], axis=1) + legs.take(_END_LEGS[1], axis=1)
-        ends = ends.reshape(-1, 2, _N_TERMS)                   # (n, 2, 10): d_a, d_b
         dd = ends[:, 0] - ends[:, 1]
         half = 0.5 * (ends[:, 0] + ends[:, 1])
     p = 2.0 * d.delta_k**2 / d.gamma
     slope = 8.0 * d.delta_k**4 * d.delta1 / d.gamma
-    highest = ends[:, 0, :len(PAIRS)]
     widest = np.abs(dd)
-    if not all(_range_checks(p, d.k0, slope, reach, float(highest.max()), float(widest.max()))):
+    if not all(_range_checks(p, d.k0, slope, reach, float(sums.max()), float(widest.max()))):
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _range_checks(p, d.k0, slope, reach, highest.max(axis=1), widest.max(axis=1))
+            rows = _range_checks(p, d.k0, slope, reach, sums.max(axis=1), widest.max(axis=1))
         first = int(np.argmin(rows[0] & rows[1] & rows[2]))
         config = configs[first]
         shifters = (f"delta_d {config.delta_d!r} m, delta_m {config.delta_m!r} m, "
@@ -613,10 +603,11 @@ def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.nda
     """
     config = d.config
     width = _block_width(n_k)
-    legs = np.array([config.shifter(leg) for leg in "cdm"])
-    slope = (_middle_sum(config) + start) - legs[_PAIR_LEGS].sum(axis=1)
+    sums = config.pair_sums
+    slope = (_middle_sum(sums) + start) - np.array(sums)
     blocks = _unit_phasor(np.outer(_block_starts(du, n_k), slope))
     # e_a e_b from the constant phasors exp(-i k0 delta_x), one per shifter
+    legs = np.array([config.delta_c, config.delta_d, config.delta_m])
     blocks *= d.params.t_leg * np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1)
     within = _unit_phasor(np.outer(slope, np.arange(width) * du))
     rows = np.empty((2, n_k), dtype=complex)

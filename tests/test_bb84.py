@@ -41,8 +41,9 @@ def z_difference(params, config, delta_x, pair_a, pair_b):
     terms = component_terms(d)
     term = len(PAIRS) + CROSS_PAIRS.index((pair_a, pair_b))
     exact = float(terms.dd[term] * (terms.k0 + terms.slope * (delta_x - terms.center[term])))
-    dsum_a = config.delta_sum(pair_a)
-    dsum_b = config.delta_sum(pair_b)
+    shifter = {"c": config.delta_c, "d": config.delta_d, "m": config.delta_m}
+    dsum_a = shifter[pair_a[0]] + shifter[pair_a[1]]
+    dsum_b = shifter[pair_b[0]] + shifter[pair_b[1]]
     recenter = delta_x + 0.5 * (config.delta_d + config.delta_m - dsum_a - dsum_b)
     factored = (2.0 * math.pi / params.lambda0) * (dsum_a - dsum_b) \
         * (1.0 + g_term_value(d) * recenter)
@@ -172,6 +173,14 @@ class TestGTerm:
         with pytest.raises(ValueError):
             g_term_analysis(LinkParams(), [10.0, math.nan])
 
+    @pytest.mark.parametrize("params", [
+        LinkParams(delta_lambda=1e-165),                      # 1/(4 dk^2 kappa) overflows
+        LinkParams(delta_lambda=1e-166, dispersion=1e-206),   # 4 dk^2 kappa underflows to 0
+    ], ids=["overflow", "underflow"])
+    def test_rejects_an_argmax_beyond_the_float_range(self, params):
+        with pytest.raises(ValueError, match=r"analytic argmax .* \(delta_k .* kappa .*\)"):
+            g_term_analysis(params, [1e3, 2e3])
+
     @pytest.mark.parametrize("leg_length", [1.0, 0.0])
     def test_sweep_equals_scalar_value(self, leg_length):
         params = LinkParams(convention="calibrated", leg_length=leg_length)
@@ -295,6 +304,10 @@ class TestDetectionTable:
     def test_overlapping_baseline_rejected(self):
         with pytest.raises(InfeasibleDesignError):
             detection_table(CAL_50KM, baseline=0.03)
+
+    def test_masses_are_the_lossless_links(self):
+        lossy = detection_table(replace(CAL_50KM, t_fiber=0.3, t_leg=1e-160), baseline=0.25)
+        assert lossy.rows == detection_table(CAL_50KM, baseline=0.25).rows
 
     def test_link_length_override(self):
         table = detection_table(replace(CAL_50KM, fiber_length=10e3), baseline=0.25)

@@ -359,6 +359,16 @@ Z,1,Z,1.1625e-06,3.875e-07,1.04983254813e-07,0.999999895017
         assert err == ""
         assert out == self.EXACT_TABLES[argv]
 
+    @pytest.mark.parametrize("losses", [("--t-leg", "1e-300"), ("--t-leg", "1e-160"),
+                                        ("--t-fiber", "0.3", "--t-leg", "0.5")],
+                             ids=["t-leg-1e-300", "t-leg-1e-160", "lossy"])
+    def test_table_reads_no_transmittance(self, capsys, losses):
+        # the shares are the lossless link's masses: a tiny t_leg^2 once
+        # underflowed them to 0 and divided by their zero sum
+        default = run(capsys, "bb84")
+        assert default[0] == 0
+        assert run(capsys, "bb84", *losses) == default
+
 
 class TestGtermCommand:
     def test_csv_and_summary(self, capsys):
@@ -645,6 +655,18 @@ class TestExitCodes:
          "gterm steps 100000000000000000000 ask for 800000000000000000000 bytes"),
         # G vanishes at every length: no maximum to locate
         (("gterm", "--dispersion", "0"), "without dispersion G vanishes at every length"),
+        # delta_k is positive but the term exponent 2 delta_k^2 / gamma underflows
+        (("spectra", "--delta-lambda-nm", "5e-312", "--n-points", "8"),
+         "wavenumber spread or the pulse width leaves the float range"),
+        (("oracle-check", "--delta-lambda-nm", "5e-312"),
+         "wavenumber spread or the pulse width leaves the float range"),
+        (("gterm", "--delta-lambda-nm", "5e-312"),
+         "wavenumber spread or the pulse width leaves the float range"),
+        # 1/(4 delta_k^2 kappa) overflows, or its denominator underflows to 0
+        (("gterm", "--delta-lambda-nm", "1e-156", "--steps", "3"),
+         "analytic argmax 1/(4*delta_k^2*kappa) leaves the float range"),
+        (("gterm", "--delta-lambda-nm", "1e-157", "--dispersion", "1e-200", "--steps", "3"),
+         "analytic argmax 1/(4*delta_k^2*kappa) leaves the float range"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
             "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
             "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho",
@@ -653,7 +675,9 @@ class TestExitCodes:
             "spectra-huge-terms", "bb84-huge-terms", "spectra-huge-padding",
             "spectra-huge-means", "spectra-huge-grid", "spectra-beyond-largest-array",
             "sweep-huge-steps", "gterm-huge-steps",
-            "gterm-no-dispersion"])
+            "gterm-no-dispersion", "spectra-term-exponent-underflow",
+            "oracle-term-exponent-underflow", "gterm-term-exponent-underflow",
+            "gterm-argmax-overflow", "gterm-argmax-underflow"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows

@@ -194,6 +194,11 @@ class TestValidation:
             with pytest.raises(ConfigError, match=f"^interferometer: {message}$"):
                 RunConfig(t_rising_ns=rising).resolved_edge_times()
 
+    def test_rejects_a_term_exponent_that_underflows(self):
+        # delta_k ~ 1.3e-308 1/m is positive, but 2 delta_k^2 / gamma is 0
+        with pytest.raises(ValueError, match="wavenumber spread or the pulse width"):
+            derive(LinkParams(delta_lambda=5e-321), MzConfig())
+
     def test_rejects_shifter_sums_whose_square_overflows(self):
         assert derive(LinkParams(), MzConfig(delta_d=1e150, delta_m=1e150)).sigma > 0
         for config in (MzConfig(delta_d=1e200), MzConfig(delta_d=1e154, delta_m=1e154),
@@ -201,12 +206,11 @@ class TestValidation:
             with pytest.raises(ValueError, match="shifter sums leave the float range"):
                 derive(LinkParams(), config)
 
-    def test_delta_sum_lookup(self):
+    def test_pair_sums_in_pairs_order(self):
         config = MzConfig(delta_d=0.3, delta_m=0.2, delta_c=0.05)
-        assert config.delta_sum("cc") == pytest.approx(0.10)
-        assert config.delta_sum("cm") == pytest.approx(0.25)
-        assert config.delta_sum("dc") == pytest.approx(0.35)
-        assert config.delta_sum("dm") == pytest.approx(0.50)
+        shifter = {"c": config.delta_c, "d": config.delta_d, "m": config.delta_m}
+        assert config.pair_sums == tuple(shifter[a] + shifter[b] for a, b in PAIRS)
+        assert config.pair_sums == (0.1, 0.25, 0.35, 0.5)
 
     def test_effective_kappa_matches_derive(self):
         params = LinkParams(convention="calibrated")

@@ -13,13 +13,34 @@ from mzqkd.bb84 import MIDDLE_WINDOW_RHO, default_baseline, detection_table
 from mzqkd.core import (LinkParams, MzConfig, PAIRS, PrecompMultiplier, broadening, derive,
                         x_rho)
 from mzqkd.errors import ResolutionError, VerificationError
-from mzqkd.spectra import (CROSS_PAIRS, SIGNS_O, SIGNS_P, GridSpec, component_terms,
-                           eval_analytic, eval_oracle, exact_window_masses,
-                           max_normalized_deviation, middle_window_masses)
+from mzqkd.spectra import (CROSS_PAIRS, GridSpec, component_terms, eval_analytic, eval_oracle,
+                           exact_window_masses, max_normalized_deviation,
+                           middle_window_masses)
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 MATCHED = MzConfig(delta_d=0.25, delta_m=0.25)
 WINDOW_RHO = 3.0 / math.sqrt(2.0)  # half-width of 3 sigma
+
+# The component signs of each exit, read off (E_d - E_c)(E_m -+ E_c):
+# exit o (+dm, -cm, -dc, +cc), exit p (+dm, -cm, +dc, -cc).
+COMPONENT_SIGNS = ({"dm": +1, "cm": -1, "dc": -1, "cc": +1},
+                   {"dm": +1, "cm": -1, "dc": +1, "cc": -1})
+
+
+def cross_signs(exit_signs):
+    """Each cross term's interference sign at one exit, in CROSS_PAIRS order."""
+    return [exit_signs[a] * exit_signs[b] for a, b in CROSS_PAIRS]
+
+
+def shifters(config):
+    """Each leg's shifter value from the config's fields; both short legs are "c"."""
+    return {"c": config.delta_c, "d": config.delta_d, "m": config.delta_m}
+
+
+def pair_sum(config, pair):
+    """Shifter sum d_a + d_b of a leg pair."""
+    shifter = shifters(config)
+    return shifter[pair[0]] + shifter[pair[1]]
 
 
 def total_mass(curve):
@@ -93,8 +114,8 @@ def alias_free_sampling(d, x):
     copies of the field, m h apart, miss the grid.  n_k covers +-10 delta_k
     at that step.
     """
-    middle = 0.5 * (d.config.delta_sum("cm") + d.config.delta_sum("dc"))
-    means = [d.config.delta_sum(pair) - middle for pair in PAIRS]
+    middle = 0.5 * (pair_sum(d.config, "cm") + pair_sum(d.config, "dc"))
+    means = [pair_sum(d.config, pair) - middle for pair in PAIRS]
     period = max(x[-1] - (min(means) - 10.0 * d.sigma), (max(means) + 10.0 * d.sigma) - x[0])
     h = (x[-1] - x[0]) / (x.size - 1)
     m = next(n for n in itertools.count(max(x.size, math.ceil(period / h))) if smooth_235(n))
@@ -268,9 +289,9 @@ def pair_envelopes(params, config, offset):
     Returns the prefactor and c' keyed by PAIRS.
     """
     d = derive(params, config)
-    middle = 0.5 * (config.delta_sum("cm") + config.delta_sum("dc"))
+    middle = 0.5 * (pair_sum(config, "cm") + pair_sum(config, "dc"))
     c_prime = {pair: 2.0 * d.delta_k * params.t_leg * math.sqrt(math.pi) / d.gamma**0.25
-               * np.exp(-d.delta_k**2 * (offset - config.delta_sum(pair) + middle) ** 2
+               * np.exp(-d.delta_k**2 * (offset - pair_sum(config, pair) + middle) ** 2
                         / d.gamma)
                for pair in PAIRS}
     prefactor = params.t_fiber / (32.0 * math.pi * math.sqrt(2.0 * math.pi) * d.delta_k)
@@ -314,8 +335,8 @@ class TestComponentTerms:
             bound = 2.0 * prefactor * c_prime[a][picked] * c_prime[b][picked]
             phase = [float(mp_phase_difference(d, a, b, x)) for x in offset[picked]]
             expected = bound * np.cos(phase)
-            for row, signs in enumerate((SIGNS_O, SIGNS_P)):
-                sign = signs[term - len(PAIRS)]
+            for row, exit_signs in enumerate(COMPONENT_SIGNS):
+                sign = exit_signs[a] * exit_signs[b]
                 error = np.abs(values[row, term, picked] - sign * expected)
                 assert np.all(error <= 1e-9 * bound.max())
 
@@ -323,8 +344,8 @@ class TestComponentTerms:
         terms = component_terms(derive(self.PARAMS, self.CONFIG))
         gauss, cross = slice(0, len(PAIRS)), slice(len(PAIRS), None)
         assert np.array_equal(terms.amp[0, gauss], terms.amp[1, gauss])
-        assert np.array_equal(terms.amp[0, cross] * np.array(SIGNS_P),
-                              terms.amp[1, cross] * np.array(SIGNS_O))
+        signs_o, signs_p = (np.array(cross_signs(signs)) for signs in COMPONENT_SIGNS)
+        assert np.array_equal(terms.amp[0, cross] * signs_p, terms.amp[1, cross] * signs_o)
 
 
 def mp_window_center(derived):
@@ -335,6 +356,12 @@ def mp_window_center(derived):
         return mpf(p.group_index) * (mpf(p.fiber_length) + 2 * mpf(p.leg_length)) \
             + 2 * mpf(derived.delta1) * mpf(derived.k0) \
             + (2 * mpf(cfg.delta_c) + mpf(cfg.delta_d) + mpf(cfg.delta_m)) / 2
+
+
+def mp_pair_sum(config, pair):
+    """Shifter sum of a leg pair at 50 digits, each field taken as exact."""
+    shifter = shifters(config)
+    return mpmath.mpf(shifter[pair[0]]) + mpmath.mpf(shifter[pair[1]])
 
 
 def mp_phase_difference(derived, pair_a, pair_b, offset):
@@ -352,8 +379,7 @@ def mp_phase_difference(derived, pair_a, pair_b, offset):
         x = mp_window_center(d) + mpmath.mpf(offset)
 
         def z(pair):
-            xp = x - group_delay - mpmath.mpf(cfg.shifter(pair[0])) \
-                - mpmath.mpf(cfg.shifter(pair[1]))
+            xp = x - group_delay - mp_pair_sum(cfg, pair)
             return mpmath.atan(4 * d1 * dk**2) / 2 \
                 + (k0**2 * d1 - k0 * xp - 4 * dk**4 * d1 * xp**2) / g
 
@@ -372,8 +398,7 @@ def mp_intensities(curve, offsets):
         dk, g, t = (mpmath.mpf(v) for v in (d.delta_k, d.gamma, p.t_leg))
         middle = (2 * mpmath.mpf(cfg.delta_c) + mpmath.mpf(cfg.delta_d)
                   + mpmath.mpf(cfg.delta_m)) / 2
-        shift = {pair: middle - mpmath.mpf(cfg.shifter(pair[0]))
-                 - mpmath.mpf(cfg.shifter(pair[1])) for pair in PAIRS}
+        shift = {pair: middle - mp_pair_sum(cfg, pair) for pair in PAIRS}
         prefactor = mpmath.mpf(p.t_fiber) / (32 * mpmath.pi * mpmath.sqrt(2 * mpmath.pi) * dk)
         out = np.empty((2, len(offsets)))
         for i, offset in enumerate(offsets):
@@ -383,9 +408,9 @@ def mp_intensities(curve, offsets):
             total_j = sum(c_prime[pair] ** 2 for pair in PAIRS)
             cross = [c_prime[a] * c_prime[b] * mpmath.cos(mp_phase_difference(d, a, b, offset))
                      for (a, b) in CROSS_PAIRS]
-            for row, signs in enumerate((SIGNS_O, SIGNS_P)):
+            for row, exit_signs in enumerate(COMPONENT_SIGNS):
                 out[row, i] = float(prefactor * (total_j + 2 * sum(
-                    s * c for s, c in zip(signs, cross))))
+                    s * c for s, c in zip(cross_signs(exit_signs), cross))))
         return out
 
 
@@ -600,7 +625,7 @@ class TestFoldedTransform:
         precomp = kwargs.get("precomp")
         # the carrier of the grid's first point, measured from the linear path
         center = (2.0 * params.group_index * params.leg_length + 2.0 * d.delta1 * d.k0
-                  + 0.5 * (config.delta_sum("cm") + config.delta_sum("dc")))
+                  + 0.5 * (pair_sum(config, "cm") + pair_sum(config, "dc")))
         reference = (reference_transfer_rows(params, config, d, u, precomp)
                      * alpha_in * np.exp(1j * (center + start) * u))
         # the two forms drop different constant phases of psi
