@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import LinkParams, MzConfig, derive, x_rho
-from .design import _phase_sum_bound, _pulse_over_lengths, min_phase_sum
+from .design import _far_end, _phase_sum_bound, _pulse_over_lengths, min_phase_sum
 from .errors import InfeasibleDesignError
-from .spectra import exact_window_masses
+from .spectra import component_terms, exact_window_masses
 
 BASES = ("X", "Z")
 
@@ -63,6 +63,10 @@ def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
         raise ValueError("the analytic argmax 1/(4*delta_k^2*kappa) leaves the float range "
                          f"(delta_k {d0.delta_k!r} 1/m, kappa {d0.kappa!r} m)")
     g_values = _g_term(params.lambda0, gamma, delta1)
+    if not np.any(g_values):
+        # gamma = 1 + 16 dk^4 delta1^2 rounds to 1 at every length
+        raise ValueError("G rounds to 0 at every length and has no finite maximum "
+                         f"(delta_k {d0.delta_k!r} 1/m, kappa {d0.kappa!r} m)")
     return GTermAnalysis(
         lengths=lengths, g_values=g_values,
         second_terms=np.abs(g_values * (3.0 * sigma - delta_c)),
@@ -112,8 +116,16 @@ class DetectionTable:
 
 
 def default_baseline(params: LinkParams, rho: float = 3.0) -> float:
-    """Half the shifter-sum bound, rounded up to the next centimeter, m."""
-    return math.ceil(min_phase_sum(params, rho) / 2.0 * 100.0) / 100.0
+    """Half the shifter-sum bound, rounded up to the next centimeter, m.
+
+    Refuses a bound, the baseline's shifter sum, whose square leaves the float range.
+    """
+    bound = min_phase_sum(params, rho)
+    if not bound * bound < math.inf:
+        raise ValueError("the default baseline's shifter sum leaves the float range when "
+                         f"squared (rho {rho!r}, shifter-sum bound {bound!r} m, "
+                         f"sigma {_far_end(params).sigma!r} m)")
+    return math.ceil(bound / 2.0 * 100.0) / 100.0
 
 
 def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
@@ -143,9 +155,9 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
             for alice_basis in BASES for bit in (0, 1) for bob_basis in BASES]
     offsets = [(_ALICE_OFFSETS[alice_basis, bit] * params.lambda0,
                 _BOB_OFFSETS[bob_basis] * params.lambda0) for alice_basis, bit, bob_basis in keys]
-    masses = exact_window_masses(
-        derived, [MzConfig(delta_d=baseline + phi_d, delta_m=baseline + phi_m)
-                  for phi_d, phi_m in offsets], MIDDLE_WINDOW_RHO)
+    configs = [MzConfig(delta_d=baseline + phi_d, delta_m=baseline + phi_m)
+               for phi_d, phi_m in offsets]
+    masses = exact_window_masses(component_terms(derived, configs), MIDDLE_WINDOW_RHO)
     rows = tuple(DetectionRow(*key, *offset, mass_o=float(mass_o), mass_p=float(mass_p))
                  for key, offset, (mass_o, mass_p) in zip(keys, offsets, masses))
     return DetectionTable(rows=rows, baseline=baseline,

@@ -47,10 +47,10 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
     Raises InfeasibleDesignError when even a fully compensated link (only
     leg dispersion left) cannot reach the clock rate.
     """
-    if not clock_rate > 0:
-        raise ValueError("clock_rate must be positive")
     if not math.isfinite(clock_rate):
         raise ValueError(f"clock_rate must be finite, got {clock_rate!r}")
+    if not clock_rate > 0:
+        raise ValueError("clock_rate must be positive")
     link = params.fiber_length
 
     def rate_at(active: float) -> float:

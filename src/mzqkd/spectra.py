@@ -4,12 +4,12 @@ Two independent evaluation routes are provided.  The analytic route is one
 list of Gaussian-cosine terms per shifter setting (``component_terms``): four
 Gaussian leg-pair components plus six cosine-weighted cross terms, each of
 the form amp * exp(-p y^2) * cos(dd (k0 + slope y)) with y the offset from
-the term's center.  One builder makes the lists of any number of settings on
-one derived link in one array pass (``_term_batch``); p, k0 and the slope
-belong to the link, the amplitudes, centers and dd to the settings.  The
-list is read two ways: pointwise on a grid (``eval_analytic``, one setting)
-and exactly on the middle-pulse window (``exact_window_masses``, every
-setting at once), where each cross term integrates to a difference of
+the term's center.  The one builder makes the lists of any number of
+settings on one derived link in one array pass; p, k0 and the slope belong to
+the link, the amplitudes, centers and dd to the settings.  The list is read
+two ways: pointwise on a grid (``eval_analytic``, one setting) and exactly on
+the middle-pulse window (``exact_window_masses``, every setting in the list
+at once), where each cross term integrates to a difference of
 complex error functions, evaluated through the Faddeeva function w(z)
 (Abramowitz & Stegun 7.1; Weideman's rational approximation, SIAM J. Numer.
 Anal. 31 (1994) 1497).
@@ -127,30 +127,30 @@ class ComponentTerms:
     with y = offset - center[t], the distance from the term's center.  Terms
     0-3 are the leg-pair Gaussians in PAIRS order (dd = 0, centered on the
     component means); terms 4-9 are the cross terms in CROSS_PAIRS order,
-    centered halfway between their two means.  Row 0 of ``amp`` is exit o,
-    row 1 exit p; the exits differ only in the cross-term signs.  The term
-    lists of n shifter settings on one link (``_term_batch``) carry a leading
-    settings axis on ``amp``, ``center`` and ``dd``; p, k0 and the slope
-    depend on the link alone.  A cross term's phase is its two pairs' phase
+    centered halfway between their two means.  The lists of n shifter
+    settings on one link share p, k0 and the slope, which depend on the link
+    alone; ``amp``, ``center`` and ``dd`` carry a leading settings axis, and
+    row 0 of an exit axis is exit o, row 1 exit p: the exits differ only in
+    the cross-term signs.  A cross term's phase is its two pairs' phase
     difference with their common parts cancelled, well-conditioned at any length.
     """
 
-    amp: np.ndarray      # (2, 10) or (n, 2, 10), 1/m
-    center: np.ndarray   # (10,) or (n, 10) offsets from the window center, m
-    dd: np.ndarray       # (10,) or (n, 10) shifter-sum differences d_a - d_b, m
+    amp: np.ndarray      # (n, 2, 10), 1/m
+    center: np.ndarray   # (n, 10) offsets from the window center, m
+    dd: np.ndarray       # (n, 10) shifter-sum differences d_a - d_b, m
     p: float             # 2 dk^2 / gamma, 1/m^2
     k0: float            # 1/m
     slope: float         # 8 dk^4 delta1 / gamma, 1/m^2
 
     def shapes(self, offset: np.ndarray) -> np.ndarray:
-        """exp(-p y^2) cos(phase) of every term of one setting at the offsets, shape (10, n).
+        """exp(-p y^2) cos(phase) of every term at the offsets, shape (n, 10, len(offset)).
 
         The Gaussian terms' phase is zero, so only the cross terms take a cosine.
         """
-        y = offset - self.center[:, None]
+        y = offset - self.center[..., None]
         shape = np.exp(-self.p * y * y)
         cross = slice(len(PAIRS), None)
-        shape[cross] *= np.cos(self.dd[cross, None] * (self.k0 + self.slope * y[cross]))
+        shape[:, cross] *= np.cos(self.dd[:, cross, None] * (self.k0 + self.slope * y[:, cross]))
         return shape
 
 
@@ -230,19 +230,30 @@ def _gauss_peak(d: DerivedQuantities) -> float:
             / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
 
 
-def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
-                reach: float = 0.0) -> ComponentTerms:
-    """The term lists of n shifter settings on the link of ``d``, in one array pass.
+def component_terms(d: DerivedQuantities, configs: Sequence[MzConfig],
+                    reach: float = 0.0) -> ComponentTerms:
+    """The analytic intensity of n shifter settings on the link of ``d`` as term lists.
 
-    Only the link scalars of ``d`` are read (delta_k, gamma, delta1, k0, the
-    transmissions); the shifters come from ``configs``, and the arrays carry a
-    leading settings axis (``ComponentTerms``).  Every entry is computed with
-    the operations of ``derive`` and of the one-setting term list, in their
-    order, so row i equals ``component_terms(derive(params, configs[i]))``
-    bit for bit.  Raises ValueError for the first setting that leaves the
-    float range (``_range_checks``), with ``derive``'s message when its
-    shifter sums' squares do.
+    The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
+    Gaussian of exponent p = 2 dk^2 / gamma centered halfway between the means,
+    scaled by exp(-p (mu_a - mu_b)^2 / 4).  A Gaussian term's amplitude
+    t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)) integrates to t_fiber t_leg^2 / 16
+    over the real line; a cross term carries twice that amplitude, the scale
+    above and its exit's interference sign.  Only the link scalars of ``d``
+    are read (delta_k, gamma, delta1, k0, the transmissions): a compensating
+    element enters through the record, its b_cp through delta1 and gamma, a
+    lossy element's transmission as a factor of t_fiber.  The shifters come
+    from ``configs``, one row of every array per setting, all in one array
+    pass; each entry takes the same operations whatever the other rows hold,
+    so row i equals row 0 of the list of ``[configs[i]]`` alone bit for bit.
+    Raises ValueError without a setting, and for the first setting whose
+    shifter sums leave the float range when squared (``derive``'s message) or
+    are too far apart for the terms' exponents and phases to stay in it, or
+    when ``reach``, the widest offset from a term center that the caller
+    evaluates (m), takes them out of it (``_range_checks``).
     """
+    if not configs:
+        raise ValueError("component_terms needs at least one shifter setting")
     sums = np.array([c.pair_sums for c in configs], dtype=float)
     # take keeps it C-contiguous: einsum sums the masses in the layout's order
     ends = sums.take(_TERM_ENDS, axis=1)                       # (n, 2, 10): d_a, d_b
@@ -272,27 +283,6 @@ def _term_batch(d: DerivedQuantities, configs: Sequence[MzConfig],
     return ComponentTerms(amp=_TERM_WEIGHTS * scale[:, None, :],
                           center=half - half[:, _MIDDLE_TERM, None], dd=dd,
                           p=p, k0=d.k0, slope=slope)
-
-
-def component_terms(d: DerivedQuantities, reach: float = 0.0) -> ComponentTerms:
-    """The analytic intensity of one derived link as its list of Gaussian-cosine terms.
-
-    The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
-    Gaussian of exponent p = 2 dk^2 / gamma centered halfway between the means,
-    scaled by exp(-p (mu_a - mu_b)^2 / 4).  A Gaussian term's amplitude
-    t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)) integrates to t_fiber t_leg^2 / 16
-    over the real line; a cross term carries twice that amplitude, the scale
-    above and its exit's interference sign.  A compensating element enters
-    through the record, its b_cp through delta1 and gamma; a lossy element's
-    transmission is a factor of t_fiber.  The one-setting case of
-    ``_term_batch``: raises ValueError when the shifter sums are too far
-    apart for the terms' exponents and phases to stay in the float range, or
-    when ``reach``, the widest offset from a term center that the caller
-    evaluates (m), takes them out of it.
-    """
-    batch = _term_batch(d, (d.config,), reach)
-    return ComponentTerms(amp=batch.amp[0], center=batch.center[0], dd=batch.dd[0],
-                          p=batch.p, k0=batch.k0, slope=batch.slope)
 
 
 def _clip_rounding_noise(values: np.ndarray, what: str) -> np.ndarray:
@@ -325,9 +315,9 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     # every term center lies between the outer means, so the grid's ends are
     # its widest offsets from them
     reach = max(float(offset[-1]) - mu_lo, mu_hi - float(offset[0]))
-    terms = component_terms(d, reach)
+    terms = component_terms(d, (config,), reach)
     blocks = np.array_split(offset, -(-offset.size // _BLOCK))
-    both = np.concatenate([np.einsum("et,tn->en", terms.amp, terms.shapes(block))
+    both = np.concatenate([np.einsum("et,tn->en", terms.amp[0], terms.shapes(block)[0])
                            for block in blocks], axis=1)
     intensity_o, intensity_p = _clip_rounding_noise(both, "intensity")
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
@@ -371,16 +361,12 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     return 2.0 * poly / denominator**2 + 1.0 / (math.sqrt(math.pi) * denominator)
 
 
-def exact_window_masses(d: DerivedQuantities, configs: Sequence[MzConfig],
-                        rho_window: float) -> np.ndarray:
+def exact_window_masses(terms: ComponentTerms, rho_window: float) -> np.ndarray:
     """Exact probability mass of each exit inside the middle-pulse window, shape (n, 2).
 
-    One row (exit o, exit p) per config on the link of ``d``, whose link
-    scalars alone are read (a compensating element enters through ``derive``).
-    The n term lists are built in one array pass (``_term_batch``), shape
-    (n, 2, 10) for the amplitudes and (n, 10) for the centers and dd.  The
-    window is [-X, X] around the window center with X = rho_window*sqrt(2)*sigma,
-    so sqrt(p) X = rho_window.
+    One row (exit o, exit p) per setting of the term lists ``terms``
+    (``component_terms``).  The window is [-X, X] around the window center
+    with X = rho_window*sqrt(2)*sigma, so sqrt(p) X = rho_window.
     Each term integrates in closed form, with a = sqrt(p) y at the window edges:
     a Gaussian term to amp sqrt(pi/p)/2 [erf(a)] between the edges, a cross
     term to the real part of exp(i dd k0) amp sqrt(pi/p)/2 exp(-s^2)
@@ -391,9 +377,6 @@ def exact_window_masses(d: DerivedQuantities, configs: Sequence[MzConfig],
     """
     if not rho_window > 0:
         raise ValueError("rho_window must be positive")
-    if not configs:
-        raise ValueError("exact_window_masses needs at least one shifter setting")
-    terms = _term_batch(d, configs)
     center, dd = terms.center, terms.dd
     root_p = math.sqrt(terms.p)
     edges = np.stack((-rho_window - root_p * center, rho_window - root_p * center))

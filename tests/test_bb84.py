@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -38,9 +39,10 @@ def z_difference(params, config, delta_x, pair_a, pair_b):
             raise ValueError(f"unknown leg pair {pair!r}")
     if abs(delta_x) > 5.0 * d.sigma:
         raise ValueError("delta_x outside +-5 sigma of the symbol center")
-    terms = component_terms(d)
+    terms = component_terms(d, [config])
+    [dd], [center] = terms.dd, terms.center
     term = len(PAIRS) + CROSS_PAIRS.index((pair_a, pair_b))
-    exact = float(terms.dd[term] * (terms.k0 + terms.slope * (delta_x - terms.center[term])))
+    exact = float(dd[term] * (terms.k0 + terms.slope * (delta_x - center[term])))
     shifter = {"c": config.delta_c, "d": config.delta_d, "m": config.delta_m}
     dsum_a = shifter[pair_a[0]] + shifter[pair_a[1]]
     dsum_b = shifter[pair_b[0]] + shifter[pair_b[1]]
@@ -75,8 +77,8 @@ class TestPhaseTables:
     def test_total_shift_includes_baseline(self):
         row = detection_table(CAL_50KM, 0.25).row("Z", 1, "Z")
         config = MzConfig(delta_d=0.25 + 0.75 * LAM, delta_m=0.25 + 0.25 * LAM)
-        [(mass_o, mass_p)] = exact_window_masses(derive(CAL_50KM, config), [config],
-                                                 MIDDLE_WINDOW_RHO)
+        [(mass_o, mass_p)] = exact_window_masses(
+            component_terms(derive(CAL_50KM, config), [config]), MIDDLE_WINDOW_RHO)
         assert (row.mass_o, row.mass_p) == pytest.approx((mass_o, mass_p), rel=1e-14)
 
 
@@ -181,6 +183,12 @@ class TestGTerm:
         with pytest.raises(ValueError, match=r"analytic argmax .* \(delta_k .* kappa .*\)"):
             g_term_analysis(params, [1e3, 2e3])
 
+    def test_rejects_a_g_that_rounds_to_0_everywhere(self):
+        # 16 dk^4 delta1^2 underflows, so gamma is 1 and G is 0 at every length
+        with pytest.raises(ValueError, match=r"G rounds to 0 at every length .*"
+                                             r"\(delta_k .* kappa .*\)"):
+            g_term_analysis(LinkParams(delta_lambda=1e-159), [1e3, 2e3])
+
     @pytest.mark.parametrize("leg_length", [1.0, 0.0])
     def test_sweep_equals_scalar_value(self, leg_length):
         params = LinkParams(convention="calibrated", leg_length=leg_length)
@@ -199,13 +207,13 @@ def gauss_legendre_masses(params, config, rho_window, panels=256, nodes=64):
     ``nodes`` nodes each; the fringes of the cross terms are resolved by
     many nodes per period at every length tested.
     """
-    terms = component_terms(derive(params, config))
+    terms = component_terms(derive(params, config), [config])
     half = x_rho(derive(params, config).sigma, rho_window)
     t, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(-half, half, panels + 1)
     center, scale = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     x = (center[:, None] + scale[:, None] * t).ravel()
-    return (terms.amp @ terms.shapes(x)) @ (scale[:, None] * w).ravel()
+    return (terms.amp[0] @ terms.shapes(x)[0]) @ (scale[:, None] * w).ravel()
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +238,8 @@ def test_detection_table_derives_the_link_a_fixed_number_of_times(monkeypatch):
     assert len(calls) == 1
     for n in (1, 8, 50):
         calls.clear()
-        exact_window_masses(d, [MzConfig(delta_d=0.25, delta_m=0.25 + i * LAM / 8)
-                                for i in range(n)], MIDDLE_WINDOW_RHO)
+        exact_window_masses(component_terms(d, [MzConfig(delta_d=0.25, delta_m=0.25 + i * LAM / 8)
+                                                for i in range(n)]), MIDDLE_WINDOW_RHO)
         assert calls == []
 
 
@@ -318,6 +326,11 @@ class TestDetectionTable:
         bound = 0.42284645578950497
         assert value == pytest.approx(math.ceil(bound / 2.0 * 100.0) / 100.0)
         assert value * 100 == int(value * 100)
+
+    @pytest.mark.parametrize("rho", [1e300, 1e307])
+    def test_default_baseline_refuses_a_sum_beyond_the_float_range(self, rho):
+        with pytest.raises(ValueError, match=re.escape(f"(rho {rho!r}, shifter-sum bound ")):
+            default_baseline(CAL_50KM, rho)
 
     def test_window_rho_is_three_sigma(self):
         assert MIDDLE_WINDOW_RHO * math.sqrt(2.0) == pytest.approx(3.0, rel=1e-15)

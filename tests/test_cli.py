@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mzqkd
-from mzqkd import core, spectra
+from mzqkd import bb84, core, spectra
 from mzqkd.cli import _resolve_config, build_parser, main
 from mzqkd.config import RunConfig, load_config_file
 from mzqkd.units import C0
@@ -540,20 +540,21 @@ class TestExitCodes:
     ]
 
     @staticmethod
-    def corrupt_terms(monkeypatch, corrupt):
-        # the one builder behind the spectra and the window masses; its
+    def corrupt_terms(monkeypatch, module, corrupt):
+        # the one builder behind the spectra and the window masses, patched
+        # where the route looks it up (bb84 imports it by name); its
         # amplitudes carry a leading settings axis
-        exact = spectra._term_batch
+        exact = spectra.component_terms
 
         def corrupted(derived, configs, reach=0.0):
             terms = exact(derived, configs, reach)
             return replace(terms, amp=corrupt(terms.amp))
 
-        monkeypatch.setattr(spectra, "_term_batch", corrupted)
+        monkeypatch.setattr(module, "component_terms", corrupted)
 
     @pytest.mark.parametrize("corrupt, message", CORRUPTIONS)
     def test_numeric_failure_exits_4(self, capsys, monkeypatch, corrupt, message):
-        self.corrupt_terms(monkeypatch, corrupt)
+        self.corrupt_terms(monkeypatch, spectra, corrupt)
         code, out, err = run(capsys, "spectra", *CAL, "--n-points", "128")
         assert code == 4
         assert out == ""
@@ -564,7 +565,7 @@ class TestExitCodes:
         for corrupt, message in CORRUPTIONS])
     def test_numeric_failure_in_window_masses_exits_4(self, capsys, monkeypatch,
                                                       corrupt, message):
-        self.corrupt_terms(monkeypatch, corrupt)
+        self.corrupt_terms(monkeypatch, bb84, corrupt)
         code, out, err = run(capsys, "bb84", *CAL, "--baseline-m", "0.25")
         assert code == 4
         assert out == ""
@@ -667,6 +668,22 @@ class TestExitCodes:
          "analytic argmax 1/(4*delta_k^2*kappa) leaves the float range"),
         (("gterm", "--delta-lambda-nm", "1e-157", "--dispersion", "1e-200", "--steps", "3"),
          "analytic argmax 1/(4*delta_k^2*kappa) leaves the float range"),
+        # gamma = 1 + 16 delta_k^4 delta1^2 rounds to 1, so G is 0 at every length
+        (("gterm", "--delta-lambda-nm", "1e-150", "--steps", "3"),
+         "G rounds to 0 at every length and has no finite maximum (delta_k 2.6152696"),
+        (("gterm", "--l-min-km", "0", "--l-max-km", "1e-300", "--steps", "2",
+          "--leg-length-m", "0"), "G rounds to 0 at every length"),
+        # the default baseline grows with the pulse width or rho; the refusal
+        # names them, not shifters that were never set
+        (("bb84", "--delta-lambda-nm", "1e-160"),
+         "default baseline's shifter sum leaves the float range when squared (rho 3.0, "
+         "shifter-sum bound 3.24451492435"),
+        (("bb84", "--rho", "1e300"), "(rho 1e+300, shifter-sum bound 4.46896462526987e+299 m, "
+         "sigma 0.0790008797"),
+        (("bb84", "--rho", "1e307"), "(rho 1e+307, shifter-sum bound"),
+        # a non-finite clock rate is refused as such, not as a non-positive one
+        (("compensate", "--clock-ghz", "nan"), "clock_rate must be finite, got nan"),
+        (("compensate", "--clock-ghz=-inf"), "clock_rate must be finite, got -inf"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
             "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
             "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho",
@@ -677,7 +694,10 @@ class TestExitCodes:
             "sweep-huge-steps", "gterm-huge-steps",
             "gterm-no-dispersion", "spectra-term-exponent-underflow",
             "oracle-term-exponent-underflow", "gterm-term-exponent-underflow",
-            "gterm-argmax-overflow", "gterm-argmax-underflow"])
+            "gterm-argmax-overflow", "gterm-argmax-underflow", "gterm-g-rounds-to-0",
+            "gterm-g-rounds-to-0-at-short-lengths", "bb84-default-baseline-wide-pulse",
+            "bb84-default-baseline-huge-rho", "bb84-default-baseline-beyond-ceil",
+            "compensate-nan-clock", "compensate-minus-inf-clock"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
         # pytest turns a numpy RuntimeWarning into an error; the widths are
         # checked before any array arithmetic overflows

@@ -106,8 +106,9 @@ class TestPlan:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             plan(CAL_405KM, 0.0, 3.0)
-        with pytest.raises(ValueError, match="finite"):
-            plan(CAL_405KM, math.inf, 3.0)
+        for clock in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                plan(CAL_405KM, clock, 3.0)
         with pytest.raises(ValueError):
             plan(CAL_405KM, 1e9, 3.0, "warp")
 

@@ -39,4 +39,4 @@ def test_library_example_runs():
         exec(compile(example, "README.md", "exec"), {})
     share, shape = out.getvalue().splitlines()
     assert float(share) > 0.999
-    assert shape == "(2, 10)"
+    assert shape == "(1, 2, 10)"

@@ -249,7 +249,7 @@ class TestAnalyticBasics:
     def test_all_peaks_share_fwhm(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
         d = curve.derived
-        shapes = component_terms(derive(CAL_50KM, MATCHED)).shapes(curve.x_relative)
+        [shapes] = component_terms(derive(CAL_50KM, MATCHED), [MATCHED]).shapes(curve.x_relative)
         for term in range(len(PAIRS)):
             width = measured_fwhm(curve.x_relative, shapes[term])
             assert width == pytest.approx(d.fwhm, rel=1e-2)
@@ -304,13 +304,14 @@ class TestComponentTerms:
 
     def terms_on_grid(self):
         curve = eval_analytic(self.PARAMS, self.CONFIG)
-        terms = component_terms(derive(self.PARAMS, self.CONFIG))
-        return curve.x_relative, terms, terms.amp[:, :, None] * terms.shapes(curve.x_relative)
+        terms = component_terms(derive(self.PARAMS, self.CONFIG), [self.CONFIG])
+        values = terms.amp[0, :, :, None] * terms.shapes(curve.x_relative)[0]
+        return curve.x_relative, terms, values
 
     def test_j_equals_c_prime_squared(self):
         offset, terms, values = self.terms_on_grid()
         prefactor, c_prime = pair_envelopes(self.PARAMS, self.CONFIG, offset)
-        assert np.all(terms.dd[:len(PAIRS)] == 0.0)
+        assert np.all(terms.dd[0, :len(PAIRS)] == 0.0)
         for term, pair in enumerate(PAIRS):
             for exit_values in values:
                 np.testing.assert_allclose(exit_values[term], prefactor * c_prime[pair] ** 2,
@@ -341,11 +342,11 @@ class TestComponentTerms:
                 assert np.all(error <= 1e-9 * bound.max())
 
     def test_sign_swap_exchanges_exits(self):
-        terms = component_terms(derive(self.PARAMS, self.CONFIG))
+        [amp] = component_terms(derive(self.PARAMS, self.CONFIG), [self.CONFIG]).amp
         gauss, cross = slice(0, len(PAIRS)), slice(len(PAIRS), None)
-        assert np.array_equal(terms.amp[0, gauss], terms.amp[1, gauss])
+        assert np.array_equal(amp[0, gauss], amp[1, gauss])
         signs_o, signs_p = (np.array(cross_signs(signs)) for signs in COMPONENT_SIGNS)
-        assert np.array_equal(terms.amp[0, cross] * signs_p, terms.amp[1, cross] * signs_o)
+        assert np.array_equal(amp[0, cross] * signs_p, amp[1, cross] * signs_o)
 
 
 def mp_window_center(derived):
@@ -420,13 +421,15 @@ class TestPhaseDifference:
     def test_float64_matches_extended_reference(self, length, convention):
         params = LinkParams(fiber_length=length, convention=convention)
         # the term list's fringe phase dd (k0 + slope (offset - center))
-        d = derive(params, MzConfig(delta_d=0.25 + 0.75 * params.lambda0,
-                                    delta_m=0.2 + 0.25 * params.lambda0, delta_c=0.01))
-        terms = component_terms(d)
+        config = MzConfig(delta_d=0.25 + 0.75 * params.lambda0,
+                          delta_m=0.2 + 0.25 * params.lambda0, delta_c=0.01)
+        d = derive(params, config)
+        terms = component_terms(d, [config])
+        [dd], [center] = terms.dd, terms.center
         for offset in np.linspace(-5.0, 5.0, 11) * d.sigma:
             for term, (a, b) in enumerate(CROSS_PAIRS, start=len(PAIRS)):
                 reference = mp_phase_difference(d, a, b, offset)
-                value = terms.dd[term] * (terms.k0 + terms.slope * (offset - terms.center[term]))
+                value = dd[term] * (terms.k0 + terms.slope * (offset - center[term]))
                 assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
@@ -882,7 +885,8 @@ class TestExactWindowMasses:
         configs = [MzConfig(delta_d=baseline + pd, delta_m=baseline + pm)
                    for pd in (0.0, 0.25 * CAL_500KM.lambda0, 0.5 * CAL_500KM.lambda0)
                    for pm in (0.0, 0.25 * CAL_500KM.lambda0)]
-        exact = exact_window_masses(derive(CAL_500KM, configs[0]), configs, MIDDLE_WINDOW_RHO)
+        exact = exact_window_masses(component_terms(derive(CAL_500KM, configs[0]), configs),
+                                    MIDDLE_WINDOW_RHO)
         disagreement = []
         for n_points in (4096, 16384, 65536):
             sampled = np.array([
@@ -896,11 +900,11 @@ class TestExactWindowMasses:
 
     def test_rejects_non_positive_window(self):
         with pytest.raises(ValueError):
-            exact_window_masses(derive(CAL_50KM, MATCHED), [MATCHED], 0.0)
+            exact_window_masses(component_terms(derive(CAL_50KM, MATCHED), [MATCHED]), 0.0)
 
     def test_needs_a_setting(self):
         with pytest.raises(ValueError, match="needs at least one shifter setting"):
-            exact_window_masses(derive(CAL_50KM, MATCHED), [], MIDDLE_WINDOW_RHO)
+            component_terms(derive(CAL_50KM, MATCHED), [])
 
 
 def random_settings(rng, n):
@@ -923,18 +927,15 @@ class TestTermBatch:
                                 t_leg=float(rng.uniform(0.5, 1.0)))
             configs = random_settings(rng, int(rng.integers(1, 10)))
             configs += configs[:2]  # repeated settings
-            d = derive(params, configs[0])
-            batch = spectra._term_batch(d, configs)
-            masses = exact_window_masses(d, configs, MIDDLE_WINDOW_RHO)
+            batch = component_terms(derive(params, configs[0]), configs)
+            masses = exact_window_masses(batch, MIDDLE_WINDOW_RHO)
             for i, config in enumerate(configs):
-                one_d = derive(params, config)
-                one = component_terms(one_d)
-                assert np.array_equal(batch.amp[i], one.amp)
-                assert np.array_equal(batch.center[i], one.center)
-                assert np.array_equal(batch.dd[i], one.dd)
+                one = component_terms(derive(params, config), [config])
+                assert np.array_equal(batch.amp[i], one.amp[0])
+                assert np.array_equal(batch.center[i], one.center[0])
+                assert np.array_equal(batch.dd[i], one.dd[0])
                 assert (batch.p, batch.k0, batch.slope) == (one.p, one.k0, one.slope)
-                assert np.array_equal(
-                    masses[i], exact_window_masses(one_d, [config], MIDDLE_WINDOW_RHO)[0])
+                assert np.array_equal(masses[i], exact_window_masses(one, MIDDLE_WINDOW_RHO)[0])
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
     def test_first_failing_setting_raises_its_own_message(self, order):
@@ -945,17 +946,18 @@ class TestTermBatch:
         configs = [candidates[i] for i in order]
         first = configs[1]
         with pytest.raises(ValueError) as alone:
-            component_terms(derive(CAL_500KM, first))
+            component_terms(derive(CAL_500KM, first), [first])
         with pytest.raises(ValueError) as batch:
-            exact_window_masses(derive(CAL_500KM, MATCHED), configs, MIDDLE_WINDOW_RHO)
+            component_terms(derive(CAL_500KM, MATCHED), configs)
         assert str(batch.value) == str(alone.value)
         assert repr(first.delta_d) in str(batch.value)
 
     def test_grid_reach_is_range_checked(self):
         d = derive(CAL_50KM, MATCHED)
-        assert np.array_equal(component_terms(d, 1.0).amp, component_terms(d).amp)
+        assert np.array_equal(component_terms(d, [MATCHED], 1.0).amp,
+                              component_terms(d, [MATCHED]).amp)
         with pytest.raises(ValueError, match="the grid reaches 1e\\+200 m"):
-            component_terms(d, 1e200)
+            component_terms(d, [MATCHED], 1e200)
 
 
 class TestCurveStructure:
@@ -977,8 +979,8 @@ class TestCurveStructure:
         # boundary may change a bit of the whole-grid product
         config = MzConfig(delta_d=0.25, delta_m=0.25 + params.lambda0 / 8.0)
         curve = eval_analytic(params, config, GridSpec(n_points=n_points))
-        terms = component_terms(curve.derived)
-        whole = np.einsum("et,tn->en", terms.amp, terms.shapes(curve.x_relative))
+        terms = component_terms(curve.derived, [config])
+        whole = np.einsum("et,tn->en", terms.amp[0], terms.shapes(curve.x_relative)[0])
         assert np.array_equal(np.stack((curve.intensity_o, curve.intensity_p)),
                               np.maximum(whole, 0.0))
 
