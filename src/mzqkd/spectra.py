@@ -7,9 +7,10 @@ the form amp * exp(-p y^2) * cos(dd (k0 + slope y)) with y the offset from
 the term's center.  The one builder makes the lists of any number of
 settings on one derived link in one array pass; p, k0 and the slope belong to
 the link, the amplitudes, centers and dd to the settings.  The list is read
-two ways: pointwise on a grid (``eval_analytic``, one setting) and exactly on
-the middle-pulse window (``exact_window_masses``, every setting in the list
-at once), where each cross term integrates to a difference of
+two ways: pointwise on a grid (``eval_analytic``, one setting, without the
+cross terms whose amplitude underflowed to 0, which would add only +-0) and
+exactly on the middle-pulse window (``exact_window_masses``, every setting in
+the list at once), where each cross term integrates to a difference of
 complex error functions, evaluated through the Faddeeva function w(z)
 (Abramowitz & Stegun 7.1; Weideman's rational approximation, SIAM J. Numer.
 Anal. 31 (1994) 1497).
@@ -23,7 +24,7 @@ comes from short tables of about sqrt(n_k) directly evaluated entries, the
 way FFT libraries build their twiddle factors (Frigo & Johnson, Proc. IEEE
 93 (2005) 216): the chirp on half of the symmetric axis from a block table
 filled by doubling, mirrored for the other half, and both exits' linear
-phases as one small matrix product of a block table and a within-block
+phases as one batched matrix product of their block tables and a within-block
 table.  The axis and the input spectrum exist only on that half, and the
 input norm is summed there.  No cosine or sine is taken on the whole axis.
 The two routes must agree to high precision; the oracle is the verification
@@ -44,8 +45,9 @@ derives the record and lays out the grid of offsets for both routes.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -310,12 +312,24 @@ _BLOCK = 1024
 
 def eval_analytic(params: LinkParams, config: MzConfig,
                   grid: GridSpec | None = None) -> SpectrumCurve:
-    """Closed-form output spectra of both exits: the term list on a grid."""
+    """Closed-form output spectra of both exits: the term list on a grid.
+
+    A cross term whose means are some 77 sigma apart (a link of a few km with
+    shifters of tenths of a meter) has amplitude 2 peak exp(-p dd^2 / 4) = 0
+    and adds +-0 at every point; it is left out.  No bit changes: einsum adds
+    the terms in order from a Gaussian one, >= +0, and x + (+-0) is x for
+    every x but -0, which no partial sum is.
+    """
     d, offset, mu_lo, mu_hi = _position_grid(params, config, grid)
     # every term center lies between the outer means, so the grid's ends are
     # its widest offsets from them
     reach = max(float(offset[-1]) - mu_lo, mu_hi - float(offset[0]))
     terms = component_terms(d, (config,), reach)
+    if not terms.amp[0, 0].all():
+        # the Gaussian terms, first in the list, vanish only with every other one
+        kept = np.flatnonzero(terms.amp[0, 0])
+        terms = replace(terms, amp=terms.amp[..., kept], center=terms.center[:, kept],
+                        dd=terms.dd[:, kept])
     blocks = np.array_split(offset, -(-offset.size // _BLOCK))
     both = np.concatenate([np.einsum("et,tn->en", terms.amp[0], terms.shapes(block)[0])
                            for block in blocks], axis=1)
@@ -411,13 +425,14 @@ def _oracle_bytes(n_k: int, m: int) -> int:
     The count allows eight complex128 arrays of length n_k; at most four are
     live at once.  While the transfer-function rows are built: the first
     halves of the wavenumber axis and of the input spectrum (float64, half an
-    array's worth), the even factor's first half and the two rows, plus
-    tables of about sqrt(n_k) entries.  While they are transformed: the half
-    axis and spectrum, the rows and the squares of one row's parts (float64,
-    one complex array's worth).  The folded rows, their inverse FFT and its
-    scratch add at most eight of length m.  The count was set when the axis
-    and the spectrum spanned the whole axis and is kept as it was; where the
-    budget refuses a link follows from ``_oracle_n_k``'s sample count.
+    array's worth), the even factor's first half and the two rows, each padded
+    to whole blocks of about sqrt(n_k) samples, plus tables of about sqrt(n_k)
+    entries.  While they are transformed: the half axis and spectrum, the rows
+    and the squares of one row's parts (float64, one complex array's worth).
+    The folded rows, their inverse FFT and its scratch add at most eight of
+    length m.  The count was set when the axis and the spectrum spanned the
+    whole axis and is kept as it was; where the budget refuses a link follows
+    from ``_oracle_n_k``'s sample count.
     """
     return 16 * 8 * (n_k + m)
 
@@ -448,6 +463,7 @@ def _oracle_n_k(k_span: float, period: float, step: float, n_x: int) -> tuple[in
     return n_k, m
 
 
+@functools.lru_cache
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: numpy's FFT is fast on these lengths."""
     best = 1 << (n - 1).bit_length()
@@ -466,17 +482,6 @@ def _power(z: np.ndarray) -> np.ndarray:
     power = np.square(z.real)
     power += np.square(z.imag)
     return power
-
-
-def _trapezoid_power(values: np.ndarray, du: float) -> float:
-    """Trapezoid rule for the integral of |values|^2 on the uniform step du.
-
-    du (sum - (first + last)/2), one pairwise sum over the squares of the real
-    and imaginary parts.  Not ``vdot``: OpenBLAS splits a dot product of more
-    than about 10 000 values over its threads (see ``_GEMM_SAMPLES``).
-    """
-    ends = abs(values[0]) ** 2 + abs(values[-1]) ** 2
-    return float(du * (np.square(values.view(np.float64)).sum() - 0.5 * ends))
 
 
 def _folded_intensity(coeffs: np.ndarray, n_x: int, m: int) -> np.ndarray:
@@ -548,11 +553,11 @@ def _chirp_half(curv: float, du: float, n_k: int) -> np.ndarray:
     return table.reshape(-1)[:size]
 
 
-# np.matmul hands complex products to BLAS.  OpenBLAS runs a complex GEMM with
-# m n k above 65536 on all its threads, and waking them took 8-16 ms per call
-# on a shared 2-core x86-64 host, against 0.1-0.3 ms for a whole 40 000-sample
-# product on the calling thread.  With k = 4, products of at most this many
-# samples stay on the calling thread.
+# np.matmul hands complex products to BLAS, one GEMM per matrix of a batch.
+# OpenBLAS runs a complex GEMM with m n k above 65536 on all its threads, and
+# waking them took 8-16 ms per call on a shared 2-core x86-64 host, against
+# 0.1-0.3 ms for a whole 40 000-sample product on the calling thread.  With
+# k = 4, products of at most this many samples per exit stay on that thread.
 _GEMM_SAMPLES = 1 << 14
 
 
@@ -575,8 +580,10 @@ def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.nda
     e_a e_b exp(i u (mid + start - d_a - d_b)), with signs ``_PAIR_SIGNS``.  On
     u_n = T_b + j du each is a block table entry times a within-block entry,
     so each exit is the matrix product of its (blocks x 4) block table and the
-    (4 x w) within-block table, written into the rows a few blocks at a time
-    (``_GEMM_SAMPLES``).  The axis is u_n = (n - (n_k - 1)/2) du, symmetric
+    (4 x w) within-block table.  Both exits are one batched product into one
+    (2, blocks, w) buffer, a few blocks at a time (``_GEMM_SAMPLES``), the
+    partial last block computed whole; the rows are a view of its first n_k
+    samples per exit.  The axis is u_n = (n - (n_k - 1)/2) du, symmetric
     to the bit: u[n_k - 1 - n] == -u[n].  So the even factor alpha_in
     exp(-i delta1 u^2) is evaluated on the first ceil(n_k/2) samples only
     (``alpha_half`` the input spectrum there, ``_chirp_half`` the chirp) and
@@ -593,16 +600,13 @@ def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.nda
     legs = np.array([config.delta_c, config.delta_d, config.delta_m])
     blocks *= d.params.t_leg * np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1)
     within = _unit_phasor(np.outer(slope, np.arange(width) * du))
-    rows = np.empty((2, n_k), dtype=complex)
-    whole = n_k // width
+    signed = blocks * _PAIR_SIGNS[:, None, :]
+    table = np.empty((2, signed.shape[1], width), dtype=complex)
     per_call = max(1, _GEMM_SAMPLES // width)
-    for row, signed in zip(rows, blocks * _PAIR_SIGNS[:, None, :]):
-        # the whole blocks, a few per product, then the partial last one
-        table = row[:whole * width].reshape(whole, width)
-        for first in range(0, whole, per_call):
-            last = min(first + per_call, whole)
-            np.matmul(signed[first:last], within, out=table[first:last])
-        np.matmul(signed[-1], within[:, :n_k - whole * width], out=row[whole * width:])
+    for first in range(0, signed.shape[1], per_call):
+        chunk = slice(first, first + per_call)
+        np.matmul(signed[:, chunk], within, out=table[:, chunk])
+    rows = table.reshape(2, -1)[:, :n_k]
     even = _chirp_half(-d.delta1, du, n_k)
     even *= alpha_half
     rows[:, :even.size] *= even
@@ -664,8 +668,14 @@ def eval_oracle(params: LinkParams, config: MzConfig,
 
     # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
     # space plus the share that left through the first interferometer's
-    # unused exit.
-    mass_o, mass_p = (0.0625 * params.t_fiber * _trapezoid_power(row, du) for row in rows)
+    # unused exit: du (sum - (first + last)/2) of |row|^2, one pairwise sum
+    # per row over the squares of its parts.  Not ``vdot``: OpenBLAS splits a
+    # dot product of over 10 000 values over its threads (``_GEMM_SAMPLES``);
+    # not einsum, whose running sums lose 4e-14 of the mass at 350 000 samples;
+    # not both rows' squares at once, a temporary that faulted in fresh pages.
+    ends = np.square(np.abs(rows[:, [0, -1]])).sum(axis=1)
+    sums = np.array([np.square(row.view(np.float64)).sum() for row in rows]) - 0.5 * ends
+    mass_o, mass_p = (0.0625 * params.t_fiber * (du * sums)).tolist()
 
     # trapezoid end weights; the constant weight and the transform's
     # normalization scale the folded intensity

@@ -568,6 +568,13 @@ class TestFoldedTransform:
         if grid is FEWER_SAMPLES:
             assert n_k < m
 
+    def test_fft_length_is_the_smallest_smooth_length(self):
+        # the memoised search, asked twice, against a search one length at a time
+        for _ in range(2):
+            for n in range(1, 5001):
+                assert spectra._fft_length(n) == next(
+                    m for m in itertools.count(n) if smooth_235(m))
+
     @pytest.mark.parametrize("params, config, grid, kwargs", FOLD_CASES)
     def test_fold_is_alias_free(self, monkeypatch, params, config, grid, kwargs):
         # the quadrature's copies of the field already miss the grid: a fold
@@ -971,18 +978,34 @@ class TestCurveStructure:
         assert curve.intensity_o.min() >= 0.0
         assert curve.intensity_p.min() >= 0.0
 
-    @pytest.mark.parametrize("params", [LinkParams(fiber_length=50e3), CAL_500KM],
-                             ids=["50km", "500km-calibrated"])
+    @pytest.mark.parametrize("params", [LinkParams(fiber_length=50e3), CAL_500KM] + [
+        LinkParams(fiber_length=length, convention=convention)
+        for length in (0.0, 1e3) for convention in ("first_principles", "calibrated")
+    ], ids=["50km", "500km-calibrated", "0km", "0km-calibrated", "1km", "1km-calibrated"])
     @pytest.mark.parametrize("n_points", [1000, 1024, 1025, 2049, 4096])
-    def test_blocks_match_one_whole_grid_product(self, params, n_points):
-        # the terms are evaluated a block of offsets at a time; no block
-        # boundary may change a bit of the whole-grid product
+    def test_blocks_match_one_whole_grid_product(self, monkeypatch, params, n_points):
+        # the terms are evaluated a block of offsets at a time, without those
+        # whose amplitude underflowed to 0; neither may change a bit of the
+        # whole-grid product of all ten terms, signs of zero included
         config = MzConfig(delta_d=0.25, delta_m=0.25 + params.lambda0 / 8.0)
+        summed = []
+        clip = spectra._clip_rounding_noise
+
+        def spy(values, what):
+            summed.append(values.copy())
+            return clip(values, what)
+
+        monkeypatch.setattr(spectra, "_clip_rounding_noise", spy)
         curve = eval_analytic(params, config, GridSpec(n_points=n_points))
         terms = component_terms(curve.derived, [config])
+        # on the short links the pulses are millimeters wide: five of the six
+        # cross terms join means too far apart to leave any amplitude
+        vanished = np.count_nonzero(terms.amp[0] == 0.0, axis=1)
+        assert np.array_equal(vanished, [5, 5] if params.fiber_length <= 1e3 else [0, 0])
         whole = np.einsum("et,tn->en", terms.amp[0], terms.shapes(curve.x_relative)[0])
-        assert np.array_equal(np.stack((curve.intensity_o, curve.intensity_p)),
-                              np.maximum(whole, 0.0))
+        assert summed[0].tobytes() == whole.tobytes()
+        assert np.stack((curve.intensity_o, curve.intensity_p)).tobytes() == \
+            np.maximum(whole, 0.0).tobytes()
 
     def test_relative_axis_centers_middle_pulse(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
