@@ -27,6 +27,12 @@ BASES = ("X", "Z")
 # Offsets as fractions of lambda0.  First table entry per basis is bit 0.
 _ALICE_OFFSETS = {("X", 0): 0.0, ("X", 1): 0.5, ("Z", 0): 0.25, ("Z", 1): 0.75}
 _BOB_OFFSETS = {"X": 0.0, "Z": 0.25}
+# The table's eight (alice basis, bit, bob basis) settings in row order, and
+# each setting's (alice, bob) offset fractions.
+_SETTINGS = tuple((alice_basis, bit, bob_basis)
+                  for alice_basis in BASES for bit in (0, 1) for bob_basis in BASES)
+_OFFSET_FRACTIONS = tuple((_ALICE_OFFSETS[alice_basis, bit], _BOB_OFFSETS[bob_basis])
+                          for alice_basis, bit, bob_basis in _SETTINGS)
 
 # Probability integration half-width of 3*sigma, expressed through X_rho.
 MIDDLE_WINDOW_RHO = 3.0 / math.sqrt(2.0)
@@ -151,14 +157,11 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
         warning = (f"baseline sum {2.0 * baseline:.4g} m is below the rho=3 "
                    f"separation bound {bound:.4g} m")
 
-    keys = [(alice_basis, bit, bob_basis)
-            for alice_basis in BASES for bit in (0, 1) for bob_basis in BASES]
-    offsets = [(_ALICE_OFFSETS[alice_basis, bit] * params.lambda0,
-                _BOB_OFFSETS[bob_basis] * params.lambda0) for alice_basis, bit, bob_basis in keys]
+    offsets = [(alice * params.lambda0, bob * params.lambda0) for alice, bob in _OFFSET_FRACTIONS]
     configs = [MzConfig(delta_d=baseline + phi_d, delta_m=baseline + phi_m)
                for phi_d, phi_m in offsets]
-    masses = exact_window_masses(component_terms(derived, configs), MIDDLE_WINDOW_RHO)
-    rows = tuple(DetectionRow(*key, *offset, mass_o=float(mass_o), mass_p=float(mass_p))
-                 for key, offset, (mass_o, mass_p) in zip(keys, offsets, masses))
+    masses = exact_window_masses(component_terms(derived, configs), MIDDLE_WINDOW_RHO).tolist()
+    rows = tuple(DetectionRow(*setting, *offset, *mass)
+                 for setting, offset, mass in zip(_SETTINGS, offsets, masses))
     return DetectionTable(rows=rows, baseline=baseline,
                           link_length=params.fiber_length, warning=warning)

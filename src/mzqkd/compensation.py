@@ -12,10 +12,11 @@ wavenumber-domain multiplier verified against the spectra oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import LinkParams, PrecompMultiplier, effective_kappa
-from .design import MODE_FACTOR, _far_end, max_rate, min_phase_sum
+from .core import (LinkParams, PrecompMultiplier, accumulated_dispersion, broadening,
+                   effective_kappa, x_rho)
+from .design import MODE_FACTOR, RATE_MODES, _far_end, _phase_sum_bound, _rate_bound
 from .errors import InfeasibleDesignError
 from .units import C0
 
@@ -43,18 +44,30 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
     """Choose the compensation regime and minimum compensated span.
 
     The shifter requirement is ``min_phase_sum`` at the active length, with
-    the same detector edge times and safety factor as a design there.
-    Raises InfeasibleDesignError when even a fully compensated link (only
-    leg dispersion left) cannot reach the clock rate.
+    the same detector edge times and safety factor as a design there.  Every
+    length's pulse width is taken from the one far-end record as ``derive``
+    takes it, so the bounds are ``max_rate`` and ``min_phase_sum`` of the
+    link cut to that length, bit for bit.  Raises InfeasibleDesignError when
+    even a fully compensated link (only leg dispersion left) cannot reach
+    the clock rate.
     """
     if not math.isfinite(clock_rate):
         raise ValueError(f"clock_rate must be finite, got {clock_rate!r}")
     if not clock_rate > 0:
         raise ValueError("clock_rate must be positive")
+    if mode not in MODE_FACTOR:
+        raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
     link = params.fiber_length
+    # the far end has the widest pulse: when its record is in range, so is
+    # the record of every shorter length
+    d = _far_end(params)
+
+    def half_at(active: float) -> float:
+        _, sigma = broadening(d.delta_k, accumulated_dispersion(params, active))
+        return x_rho(sigma, rho)
 
     def rate_at(active: float) -> float:
-        return max_rate(replace(params, fiber_length=active), rho, mode)
+        return _rate_bound(half_at(active), mode)
 
     active, regime = link, "no_dcf"
     if clock_rate > rate_at(link):
@@ -65,7 +78,6 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
                 "(interferometer legs still disperse)")
         # Invert rate = c0/(q*rho*sqrt(2)*sigma), sigma = sqrt(gamma)/(2*delta_k),
         # gamma = 1 + 16*delta_k^4*delta1^2 and |delta1| = kappa*(active + 2*leg).
-        d = _far_end(params)
         sigma = C0 / (MODE_FACTOR[mode] * rho * math.sqrt(2.0) * clock_rate)
         gamma = (2.0 * d.delta_k * sigma) ** 2
         total = math.sqrt(max(gamma - 1.0, 0.0) / (16.0 * d.delta_k**4)) / d.kappa
@@ -80,8 +92,8 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
     return CompensationPlan(
         regime=regime, clock_rate=clock_rate,
         link_length=link, active_length=active, dcf_equivalent_length=link - active,
-        phase_sum_requirement=min_phase_sum(
-            replace(params, fiber_length=active), rho, t_rising, t_falling, safety_factor),
+        phase_sum_requirement=_phase_sum_bound(half_at(active), t_rising, t_falling,
+                                               safety_factor),
         rho=rho, mode=mode, safety_factor=safety_factor, t_rising=t_rising,
         t_falling=t_falling)
 

@@ -72,6 +72,19 @@ class LinkParams:
     convention: str = "first_principles"
 
     def __post_init__(self) -> None:
+        # one chained comparison passes every valid record (NaN fails each
+        # comparison); the per-field checks below name the first fault
+        try:
+            if (0.0 < self.lambda0 < math.inf and 0.0 < self.delta_lambda < math.inf
+                    and self.delta_lambda / self.lambda0 < 1e-2
+                    and 0.0 <= self.dispersion < math.inf and 0.0 < self.group_index < math.inf
+                    and 0.0 <= self.fiber_length < math.inf
+                    and 0.0 <= self.leg_length < math.inf
+                    and 0.0 < self.t_fiber <= 1.0 and 0.0 < self.t_leg <= 1.0
+                    and self.convention in CONVENTIONS):
+                return
+        except TypeError:  # not a number: the checks below raise their own TypeError
+            pass
         for name in ("lambda0", "delta_lambda", "dispersion", "group_index",
                      "fiber_length", "leg_length", "t_fiber", "t_leg"):
             _require_finite(name, getattr(self, name))
@@ -110,6 +123,12 @@ class MzConfig:
     delta_c: float = 0.0
 
     def __post_init__(self) -> None:
+        try:
+            if (0.0 <= self.delta_d < math.inf and 0.0 <= self.delta_m < math.inf
+                    and 0.0 <= self.delta_c < math.inf):
+                return
+        except TypeError:  # not a number: the checks below raise their own TypeError
+            pass
         for name in ("delta_d", "delta_m", "delta_c"):
             _require_finite(name, getattr(self, name))
         if self.delta_d < 0 or self.delta_m < 0 or self.delta_c < 0:
@@ -180,10 +199,12 @@ def broadening(delta_k: float, delta1):
 
     gamma = 1 + 16*delta_k^4*delta1^2 and sigma = sqrt(gamma)/(2*delta_k).
     ``delta1`` is a float or a numpy array; squaring by multiplication keeps
-    both bit-identical (libm pow and numpy's square can differ by an ulp).
+    both bit-identical (libm pow and numpy's square can differ by an ulp), and
+    so does the square root: math.sqrt and np.sqrt both round correctly.
     """
     gamma = 1.0 + 16.0 * delta_k**4 * (delta1 * delta1)
-    return gamma, np.sqrt(gamma) / (2.0 * delta_k)
+    root = np.sqrt(gamma) if isinstance(gamma, np.ndarray) else math.sqrt(gamma)
+    return gamma, root / (2.0 * delta_k)
 
 
 @dataclass(frozen=True)

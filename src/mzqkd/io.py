@@ -19,7 +19,7 @@ import itertools
 import json
 import os
 import tempfile
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,13 +71,6 @@ def emit(text: str, path: str | None) -> None:
         atomic_write_text(path, text)
 
 
-def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
-
-
 # Rows per chunk of format_rows: the lists of one chunk stay small, so the
 # whole table never exists as Python floats at once.
 CHUNK_ROWS = 512
@@ -87,9 +80,9 @@ def format_rows(row_format: str, columns: Sequence) -> str:
     """Each row of equal-length float columns through one %-format, concatenated.
 
     ``"%.12g" % v`` and ``format(v, ".12g")`` take the same double-to-string
-    path (``-0``, ``nan`` and ``inf`` included), so a CSV row reads as
-    ``csv_table`` would write it.  Each chunk of rows becomes Python floats
-    through one ``tolist()``.
+    path (``-0``, ``nan`` and ``inf`` included), so a CSV value reads as
+    ``fmt`` writes it.  Each chunk of rows becomes Python floats through one
+    ``tolist()``.
     """
     table = np.array(columns, dtype=float)
     chunks = (zip(*table[:, start:start + CHUNK_ROWS].tolist())
@@ -98,7 +91,7 @@ def format_rows(row_format: str, columns: Sequence) -> str:
 
 
 def float_csv(header: Sequence[str], columns: Sequence) -> str:
-    """A CSV table of float columns, as ``csv_table`` writes their rows."""
+    """A CSV table of float columns, each value as ``fmt`` writes it."""
     row_format = ",".join(["%.12g"] * len(header)) + "\n"
     return ",".join(header) + "\n" + format_rows(row_format, columns)
 
@@ -247,11 +240,11 @@ def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
 # ------------------------------------------------------------------ bb84
 
 def detection_table_csv(table: DetectionTable) -> str:
-    header = ["alice_basis", "bit", "bob_basis", "phi_d_m", "phi_m_m",
-              "p_o", "p_p"]
-    body = [(r.alice_basis, r.bit, r.bob_basis, r.phi_d, r.phi_m, r.p_o, r.p_p)
-            for r in table.rows]
-    return csv_table(header, body)
+    """One row per setting through one %-format; the numbers as ``fmt`` writes them."""
+    return "alice_basis,bit,bob_basis,phi_d_m,phi_m_m,p_o,p_p\n" + "".join(
+        "%s,%d,%s,%.12g,%.12g,%.12g,%.12g\n"
+        % (r.alice_basis, r.bit, r.bob_basis, r.phi_d, r.phi_m, r.p_o, r.p_p)
+        for r in table.rows)
 
 
 def detection_table_json(table: DetectionTable, params: LinkParams) -> str:

@@ -356,6 +356,9 @@ def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
 
 
 _W_SCALE, _W_COEFFS = _weideman_coefficients(40)
+# The same coefficients as 0-d complex arrays: np.add converts a float operand
+# to the complex loop's type on every call, a 0-d complex128 array not at all.
+_W_HORNER = [np.array(coeff) for coeff in _W_COEFFS.astype(complex)]
 
 
 def _faddeeva(z: np.ndarray) -> np.ndarray:
@@ -364,14 +367,17 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     Weideman's rational approximation with N = 40: with Z = (L + i z)/(L - i z),
     w = 2 P(Z)/(L - i z)^2 + 1/(sqrt(pi) (L - i z)).  About 1e-15 relative in
     the closed upper half-plane; the lower half-plane is not supported.
+    Horner's rule runs np.polyval's operations in its order, in place, with
+    each coefficient a 0-d complex array (``_W_HORNER``): c + 0j adds to a
+    complex value as the float c does, so the bits are np.polyval's.
     """
-    denominator = _W_SCALE - 1j * z
-    ratio = (_W_SCALE + 1j * z) / denominator
-    # Horner's rule with np.polyval's operations in its order, in place
+    iz = 1j * z
+    denominator = _W_SCALE - iz
+    ratio = (_W_SCALE + iz) / denominator
     poly = np.zeros_like(ratio)
-    for coeff in _W_COEFFS:
-        poly *= ratio
-        poly += coeff
+    for coeff in _W_HORNER:
+        np.multiply(poly, ratio, poly)
+        np.add(poly, coeff, poly)
     return 2.0 * poly / denominator**2 + 1.0 / (math.sqrt(math.pi) * denominator)
 
 
@@ -393,16 +399,17 @@ def exact_window_masses(terms: ComponentTerms, rho_window: float) -> np.ndarray:
         raise ValueError("rho_window must be positive")
     center, dd = terms.center, terms.dd
     root_p = math.sqrt(terms.p)
-    edges = np.stack((-rho_window - root_p * center, rho_window - root_p * center))
+    edges = np.array((-rho_window, rho_window))[:, None, None] - root_p * center
     n_gauss = len(PAIRS)
 
-    erf_edges = np.array([math.erf(a) for a in edges[:, :, :n_gauss].ravel()])
+    erf_edges = np.array(list(map(math.erf, edges[:, :, :n_gauss].ravel().tolist())))
     erf_edges = erf_edges.reshape(2, -1, n_gauss)
     a = edges[:, :, n_gauss:]
+    ia = 1j * a
     s = dd[:, n_gauss:] * terms.slope / (2.0 * root_p)
     sign = np.where(a >= 0.0, 1.0, -1.0)
     scaled_erf = sign * (np.exp(-s * s)
-                         - np.exp(-a * a + 2j * a * s) * _faddeeva(sign * (s + 1j * a)))
+                         - np.exp(-a * a + 2.0 * ia * s) * _faddeeva(sign * (s + ia)))
     integrals = np.concatenate(
         (erf_edges[1] - erf_edges[0],
          (np.exp(1j * dd[:, n_gauss:] * terms.k0) * (scaled_erf[1] - scaled_erf[0])).real),

@@ -28,6 +28,30 @@ def closed_form_active_length(params, clock, rho, mode="linear"):
     return total - 2.0 * params.leg_length
 
 
+def reference_plan_lengths(params, clock, rho, mode, t_rising, t_falling, safety_factor):
+    """Active length and shifter requirement, every bound from a link cut to its length.
+
+    The planner's search with each rate taken by ``max_rate`` and the
+    requirement by ``min_phase_sum``, each of ``replace(params, fiber_length=...)``.
+    """
+    def rate_at(active):
+        return max_rate(replace(params, fiber_length=active), rho, mode)
+
+    active = params.fiber_length
+    if clock > rate_at(active):
+        d = derive(params, MzConfig())
+        sigma = C0 / (MODE_FACTOR[mode] * rho * math.sqrt(2.0) * clock)
+        gamma = (2.0 * d.delta_k * sigma) ** 2
+        total = math.sqrt(max(gamma - 1.0, 0.0) / (16.0 * d.delta_k**4)) / d.kappa
+        active = max(total - 2.0 * params.leg_length, 0.0)
+        step = math.ulp(active)
+        while rate_at(active) < clock:
+            active = max(active - step, 0.0)
+            step *= 2.0
+    return active, min_phase_sum(replace(params, fiber_length=active), rho,
+                                 t_rising, t_falling, safety_factor)
+
+
 def element(params, l_cp):
     """Compensating element of the link's own kappa over l_cp of fiber."""
     return PrecompMultiplier(a_cp=params.group_index * l_cp,
@@ -102,6 +126,27 @@ class TestPlan:
         assert all(b <= a for a, b in zip(actives, actives[1:]))
         equivalents = [plan(CAL_405KM, c, 3.0).dcf_equivalent_length for c in clocks]
         assert all(b >= a for a, b in zip(equivalents, equivalents[1:]))
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear", "general"])
+    def test_lengths_equal_the_cut_link_route(self, mode):
+        rng = np.random.default_rng(["linear", "nonlinear", "general"].index(mode))
+        regimes = set()
+        for _ in range(200):
+            params = LinkParams(fiber_length=float(rng.choice([0.0, rng.uniform(0.0, 1e6)])),
+                                leg_length=float(rng.uniform(0.0, 3.0)),
+                                convention=str(rng.choice(["first_principles", "calibrated"])))
+            rho = float(rng.uniform(0.5, 5.0))
+            full = max_rate(params, rho, mode)
+            bare = max_rate(replace(params, fiber_length=0.0), rho, mode)
+            # from half the full-length bound to the bound of a fully compensated link
+            clock = float(full * (bare / full * 2.0) ** rng.uniform(0.0, 1.0) / 2.0)
+            edges = (float(rng.uniform(0.0, 5e-9)), float(rng.uniform(0.0, 5e-9)))
+            safety_factor = float(rng.uniform(1.0, 2.0))
+            result = plan(params, clock, rho, mode, *edges, safety_factor)
+            regimes.add(result.regime)
+            assert (result.active_length, result.phase_sum_requirement) == \
+                reference_plan_lengths(params, clock, rho, mode, *edges, safety_factor)
+        assert regimes == {"no_dcf", "partial_dcf"}
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -154,7 +154,36 @@ class TestDerivedProperties:
         assert d.window_center == pytest.approx(mid_exterior, rel=1e-14)
 
 
+# Each field's message for a negative value; NaN and +-inf are refused as not finite.
+_NEGATIVE_MESSAGES = {
+    LinkParams: {
+        "lambda0": "lambda0 must be positive",
+        "delta_lambda": "delta_lambda must be positive",
+        "dispersion": "dispersion must be non-negative",
+        "group_index": "group_index must be positive",
+        "fiber_length": "lengths must be non-negative",
+        "leg_length": "lengths must be non-negative",
+        "t_fiber": "t_fiber must lie in (0, 1], got -0.5",
+        "t_leg": "t_leg must lie in (0, 1], got -0.5",
+    },
+    MzConfig: dict.fromkeys(("delta_d", "delta_m", "delta_c"),
+                            "phase shifter lengths must be non-negative"),
+}
+_INVALID_FIELDS = [
+    (cls, name, value, negative if value == -0.5 else f"{name} must be finite, got {value!r}")
+    for cls, messages in _NEGATIVE_MESSAGES.items()
+    for name, negative in messages.items()
+    for value in (math.nan, math.inf, -math.inf, -0.5)]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("cls, name, value, message", _INVALID_FIELDS,
+                             ids=[f"{name}={value}" for _, name, value, _ in _INVALID_FIELDS])
+    def test_invalid_field_keeps_its_message(self, cls, name, value, message):
+        with pytest.raises(ValueError) as caught:
+            cls(**{name: value})
+        assert str(caught.value) == message
+
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             LinkParams(fiber_length=-1.0)
