@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LinkParams, MzConfig, derive, x_rho
-from .design import _far_end, _phase_sum_bound, _pulse_over_lengths, min_phase_sum
+from .core import DOMAIN, LinkParams, MzConfig, derive, x_rho
+from .design import _phase_sum_bound, _pulse_over_lengths, min_phase_sum
 from .errors import InfeasibleDesignError
 from .spectra import component_terms, exact_window_masses
 
@@ -58,16 +58,11 @@ class GTermAnalysis:
 
 def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
                     delta_c: float = 0.0) -> GTermAnalysis:
-    """Evaluate G over fiber lengths and locate its maximum; needs a finite 1/(4 dk^2 kappa)."""
-    lengths, d0, delta1, gamma, sigma = _pulse_over_lengths(
-        params, lengths, "length sweep must be non-empty, finite and non-negative")
+    """Evaluate G over fiber lengths and locate its maximum; needs dispersion."""
+    lengths, d0, delta1, gamma, sigma = _pulse_over_lengths(params, lengths)
     if d0.kappa == 0.0:
         raise ValueError("without dispersion G vanishes at every length "
                          "and has no finite maximum")
-    denominator = 4.0 * d0.delta_k**2 * d0.kappa
-    if not (denominator > 0.0 and 1.0 / denominator < math.inf):
-        raise ValueError("the analytic argmax 1/(4*delta_k^2*kappa) leaves the float range "
-                         f"(delta_k {d0.delta_k!r} 1/m, kappa {d0.kappa!r} m)")
     g_values = _g_term(params.lambda0, gamma, delta1)
     if not np.any(g_values):
         # gamma = 1 + 16 dk^4 delta1^2 rounds to 1 at every length
@@ -77,7 +72,7 @@ def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
         lengths=lengths, g_values=g_values,
         second_terms=np.abs(g_values * (3.0 * sigma - delta_c)),
         argmax_length=float(lengths[int(np.argmax(np.abs(g_values)))]),
-        analytic_argmax=1.0 / denominator,
+        analytic_argmax=1.0 / (4.0 * d0.delta_k**2 * d0.kappa),
     )
 
 
@@ -124,14 +119,16 @@ class DetectionTable:
 def default_baseline(params: LinkParams, rho: float = 3.0) -> float:
     """Half the shifter-sum bound, rounded up to the next centimeter, m.
 
-    Refuses a bound, the baseline's shifter sum, whose square leaves the float range.
+    Raises InfeasibleDesignError when it reaches the domain's largest shifter:
+    below it, whole centimeters leave room for the table's 0.75 lambda0 offsets.
     """
-    bound = min_phase_sum(params, rho)
-    if not bound * bound < math.inf:
-        raise ValueError("the default baseline's shifter sum leaves the float range when "
-                         f"squared (rho {rho!r}, shifter-sum bound {bound!r} m, "
-                         f"sigma {_far_end(params).sigma!r} m)")
-    return math.ceil(bound / 2.0 * 100.0) / 100.0
+    baseline = math.ceil(min_phase_sum(params, rho) / 2.0 * 100.0) / 100.0
+    largest = DOMAIN["shifter"][1]
+    if not baseline < largest:
+        raise InfeasibleDesignError(
+            f"the rho={rho!r} bound needs a baseline of {baseline:.6g} m, "
+            f"beyond the shifters' domain [0, {largest:g}] m")
+    return baseline
 
 
 def detection_table(params: LinkParams, baseline: float) -> DetectionTable:

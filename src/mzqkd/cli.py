@@ -22,6 +22,7 @@ from . import compensation as comp_mod
 from . import io as io_mod
 from .config import (RunConfig, apply_overrides, default_config_path,
                      load_config_file)
+from .core import MzConfig, check_domain
 from .design import build_design_report, sweep_lengths
 from .errors import ConfigError, InfeasibleDesignError, ResolutionError, VerificationError
 from .spectra import (GridSpec, eval_analytic, eval_oracle,
@@ -72,15 +73,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _length_range_m(args: argparse.Namespace) -> np.ndarray:
-    """--steps >= 2 lengths from --l-min-km up to --l-max-km, m; both ends finite in m."""
+    """--steps >= 2 lengths from --l-min-km up to --l-max-km, m; both ends in the domain."""
     if args.steps < 2:
         raise ConfigError(f"{args.command} needs at least 2 steps")
     if not args.l_min_km < args.l_max_km:
         raise ConfigError(f"{args.command} range is empty: l-min-km must be below l-max-km")
     for name in ("l_min_km", "l_max_km"):
-        km = getattr(args, name)
-        if not math.isfinite(km_to_m(km)):
-            raise ConfigError(f"{name.replace('_', '-')} must be finite in metres, got {km!r}")
+        check_domain("fiber_length", getattr(args, name), name.replace("_", "-"), km_to_m)
     try:
         return np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
@@ -140,6 +139,8 @@ def cmd_bb84(args: argparse.Namespace, config: RunConfig) -> int:
     baseline = args.baseline_m
     if baseline is None:
         baseline = bb84_mod.default_baseline(params, config.rho)
+    else:
+        check_domain("shifter", baseline, "baseline-m")
     table = bb84_mod.detection_table(params, baseline)
     if table.warning:
         print(f"warning: {table.warning}", file=sys.stderr)
@@ -161,8 +162,6 @@ def cmd_bb84(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _dump_bb84_spectra(params, table, directory: str, normalize: str) -> None:
-    from .core import MzConfig
-
     for row in table.rows:
         mz = MzConfig(delta_d=table.baseline + row.phi_d,
                       delta_m=table.baseline + row.phi_m)
@@ -197,6 +196,8 @@ def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> int:
         raise ConfigError(f"threshold must be positive and finite, got {args.threshold!r}")
     params, mz = config.link_params(), config.mz_config()
     lengths_km = args.l_km if args.l_km else [0.0, 1.0, 50.0]
+    for lkm in lengths_km:
+        check_domain("fiber_length", lkm, "l-km", km_to_m)
     grid = GridSpec(n_points=args.n_points)
     worst = 0.0
     lines = []

@@ -51,15 +51,12 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
     even a fully compensated link (only leg dispersion left) cannot reach
     the clock rate.
     """
-    if not math.isfinite(clock_rate):
-        raise ValueError(f"clock_rate must be finite, got {clock_rate!r}")
-    if not clock_rate > 0:
-        raise ValueError("clock_rate must be positive")
+    if not 0.0 < clock_rate < math.inf:
+        raise ValueError(f"clock_rate must be positive and finite, got {clock_rate!r}")
     if mode not in MODE_FACTOR:
         raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
     link = params.fiber_length
-    # the far end has the widest pulse: when its record is in range, so is
-    # the record of every shorter length
+    # one record: every length's width follows from its delta_k
     d = _far_end(params)
 
     def half_at(active: float) -> float:

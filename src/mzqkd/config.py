@@ -9,12 +9,11 @@ Every value is converted to SI exactly once, by :func:`RunConfig.link_params`,
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .core import CONVENTIONS, LinkParams, MzConfig
+from .core import CONVENTIONS, LinkParams, MzConfig, check_domain
 from .design import DETECTOR_PROFILES, RATE_MODES
 from .errors import ConfigError
 from .units import dispersion_to_si, km_to_m, nm_to_m, ns_to_s
@@ -23,15 +22,16 @@ ENV_CONFIG_PATH = "MZQKD_CONFIG"
 
 
 def _setting(section: str, default, cast=float, *, key: Optional[str] = None,
-             flag: Optional[str] = None, **argparse_kwargs):
+             flag: Optional[str] = None, domain: Optional[tuple] = None, **argparse_kwargs):
     """A RunConfig field that is also file key ``section.key`` and flag ``flag``.
 
     ``key`` defaults to the field name and ``flag`` to ``--field-name``;
     ``argparse_kwargs`` (``choices``, ``help``) go to the flag, and a file
-    value must lie in the same ``choices``.
+    value must lie in the same ``choices``.  ``domain`` is the field's row of
+    ``core.DOMAIN`` and its conversion to SI (None: already SI).
     """
     return field(default=default, metadata={
-        "section": section, "cast": cast, "key": key, "flag": flag,
+        "section": section, "cast": cast, "key": key, "flag": flag, "domain": domain,
         "argparse": argparse_kwargs})
 
 
@@ -39,27 +39,30 @@ def _setting(section: str, default, cast=float, *, key: Optional[str] = None,
 class RunConfig:
     """All tunables of one command invocation, in human units."""
 
-    length_km: float = _setting("link", 50.0)
-    lambda0_nm: float = _setting("link", 1550.0)
-    delta_lambda_nm: float = _setting("link", 0.31)
+    length_km: float = _setting("link", 50.0, domain=("fiber_length", km_to_m))
+    lambda0_nm: float = _setting("link", 1550.0, domain=("lambda0", nm_to_m))
+    delta_lambda_nm: float = _setting("link", 0.31, domain=("delta_lambda", nm_to_m))
     dispersion_ps_per_km_nm: float = _setting(
-        "link", 17.0, flag="--dispersion", help="dispersion coefficient, ps/(km*nm)")
-    group_index: float = _setting("link", 1.4682)
-    leg_length_m: float = _setting("link", 1.0)
-    t_fiber: float = _setting("link", 1.0)
-    t_leg: float = _setting("link", 1.0)
+        "link", 17.0, flag="--dispersion", domain=("dispersion", dispersion_to_si),
+        help="dispersion coefficient, ps/(km*nm)")
+    group_index: float = _setting("link", 1.4682, domain=("group_index", None))
+    leg_length_m: float = _setting("link", 1.0, domain=("leg_length", None))
+    t_fiber: float = _setting("link", 1.0, domain=("t_fiber", None))
+    t_leg: float = _setting("link", 1.0, domain=("t_leg", None))
     convention: str = _setting("link", "first_principles", str, choices=CONVENTIONS)
 
-    delta_d_m: float = _setting("interferometer", 0.25)
-    delta_m_m: float = _setting("interferometer", 0.25)
-    delta_c_m: float = _setting("interferometer", 0.0)
-    t_rising_ns: Optional[float] = _setting("interferometer", None)
-    t_falling_ns: Optional[float] = _setting("interferometer", None)
+    delta_d_m: float = _setting("interferometer", 0.25, domain=("shifter", None))
+    delta_m_m: float = _setting("interferometer", 0.25, domain=("shifter", None))
+    delta_c_m: float = _setting("interferometer", 0.0, domain=("shifter", None))
+    t_rising_ns: Optional[float] = _setting("interferometer", None,
+                                            domain=("edge_time", ns_to_s))
+    t_falling_ns: Optional[float] = _setting("interferometer", None,
+                                             domain=("edge_time", ns_to_s))
     detector_profile: Optional[str] = _setting("interferometer", None, str)
 
-    rho: float = _setting("design", 3.0)
+    rho: float = _setting("design", 3.0, domain=("rho", None))
     mode: str = _setting("design", "linear", str, choices=RATE_MODES)
-    safety_factor: float = _setting("design", 1.0)
+    safety_factor: float = _setting("design", 1.0, domain=("safety_factor", None))
 
     # per-command default when unset
     out_format: Optional[str] = _setting(
@@ -70,8 +73,19 @@ class RunConfig:
         help="output file; stdout when omitted")
     normalize: str = _setting("output", "absolute", str, choices=("absolute", "peak"))
 
+    def _check_section(self, section: str) -> None:
+        """Check the set fields of ``section`` in their domain rows, in their own units."""
+        for name, row, to_si in _DOMAIN_FIELDS[section]:
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    check_domain(row, value, name, to_si)
+                except ValueError as exc:
+                    raise ConfigError(f"{section}: {exc}") from exc
+
     def resolved_edge_times(self) -> tuple[float, float]:
-        """Detector edge times in s, checked finite and >= 0; set values beat the profile."""
+        """Detector edge times in s, set values beating the profile; checks the section first."""
+        self._check_section("interferometer")
         profile = (0.0, 0.0)
         if self.detector_profile is not None:
             try:
@@ -82,14 +96,10 @@ class RunConfig:
                     f"{self.detector_profile!r}; choose from {sorted(DETECTOR_PROFILES)}")
         rising = ns_to_s(self.t_rising_ns) if self.t_rising_ns is not None else profile[0]
         falling = ns_to_s(self.t_falling_ns) if self.t_falling_ns is not None else profile[1]
-        for name, value in (("t_rising", rising), ("t_falling", falling)):
-            if not math.isfinite(value):
-                raise ConfigError(f"interferometer: {name} must be finite, got {value!r}")
-        if rising < 0 or falling < 0:
-            raise ConfigError("interferometer: detector edge times must be non-negative")
         return rising, falling
 
     def link_params(self) -> LinkParams:
+        self._check_section("link")
         try:
             return LinkParams(
                 lambda0=nm_to_m(self.lambda0_nm),
@@ -116,11 +126,13 @@ class RunConfig:
             raise ConfigError(f"interferometer: {exc}") from exc
 
     def validate_design(self) -> None:
-        for name in ("rho", "safety_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"design.{name}: must be positive and finite, "
-                                  f"got {value!r}")
+        self._check_section("design")
+
+
+# The fields of each section that have a domain row: (name, row, conversion to SI).
+_DOMAIN_FIELDS = {section: [(f.name, *f.metadata["domain"]) for f in fields(RunConfig)
+                            if f.metadata["section"] == section and f.metadata["domain"]]
+                  for section in ("link", "interferometer", "design")}
 
 
 def load_config_file(path: str) -> RunConfig:

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .units import C0
+from .units import C0, dispersion_to_si, nm_to_m, ns_to_s
 
 # Leg pairs, first interferometer leg then second (the short legs of the two
 # interferometers are identical and both written "c").
@@ -38,9 +38,59 @@ CALIBRATED_KAPPA_SCALE = 3.1715044019929586
 CONVENTIONS = ("first_principles", "calibrated")
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+# The input domain, each row's (lo, hi) in SI, closed but for the transmissions'
+# 0; the dispersion also admits exactly 0, and delta_lambda/lambda0 < 1e-2.  An
+# end whose flag's unit conversion rounds outward is held as converted, so both
+# spellings lie inside.  Over it every derived scalar and bound is finite.
+DOMAIN = {
+    "lambda0": (200e-9, 20e-6),                           # m
+    "delta_lambda": (1e-13, nm_to_m(100.0)),              # m
+    "dispersion": (dispersion_to_si(1e-3), 1e-3),         # s/m^2, or exactly 0
+    "group_index": (1.0, 5.0),
+    "fiber_length": (0.0, 1e8),                           # m
+    "leg_length": (0.0, 100.0),                           # m
+    "t_fiber": (0.0, 1.0),                                # 0 excluded
+    "t_leg": (0.0, 1.0),                                  # 0 excluded
+    "shifter": (0.0, 1e3),                                # m, each of delta_d, delta_m, delta_c
+    "rho": (0.01, 30.0),
+    "safety_factor": (0.01, 100.0),
+    "edge_time": (0.0, ns_to_s(1e3)),                     # s, each of t_rising, t_falling
+    "pad_sigmas": (5.0, 1e3),
+    "grid_bound": (-1e15, 1e15),                          # m, GridSpec's x_min and x_max
+    "a_cp": (-1e12, 1e12),                                # m
+    "b_cp": (-1e6, 1e6),                                  # m^2
+}
+_OPEN_AT_0 = ("t_fiber", "t_leg")
+
+
+def check_domain(row: str, value, name: str | None = None, to_si=None) -> None:
+    """Raise ValueError, naming ``name`` (default ``row``), unless ``value`` lies in the row.
+
+    ``to_si`` converts a value given in a flag's unit; the message states the
+    bounds in that unit and the value as given.
+    """
+    si = value if to_si is None else to_si(value)
+    lo, hi = DOMAIN[row]
+    if (lo <= si <= hi and (si > 0.0 or row not in _OPEN_AT_0)
+            or si == 0.0 and row == "dispersion"):
+        return
+    unit = 1.0 if to_si is None else to_si(1.0)
+    zero = "be 0 or " if row == "dispersion" else ""
+    bracket = "(" if row in _OPEN_AT_0 else "["
+    raise ValueError(f"{name or row} must {zero}lie in {bracket}{lo / unit:g}, {hi / unit:g}], "
+                     f"got {value!r}")
+
+
+# The rows that the validators' accept paths compare with, as module constants.
+_LAMBDA0_LO, _LAMBDA0_HI = DOMAIN["lambda0"]
+_DELTA_LAMBDA_LO, _DELTA_LAMBDA_HI = DOMAIN["delta_lambda"]
+_DISPERSION_LO, _DISPERSION_HI = DOMAIN["dispersion"]
+_GROUP_INDEX_LO, _GROUP_INDEX_HI = DOMAIN["group_index"]
+_FIBER_LENGTH_HI = DOMAIN["fiber_length"][1]
+_LEG_LENGTH_HI = DOMAIN["leg_length"][1]
+_SHIFTER_HI = DOMAIN["shifter"][1]
+_LINK_ROWS = ("lambda0", "delta_lambda", "dispersion", "group_index", "fiber_length",
+              "leg_length", "t_fiber", "t_leg")
 
 
 @dataclass(frozen=True)
@@ -72,39 +122,27 @@ class LinkParams:
     convention: str = "first_principles"
 
     def __post_init__(self) -> None:
-        # one chained comparison passes every valid record (NaN fails each
-        # comparison); the per-field checks below name the first fault
+        # one chained comparison passes every record in the domain (NaN fails
+        # each comparison); the per-field checks below name the first fault
         try:
-            if (0.0 < self.lambda0 < math.inf and 0.0 < self.delta_lambda < math.inf
+            if (_LAMBDA0_LO <= self.lambda0 <= _LAMBDA0_HI
+                    and _DELTA_LAMBDA_LO <= self.delta_lambda <= _DELTA_LAMBDA_HI
                     and self.delta_lambda / self.lambda0 < 1e-2
-                    and 0.0 <= self.dispersion < math.inf and 0.0 < self.group_index < math.inf
-                    and 0.0 <= self.fiber_length < math.inf
-                    and 0.0 <= self.leg_length < math.inf
+                    and (_DISPERSION_LO <= self.dispersion <= _DISPERSION_HI
+                         or self.dispersion == 0.0)
+                    and _GROUP_INDEX_LO <= self.group_index <= _GROUP_INDEX_HI
+                    and 0.0 <= self.fiber_length <= _FIBER_LENGTH_HI
+                    and 0.0 <= self.leg_length <= _LEG_LENGTH_HI
                     and 0.0 < self.t_fiber <= 1.0 and 0.0 < self.t_leg <= 1.0
                     and self.convention in CONVENTIONS):
                 return
         except TypeError:  # not a number: the checks below raise their own TypeError
             pass
-        for name in ("lambda0", "delta_lambda", "dispersion", "group_index",
-                     "fiber_length", "leg_length", "t_fiber", "t_leg"):
-            _require_finite(name, getattr(self, name))
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
-        if self.delta_lambda <= 0:
-            raise ValueError("delta_lambda must be positive")
-        if self.delta_lambda / self.lambda0 >= 1e-2:
+        for row in _LINK_ROWS:
+            check_domain(row, getattr(self, row))
+        if not self.delta_lambda / self.lambda0 < 1e-2:
             raise ValueError("delta_lambda must be small compared to lambda0 "
                              f"(ratio {self.delta_lambda / self.lambda0:.3g} >= 1e-2)")
-        if self.dispersion < 0:
-            raise ValueError("dispersion must be non-negative")
-        if self.group_index <= 0:
-            raise ValueError("group_index must be positive")
-        if self.fiber_length < 0 or self.leg_length < 0:
-            raise ValueError("lengths must be non-negative")
-        for name in ("t_fiber", "t_leg"):
-            t = getattr(self, name)
-            if not 0 < t <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {t!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
 
@@ -124,15 +162,13 @@ class MzConfig:
 
     def __post_init__(self) -> None:
         try:
-            if (0.0 <= self.delta_d < math.inf and 0.0 <= self.delta_m < math.inf
-                    and 0.0 <= self.delta_c < math.inf):
+            if (0.0 <= self.delta_d <= _SHIFTER_HI and 0.0 <= self.delta_m <= _SHIFTER_HI
+                    and 0.0 <= self.delta_c <= _SHIFTER_HI):
                 return
         except TypeError:  # not a number: the checks below raise their own TypeError
             pass
         for name in ("delta_d", "delta_m", "delta_c"):
-            _require_finite(name, getattr(self, name))
-        if self.delta_d < 0 or self.delta_m < 0 or self.delta_c < 0:
-            raise ValueError("phase shifter lengths must be non-negative")
+            check_domain("shifter", getattr(self, name), name)
 
     @property
     def pair_sums(self) -> tuple[float, float, float, float]:
@@ -222,9 +258,8 @@ class PrecompMultiplier:
     b_cp: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a_cp", "b_cp"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_domain("a_cp", self.a_cp)
+        check_domain("b_cp", self.b_cp)
 
 
 def derive(params: LinkParams, config: MzConfig,
@@ -233,53 +268,23 @@ def derive(params: LinkParams, config: MzConfig,
 
     An optional compensating element adds its b_cp to delta1 (so gamma, sigma
     and fwhm are those of the compensated pulse) and its a_cp to every
-    component mean.  Raises ValueError for out-of-range inputs (delegated to
-    the dataclass validators when constructing params/config directly), when
-    delta_k, gamma or sigma is not a positive finite float or the term
-    exponent 2 delta_k^2 / gamma underflows to zero, when a shifter sum's
-    square is not finite (the closed form squares their differences), and
-    when a component mean or the window center is not finite.
+    component mean.  The validators hold every input in ``DOMAIN``, where
+    every derived scalar is finite and delta_k, gamma, sigma and the term
+    exponent 2 delta_k^2 / gamma are positive.
     """
-    try:
-        delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
-        k0 = 2.0 * math.pi / params.lambda0
-        kappa = effective_kappa(params)
-        delta1 = accumulated_dispersion(params, params.fiber_length)
-        path = params.group_index * params.fiber_length \
-            + 2.0 * params.group_index * params.leg_length
-        if precomp is not None:
-            delta1 += precomp.b_cp
-            path += precomp.a_cp
-        gamma, sigma = broadening(delta_k, delta1)
-        sigma = float(sigma)
-        in_range = (0.0 < delta_k < math.inf and gamma < math.inf and 0.0 < sigma < math.inf
-                    and 0.0 < 2.0 * delta_k**2 / gamma)  # the term list's exponent p
-    except ArithmeticError:  # lambda0^2 underflows to zero, or a power overflows
-        in_range = False
-    if not in_range:
-        raise ValueError(
-            "the wavenumber spread or the pulse width leaves the float range "
-            f"(lambda0 {params.lambda0!r} m, delta_lambda {params.delta_lambda!r} m, "
-            f"fiber_length {params.fiber_length!r} m)")
-    sums = config.pair_sums
-    widest = max(sums)
-    # the term list's check comes too late: the grid is laid out from these
-    # sums first, and the oracle builds no term list
-    if not widest * widest < math.inf:
-        raise ValueError(
-            "the shifter sums leave the float range when squared "
-            f"(delta_d {config.delta_d!r} m, delta_m {config.delta_m!r} m, "
-            f"delta_c {config.delta_c!r} m)")
+    delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
+    k0 = 2.0 * math.pi / params.lambda0
+    kappa = effective_kappa(params)
+    delta1 = accumulated_dispersion(params, params.fiber_length)
+    path = params.group_index * params.fiber_length \
+        + 2.0 * params.group_index * params.leg_length
+    if precomp is not None:
+        delta1 += precomp.b_cp
+        path += precomp.a_cp
+    gamma, sigma = broadening(delta_k, delta1)
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
     base = path + 2.0 * delta1 * k0
-    mu = {pair: base + pair_sum for pair, pair_sum in zip(PAIRS, sums)}
-    # twice the window center; finite only when every mean is, since the sums
-    # (squares finite) lie far below the last step of the float range
-    if not math.isfinite(mu["cm"] + mu["dc"]):
-        raise ValueError(
-            "the component means leave the float range "
-            f"(group_index {params.group_index!r}, fiber_length {params.fiber_length!r} m, "
-            f"leg_length {params.leg_length!r} m)")
+    mu = {pair: base + pair_sum for pair, pair_sum in zip(PAIRS, config.pair_sums)}
     return DerivedQuantities(
         params=params, config=config, delta_k=delta_k, k0=k0, kappa=kappa,
         delta1=delta1, gamma=gamma, sigma=sigma, fwhm=fwhm, mu=mu,
@@ -291,7 +296,7 @@ def x_rho(sigma, rho: float):
 
     ``sigma`` is the position width of the pulse, a float or a numpy array.
     rho=1 gives the classical 1/e half width; rho=sqrt(ln 2) gives FWHM/2.
+    ``rho`` must lie in the domain row "rho".
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
+    check_domain("rho", rho)
     return rho * math.sqrt(2.0) * sigma

@@ -10,12 +10,13 @@ stay open.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LinkParams, MzConfig, accumulated_dispersion, broadening, derive, x_rho
+from .core import (LinkParams, MzConfig, accumulated_dispersion, broadening, check_domain, derive,
+                   x_rho)
 from .errors import InfeasibleDesignError
 from .units import C0
 
@@ -56,16 +57,17 @@ def _far_end(params: LinkParams):
     return derive(params, MzConfig())
 
 
-def _pulse_over_lengths(params: LinkParams, lengths_m, message: str):
-    """Lengths, longest length's record, and delta1, gamma, sigma per length, of a sweep."""
+def _pulse_over_lengths(params: LinkParams, lengths_m):
+    """Lengths (in the domain; a NaN makes both ends NaN), the link's record, and
+    delta1, gamma, sigma per length, of a sweep."""
     lengths = np.asarray(lengths_m, dtype=float)
-    if lengths.size == 0 or not np.all(np.isfinite(lengths)) or np.any(lengths < 0):
-        raise ValueError(message)
-    # the longest length has the widest pulse: its derive rejects a sweep whose
-    # widths leave the float range before the array arithmetic overflows
-    longest = _far_end(replace(params, fiber_length=float(lengths.max())))
+    if lengths.size == 0:
+        raise ValueError("the length sweep is empty")
+    for end in (lengths.min(), lengths.max()):
+        check_domain("fiber_length", float(end), "sweep length")
+    d = _far_end(params)
     delta1 = accumulated_dispersion(params, lengths)
-    return (lengths, longest, delta1, *broadening(longest.delta_k, delta1))
+    return (lengths, d, delta1, *broadening(d.delta_k, delta1))
 
 
 def visibility_of_rho(rho: float) -> float:
@@ -74,8 +76,7 @@ def visibility_of_rho(rho: float) -> float:
     Equals the coverage of a standard normal within +-rho*sqrt(2) standard
     deviations: 0.8427 at rho=1, 0.99532 at rho=2, 0.99998 at rho=3.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
+    check_domain("rho", rho)
     return math.erf(rho)
 
 
@@ -101,28 +102,13 @@ def max_rate(params: LinkParams, rho: float, mode: str = "linear") -> float:
 # shared by the scalar functions above, the report and the length sweep.
 
 def _phase_sum_bound(half, t_rising: float, t_falling: float, safety_factor: float):
-    if t_rising < 0 or t_falling < 0:
-        raise ValueError("detector edge times must be non-negative")
-    if safety_factor <= 0:
-        raise ValueError("safety_factor must be positive")
-    edges = C0 * (t_rising + t_falling)
-    # The bound is largest where X_rho is largest; an edge time or a safety
-    # factor near the float limit leaves it no finite value there.
-    largest = float(np.max(half)) if isinstance(half, np.ndarray) else half
-    if not safety_factor * (4.0 * largest + edges) < math.inf:
-        raise ValueError(f"the shifter-sum bound leaves the float range: "
-                         f"X_rho = {largest:.6g} m, c0*(t_rising + t_falling) = {edges:.6g} m, "
-                         f"safety factor {safety_factor:.6g}")
-    return safety_factor * (4.0 * half + edges)
+    check_domain("edge_time", t_rising, "t_rising")
+    check_domain("edge_time", t_falling, "t_falling")
+    check_domain("safety_factor", safety_factor)
+    return safety_factor * (4.0 * half + C0 * (t_rising + t_falling))
 
 
 def _rate_bound(half, mode: str):
-    # The rate is largest where X_rho is smallest, and an X_rho that a tiny rho
-    # has brought near 0 leaves it no finite value there.
-    smallest = float(np.min(half)) if isinstance(half, np.ndarray) else half
-    if not (smallest > 0 and C0 / (MODE_FACTOR[mode] * smallest) < math.inf):
-        raise ValueError(f"the {mode} rate bound leaves the float range: "
-                         f"X_rho = {smallest:.6g} m")
     return C0 / (MODE_FACTOR[mode] * half)
 
 
@@ -167,8 +153,7 @@ def sweep_lengths(params: LinkParams, rho: float, lengths_m: Sequence[float] | n
     Returns one array per column, each with one entry per length: length_m,
     min_phase_sum_m, rate_linear_hz, rate_nonlinear_hz, rate_general_hz.
     """
-    lengths, _, _, _, sigma = _pulse_over_lengths(params, lengths_m,
-                                                  "lengths must be finite and non-negative")
+    lengths, _, _, _, sigma = _pulse_over_lengths(params, lengths_m)
     half = x_rho(sigma, rho)
     return {
         "length_m": lengths,

@@ -52,8 +52,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, PrecompMultiplier, derive,
-                   x_rho)
+from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, PrecompMultiplier,
+                   check_domain, derive, x_rho)
 from .errors import ResolutionError, VerificationError
 
 # Cross-term ordering; a cross term's interference sign at each exit is the
@@ -76,7 +76,8 @@ class GridSpec:
     Without explicit bounds the grid spans [min(mu) - pad_sigmas*sigma,
     max(mu) + pad_sigmas*sigma].  Explicit bounds are absolute positions, or
     offsets from the window center when ``relative`` is true; they must cover
-    at least +-5 sigma around the outer component means.
+    at least +-5 sigma around the outer component means.  pad_sigmas and the
+    bounds lie in their domain rows.
     """
 
     n_points: int = 4096
@@ -88,14 +89,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_points < 2:
             raise ValueError("grid needs at least 2 points")
-        for name in ("pad_sigmas", "x_min", "x_max"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_domain("pad_sigmas", self.pad_sigmas)
+        for name in ("x_min", "x_max"):
+            if getattr(self, name) is not None:
+                check_domain("grid_bound", getattr(self, name), name)
         if (self.x_min is None) != (self.x_max is None):
             raise ValueError("x_min and x_max must be given together")
-        if self.x_min is None and self.pad_sigmas < 5.0:
-            raise ValueError("pad_sigmas below 5 leaves pulse tails outside the grid")
 
 
 @dataclass(frozen=True)
@@ -205,35 +204,13 @@ _TERM_WEIGHTS = _PAIR_SIGNS.take(_TERM_ENDS, axis=1).prod(axis=1)
 _TERM_WEIGHTS[:, :len(PAIRS)] *= 0.5
 
 
-def _range_checks(p: float, k0: float, slope: float, reach: float, highest, widest) -> tuple:
-    """Whether the float range holds: (sum squares, term exponents and phases, reach).
-
-    ``highest`` is the largest shifter sum and ``widest`` the largest |dd|, a
-    float or one entry per setting; every check is monotone in them, so the
-    largest values of a batch pass only if every setting does.  The terms'
-    check bounds the largest Gaussian exponent p y^2 and fringe phase
-    dd (k0 + slope y) that a reader of the terms forms.  A grid or a window
-    reads offsets y up to about the widest difference from a term center
-    (beyond that, a few sigma, where p y^2 stays small), and the window
-    masses move each cross term's center by dd slope / (2 p) into the complex
-    plane; span doubles the larger of the two.  A reader that goes further
-    passes its ``reach``.
-    """
-    slope = abs(slope)
-    span = 2.0 * widest * max(1.0, slope / (2.0 * p))
-    return (highest * highest < math.inf,
-            (p * span * span < math.inf) & (widest * (k0 + slope * span) < math.inf),
-            (p * reach * reach < math.inf) & (widest * (k0 + slope * reach) < math.inf))
-
-
 def _gauss_peak(d: DerivedQuantities) -> float:
     """Peak of one leg-pair Gaussian term, t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)), 1/m."""
     return (d.params.t_fiber * d.params.t_leg**2 * d.delta_k
             / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
 
 
-def component_terms(d: DerivedQuantities, configs: Sequence[MzConfig],
-                    reach: float = 0.0) -> ComponentTerms:
+def component_terms(d: DerivedQuantities, configs: Sequence[MzConfig]) -> ComponentTerms:
     """The analytic intensity of n shifter settings on the link of ``d`` as term lists.
 
     The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
@@ -248,57 +225,36 @@ def component_terms(d: DerivedQuantities, configs: Sequence[MzConfig],
     from ``configs``, one row of every array per setting, all in one array
     pass; each entry takes the same operations whatever the other rows hold,
     so row i equals row 0 of the list of ``[configs[i]]`` alone bit for bit.
-    Raises ValueError without a setting, and for the first setting whose
-    shifter sums leave the float range when squared (``derive``'s message) or
-    are too far apart for the terms' exponents and phases to stay in it, or
-    when ``reach``, the widest offset from a term center that the caller
-    evaluates (m), takes them out of it (``_range_checks``).
+    Raises ValueError without a setting.
     """
     if not configs:
         raise ValueError("component_terms needs at least one shifter setting")
     sums = np.array([c.pair_sums for c in configs], dtype=float)
     # take keeps it C-contiguous: einsum sums the masses in the layout's order
     ends = sums.take(_TERM_ENDS, axis=1)                       # (n, 2, 10): d_a, d_b
-    # the ends' difference or mean overflows only where the range checks refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        dd = ends[:, 0] - ends[:, 1]
-        half = 0.5 * (ends[:, 0] + ends[:, 1])
+    dd = ends[:, 0] - ends[:, 1]
+    half = 0.5 * (ends[:, 0] + ends[:, 1])
     p = 2.0 * d.delta_k**2 / d.gamma
     slope = 8.0 * d.delta_k**4 * d.delta1 / d.gamma
-    widest = np.abs(dd)
-    if not all(_range_checks(p, d.k0, slope, reach, float(sums.max()), float(widest.max()))):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = _range_checks(p, d.k0, slope, reach, sums.max(axis=1), widest.max(axis=1))
-        first = int(np.argmin(rows[0] & rows[1] & rows[2]))
-        config = configs[first]
-        shifters = (f"delta_d {config.delta_d!r} m, delta_m {config.delta_m!r} m, "
-                    f"delta_c {config.delta_c!r} m")
-        if not rows[0][first]:
-            raise ValueError(f"the shifter sums leave the float range when squared ({shifters})")
-        if not rows[1][first]:
-            raise ValueError(
-                "the shifter sums leave the float range of the analytic terms "
-                f"(widest difference {float(widest[first].max())!r} m; {shifters})")
-        raise ValueError(f"the grid reaches {reach!r} m from a term center, "
-                         "beyond the float range of the analytic terms")
     scale = 2.0 * _gauss_peak(d) * np.exp(-0.25 * p * dd * dd)
     return ComponentTerms(amp=_TERM_WEIGHTS * scale[:, None, :],
                           center=half - half[:, _MIDDLE_TERM, None], dd=dd,
                           p=p, k0=d.k0, slope=slope)
 
 
-def _clip_rounding_noise(values: np.ndarray, what: str) -> np.ndarray:
-    """Clip negatives of rounding-noise size, 1e-10 of the largest value.
+def _clip_rounding_noise(values: np.ndarray, what: str, floor: float) -> np.ndarray:
+    """Clip negatives of rounding-noise size, 1e-10 of the largest value or of ``floor``.
 
     Destructive points and exits cancel to rounding noise; anything beyond
     noise scale is a genuine sign error, and a non-finite value means the
-    parameters left the numeric range.  Both raise VerificationError.
+    parameters left the numeric range.  Both raise VerificationError.  ``floor``,
+    one leg-pair Gaussian term's scale, keeps a dark link's noise noise.
     """
     lo, hi = float(values.min()), float(values.max())
     # a NaN anywhere makes both NaN, an infinity makes one of them infinite
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise VerificationError(f"non-finite {what}; parameters out of numeric range")
-    if lo < -1e-10 * hi:
+    if lo < -1e-10 * max(hi, floor):
         raise VerificationError(f"negative {what} beyond rounding noise")
     return np.maximum(values, 0.0)
 
@@ -320,11 +276,8 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     the terms in order from a Gaussian one, >= +0, and x + (+-0) is x for
     every x but -0, which no partial sum is.
     """
-    d, offset, mu_lo, mu_hi = _position_grid(params, config, grid)
-    # every term center lies between the outer means, so the grid's ends are
-    # its widest offsets from them
-    reach = max(float(offset[-1]) - mu_lo, mu_hi - float(offset[0]))
-    terms = component_terms(d, (config,), reach)
+    d, offset, _, _ = _position_grid(params, config, grid)
+    terms = component_terms(d, (config,))
     if not terms.amp[0, 0].all():
         # the Gaussian terms, first in the list, vanish only with every other one
         kept = np.flatnonzero(terms.amp[0, 0])
@@ -333,7 +286,7 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     blocks = np.array_split(offset, -(-offset.size // _BLOCK))
     both = np.concatenate([np.einsum("et,tn->en", terms.amp[0], terms.shapes(block)[0])
                            for block in blocks], axis=1)
-    intensity_o, intensity_p = _clip_rounding_noise(both, "intensity")
+    intensity_o, intensity_p = _clip_rounding_noise(both, "intensity", _gauss_peak(d))
     return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
                          intensity_p=intensity_p, derived=d)
 
@@ -414,8 +367,10 @@ def exact_window_masses(terms: ComponentTerms, rho_window: float) -> np.ndarray:
         (erf_edges[1] - erf_edges[0],
          (np.exp(1j * dd[:, n_gauss:] * terms.k0) * (scaled_erf[1] - scaled_erf[0])).real),
         axis=-1)
-    masses = 0.5 * math.sqrt(math.pi) / root_p * np.einsum("cet,ct->ce", terms.amp, integrals)
-    return _clip_rounding_noise(masses, "window mass")
+    root_pi_over_p = math.sqrt(math.pi) / root_p
+    masses = 0.5 * root_pi_over_p * np.einsum("cet,ct->ce", terms.amp, integrals)
+    # one Gaussian term's whole mass, amp sqrt(pi/p) = t_fiber t_leg^2 / 16
+    return _clip_rounding_noise(masses, "window mass", float(terms.amp[0, 0, 0]) * root_pi_over_p)
 
 
 # Largest working set the oracle may hold, bytes, as counted by _oracle_bytes.
@@ -457,11 +412,10 @@ def _oracle_n_k(k_span: float, period: float, step: float, n_x: int) -> tuple[in
     folds the samples into m bins (``_folded_intensity``), and n_k covers
     +-k_span at that step.  Raises ResolutionError, before the integrand or
     the transform is allocated, when the oracle would hold more than
-    ORACLE_BUDGET_BYTES, or a count beyond the float range.
+    ORACLE_BUDGET_BYTES.
     """
     m = _fft_length(max(n_x, math.ceil(period / step)))
-    samples = 2.0 * k_span * m * float(step) / (2.0 * math.pi)  # inf past the float range
-    n_k = math.ceil(samples) + 1 if samples < math.inf else math.inf
+    n_k = math.ceil(2.0 * k_span * m * float(step) / (2.0 * math.pi)) + 1
     required = _oracle_bytes(n_k, m)
     if required > ORACLE_BUDGET_BYTES:
         raise ResolutionError(

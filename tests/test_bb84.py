@@ -12,6 +12,7 @@ from mzqkd.bb84 import (MIDDLE_WINDOW_RHO, _g_term, default_baseline, detection_
 from mzqkd.core import LinkParams, MzConfig, PAIRS, derive, x_rho
 from mzqkd.errors import InfeasibleDesignError
 from mzqkd.spectra import CROSS_PAIRS, component_terms, exact_window_masses
+from mzqkd.units import dispersion_to_si
 
 CAL_50KM = LinkParams(fiber_length=50e3, convention="calibrated")
 LAM = CAL_50KM.lambda0
@@ -175,19 +176,29 @@ class TestGTerm:
         with pytest.raises(ValueError):
             g_term_analysis(LinkParams(), [10.0, math.nan])
 
-    @pytest.mark.parametrize("params", [
-        LinkParams(delta_lambda=1e-165),                      # 1/(4 dk^2 kappa) overflows
-        LinkParams(delta_lambda=1e-166, dispersion=1e-206),   # 4 dk^2 kappa underflows to 0
+    @pytest.mark.parametrize("fields, message", [
+        # 1/(4 dk^2 kappa) would overflow: the spread is refused first
+        ({"delta_lambda": 1e-165}, "delta_lambda must lie in [1e-13, 1e-07], got 1e-165"),
+        # 4 dk^2 kappa would underflow to 0: the spread is refused first
+        ({"delta_lambda": 1e-166, "dispersion": 1e-206},
+         "delta_lambda must lie in [1e-13, 1e-07], got 1e-166"),
     ], ids=["overflow", "underflow"])
-    def test_rejects_an_argmax_beyond_the_float_range(self, params):
-        with pytest.raises(ValueError, match=r"analytic argmax .* \(delta_k .* kappa .*\)"):
-            g_term_analysis(params, [1e3, 2e3])
+    def test_rejects_an_argmax_beyond_the_float_range(self, fields, message):
+        with pytest.raises(ValueError) as caught:
+            LinkParams(**fields)
+        assert str(caught.value) == message
+        # inside the domain the analytic argmax is finite: at the narrowest
+        # spread and the weakest dispersion it reads about 2e14 m
+        narrowest = LinkParams(delta_lambda=1e-13, dispersion=dispersion_to_si(1e-3),
+                               convention="calibrated")
+        assert 0.0 < g_term_analysis(narrowest, [1e3, 1e8]).analytic_argmax < 1e20
 
     def test_rejects_a_g_that_rounds_to_0_everywhere(self):
-        # 16 dk^4 delta1^2 underflows, so gamma is 1 and G is 0 at every length
+        # at a length of 1e-297 m without legs, 16 dk^4 delta1^2 underflows, so
+        # gamma is 1 and G is 0 at every length
         with pytest.raises(ValueError, match=r"G rounds to 0 at every length .*"
                                              r"\(delta_k .* kappa .*\)"):
-            g_term_analysis(LinkParams(delta_lambda=1e-159), [1e3, 2e3])
+            g_term_analysis(LinkParams(leg_length=0.0), [0.0, 1e-297])
 
     @pytest.mark.parametrize("leg_length", [1.0, 0.0])
     def test_sweep_equals_scalar_value(self, leg_length):
@@ -329,8 +340,15 @@ class TestDetectionTable:
 
     @pytest.mark.parametrize("rho", [1e300, 1e307])
     def test_default_baseline_refuses_a_sum_beyond_the_float_range(self, rho):
-        with pytest.raises(ValueError, match=re.escape(f"(rho {rho!r}, shifter-sum bound ")):
+        # rho is refused before the bound is formed
+        with pytest.raises(ValueError, match=re.escape(f"rho must lie in [0.01, 30], got {rho!r}")):
             default_baseline(CAL_50KM, rho)
+
+    def test_default_baseline_beyond_the_shifter_domain_is_infeasible(self):
+        # a 1e5 km link needs a baseline of about 1.3 km for rho = 3
+        with pytest.raises(InfeasibleDesignError, match=r"baseline of 1\d{3}(\.\d+)? m, beyond "
+                                                        r"the shifters' domain \[0, 1000\] m"):
+            default_baseline(LinkParams(fiber_length=1e8))
 
     def test_window_rho_is_three_sigma(self):
         assert MIDDLE_WINDOW_RHO * math.sqrt(2.0) == pytest.approx(3.0, rel=1e-15)

@@ -546,8 +546,8 @@ class TestExitCodes:
         # amplitudes carry a leading settings axis
         exact = spectra.component_terms
 
-        def corrupted(derived, configs, reach=0.0):
-            terms = exact(derived, configs, reach)
+        def corrupted(derived, configs):
+            terms = exact(derived, configs)
             return replace(terms, amp=corrupt(terms.amp))
 
         monkeypatch.setattr(module, "component_terms", corrupted)
@@ -611,39 +611,44 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("argv, message", [
-        (("bb84", "--length-km", "1e300"), "leaves the float range"),
+        # every number outside the input domain is refused by one check,
+        # which names the field, the domain row in the field's unit and the
+        # value as typed
+        (("bb84", "--length-km", "1e300"), "link: length_km must lie in [0, 100000], got 1e+300"),
         (("spectra", "--lambda0-nm", "1e-300", "--delta-lambda-nm", "1e-310"),
-         "leaves the float range"),
-        (("design", "--length-km", "1e300"), "leaves the float range"),
-        (("sweep", "--l-min-km", "0", "--l-max-km", "1e300"), "leaves the float range"),
-        (("gterm", "--l-min-km", "0", "--l-max-km", "1e300"), "leaves the float range"),
-        (("spectra", "--length-km", "1e300"), "leaves the float range"),
-        (("oracle-check", "--l-km", "1e300"), "leaves the float range"),
+         "link: lambda0_nm must lie in [200, 20000], got 1e-300"),
+        (("design", "--length-km", "1e300"), "link: length_km must lie in [0, 100000], got 1e+300"),
+        (("sweep", "--l-min-km", "0", "--l-max-km", "1e300"),
+         "l-max-km must lie in [0, 100000], got 1e+300"),
+        (("gterm", "--l-min-km", "0", "--l-max-km", "1e300"),
+         "l-max-km must lie in [0, 100000], got 1e+300"),
+        (("spectra", "--length-km", "1e300"),
+         "link: length_km must lie in [0, 100000], got 1e+300"),
+        (("oracle-check", "--l-km", "1e300"), "l-km must lie in [0, 100000], got 1e+300"),
         (("design", "--sum-m", "-1"), "must be non-negative and finite, got -1.0"),
-        (("design", "--rho", "1e-300"), "rate bound leaves the float range"),
+        (("design", "--rho", "1e-300"), "design: rho must lie in [0.01, 30], got 1e-300"),
         (("sweep", "--l-min-km", "0", "--l-max-km", "500", "--rho", "1e-300"),
-         "rate bound leaves the float range"),
+         "design: rho must lie in [0.01, 30], got 1e-300"),
         (("compensate", "--clock-ghz", "1", "--rho", "1e-300"),
-         "rate bound leaves the float range"),
-        (("design", *HUGE_BOUND), "shifter-sum bound leaves the float range"),
+         "design: rho must lie in [0.01, 30], got 1e-300"),
+        (("design", *HUGE_BOUND), "design: safety_factor must lie in [0.01, 100], got 1e+308"),
         (("sweep", "--l-min-km", "0", "--l-max-km", "10", "--steps", "2", *HUGE_BOUND),
-         "shifter-sum bound leaves the float range"),
+         "design: safety_factor must lie in [0.01, 100], got 1e+308"),
         (("compensate", "--length-km", "100", "--clock-ghz", "1", *HUGE_BOUND),
-         "shifter-sum bound leaves the float range"),
+         "design: safety_factor must lie in [0.01, 100], got 1e+308"),
         (("spectra", "--delta-d-m", "1e200", "--n-points", "8"),
-         "shifter sums leave the float range when squared"),
+         "interferometer: delta_d_m must lie in [0, 1000], got 1e+200"),
         (("oracle-check", "--delta-d-m", "1e200"),
-         "shifter sums leave the float range when squared"),
-        (("bb84", "--baseline-m", "1e154"), "shifter sums leave the float range when squared"),
+         "interferometer: delta_d_m must lie in [0, 1000], got 1e+200"),
+        (("bb84", "--baseline-m", "1e154"), "baseline-m must lie in [0, 1000], got 1e+154"),
         (("spectra", "--delta-d-m", "1e153", "--n-points", "8"),
-         "shifter sums leave the float range of the analytic terms"),
+         "interferometer: delta_d_m must lie in [0, 1000], got 1e+153"),
         (("bb84", "--baseline-m", "1e153", "--length-km", "0"),
-         "shifter sums leave the float range of the analytic terms"),
+         "baseline-m must lie in [0, 1000], got 1e+153"),
         (("spectra", "--pad-sigmas", "1e200", "--n-points", "8"),
-         "the grid reaches 7.9000879785"),
-        # the absolute window center n_g L overflows while the offsets stay finite
+         "pad_sigmas must lie in [5, 1000], got 1e+200"),
         (("spectra", "--group-index", "1e308", "--length-km", "1e10", "--dispersion", "0",
-          "--n-points", "4"), "the component means leave the float range"),
+          "--n-points", "4"), "link: length_km must lie in [0, 100000], got 10000000000.0"),
         # an allocation this size fails at once, so no memory is taken
         (("spectra", "--n-points", "100000000000"),
          "n_points 100000000000 asks for 800000000000 bytes"),
@@ -656,34 +661,32 @@ class TestExitCodes:
          "gterm steps 100000000000000000000 ask for 800000000000000000000 bytes"),
         # G vanishes at every length: no maximum to locate
         (("gterm", "--dispersion", "0"), "without dispersion G vanishes at every length"),
-        # delta_k is positive but the term exponent 2 delta_k^2 / gamma underflows
         (("spectra", "--delta-lambda-nm", "5e-312", "--n-points", "8"),
-         "wavenumber spread or the pulse width leaves the float range"),
+         "link: delta_lambda_nm must lie in [0.0001, 100], got 5e-312"),
         (("oracle-check", "--delta-lambda-nm", "5e-312"),
-         "wavenumber spread or the pulse width leaves the float range"),
+         "link: delta_lambda_nm must lie in [0.0001, 100], got 5e-312"),
         (("gterm", "--delta-lambda-nm", "5e-312"),
-         "wavenumber spread or the pulse width leaves the float range"),
-        # 1/(4 delta_k^2 kappa) overflows, or its denominator underflows to 0
+         "link: delta_lambda_nm must lie in [0.0001, 100], got 5e-312"),
         (("gterm", "--delta-lambda-nm", "1e-156", "--steps", "3"),
-         "analytic argmax 1/(4*delta_k^2*kappa) leaves the float range"),
+         "link: delta_lambda_nm must lie in [0.0001, 100], got 1e-156"),
         (("gterm", "--delta-lambda-nm", "1e-157", "--dispersion", "1e-200", "--steps", "3"),
-         "analytic argmax 1/(4*delta_k^2*kappa) leaves the float range"),
-        # gamma = 1 + 16 delta_k^4 delta1^2 rounds to 1, so G is 0 at every length
+         "link: delta_lambda_nm must lie in [0.0001, 100], got 1e-157"),
         (("gterm", "--delta-lambda-nm", "1e-150", "--steps", "3"),
-         "G rounds to 0 at every length and has no finite maximum (delta_k 2.6152696"),
+         "link: delta_lambda_nm must lie in [0.0001, 100], got 1e-150"),
+        # gamma = 1 + 16 delta_k^4 delta1^2 rounds to 1, so G is 0 at every length
         (("gterm", "--l-min-km", "0", "--l-max-km", "1e-300", "--steps", "2",
           "--leg-length-m", "0"), "G rounds to 0 at every length"),
-        # the default baseline grows with the pulse width or rho; the refusal
-        # names them, not shifters that were never set
+        # the default baseline grows with the pulse width or rho, and the
+        # refusal names them, not shifters that were never set
         (("bb84", "--delta-lambda-nm", "1e-160"),
-         "default baseline's shifter sum leaves the float range when squared (rho 3.0, "
-         "shifter-sum bound 3.24451492435"),
-        (("bb84", "--rho", "1e300"), "(rho 1e+300, shifter-sum bound 4.46896462526987e+299 m, "
-         "sigma 0.0790008797"),
-        (("bb84", "--rho", "1e307"), "(rho 1e+307, shifter-sum bound"),
-        # a non-finite clock rate is refused as such, not as a non-positive one
-        (("compensate", "--clock-ghz", "nan"), "clock_rate must be finite, got nan"),
-        (("compensate", "--clock-ghz=-inf"), "clock_rate must be finite, got -inf"),
+         "link: delta_lambda_nm must lie in [0.0001, 100], got 1e-160"),
+        (("bb84", "--rho", "1e300"), "design: rho must lie in [0.01, 30], got 1e+300"),
+        (("bb84", "--rho", "1e307"), "design: rho must lie in [0.01, 30], got 1e+307"),
+        (("bb84", "--rho", "1e153"), "design: rho must lie in [0.01, 30], got 1e+153"),
+        # the clock rate is refused in one check that names the value
+        (("compensate", "--clock-ghz", "nan"), "clock_rate must be positive and finite, got nan"),
+        (("compensate", "--clock-ghz=-inf"), "clock_rate must be positive and finite, got -inf"),
+        (("compensate", "--clock-ghz", "0"), "clock_rate must be positive and finite, got 0.0"),
     ], ids=["bb84-length", "spectra-lambda0", "design-length", "sweep-length",
             "gterm-length", "spectra-length", "oracle-length", "design-negative-sum",
             "design-tiny-rho", "sweep-tiny-rho", "compensate-tiny-rho",
@@ -697,15 +700,19 @@ class TestExitCodes:
             "gterm-argmax-overflow", "gterm-argmax-underflow", "gterm-g-rounds-to-0",
             "gterm-g-rounds-to-0-at-short-lengths", "bb84-default-baseline-wide-pulse",
             "bb84-default-baseline-huge-rho", "bb84-default-baseline-beyond-ceil",
-            "compensate-nan-clock", "compensate-minus-inf-clock"])
+            "bb84-default-baseline-huge-terms",
+            "compensate-nan-clock", "compensate-minus-inf-clock", "compensate-zero-clock"])
     def test_out_of_range_number_exits_2(self, capsys, argv, message):
-        # pytest turns a numpy RuntimeWarning into an error; the widths are
-        # checked before any array arithmetic overflows
+        # pytest turns a numpy RuntimeWarning into an error; the values are
+        # checked before any array arithmetic
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("config error") and message in err
         assert err.count("\n") == 1
+        # a shifter value is named only where a shifter was typed
+        if "--delta-d-m" not in argv:
+            assert "delta_d" not in err
 
     @pytest.mark.parametrize("shifter", ["0", "1e-9"], ids=["all-dark", "1e-9m"])
     def test_dark_exits_pass_the_oracle_check(self, capsys, shifter):
@@ -715,6 +722,16 @@ class TestExitCodes:
                              "--delta-m-m", shifter)
         assert (code, err) == (0, "")
         assert float(out.split("worst=")[1].split()[0]) < 1e-14
+
+    @pytest.mark.parametrize("command", [("spectra", "--n-points", "256"), ("oracle-check",)],
+                             ids=["spectra", "oracle-check"])
+    def test_dark_link_exits_0(self, capsys, command):
+        # with delta_d = delta_c the first interferometer sends all light to
+        # its unused exit: both exits read rounding noise, +-1e-16 against a
+        # leg-pair Gaussian peak of 0.316, and the noise is clipped
+        code, out, err = run(capsys, *command, "--delta-d-m", "0", "--delta-m-m", "0.3")
+        assert (code, err) == (0, "")
+        assert out
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(exponent=st.floats(100.0, 300.0),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mzqkd.config import RunConfig
-from mzqkd.core import (CALIBRATED_KAPPA_SCALE, LinkParams, MzConfig, PAIRS,
-                        derive, effective_kappa, x_rho)
+from mzqkd.core import (CALIBRATED_KAPPA_SCALE, DOMAIN, LinkParams, MzConfig, PAIRS,
+                        PrecompMultiplier, derive, effective_kappa, x_rho)
+from mzqkd.design import _phase_sum_bound
 from mzqkd.errors import ConfigError
+from mzqkd.spectra import GridSpec
+from mzqkd.units import ns_to_s
 
 # Reference values from a 40-digit evaluation of the closed forms at the
 # default constants (1550 nm, 0.31 nm, 17 ps/(km*nm), 50 km, 1 m legs).
@@ -72,8 +76,9 @@ class TestXRho:
 
     def test_rejects_non_positive_rho(self):
         d = default_derived()
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, math.nextafter(0.01, 0.0), math.nextafter(30.0, math.inf),
+                    math.nan):
+            with pytest.raises(ValueError, match=rf"^rho must lie in \[0.01, 30\], got {bad!r}$"):
                 x_rho(d.sigma, bad)
 
     def test_array_of_widths_matches_scalars(self):
@@ -154,26 +159,38 @@ class TestDerivedProperties:
         assert d.window_center == pytest.approx(mid_exterior, rel=1e-14)
 
 
-# Each field's message for a negative value; NaN and +-inf are refused as not finite.
-_NEGATIVE_MESSAGES = {
+# Each validated field's domain row as its message states it.  Every value
+# outside the row (NaN, +-inf, a negative value and the two floats just
+# outside its ends) is refused with "<field> must <row>, got <value>".
+_ROWS = {
     LinkParams: {
-        "lambda0": "lambda0 must be positive",
-        "delta_lambda": "delta_lambda must be positive",
-        "dispersion": "dispersion must be non-negative",
-        "group_index": "group_index must be positive",
-        "fiber_length": "lengths must be non-negative",
-        "leg_length": "lengths must be non-negative",
-        "t_fiber": "t_fiber must lie in (0, 1], got -0.5",
-        "t_leg": "t_leg must lie in (0, 1], got -0.5",
+        "lambda0": "lie in [2e-07, 2e-05]",
+        "delta_lambda": "lie in [1e-13, 1e-07]",
+        "dispersion": "be 0 or lie in [1e-09, 0.001]",
+        "group_index": "lie in [1, 5]",
+        "fiber_length": "lie in [0, 1e+08]",
+        "leg_length": "lie in [0, 100]",
+        "t_fiber": "lie in (0, 1]",
+        "t_leg": "lie in (0, 1]",
     },
-    MzConfig: dict.fromkeys(("delta_d", "delta_m", "delta_c"),
-                            "phase shifter lengths must be non-negative"),
+    MzConfig: dict.fromkeys(("delta_d", "delta_m", "delta_c"), "lie in [0, 1000]"),
+    PrecompMultiplier: {"a_cp": "lie in [-1e+12, 1e+12]", "b_cp": "lie in [-1e+06, 1e+06]"},
+    GridSpec: {"pad_sigmas": "lie in [5, 1000]"},
 }
+_ROW_NAMES = {"delta_d": "shifter", "delta_m": "shifter", "delta_c": "shifter"}
+
+
+def _outside(name):
+    """NaN, +-inf, -0.5 where it lies outside, and the floats just outside both ends."""
+    lo, hi = DOMAIN[_ROW_NAMES.get(name, name)]
+    below = lo if name in ("t_fiber", "t_leg") else math.nextafter(lo, -math.inf)
+    values = [math.nan, math.inf, -math.inf, below, math.nextafter(hi, math.inf)]
+    return values + ([-0.5] if lo > -0.5 else [])
+
+
 _INVALID_FIELDS = [
-    (cls, name, value, negative if value == -0.5 else f"{name} must be finite, got {value!r}")
-    for cls, messages in _NEGATIVE_MESSAGES.items()
-    for name, negative in messages.items()
-    for value in (math.nan, math.inf, -math.inf, -0.5)]
+    (cls, name, value, f"{name} must {row}, got {value!r}")
+    for cls, rows in _ROWS.items() for name, row in rows.items() for value in _outside(name)]
 
 
 class TestValidation:
@@ -184,29 +201,56 @@ class TestValidation:
             cls(**{name: value})
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("cls, name", [(cls, name) for cls, rows in _ROWS.items()
+                                           for name in rows],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_domain_ends_are_accepted(self, cls, name):
+        lo, hi = DOMAIN[_ROW_NAMES.get(name, name)]
+        # the widest spread keeps delta_lambda/lambda0 < 1e-2 at the longest lambda0
+        others = {"lambda0": DOMAIN["lambda0"][1]} if name == "delta_lambda" else {}
+        for value in ((hi,) if name in ("t_fiber", "t_leg") else (lo, hi)):
+            assert getattr(cls(**{name: value}, **others), name) == value
+
+    @pytest.mark.parametrize("row, call", [
+        ("rho", lambda value: x_rho(1.0, value)),
+        ("safety_factor", lambda value: _phase_sum_bound(1.0, 0.0, 0.0, value)),
+        ("edge_time", lambda value: _phase_sum_bound(1.0, value, value, 1.0)),
+    ], ids=["rho", "safety_factor", "edge_time"])
+    def test_bare_float_rows_hold_their_ends(self, row, call):
+        # the rows that library callers pass as bare floats, not fields
+        lo, hi = DOMAIN[row]
+        for value in (lo, hi):
+            call(value)
+        for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan):
+            with pytest.raises(ValueError,
+                               match=rf" must lie in \[.*\], got {re.escape(repr(value))}$"):
+                call(value)
+
     def test_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^fiber_length must lie in \[0, 1e\+08\], got -1.0$"):
             LinkParams(fiber_length=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^leg_length must lie in \[0, 100\], got -0.5$"):
             LinkParams(leg_length=-0.5)
 
     def test_rejects_bad_transmissions(self):
         for bad in (0.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                LinkParams(t_fiber=bad)
-            with pytest.raises(ValueError):
-                LinkParams(t_leg=bad)
+            for name in ("t_fiber", "t_leg"):
+                with pytest.raises(ValueError,
+                                   match=rf"^{name} must lie in \(0, 1\], got {bad!r}$"):
+                    LinkParams(**{name: bad})
 
     def test_rejects_wide_spread(self):
-        with pytest.raises(ValueError):
+        # both inside their rows, but the spread is not small against lambda0
+        with pytest.raises(ValueError, match=r"^delta_lambda must be small compared to lambda0 "
+                                             r"\(ratio 0.0129 >= 1e-2\)$"):
             LinkParams(lambda0=1550e-9, delta_lambda=20e-9)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^lambda0 must lie in \[2e-07, 2e-05\], got nan$"):
             LinkParams(lambda0=float("nan"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^fiber_length must lie in \[0, 1e\+08\], got inf$"):
             LinkParams(fiber_length=float("inf"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^delta_d must lie in \[0, 1000\], got nan$"):
             MzConfig(delta_d=float("nan"))
 
     def test_rejects_unknown_convention(self):
@@ -214,26 +258,29 @@ class TestValidation:
             LinkParams(convention="mystery")
 
     def test_rejects_negative_shifters_and_times(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^delta_d must lie in \[0, 1000\], got -0.1$"):
             MzConfig(delta_d=-0.1)
-        # the detector edge times are checked where the run configuration
-        # resolves them
-        for rising, message in ((-1.0, "detector edge times must be non-negative"),
-                                (math.nan, "t_rising must be finite, got nan")):
-            with pytest.raises(ConfigError, match=f"^interferometer: {message}$"):
+        # the detector edge times are checked, in ns, where the run
+        # configuration resolves them
+        for rising in (-1.0, math.nan, 1e3 * (1.0 + 1e-15)):
+            with pytest.raises(ConfigError, match=rf"^interferometer: t_rising_ns must lie in "
+                                                  rf"\[0, 1000\], got {rising!r}$"):
                 RunConfig(t_rising_ns=rising).resolved_edge_times()
+        assert RunConfig(t_rising_ns=1e3).resolved_edge_times() == (ns_to_s(1e3), 0.0)
 
     def test_rejects_a_term_exponent_that_underflows(self):
-        # delta_k ~ 1.3e-308 1/m is positive, but 2 delta_k^2 / gamma is 0
-        with pytest.raises(ValueError, match="wavenumber spread or the pulse width"):
-            derive(LinkParams(delta_lambda=5e-321), MzConfig())
+        # delta_k ~ 1.3e-308 1/m would be positive, but 2 delta_k^2 / gamma 0:
+        # the spread lies far outside the domain
+        with pytest.raises(ValueError, match=r"^delta_lambda must lie in \[1e-13, 1e-07\], "
+                                             r"got 5e-321$"):
+            LinkParams(delta_lambda=5e-321)
 
     def test_rejects_shifter_sums_whose_square_overflows(self):
-        assert derive(LinkParams(), MzConfig(delta_d=1e150, delta_m=1e150)).sigma > 0
-        for config in (MzConfig(delta_d=1e200), MzConfig(delta_d=1e154, delta_m=1e154),
-                       MzConfig(delta_d=1e308, delta_m=1e308)):
-            with pytest.raises(ValueError, match="shifter sums leave the float range"):
-                derive(LinkParams(), config)
+        assert derive(LinkParams(), MzConfig(delta_d=1e3, delta_m=1e3, delta_c=1e3)).sigma > 0
+        for fields in ({"delta_d": 1e200}, {"delta_d": 1e154, "delta_m": 1e154},
+                       {"delta_d": 1e308, "delta_m": 1e308}):
+            with pytest.raises(ValueError, match=r"^delta_d must lie in \[0, 1000\], got 1e\+"):
+                MzConfig(**fields)
 
     def test_pair_sums_in_pairs_order(self):
         config = MzConfig(delta_d=0.3, delta_m=0.2, delta_c=0.05)

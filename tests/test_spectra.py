@@ -271,14 +271,18 @@ class TestAnalyticBasics:
     def test_gridspec_validation(self):
         with pytest.raises(ValueError):
             GridSpec(n_points=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pad_sigmas must lie in \[5, 1000\], got 3.0$"):
             GridSpec(pad_sigmas=3.0)
         with pytest.raises(ValueError):
             GridSpec(x_min=0.0)
-        with pytest.raises(ValueError, match="x_min must be finite"):
+        with pytest.raises(ValueError, match=r"^x_min must lie in \[-1e\+15, 1e\+15\], got -inf$"):
             GridSpec(x_min=-math.inf, x_max=2.0, relative=True)
-        with pytest.raises(ValueError, match="x_max must be finite"):
+        with pytest.raises(ValueError, match=r"^x_max must lie in \[-1e\+15, 1e\+15\], got nan$"):
             GridSpec(x_min=-2.0, x_max=math.nan, relative=True)
+        # the bounds' domain ends are admitted, the floats beyond them refused
+        assert GridSpec(x_min=-1e15, x_max=1e15).x_max == 1e15
+        with pytest.raises(ValueError, match=r"^x_max must lie in \[-1e\+15, 1e\+15\]"):
+            GridSpec(x_min=-2.0, x_max=math.nextafter(1e15, math.inf))
 
 
 def pair_envelopes(params, config, offset):
@@ -505,10 +509,14 @@ class TestOracleAgreement:
         assert peak < 1 << 20
 
     def test_budget_refuses_a_count_beyond_the_float_range(self):
-        # padding of 1e305 sigma asks for more samples than a float can count
-        with pytest.raises(ResolutionError,
-                           match=f"above the {spectra.ORACLE_BUDGET_BYTES}-byte budget"):
-            eval_oracle(LinkParams(), MzConfig(), GridSpec(n_points=64, pad_sigmas=1e305))
+        # padding of 1e305 sigma would ask for more samples than a float can
+        # count; the domain refuses it, and the widest explicit bounds it
+        # admits ask for a finite count, which the budget refuses
+        with pytest.raises(ValueError, match=r"^pad_sigmas must lie in \[5, 1000\], got 1e\+305$"):
+            GridSpec(n_points=64, pad_sigmas=1e305)
+        with pytest.raises(ResolutionError, match=r"^oracle would need \d+ wavenumber samples"):
+            eval_oracle(LinkParams(), MzConfig(),
+                        GridSpec(n_points=64, x_min=-1e15, x_max=1e15, relative=True))
 
     def test_grid_beyond_numpys_largest_array_refused(self):
         # numpy refuses such a length with a ValueError before allocating anything
@@ -944,28 +952,6 @@ class TestTermBatch:
                 assert (batch.p, batch.k0, batch.slope) == (one.p, one.k0, one.slope)
                 assert np.array_equal(masses[i], exact_window_masses(one, MIDDLE_WINDOW_RHO)[0])
 
-    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
-    def test_first_failing_setting_raises_its_own_message(self, order):
-        # one setting whose sums overflow when squared (derive refuses it),
-        # one whose sums are too far apart for the terms (the term list does)
-        candidates = [MATCHED, MzConfig(delta_d=1e154, delta_m=1e154),
-                      MzConfig(delta_d=1e153, delta_m=1e153)]
-        configs = [candidates[i] for i in order]
-        first = configs[1]
-        with pytest.raises(ValueError) as alone:
-            component_terms(derive(CAL_500KM, first), [first])
-        with pytest.raises(ValueError) as batch:
-            component_terms(derive(CAL_500KM, MATCHED), configs)
-        assert str(batch.value) == str(alone.value)
-        assert repr(first.delta_d) in str(batch.value)
-
-    def test_grid_reach_is_range_checked(self):
-        d = derive(CAL_50KM, MATCHED)
-        assert np.array_equal(component_terms(d, [MATCHED], 1.0).amp,
-                              component_terms(d, [MATCHED]).amp)
-        with pytest.raises(ValueError, match="the grid reaches 1e\\+200 m"):
-            component_terms(d, [MATCHED], 1e200)
-
 
 class TestCurveStructure:
     def test_grid_strictly_increasing_and_aligned(self):
@@ -991,9 +977,9 @@ class TestCurveStructure:
         summed = []
         clip = spectra._clip_rounding_noise
 
-        def spy(values, what):
+        def spy(values, what, floor):
             summed.append(values.copy())
-            return clip(values, what)
+            return clip(values, what, floor)
 
         monkeypatch.setattr(spectra, "_clip_rounding_noise", spy)
         curve = eval_analytic(params, config, GridSpec(n_points=n_points))
@@ -1035,14 +1021,27 @@ class TestVerificationGuards:
         values = np.linspace(0.0, 1.0, 64).reshape(2, 32)
         values[1, 7] = bad
         with pytest.raises(VerificationError, match="non-finite intensity"):
-            spectra._clip_rounding_noise(values, "intensity")
+            spectra._clip_rounding_noise(values, "intensity", 1.0)
 
     def test_clip_keeps_rounding_noise_and_rejects_sign_errors(self):
-        values = np.array([1.0, -0.5e-10, 0.25])
-        assert np.array_equal(spectra._clip_rounding_noise(values, "mass"), [1.0, 0.0, 0.25])
-        values[1] = -2e-10
-        with pytest.raises(VerificationError, match="negative mass beyond rounding noise"):
-            spectra._clip_rounding_noise(values, "mass")
+        clip = spectra._clip_rounding_noise
+        # a floor at or below the largest value changes nothing
+        for floor in (0.0, 1.0):
+            values = np.array([1.0, -0.5e-10, 0.25])
+            assert np.array_equal(clip(values, "mass", floor), [1.0, 0.0, 0.25])
+            values[1] = -2e-10
+            with pytest.raises(VerificationError, match="negative mass beyond rounding noise"):
+                clip(values, "mass", floor)
+        # a dark exit: its largest value is rounding noise itself, and its
+        # negatives are noise against the floor of one leg-pair Gaussian
+        dark = np.array([1.1e-16, -1.1e-16, 0.0])
+        assert np.array_equal(clip(dark, "intensity", 0.316), [1.1e-16, 0.0, 0.0])
+        with pytest.raises(VerificationError, match="negative intensity beyond rounding noise"):
+            clip(dark, "intensity", 0.0)
+        # a real sign error still fails against the floor
+        dark[1] = -1e-6
+        with pytest.raises(VerificationError, match="negative intensity beyond rounding noise"):
+            clip(dark, "intensity", 0.316)
 
 
 class TestBroadeningSymmetry:
