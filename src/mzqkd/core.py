@@ -146,6 +146,11 @@ class LinkParams:
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
 
+    @property
+    def transmission(self) -> float:
+        """t_fiber t_leg^2: every intensity and mass is this times the lossless link's."""
+        return self.t_fiber * self.t_leg**2
+
 
 @dataclass(frozen=True)
 class MzConfig:
@@ -251,7 +256,7 @@ class PrecompMultiplier:
     the element's linear path term (group index times physical length, m) and
     ``b_cp`` its accumulated dispersion (m^2); cancellation requires b_cp to
     oppose the link's own accumulated dispersion.  A lossy element's power
-    transmission is a factor of the link's ``t_fiber``.
+    transmission is a factor of ``t_fiber``, so of ``LinkParams.transmission``.
     """
 
     a_cp: float = 0.0

@@ -136,7 +136,7 @@ class ComponentTerms:
     difference with their common parts cancelled, well-conditioned at any length.
     """
 
-    amp: np.ndarray      # (n, 2, 10), 1/m
+    amp: np.ndarray      # (n, 2, 10), 1/m, of the lossless link
     center: np.ndarray   # (n, 10) offsets from the window center, m
     dd: np.ndarray       # (n, 10) shifter-sum differences d_a - d_b, m
     p: float             # 2 dk^2 / gamma, 1/m^2
@@ -205,23 +205,21 @@ _TERM_WEIGHTS[:, :len(PAIRS)] *= 0.5
 
 
 def _gauss_peak(d: DerivedQuantities) -> float:
-    """Peak of one leg-pair Gaussian term, t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)), 1/m."""
-    return (d.params.t_fiber * d.params.t_leg**2 * d.delta_k
-            / (8.0 * math.sqrt(2.0 * math.pi * d.gamma)))
+    """Peak of one lossless leg-pair Gaussian term, dk / (8 sqrt(2 pi gamma)), 1/m."""
+    return d.delta_k / (8.0 * math.sqrt(2.0 * math.pi * d.gamma))
 
 
 def component_terms(d: DerivedQuantities, configs: Sequence[MzConfig]) -> ComponentTerms:
-    """The analytic intensity of n shifter settings on the link of ``d`` as term lists.
+    """The analytic intensity of n shifter settings on the lossless link of ``d`` as term lists.
 
     The product of two leg-pair envelopes exp(-dk^2 (x - mu)^2 / gamma) is one
     Gaussian of exponent p = 2 dk^2 / gamma centered halfway between the means,
     scaled by exp(-p (mu_a - mu_b)^2 / 4).  A Gaussian term's amplitude
-    t_fiber t_leg^2 dk / (8 sqrt(2 pi gamma)) integrates to t_fiber t_leg^2 / 16
-    over the real line; a cross term carries twice that amplitude, the scale
-    above and its exit's interference sign.  Only the link scalars of ``d``
-    are read (delta_k, gamma, delta1, k0, the transmissions): a compensating
-    element enters through the record, its b_cp through delta1 and gamma, a
-    lossy element's transmission as a factor of t_fiber.  The shifters come
+    dk / (8 sqrt(2 pi gamma)) integrates to 1/16 over the real line; a cross
+    term carries twice that amplitude, the scale above and its exit's
+    interference sign.  Only the link scalars of ``d`` are read (delta_k,
+    gamma, delta1, k0), no transmission: a compensating element enters through
+    the record, its b_cp through delta1 and gamma.  The shifters come
     from ``configs``, one row of every array per setting, all in one array
     pass; each entry takes the same operations whatever the other rows hold,
     so row i equals row 0 of the list of ``[configs[i]]`` alone bit for bit.
@@ -286,9 +284,9 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     blocks = np.array_split(offset, -(-offset.size // _BLOCK))
     both = np.concatenate([np.einsum("et,tn->en", terms.amp[0], terms.shapes(block)[0])
                            for block in blocks], axis=1)
-    intensity_o, intensity_p = _clip_rounding_noise(both, "intensity", _gauss_peak(d))
-    return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
-                         intensity_p=intensity_p, derived=d)
+    both = _clip_rounding_noise(both, "intensity", _gauss_peak(d))
+    both *= params.transmission  # after the clip, which reads the lossless scale
+    return SpectrumCurve(x_relative=offset, intensity_o=both[0], intensity_p=both[1], derived=d)
 
 
 def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
@@ -335,18 +333,18 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
 
 
 def exact_window_masses(terms: ComponentTerms, rho_window: float) -> np.ndarray:
-    """Exact probability mass of each exit inside the middle-pulse window, shape (n, 2).
+    """Exact lossless mass of each exit inside the middle-pulse window, shape (n, 2).
 
     One row (exit o, exit p) per setting of the term lists ``terms``
-    (``component_terms``).  The window is [-X, X] around the window center
-    with X = rho_window*sqrt(2)*sigma, so sqrt(p) X = rho_window.
-    Each term integrates in closed form, with a = sqrt(p) y at the window edges:
-    a Gaussian term to amp sqrt(pi/p)/2 [erf(a)] between the edges, a cross
-    term to the real part of exp(i dd k0) amp sqrt(pi/p)/2 exp(-s^2)
-    [erf(a - i s)] with s = dd slope / (2 sqrt(p)).  exp(-s^2) erf(a - i s) is
-    sign(a) [exp(-s^2) - exp(-a^2 + 2 i a s) w(sign(a) (s + i a))], so every
-    w argument lies in the upper half-plane and exp(+s^2), about e^(2e4) for
-    the outer pairs, is never formed.  All cross terms share one w call.
+    (``component_terms``); a lossy link's masses are these times t_fiber t_leg^2.
+    The window is [-X, X] around the window center with X = rho_window sqrt(2)
+    sigma, so sqrt(p) X = rho_window.  Each term integrates in closed form,
+    with a = sqrt(p) y at the window edges: a Gaussian term to amp sqrt(pi/p)/2
+    [erf(a)] between the edges, a cross term to the real part of exp(i dd k0)
+    amp sqrt(pi/p)/2 exp(-s^2) [erf(a - i s)] with s = dd slope / (2 sqrt(p)).
+    exp(-s^2) erf(a - i s) is sign(a) [exp(-s^2) - exp(-a^2 + 2 i a s) w(sign(a)
+    (s + i a))]: every w argument lies in the upper half-plane, exp(+s^2), about
+    e^(2e4) for the outer pairs, is never formed, and all share one w call.
     """
     if not rho_window > 0:
         raise ValueError("rho_window must be positive")
@@ -367,10 +365,9 @@ def exact_window_masses(terms: ComponentTerms, rho_window: float) -> np.ndarray:
         (erf_edges[1] - erf_edges[0],
          (np.exp(1j * dd[:, n_gauss:] * terms.k0) * (scaled_erf[1] - scaled_erf[0])).real),
         axis=-1)
-    root_pi_over_p = math.sqrt(math.pi) / root_p
-    masses = 0.5 * root_pi_over_p * np.einsum("cet,ct->ce", terms.amp, integrals)
-    # one Gaussian term's whole mass, amp sqrt(pi/p) = t_fiber t_leg^2 / 16
-    return _clip_rounding_noise(masses, "window mass", float(terms.amp[0, 0, 0]) * root_pi_over_p)
+    masses = 0.5 * (math.sqrt(math.pi) / root_p) * np.einsum("cet,ct->ce", terms.amp, integrals)
+    # floor: one lossless Gaussian term's whole mass, amp sqrt(pi/p) = 1/16
+    return _clip_rounding_noise(masses, "window mass", 0.0625)
 
 
 # Largest working set the oracle may hold, bytes, as counted by _oracle_bytes.
@@ -524,16 +521,16 @@ _GEMM_SAMPLES = 1 << 14
 
 def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.ndarray,
                    start: float) -> np.ndarray:
-    """Exits o and p at the wavenumbers k0 + u, times input and carrier, shape (2, n_k).
+    """Lossless exits o and p at wavenumbers k0 + u, times input and carrier, shape (2, n_k).
 
-    The input spectrum, the fiber, both interferometers' legs, the record's
-    lossless compensating element (if any) and the carrier exp(i u X) of the
+    The input spectrum, the fiber, both interferometers' lossless legs, the
+    record's compensating element (if any) and the carrier exp(i u X) of the
     grid's first offset ``start``, X = 2 n_g l_leg + 2 delta1 k0 + mid + start
     from the linear path n_g L + a_cp, mid = (d_cm + d_dc)/2.  Their quadratic phases
     add up to -delta1 (2 k0 u + u^2); the carrier cancels the k0-linear part
     and the legs' 2 n_g l_leg u.  With - for exit o, + for p:
 
-        t_leg alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
+        alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
         phi = -delta1 u^2 + u (mid + start),   E_x = exp(-i k0 delta_x) exp(-i u delta_x).
 
     Constant phases of psi are dropped; no phase of 1e7 rad is formed.  The
@@ -559,7 +556,7 @@ def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.nda
     blocks = _unit_phasor(np.outer(_block_starts(du, n_k), slope))
     # e_a e_b from the constant phasors exp(-i k0 delta_x), one per shifter
     legs = np.array([config.delta_c, config.delta_d, config.delta_m])
-    blocks *= d.params.t_leg * np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1)
+    blocks *= np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1)
     within = _unit_phasor(np.outer(slope, np.arange(width) * du))
     signed = blocks * _PAIR_SIGNS[:, None, :]
     table = np.empty((2, signed.shape[1], width), dtype=complex)
@@ -582,7 +579,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     """Numeric propagation through the wavenumber-domain transfer function.
 
     Builds the product of the input Gaussian spectrum, the fiber's linear and
-    quadratic phase, both interferometers' leg factors and (optionally) a
+    quadratic phase, both interferometers' lossless leg factors and (optionally) a
     compensating element, then inverse-transforms to position space by
     trapezoid quadrature on the grid of offsets from the window center.  The
     wavenumber step is commensurate with the grid step, so the quadrature is
@@ -636,26 +633,26 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     # not both rows' squares at once, a temporary that faulted in fresh pages.
     ends = np.square(np.abs(rows[:, [0, -1]])).sum(axis=1)
     sums = np.array([np.square(row.view(np.float64)).sum() for row in rows]) - 0.5 * ends
-    mass_o, mass_p = (0.0625 * params.t_fiber * (du * sums)).tolist()
+    mass_o, mass_p = (0.0625 * (du * sums)).tolist()
 
-    # trapezoid end weights; the constant weight and the transform's
-    # normalization scale the folded intensity
+    # trapezoid end weights; the constant weight and the transform's normalization
+    # give the lossless intensity, then t (a subnormal weight^2 t keeps few bits)
     rows[:, 0] *= 0.5
     rows[:, -1] *= 0.5
-    weight = 0.25 * math.sqrt(params.t_fiber) * du / math.sqrt(2.0 * math.pi)
-    intensity_o, intensity_p = _folded_intensity(rows, offset.size, m) * weight**2
+    t, weight = params.transmission, 0.25 * du / math.sqrt(2.0 * math.pi)
+    intensity = _folded_intensity(rows, offset.size, m) * weight**2
+    intensity *= t
 
     checks = {
         "norm_in": norm_in,
-        "mass_o_kspace": mass_o,
-        "mass_p_kspace": mass_p,
-        "unused_exit_remainder": float(norm_in * params.t_fiber * params.t_leg**2
-                                       - mass_o - mass_p),
+        "mass_o_kspace": t * mass_o,
+        "mass_p_kspace": t * mass_p,
+        "unused_exit_remainder": t * (norm_in - mass_o - mass_p),
         "n_k": n_k,
         "fold_length": m,
     }
-    return SpectrumCurve(x_relative=offset, intensity_o=intensity_o,
-                         intensity_p=intensity_p, derived=d, checks=checks)
+    return SpectrumCurve(x_relative=offset, intensity_o=intensity[0],
+                         intensity_p=intensity[1], derived=d, checks=checks)
 
 
 def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float, float]:
@@ -684,16 +681,15 @@ def max_normalized_deviation(a: SpectrumCurve, b: SpectrumCurve) -> float:
     """Largest pointwise |difference| after normalizing each exit to peak 1.
 
     The divisor is at least one leg-pair Gaussian's peak on the link of ``a``,
-    so a dark exit, whose peak is rounding noise, reads in the link's units.
-    Curves must share the same relative grid: offsets from each curve's own
-    window center that agree to 1e-12 m.
+    loss included, so a dark exit, whose peak is rounding noise, reads in its units.
+    Curves must share their grids of offsets from their own window centers to 1e-12 m.
     """
     if a.x_relative.size != b.x_relative.size:
         raise ValueError("curves have different grid sizes")
     # one max-abs pass; a NaN offset makes it NaN and fails the test
     if not np.max(np.abs(a.x_relative - b.x_relative)) <= 1e-12:
         raise ValueError("curves are sampled on different relative grids")
-    floor = _gauss_peak(a.derived)
+    floor = _gauss_peak(a.derived) * a.derived.params.transmission
     dev = 0.0
     for ya, yb in ((a.intensity_o, b.intensity_o), (a.intensity_p, b.intensity_p)):
         peak = max(float(ya.max()), float(yb.max()), floor)

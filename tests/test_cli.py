@@ -279,6 +279,15 @@ class TestSpectraCommand:
         peaks = max(float(line.split(",")[1]) for line in lines[1:])
         assert peaks == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("length_km", ["50", "500"])
+    def test_peak_normalization_reads_no_transmission(self, capsys, length_km):
+        # every spectrum is t_fiber t_leg^2 times the lossless link's, so the
+        # peak-normalized curve prints the lossless link's digits
+        argv = ("spectra", "--length-km", length_km, "--normalize", "peak", "--format", "csv")
+        lossless = run(capsys, *argv)
+        assert lossless[0] == 0
+        assert run(capsys, *argv, "--t-fiber", "0.3", "--t-leg", "0.7") == lossless
+
     def test_svg(self, capsys):
         code, out, _ = run(capsys, "spectra", *CAL, "--n-points", "128",
                            "--format", "svg-plot")

@@ -9,7 +9,7 @@ runs each library entry point under numpy's strictest error state.
 
 import collections
 import math
-import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +19,9 @@ from mzqkd.bb84 import MIDDLE_WINDOW_RHO, default_baseline, detection_table, g_t
 from mzqkd.compensation import plan
 from mzqkd.core import CONVENTIONS, DOMAIN, LinkParams, MzConfig, PrecompMultiplier, derive
 from mzqkd.design import RATE_MODES, build_design_report, sweep_lengths
-from mzqkd.errors import InfeasibleDesignError, ResolutionError, VerificationError
-from mzqkd.spectra import GridSpec, component_terms, eval_analytic, exact_window_masses
+from mzqkd.errors import InfeasibleDesignError, ResolutionError
+from mzqkd.spectra import (GridSpec, component_terms, eval_analytic, eval_oracle,
+                           exact_window_masses)
 
 # the smallest positive float stands for the transmissions' open end at 0
 _SMALLEST = math.ulp(0.0)
@@ -59,17 +60,6 @@ def _link(rng, index, end=None):
     edges = {"t_rising": _draw(rng, "edge_time", end), "t_falling": _draw(rng, "edge_time", end),
              "safety_factor": _draw(rng, "safety_factor", end)}
     return params, config, precomp, _draw(rng, "rho", end), edges
-
-
-def _subnormal_peak(params, derived):
-    """Whether one leg-pair Gaussian's peak, or its transmission factor, is subnormal.
-
-    Such amplitudes keep only a few significant bits, so terms that should
-    cancel leave residues beyond the rounding-noise test of the spectra and
-    window masses, which then raise VerificationError (CHANGES.md, FOUND).
-    """
-    peak = spectra._gauss_peak(derived)
-    return min(params.t_fiber * params.t_leg**2, peak) < sys.float_info.min
 
 
 def _finite(*values):
@@ -117,13 +107,6 @@ def test_domain_sweep_returns_finite_values_or_a_refusal_that_stays():
             except ResolutionError:
                 outcomes[name, "resolution"] += 1
                 continue
-            except VerificationError:
-                # only where the amplitudes are subnormal
-                assert name in ("window masses", "eval_analytic", "eval_analytic bounds")
-                element = precomp if name == "window masses" else None
-                assert _subnormal_peak(params, derive(params, config, element))
-                outcomes[name, "verification"] += 1
-                continue
             except ValueError as exc:
                 assert name == "gterm" and ("G vanishes" in str(exc) or "G rounds to 0" in str(exc))
                 outcomes[name, "no G maximum"] += 1
@@ -157,3 +140,32 @@ def test_domain_ends_derive_finite_records(end):
     assert _finite(d.delta_k, d.k0, d.kappa, d.delta1, d.gamma, d.sigma, d.fwhm,
                    *d.mu.values())
     assert d.delta_k > 0 and d.sigma > 0 and 2.0 * d.delta_k**2 / d.gamma > 0
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(LinkParams(fiber_length=50e3, convention="calibrated", t_fiber=1.5e-320),
+                 id="50km-calibrated-t_fiber-1.5e-320"),
+    pytest.param(LinkParams(fiber_length=500e3, t_fiber=1.5e-320), id="500km-t_fiber-1.5e-320"),
+    pytest.param(LinkParams(fiber_length=500e3, t_leg=3e-157), id="500km-t_leg-3e-157"),
+])
+def test_subnormal_transmissions_scale_the_lossless_link(params):
+    # Amplitudes that carried a subnormal t_fiber t_leg^2 would keep a few bits,
+    # and terms that cancel would leave negatives beyond the rounding-noise
+    # test; both routes clip the lossless link and scale its intensities once.
+    baseline = default_baseline(params)
+    config = MzConfig(delta_d=baseline, delta_m=baseline)
+    configs = [config, MzConfig(delta_d=baseline, delta_m=baseline + 0.5 * params.lambda0)]
+    lossless = replace(params, t_fiber=1.0, t_leg=1.0)
+    factor = params.t_fiber * params.t_leg**2
+    grid = GridSpec(n_points=256)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        curves = eval_analytic(params, config, grid), eval_oracle(params, config, grid)
+        masses = exact_window_masses(component_terms(derive(params, config), configs),
+                                     MIDDLE_WINDOW_RHO)
+    units = eval_analytic(lossless, config, grid), eval_oracle(lossless, config, grid)
+    for curve, unit in zip(curves, units):
+        assert np.array_equal(curve.intensity_o, unit.intensity_o * factor)
+        assert np.array_equal(curve.intensity_p, unit.intensity_p * factor)
+    unit_masses = exact_window_masses(component_terms(derive(lossless, config), configs),
+                                      MIDDLE_WINDOW_RHO)
+    assert np.array_equal(masses, unit_masses) and np.all(masses > 0.0)

@@ -70,7 +70,7 @@ def dense_intensity(coeffs, n_x, m):
 
 
 def reference_transfer_rows(params, config, d, u, precomp):
-    """Reference for ``spectra._transfer_rows``: each factor as its own exponential.
+    """Reference for the lossless ``spectra._transfer_rows``: each factor as its own exponential.
 
     The fiber's quadratic phase, one factor per interferometer leg with its
     full (k0 + u) phase, and the compensating multiplier applied before the
@@ -83,9 +83,9 @@ def reference_transfer_rows(params, config, d, u, precomp):
     b_leg = -d.kappa * params.leg_length
 
     def leg_factor(delta):
-        # sqrt(T)*exp(-i[(k0+u)A + (k0+u)^2 B]) for one interferometer leg.
+        # exp(-i[(k0+u)A + (k0+u)^2 B]) for one lossless interferometer leg.
         a = delta + params.group_index * params.leg_length
-        return math.sqrt(params.t_leg) * np.exp(-1j * (k * a + k * k * b_leg))
+        return np.exp(-1j * (k * a + k * k * b_leg))
 
     quadratic = 2.0 * d.k0 * u + u * u
     common = np.exp(1j * quadratic * (d.kappa * params.fiber_length))
@@ -163,10 +163,10 @@ def spied_rows(monkeypatch, params, config, grid, kwargs):
     return built[0]
 
 
-def mp_factored_rows(params, config, d, u, start):
-    """Exits o and p of ``_transfer_rows``'s factored form at one wavenumber u, 50 digits.
+def mp_factored_rows(config, d, u, start):
+    """Lossless exits o and p of ``_transfer_rows``'s factored form at one wavenumber u, 50 digits.
 
-        t_leg alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
+        alpha_in exp(i phi) (E_d - E_c)(E_m -+ E_c),
         phi = -delta1 u^2 + u (mid + start),   E_x = exp(-i k0 delta_x) exp(-i u delta_x),
 
     with alpha_in the Gaussian input spectrum.  The float64 inputs are taken
@@ -179,8 +179,7 @@ def mp_factored_rows(params, config, d, u, start):
         u, dk = mpf(u), mpf(d.delta_k)
         mid = (2 * mpf(config.delta_c) + mpf(config.delta_d) + mpf(config.delta_m)) / 2
         alpha_in = (2 * mpmath.pi * dk**2) ** mpf(-0.25) * mpmath.exp(-u**2 / (4 * dk**2))
-        common = (mpf(params.t_leg) * alpha_in
-                  * mpmath.expj(-mpf(d.delta1) * u**2 + u * (mid + mpf(start))))
+        common = alpha_in * mpmath.expj(-mpf(d.delta1) * u**2 + u * (mid + mpf(start)))
 
         def e(delta):
             return mpmath.expj(-mpf(d.k0 * delta)) * mpmath.expj(-u * mpf(delta))
@@ -286,23 +285,26 @@ class TestAnalyticBasics:
 
 
 def pair_envelopes(params, config, offset):
-    """Per-pair amplitudes c'_ij = 2 dk t_leg sqrt(pi) exp(-dk^2 (x - mu)^2/gamma)/gamma^(1/4).
+    """Lossless per-pair amplitudes c'_ij = 2 dk sqrt(pi) exp(-dk^2 (x - mu)^2/gamma)/gamma^(1/4).
 
-    The intensity of an exit is prefactor * (sum of c'^2 + 2 * signed sum of
-    c'_a c'_b cos(z_a - z_b)), with prefactor t_fiber/(32 pi sqrt(2 pi) dk).
+    The lossless intensity of an exit is prefactor * (sum of c'^2 + 2 *
+    signed sum of c'_a c'_b cos(z_a - z_b)), with prefactor
+    1/(32 pi sqrt(2 pi) dk); a lossy link's is that times t_fiber t_leg^2.
     Returns the prefactor and c' keyed by PAIRS.
     """
     d = derive(params, config)
     middle = 0.5 * (pair_sum(config, "cm") + pair_sum(config, "dc"))
-    c_prime = {pair: 2.0 * d.delta_k * params.t_leg * math.sqrt(math.pi) / d.gamma**0.25
+    c_prime = {pair: 2.0 * d.delta_k * math.sqrt(math.pi) / d.gamma**0.25
                * np.exp(-d.delta_k**2 * (offset - pair_sum(config, pair) + middle) ** 2
                         / d.gamma)
                for pair in PAIRS}
-    prefactor = params.t_fiber / (32.0 * math.pi * math.sqrt(2.0 * math.pi) * d.delta_k)
+    prefactor = 1.0 / (32.0 * math.pi * math.sqrt(2.0 * math.pi) * d.delta_k)
     return prefactor, c_prime
 
 
 class TestComponentTerms:
+    """The term list of a lossy link is the lossless link's: it reads no transmission."""
+
     PARAMS = replace(CAL_50KM, t_fiber=0.7, t_leg=0.9)
     CONFIG = MzConfig(delta_d=0.2501, delta_m=0.2498, delta_c=0.003)
 
@@ -394,20 +396,22 @@ def mp_phase_difference(derived, pair_a, pair_b, offset):
 def mp_intensities(curve, offsets):
     """Closed-form intensities of both exits at 50 digits, at center + offset.
 
-    The same closed form as ``eval_analytic``: the distance from each
-    component mean is offset + (d_cm + d_dc)/2 - d_pair, and the phase
-    differences come from the raw phases at center + offset.
+    The same closed form as ``eval_analytic``: the lossless link's intensity
+    times t_fiber t_leg^2.  The distance from each component mean is offset +
+    (d_cm + d_dc)/2 - d_pair, and the phase differences come from the raw
+    phases at center + offset.
     """
     d, p, cfg = curve.derived, curve.derived.params, curve.derived.config
     with mpmath.workdps(50):
-        dk, g, t = (mpmath.mpf(v) for v in (d.delta_k, d.gamma, p.t_leg))
+        dk, g = mpmath.mpf(d.delta_k), mpmath.mpf(d.gamma)
         middle = (2 * mpmath.mpf(cfg.delta_c) + mpmath.mpf(cfg.delta_d)
                   + mpmath.mpf(cfg.delta_m)) / 2
         shift = {pair: middle - mp_pair_sum(cfg, pair) for pair in PAIRS}
-        prefactor = mpmath.mpf(p.t_fiber) / (32 * mpmath.pi * mpmath.sqrt(2 * mpmath.pi) * dk)
+        prefactor = (mpmath.mpf(p.t_fiber) * mpmath.mpf(p.t_leg) ** 2
+                     / (32 * mpmath.pi * mpmath.sqrt(2 * mpmath.pi) * dk))
         out = np.empty((2, len(offsets)))
         for i, offset in enumerate(offsets):
-            c_prime = {pair: 2 * dk * t * mpmath.sqrt(mpmath.pi) / g**0.25
+            c_prime = {pair: 2 * dk * mpmath.sqrt(mpmath.pi) / g**0.25
                        * mpmath.exp(-dk**2 * (mpmath.mpf(offset) + shift[pair]) ** 2 / g)
                        for pair in PAIRS}
             total_j = sum(c_prime[pair] ** 2 for pair in PAIRS)
@@ -667,8 +671,7 @@ class TestFoldedTransform:
         (d, n_k, du, _, start), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
         u = oracle_axis(n_k, du)
         index = [*range(0, u.size, u.size // 200), u.size - 1]
-        reference = np.array([mp_factored_rows(params, config, d, u[n], start)
-                              for n in index]).T
+        reference = np.array([mp_factored_rows(config, d, u[n], start) for n in index]).T
         assert np.max(np.abs(rows[:, index] - reference)) <= 1e-10 * np.max(np.abs(rows))
 
     @pytest.mark.parametrize("n_k, whole_blocks", [(400, True), (441, True), (401, False),
@@ -685,8 +688,7 @@ class TestFoldedTransform:
         du = 4.0 * d.delta_k / (n_k - 1)
         u = oracle_axis(n_k, du)
         rows = spectra._transfer_rows(d, n_k, du, input_spectrum(d, u[:(n_k + 1) // 2]), -3.1)
-        reference = np.array([mp_factored_rows(params, config, d, value, -3.1)
-                              for value in u]).T
+        reference = np.array([mp_factored_rows(config, d, value, -3.1) for value in u]).T
         assert np.max(np.abs(rows - reference)) <= 1e-10 * np.max(np.abs(rows))
 
     @pytest.mark.parametrize("length", [500e3, 5000e3])
@@ -713,7 +715,7 @@ class TestFoldedTransform:
         alpha_in = mirrored(alpha_half, n_k)
         assert abs(checks["norm_in"] - trapz(alpha_in**2, dx=du)) <= 1e-14
         for key, row in zip(("mass_o_kspace", "mass_p_kspace"), rows):
-            mass = 0.0625 * params.t_fiber * trapz(np.abs(row) ** 2, dx=du)
+            mass = 0.0625 * params.t_fiber * params.t_leg**2 * trapz(np.abs(row) ** 2, dx=du)
             assert abs(checks[key] - mass) <= 1e-14
 
     def test_axis_is_mirror_symmetric(self, monkeypatch):
@@ -799,6 +801,35 @@ class TestOracleProperty:
         deviation = max_normalized_deviation(eval_analytic(params, config, grid),
                                              eval_oracle(params, config, grid))
         assert deviation <= 1e-8
+
+
+class TestTransmissionFactor:
+    """Both routes evaluate the lossless link and scale it once by t_fiber t_leg^2."""
+
+    T_FIBER, T_LEG = 0.3, 0.7
+
+    @pytest.mark.parametrize("convention", ["first_principles", "calibrated"])
+    @pytest.mark.parametrize("length", [0.0, 50e3, 500e3])
+    def test_routes_scale_the_lossless_link(self, length, convention):
+        lossless = LinkParams(fiber_length=length, convention=convention)
+        lossy = replace(lossless, t_fiber=self.T_FIBER, t_leg=self.T_LEG)
+        factor = self.T_FIBER * self.T_LEG**2
+        config = MzConfig(delta_d=0.25, delta_m=0.25 + lossless.lambda0 / 8.0)
+        terms = component_terms(derive(lossy, config), [config])
+        unit_terms = component_terms(derive(lossless, config), [config])
+        assert np.array_equal(terms.amp, unit_terms.amp)
+
+        analytic, unit = eval_analytic(lossy, config), eval_analytic(lossless, config)
+        assert np.array_equal(analytic.intensity_o, unit.intensity_o * factor)
+        assert np.array_equal(analytic.intensity_p, unit.intensity_p * factor)
+
+        grid = GridSpec(n_points=1024)
+        oracle, unit = eval_oracle(lossy, config, grid), eval_oracle(lossless, config, grid)
+        assert np.array_equal(oracle.intensity_o, unit.intensity_o * factor)
+        assert np.array_equal(oracle.intensity_p, unit.intensity_p * factor)
+        for key in ("mass_o_kspace", "mass_p_kspace", "unused_exit_remainder"):
+            expected = unit.checks[key] * factor
+            assert abs(oracle.checks[key] - expected) <= 1e-15 * abs(expected)
 
 
 class TestMasses:
