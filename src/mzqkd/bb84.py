@@ -80,7 +80,8 @@ def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
 class DetectionRow:
     """Middle-window detection shares for one (alice, bob) setting.
 
-    The masses are the lossless link's: t_fiber t_leg^2 cancels in the shares.
+    The masses are the lossless link's, as every spectrum is: the
+    transmission t_fiber t_leg^2 would cancel in the shares.
     """
 
     alice_basis: str
@@ -141,7 +142,7 @@ def detection_table(params: LinkParams, baseline: float) -> DetectionTable:
     attached when the baseline fails the rho=3 separation bound; a baseline
     below the 1/e overlap point is a hard error.
     """
-    derived = derive(params, MzConfig(delta_d=baseline, delta_m=baseline))
+    derived = derive(params)
     x_1 = x_rho(derived.sigma, 1.0)
     if 2.0 * baseline < 4.0 * x_1:
         raise InfeasibleDesignError(

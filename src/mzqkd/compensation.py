@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (LinkParams, PrecompMultiplier, accumulated_dispersion, broadening,
+from .core import (LinkParams, PrecompMultiplier, accumulated_dispersion, broadening, derive,
                    effective_kappa, x_rho)
-from .design import MODE_FACTOR, RATE_MODES, _far_end, _phase_sum_bound, _rate_bound
+from .design import MODE_FACTOR, RATE_MODES, _phase_sum_bound, _rate_bound
 from .errors import InfeasibleDesignError
 from .units import C0
 
@@ -57,7 +57,7 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
         raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
     link = params.fiber_length
     # one record: every length's width follows from its delta_k
-    d = _far_end(params)
+    d = derive(params)
 
     def half_at(active: float) -> float:
         _, sigma = broadening(d.delta_k, accumulated_dispersion(params, active))

@@ -9,14 +9,13 @@ the component means differ only through the phase-shifter values.
 
 All quantities are SI.  Positions ``x`` are expressed as vacuum-equivalent
 propagation distance (the photon bookkeeping uses the vacuum speed of light;
-the group index enters only through the component means).
+the group index enters only through the component means' absolute origin).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,12 +196,12 @@ class DerivedQuantities:
         gamma: pulse broadening factor, >= 1, equal for every leg pair.
         sigma: position-spectrum standard deviation sqrt(gamma)/(2*delta_k), m.
         fwhm: full width at half maximum sqrt(8 ln 2)*sigma, m.
-        mu: mean position of each leg-pair component, m, keyed by PAIRS; the
-            compensating element adds its a_cp (and 2*b_cp*k0 through delta1).
+        origin: absolute position n_g (fiber_length + 2 leg_length) + a_cp
+            + 2 delta1 k0, m; each leg-pair component's mean is origin plus
+            the pair's shifter sum (``MzConfig.pair_sums``).
     """
 
     params: LinkParams
-    config: MzConfig
     delta_k: float
     k0: float
     kappa: float
@@ -210,12 +209,7 @@ class DerivedQuantities:
     gamma: float
     sigma: float
     fwhm: float
-    mu: Mapping[str, float] = field(repr=False)
-
-    @property
-    def window_center(self) -> float:
-        """Center of the middle pulse, (mu_cm + mu_dc)/2, m."""
-        return 0.5 * (self.mu["cm"] + self.mu["dc"])
+    origin: float
 
 
 def effective_kappa(params: LinkParams) -> float:
@@ -267,15 +261,15 @@ class PrecompMultiplier:
         check_domain("b_cp", self.b_cp)
 
 
-def derive(params: LinkParams, config: MzConfig,
+def derive(params: LinkParams, *,
            precomp: PrecompMultiplier | None = None) -> DerivedQuantities:
     """Compute the full derived-scalar chain for one link instance.
 
     An optional compensating element adds its b_cp to delta1 (so gamma, sigma
-    and fwhm are those of the compensated pulse) and its a_cp to every
-    component mean.  The validators hold every input in ``DOMAIN``, where
-    every derived scalar is finite and delta_k, gamma, sigma and the term
-    exponent 2 delta_k^2 / gamma are positive.
+    and fwhm are those of the compensated pulse) and its a_cp to the origin.
+    The validators hold every input in ``DOMAIN``, where every derived scalar
+    is finite and delta_k, gamma, sigma and the term exponent
+    2 delta_k^2 / gamma are positive.
     """
     delta_k = 2.0 * math.pi * params.delta_lambda / params.lambda0**2
     k0 = 2.0 * math.pi / params.lambda0
@@ -288,11 +282,9 @@ def derive(params: LinkParams, config: MzConfig,
         path += precomp.a_cp
     gamma, sigma = broadening(delta_k, delta1)
     fwhm = math.sqrt(8.0 * math.log(2.0)) * sigma
-    base = path + 2.0 * delta1 * k0
-    mu = {pair: base + pair_sum for pair, pair_sum in zip(PAIRS, config.pair_sums)}
     return DerivedQuantities(
-        params=params, config=config, delta_k=delta_k, k0=k0, kappa=kappa,
-        delta1=delta1, gamma=gamma, sigma=sigma, fwhm=fwhm, mu=mu,
+        params=params, delta_k=delta_k, k0=k0, kappa=kappa, delta1=delta1,
+        gamma=gamma, sigma=sigma, fwhm=fwhm, origin=path + 2.0 * delta1 * k0,
     )
 
 

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (LinkParams, MzConfig, accumulated_dispersion, broadening, check_domain, derive,
-                   x_rho)
+from .core import LinkParams, accumulated_dispersion, broadening, check_domain, derive, x_rho
 from .errors import InfeasibleDesignError
 from .units import C0
 
@@ -52,11 +51,6 @@ class DesignReport:
     actual_phase_sum: Optional[float] = None  # m
 
 
-def _far_end(params: LinkParams):
-    """The derived record at the link's far end; no bound reads a shifter value."""
-    return derive(params, MzConfig())
-
-
 def _pulse_over_lengths(params: LinkParams, lengths_m):
     """Lengths (in the domain; a NaN makes both ends NaN), the link's record, and
     delta1, gamma, sigma per length, of a sweep."""
@@ -65,7 +59,7 @@ def _pulse_over_lengths(params: LinkParams, lengths_m):
         raise ValueError("the length sweep is empty")
     for end in (lengths.min(), lengths.max()):
         check_domain("fiber_length", float(end), "sweep length")
-    d = _far_end(params)
+    d = derive(params)
     delta1 = accumulated_dispersion(params, lengths)
     return (lengths, d, delta1, *broadening(d.delta_k, delta1))
 
@@ -88,14 +82,14 @@ def min_phase_sum(params: LinkParams, rho: float,
     An ideal gate needs 4*X_rho; detector edge times extend the bound by
     c0*(t_rising + t_falling).  The safety factor multiplies the whole bound.
     """
-    return _phase_sum_bound(x_rho(_far_end(params).sigma, rho), t_rising, t_falling, safety_factor)
+    return _phase_sum_bound(x_rho(derive(params).sigma, rho), t_rising, t_falling, safety_factor)
 
 
 def max_rate(params: LinkParams, rho: float, mode: str = "linear") -> float:
     """Largest symbol rate without intersymbol overlap, Hz."""
     if mode not in MODE_FACTOR:
         raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
-    return _rate_bound(x_rho(_far_end(params).sigma, rho), mode)
+    return _rate_bound(x_rho(derive(params).sigma, rho), mode)
 
 
 # The bounds as functions of the half width X_rho (a float or a numpy array),
@@ -129,7 +123,7 @@ def build_design_report(params: LinkParams, rho: float, *,
                         t_rising: float = 0.0, t_falling: float = 0.0,
                         safety_factor: float = 1.0) -> DesignReport:
     """Every design bound of one link instance, from one derived pulse width."""
-    half = x_rho(_far_end(params).sigma, rho)
+    half = x_rho(derive(params).sigma, rho)
     return DesignReport(
         rho=rho,
         visibility=visibility_of_rho(rho),

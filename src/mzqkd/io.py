@@ -25,7 +25,7 @@ import numpy as np
 
 from .bb84 import DetectionTable, GTermAnalysis
 from .compensation import CompensationPlan, precompensate_input
-from .core import LinkParams, effective_kappa
+from .core import PAIRS, LinkParams, effective_kappa
 from .design import DesignReport
 from .errors import ConfigError
 from .spectra import SpectrumCurve
@@ -181,13 +181,17 @@ def sweep_csv(columns: Mapping[str, np.ndarray]) -> str:
 
 def curve_arrays(curve: SpectrumCurve, normalize: str = "absolute",
                  relative_axis: bool = False):
+    """The printed axis and intensities; absolute ones take the link's transmission once."""
     x = curve.x_relative if relative_axis else curve.x
     yo, yp = curve.intensity_o, curve.intensity_p
-    if normalize == "peak":
+    if normalize == "absolute":
+        t = curve.derived.params.transmission
+        yo, yp = yo * t, yp * t
+    elif normalize == "peak":
         peak = max(float(yo.max()), float(yp.max()))
         if peak > 0:
             yo, yp = yo / peak, yp / peak
-    elif normalize != "absolute":
+    else:
         raise ValueError("normalize must be 'absolute' or 'peak'")
     return x, yo, yp
 
@@ -204,7 +208,7 @@ def curve_csv(curve: SpectrumCurve, normalize: str = "absolute",
 def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
                relative_axis: bool = False) -> str:
     x, yo, yp = curve_arrays(curve, normalize, relative_axis)
-    params, config = curve.derived.params, curve.derived.config
+    params, config = curve.derived.params, curve.config
     payload = {
         "config_si": {**link_as_dict(params),
                       "group_index": params.group_index,
@@ -220,8 +224,9 @@ def curve_json(curve: SpectrumCurve, normalize: str = "absolute",
             "gamma": curve.derived.gamma,
             "sigma_m": curve.derived.sigma,
             "fwhm_m": curve.derived.fwhm,
-            "mu_m": dict(curve.derived.mu),
-            "window_center_m": curve.derived.window_center,
+            "mu_m": {pair: curve.derived.origin + pair_sum
+                     for pair, pair_sum in zip(PAIRS, config.pair_sums)},
+            "window_center_m": curve.window_center,
         },
         "normalize": normalize,
         "relative_axis": relative_axis,

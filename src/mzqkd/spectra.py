@@ -30,17 +30,19 @@ input norm is summed there.  No cosine or sine is taken on the whole axis.
 The two routes must agree to high precision; the oracle is the verification
 reference for the analytic route and for compensation studies.
 
-Position bookkeeping: intensities are probability densities over the
-vacuum-equivalent propagation distance x.  At telecom lengths x is hundreds
-of kilometers while the pulse structure lives on a scale of meters, and the
-spectra depend on x only through its distance from the component means.
-Both routes therefore work in offsets from the window center, the
-middle-pulse center halfway between the cm and dc means.  Each mean sits at
-the offset d_pair - (d_cm + d_dc)/2 of the shifter sums ``MzConfig.pair_sums``,
-with or without a compensating element, so no large position is formed or cancelled;
-absolute positions (``SpectrumCurve.x``) are window center plus offset and
-are formed only where a caller reads them.  One builder (``_position_grid``)
-derives the record and lays out the grid of offsets for both routes.
+Position bookkeeping: intensities are the lossless link's probability
+densities over the vacuum-equivalent propagation distance x (a lossy link's
+are these times ``LinkParams.transmission``, applied by ``io.curve_arrays``).
+At telecom lengths x is hundreds of kilometers while the pulse structure
+lives on a scale of meters, and the spectra depend on x only through its
+distance from the component means.  Both routes therefore work in offsets
+from the window center, the middle-pulse center halfway between the cm and
+dc means.  Each mean sits at the offset d_pair - (d_cm + d_dc)/2 of the
+shifter sums ``MzConfig.pair_sums``, with or without a compensating element,
+so no large position is formed or cancelled; absolute positions
+(``SpectrumCurve.x``) are window center plus offset and are formed only
+where a caller reads them.  One builder (``_position_grid``) derives the
+record and lays out the grid of offsets for both routes.
 """
 
 from __future__ import annotations
@@ -99,25 +101,27 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpectrumCurve:
-    """Sampled |psi_o|^2, |psi_p|^2 with the inputs that produced them.
+    """Sampled |psi_o|^2, |psi_p|^2 of the lossless link with the inputs that produced them.
 
-    The grid is stored as offsets from the window center (the middle-pulse
+    The grid is stored as offsets from ``window_center`` (the middle-pulse
     center, m); ``x`` adds the center back for callers that want absolute
-    positions.  ``derived`` carries the link and interferometer inputs and
-    includes any compensating element, so its window center and width are
-    those of the pulse that was evaluated.
+    positions.  ``derived`` is the link's record and includes any
+    compensating element, so its width and the window center are those of the
+    pulse that was evaluated; ``config`` holds the shifters.
     """
 
     x_relative: np.ndarray
     intensity_o: np.ndarray
     intensity_p: np.ndarray
     derived: DerivedQuantities = field(repr=False)
+    config: MzConfig
+    window_center: float
     checks: Optional[dict] = None
 
     @property
     def x(self) -> np.ndarray:
         """Absolute grid positions, window center plus offset, m."""
-        return self.derived.window_center + self.x_relative
+        return self.window_center + self.x_relative
 
 
 @dataclass(frozen=True)
@@ -162,16 +166,17 @@ def _middle_sum(sums: tuple[float, ...]) -> float:
 
 def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
                    precomp: PrecompMultiplier | None = None
-                   ) -> tuple[DerivedQuantities, np.ndarray, float, float]:
-    """The derived record, the grid offsets from the window center and the outer means.
+                   ) -> tuple[DerivedQuantities, float, np.ndarray, float, float]:
+    """The derived record, the window center, the grid offsets from it and the outer means.
 
-    The component means enter as offsets from the window center (m), of which
-    only the lowest and the highest bound the grid; absolute bounds are
-    converted once.
+    The center is the mean of the cm and dc means, the record's origin plus
+    their shifter sums (m); of the means' offsets from it only the lowest and
+    the highest bound the grid; absolute bounds are converted once.
     """
     grid = grid or GridSpec()
-    d = derive(params, config, precomp)
+    d = derive(params, precomp=precomp)
     sums = config.pair_sums
+    center = 0.5 * ((d.origin + sums[1]) + (d.origin + sums[2]))
     middle = _middle_sum(sums)
     mu_lo, mu_hi = min(sums) - middle, max(sums) - middle
     if grid.x_min is None:
@@ -180,8 +185,8 @@ def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
     else:
         lo, hi = grid.x_min, grid.x_max
         if not grid.relative:
-            lo -= d.window_center
-            hi -= d.window_center
+            lo -= center
+            hi -= center
         if lo > mu_lo - 5.0 * d.sigma or hi < mu_hi + 5.0 * d.sigma:
             raise ValueError(
                 "grid too narrow: must cover +-5 sigma around the outer component means")
@@ -190,7 +195,7 @@ def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
         raise ValueError(f"n_points {grid.n_points} asks for {8 * grid.n_points} bytes "
                          "of grid offsets, more than can be allocated") from exc
-    return d, offset, mu_lo, mu_hi
+    return d, center, offset, mu_lo, mu_hi
 
 
 # The leg pair at each end of each term, a then b, as indices into PAIRS,
@@ -274,7 +279,7 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     the terms in order from a Gaussian one, >= +0, and x + (+-0) is x for
     every x but -0, which no partial sum is.
     """
-    d, offset, _, _ = _position_grid(params, config, grid)
+    d, center, offset, _, _ = _position_grid(params, config, grid)
     terms = component_terms(d, (config,))
     if not terms.amp[0, 0].all():
         # the Gaussian terms, first in the list, vanish only with every other one
@@ -285,8 +290,8 @@ def eval_analytic(params: LinkParams, config: MzConfig,
     both = np.concatenate([np.einsum("et,tn->en", terms.amp[0], terms.shapes(block)[0])
                            for block in blocks], axis=1)
     both = _clip_rounding_noise(both, "intensity", _gauss_peak(d))
-    both *= params.transmission  # after the clip, which reads the lossless scale
-    return SpectrumCurve(x_relative=offset, intensity_o=both[0], intensity_p=both[1], derived=d)
+    return SpectrumCurve(x_relative=offset, intensity_o=both[0], intensity_p=both[1], derived=d,
+                         config=config, window_center=center)
 
 
 def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
@@ -336,7 +341,7 @@ def exact_window_masses(terms: ComponentTerms, rho_window: float) -> np.ndarray:
     """Exact lossless mass of each exit inside the middle-pulse window, shape (n, 2).
 
     One row (exit o, exit p) per setting of the term lists ``terms``
-    (``component_terms``); a lossy link's masses are these times t_fiber t_leg^2.
+    (``component_terms``), which read the link's record and no transmission.
     The window is [-X, X] around the window center with X = rho_window sqrt(2)
     sigma, so sqrt(p) X = rho_window.  Each term integrates in closed form,
     with a = sqrt(p) y at the window edges: a Gaussian term to amp sqrt(pi/p)/2
@@ -519,12 +524,12 @@ def _chirp_half(curv: float, du: float, n_k: int) -> np.ndarray:
 _GEMM_SAMPLES = 1 << 14
 
 
-def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.ndarray,
-                   start: float) -> np.ndarray:
+def _transfer_rows(d: DerivedQuantities, config: MzConfig, n_k: int, du: float,
+                   alpha_half: np.ndarray, start: float) -> np.ndarray:
     """Lossless exits o and p at wavenumbers k0 + u, times input and carrier, shape (2, n_k).
 
-    The input spectrum, the fiber, both interferometers' lossless legs, the
-    record's compensating element (if any) and the carrier exp(i u X) of the
+    The input spectrum, the fiber, both interferometers' lossless legs at
+    ``config``, the record's compensating element (if any) and the carrier exp(i u X) of the
     grid's first offset ``start``, X = 2 n_g l_leg + 2 delta1 k0 + mid + start
     from the linear path n_g L + a_cp, mid = (d_cm + d_dc)/2.  Their quadratic phases
     add up to -delta1 (2 k0 u + u^2); the carrier cancels the k0-linear part
@@ -549,7 +554,6 @@ def _transfer_rows(d: DerivedQuantities, n_k: int, du: float, alpha_half: np.nda
     without the middle sample when n_k is odd.  No cosine or sine is taken on
     the whole axis.
     """
-    config = d.config
     width = _block_width(n_k)
     sums = config.pair_sums
     slope = (_middle_sum(sums) + start) - np.array(sums)
@@ -596,7 +600,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     """
     if placement not in ("pre", "post", "symmetric"):
         raise ValueError(f"placement must be pre, post or symmetric, got {placement!r}")
-    d, offset, mu_lo, mu_hi = _position_grid(params, config, grid, precomp)
+    d, center, offset, mu_lo, mu_hi = _position_grid(params, config, grid, precomp)
     step = (offset[-1] - offset[0]) / (offset.size - 1)
 
     # The field's support: every component's envelope exp(-y^2 / 4 sigma^2)
@@ -622,7 +626,7 @@ def eval_oracle(params: LinkParams, config: MzConfig,
         raise ResolutionError(
             f"input-norm quadrature error {abs(norm_in - 1.0):.3e} exceeds 1e-8")
 
-    rows = _transfer_rows(d, n_k, du, alpha_half, float(offset[0]))
+    rows = _transfer_rows(d, config, n_k, du, alpha_half, float(offset[0]))
 
     # Parseval bookkeeping for the unitarity ledger: per-exit masses in k
     # space plus the share that left through the first interferometer's
@@ -636,23 +640,22 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     mass_o, mass_p = (0.0625 * (du * sums)).tolist()
 
     # trapezoid end weights; the constant weight and the transform's normalization
-    # give the lossless intensity, then t (a subnormal weight^2 t keeps few bits)
+    # give the lossless intensity
     rows[:, 0] *= 0.5
     rows[:, -1] *= 0.5
-    t, weight = params.transmission, 0.25 * du / math.sqrt(2.0 * math.pi)
+    weight = 0.25 * du / math.sqrt(2.0 * math.pi)
     intensity = _folded_intensity(rows, offset.size, m) * weight**2
-    intensity *= t
 
     checks = {
         "norm_in": norm_in,
-        "mass_o_kspace": t * mass_o,
-        "mass_p_kspace": t * mass_p,
-        "unused_exit_remainder": t * (norm_in - mass_o - mass_p),
+        "mass_o_kspace": mass_o,
+        "mass_p_kspace": mass_p,
+        "unused_exit_remainder": norm_in - mass_o - mass_p,
         "n_k": n_k,
         "fold_length": m,
     }
-    return SpectrumCurve(x_relative=offset, intensity_o=intensity[0],
-                         intensity_p=intensity[1], derived=d, checks=checks)
+    return SpectrumCurve(x_relative=offset, intensity_o=intensity[0], intensity_p=intensity[1],
+                         derived=d, config=config, window_center=center, checks=checks)
 
 
 def middle_window_masses(curve: SpectrumCurve, rho_window: float) -> tuple[float, float]:
@@ -680,8 +683,8 @@ def _window_mass(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
 def max_normalized_deviation(a: SpectrumCurve, b: SpectrumCurve) -> float:
     """Largest pointwise |difference| after normalizing each exit to peak 1.
 
-    The divisor is at least one leg-pair Gaussian's peak on the link of ``a``,
-    loss included, so a dark exit, whose peak is rounding noise, reads in its units.
+    The divisor is at least one leg-pair Gaussian's peak on the lossless link
+    of ``a``, so a dark exit, whose peak is rounding noise, reads in its units.
     Curves must share their grids of offsets from their own window centers to 1e-12 m.
     """
     if a.x_relative.size != b.x_relative.size:
@@ -689,7 +692,7 @@ def max_normalized_deviation(a: SpectrumCurve, b: SpectrumCurve) -> float:
     # one max-abs pass; a NaN offset makes it NaN and fails the test
     if not np.max(np.abs(a.x_relative - b.x_relative)) <= 1e-12:
         raise ValueError("curves are sampled on different relative grids")
-    floor = _gauss_peak(a.derived) * a.derived.params.transmission
+    floor = _gauss_peak(a.derived)
     dev = 0.0
     for ya, yb in ((a.intensity_o, b.intensity_o), (a.intensity_p, b.intensity_p)):
         peak = max(float(ya.max()), float(yb.max()), floor)

@@ -92,7 +92,7 @@ def test_04_oracle_equivalence():
     grid = GridSpec(n_points=1024)
     for length in (0.0, 1e3, 50e3):
         params = LinkParams(fiber_length=length)
-        x3 = x_rho(derive(params, MzConfig()).sigma, 3.0)
+        x3 = x_rho(derive(params).sigma, 3.0)
         for _ in range(5):
             config = MzConfig(delta_d=rng.uniform(1.05, 1.8) * 2.0 * x3,
                               delta_m=rng.uniform(1.05, 1.8) * 2.0 * x3)
@@ -174,7 +174,7 @@ def test_07_precompensation():
     config = MzConfig(delta_d=0.75, delta_m=0.70)
     grid = GridSpec(n_points=768, x_min=-2.0, x_max=2.0, relative=True)
 
-    d = derive(params, MzConfig())
+    d = derive(params)
     span = params.fiber_length + 2.0 * params.leg_length
     full = PrecompMultiplier(a_cp=params.group_index * span, b_cp=d.kappa * span)
     dev_full = max_normalized_deviation(

@@ -34,9 +34,9 @@ def z_difference(params, config, delta_x, pair_a, pair_b):
     ``factored`` evaluates (2*pi/lambda0)*(shifter-sum difference)*(1 + G*[delta_x + s])
     where s recenters for the pairs involved.  The two agree to rounding error.
     """
-    d = derive(params, config)
+    d = derive(params)
     for pair in (pair_a, pair_b):
-        if pair not in d.mu:
+        if pair not in PAIRS:
             raise ValueError(f"unknown leg pair {pair!r}")
     if abs(delta_x) > 5.0 * d.sigma:
         raise ValueError("delta_x outside +-5 sigma of the symbol center")
@@ -79,7 +79,7 @@ class TestPhaseTables:
         row = detection_table(CAL_50KM, 0.25).row("Z", 1, "Z")
         config = MzConfig(delta_d=0.25 + 0.75 * LAM, delta_m=0.25 + 0.25 * LAM)
         [(mass_o, mass_p)] = exact_window_masses(
-            component_terms(derive(CAL_50KM, config), [config]), MIDDLE_WINDOW_RHO)
+            component_terms(derive(CAL_50KM), [config]), MIDDLE_WINDOW_RHO)
         assert (row.mass_o, row.mass_p) == pytest.approx((mass_o, mass_p), rel=1e-14)
 
 
@@ -102,7 +102,7 @@ class TestZDifference:
 
     def test_exact_and_factored_agree_off_center(self):
         params = LinkParams(fiber_length=2e3)
-        d = derive(params, MzConfig())
+        d = derive(params)
         config = MzConfig(delta_d=0.05, delta_m=0.05 + LAM / 4.0)
         result = z_difference(params, config, 3.0 * d.sigma, "cm", "dc")
         rel = abs(result.exact - result.factored) / abs(result.factored)
@@ -112,7 +112,7 @@ class TestZDifference:
 
     def test_correction_grows_away_from_center(self):
         params = LinkParams(fiber_length=2e3)
-        d = derive(params, MzConfig())
+        d = derive(params)
         config = MzConfig(delta_d=0.05, delta_m=0.05 + LAM / 4.0)
         base = (2.0 * math.pi / LAM) * (LAM / 4.0)
         off = z_difference(params, config, 3.0 * d.sigma, "cm", "dc")
@@ -123,7 +123,7 @@ class TestZDifference:
         config = MzConfig()
         with pytest.raises(ValueError):
             z_difference(CAL_50KM, config, 0.0, "cm", "xx")
-        d = derive(CAL_50KM, config)
+        d = derive(CAL_50KM)
         with pytest.raises(ValueError):
             z_difference(CAL_50KM, config, 6.0 * d.sigma, "cm", "dc")
 
@@ -131,7 +131,7 @@ class TestZDifference:
 class TestGTerm:
     def test_zero_without_dispersion(self):
         params = LinkParams(dispersion=0.0, fiber_length=0.0, leg_length=0.0)
-        assert g_term_value(derive(params, MzConfig())) == 0.0
+        assert g_term_value(derive(params)) == 0.0
 
     def test_argmax_matches_closed_form(self):
         params = LinkParams()
@@ -154,7 +154,7 @@ class TestGTerm:
 
     def test_exactly_zero_at_degenerate_geometry(self):
         params = LinkParams(leg_length=0.0, fiber_length=0.0)
-        assert g_term_value(derive(params, MzConfig())) == 0.0
+        assert g_term_value(derive(params)) == 0.0
 
     def test_second_term_plateau(self):
         params = LinkParams()
@@ -206,7 +206,7 @@ class TestGTerm:
         lengths = np.array([0.0, 0.5, 1236.0, 50e3, 500e3])
         analysis = g_term_analysis(params, lengths, delta_c=0.01)
         for length, g, second in zip(lengths, analysis.g_values, analysis.second_terms):
-            d = derive(replace(params, fiber_length=float(length)), MzConfig())
+            d = derive(replace(params, fiber_length=float(length)))
             assert g == g_term_value(d)
             assert second == abs(g_term_value(d) * (3.0 * d.sigma - 0.01))
 
@@ -218,8 +218,8 @@ def gauss_legendre_masses(params, config, rho_window, panels=256, nodes=64):
     ``nodes`` nodes each; the fringes of the cross terms are resolved by
     many nodes per period at every length tested.
     """
-    terms = component_terms(derive(params, config), [config])
-    half = x_rho(derive(params, config).sigma, rho_window)
+    terms = component_terms(derive(params), [config])
+    half = x_rho(derive(params).sigma, rho_window)
     t, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(-half, half, panels + 1)
     center, scale = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
@@ -235,7 +235,7 @@ def table():
 def test_detection_table_derives_the_link_a_fixed_number_of_times(monkeypatch):
     # one derive for the baseline, whose record serves every setting's term
     # list; a loop over the settings would derive once per setting
-    d = core.derive(CAL_50KM, MzConfig())
+    d = core.derive(CAL_50KM)
     calls = []
     exact = core.derive
 

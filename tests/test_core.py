@@ -11,7 +11,7 @@ from mzqkd.core import (CALIBRATED_KAPPA_SCALE, DOMAIN, LinkParams, MzConfig, PA
                         PrecompMultiplier, derive, effective_kappa, x_rho)
 from mzqkd.design import _phase_sum_bound
 from mzqkd.errors import ConfigError
-from mzqkd.spectra import GridSpec
+from mzqkd.spectra import GridSpec, eval_analytic
 from mzqkd.units import ns_to_s
 
 # Reference values from a 40-digit evaluation of the closed forms at the
@@ -23,7 +23,12 @@ SIGMA_50KM_REF = 0.07900087978527807
 
 
 def default_derived(**overrides):
-    return derive(LinkParams(**overrides), MzConfig())
+    return derive(LinkParams(**overrides))
+
+
+def means(d, config):
+    """Each leg-pair component's mean, the record's origin plus the pair's shifter sum, m."""
+    return {pair: d.origin + pair_sum for pair, pair_sum in zip(PAIRS, config.pair_sums)}
 
 
 class TestGoldenValues:
@@ -107,40 +112,40 @@ mz_configs = st.builds(
 
 
 class TestDerivedProperties:
-    @given(link_params, mz_configs)
-    def test_gamma_at_least_one(self, params, config):
-        d = derive(params, config)
+    @given(link_params)
+    def test_gamma_at_least_one(self, params):
+        d = derive(params)
         assert d.gamma >= 1.0
         assert (d.gamma == 1.0) == (d.delta1 == 0.0)
 
-    @given(link_params, mz_configs)
-    def test_sigma_and_fwhm_relations(self, params, config):
-        d = derive(params, config)
+    @given(link_params)
+    def test_sigma_and_fwhm_relations(self, params):
+        d = derive(params)
         assert d.sigma == math.sqrt(d.gamma) / (2.0 * d.delta_k)
         assert d.fwhm / d.sigma == pytest.approx(math.sqrt(8.0 * math.log(2.0)), rel=1e-14)
 
-    @given(link_params, mz_configs, st.floats(0.1, 5.0))
-    def test_x_rho_linearity(self, params, config, rho):
-        d = derive(params, config)
+    @given(link_params, st.floats(0.1, 5.0))
+    def test_x_rho_linearity(self, params, rho):
+        d = derive(params)
         assert x_rho(d.sigma, 2.0 * rho) == 2.0 * x_rho(d.sigma, rho)
 
     @given(link_params, mz_configs)
     def test_mu_ordering_and_differences(self, params, config):
-        d = derive(params, config)
-        scale = max(abs(d.mu["dm"]), 1.0)
-        assert d.mu["dm"] - d.mu["cc"] == pytest.approx(
+        mu = means(derive(params), config)
+        scale = max(abs(mu["dm"]), 1.0)
+        assert mu["dm"] - mu["cc"] == pytest.approx(
             config.delta_d + config.delta_m - 2.0 * config.delta_c, abs=1e-12 * scale)
-        assert d.mu["cm"] - d.mu["dc"] == pytest.approx(
+        assert mu["cm"] - mu["dc"] == pytest.approx(
             config.delta_m - config.delta_d, abs=1e-12 * scale)
 
     @given(link_params, mz_configs, st.floats(1e3, 1e5))
     def test_mu_differences_independent_of_fiber_length(self, params, config, other_length):
         from dataclasses import replace
-        d1 = derive(params, config)
-        d2 = derive(replace(params, fiber_length=other_length), config)
-        diff1 = d1.mu["dm"] - d1.mu["cm"]
-        diff2 = d2.mu["dm"] - d2.mu["cm"]
-        scale = max(abs(d1.mu["dm"]), abs(d2.mu["dm"]), 1.0)
+        mu1 = means(derive(params), config)
+        mu2 = means(derive(replace(params, fiber_length=other_length)), config)
+        diff1 = mu1["dm"] - mu1["cm"]
+        diff2 = mu2["dm"] - mu2["cm"]
+        scale = max(abs(mu1["dm"]), abs(mu2["dm"]), 1.0)
         assert diff1 == pytest.approx(diff2, abs=1e-11 * scale)
 
     @given(link_params)
@@ -148,15 +153,21 @@ class TestDerivedProperties:
         from dataclasses import replace
         if params.dispersion == 0.0 or params.fiber_length == 0.0:
             return
-        d_lo = derive(params, MzConfig())
-        d_hi = derive(replace(params, fiber_length=params.fiber_length * 2.0), MzConfig())
+        d_lo = derive(params)
+        d_hi = derive(replace(params, fiber_length=params.fiber_length * 2.0))
         assert d_hi.sigma >= d_lo.sigma
 
     @given(link_params, mz_configs)
     def test_window_center_matches_exterior_midpoint(self, params, config):
-        d = derive(params, config)
-        mid_exterior = 0.5 * (d.mu["cc"] + d.mu["dm"])
-        assert d.window_center == pytest.approx(mid_exterior, rel=1e-14)
+        mu = means(derive(params), config)
+        mid_exterior = 0.5 * (mu["cc"] + mu["dm"])
+        center = eval_analytic(params, config, GridSpec(n_points=2)).window_center
+        assert center == pytest.approx(mid_exterior, rel=1e-14)
+
+    def test_takes_no_shifter_setting(self):
+        # the record belongs to the link alone; a stale call fails at the call
+        with pytest.raises(TypeError):
+            derive(LinkParams(), MzConfig())
 
 
 # Each validated field's domain row as its message states it.  Every value
@@ -276,7 +287,10 @@ class TestValidation:
             LinkParams(delta_lambda=5e-321)
 
     def test_rejects_shifter_sums_whose_square_overflows(self):
-        assert derive(LinkParams(), MzConfig(delta_d=1e3, delta_m=1e3, delta_c=1e3)).sigma > 0
+        # the domain's largest shifters place a finite window center
+        widest = MzConfig(delta_d=1e3, delta_m=1e3, delta_c=1e3)
+        curve = eval_analytic(LinkParams(), widest, GridSpec(n_points=64))
+        assert math.isfinite(curve.window_center)
         for fields in ({"delta_d": 1e200}, {"delta_d": 1e154, "delta_m": 1e154},
                        {"delta_d": 1e308, "delta_m": 1e308}):
             with pytest.raises(ValueError, match=r"^delta_d must lie in \[0, 1000\], got 1e\+"):
@@ -290,7 +304,7 @@ class TestValidation:
 
     def test_effective_kappa_matches_derive(self):
         params = LinkParams(convention="calibrated")
-        assert effective_kappa(params) == derive(params, MzConfig()).kappa
+        assert effective_kappa(params) == derive(params).kappa
 
     def test_pairs_constant(self):
         assert PAIRS == ("cc", "cm", "dc", "dm")

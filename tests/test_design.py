@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mzqkd.core import LinkParams, MzConfig, derive, x_rho
+from mzqkd.core import LinkParams, derive, x_rho
 from mzqkd.design import (DETECTOR_PROFILES, build_design_report, max_rate, min_phase_sum,
                           sweep_lengths, visibility_of_rho)
 from mzqkd.errors import InfeasibleDesignError
@@ -72,7 +72,7 @@ class TestMinPhaseSum:
     def test_relates_to_fwhm_multiples(self):
         # 4*X_rho at rho=1,2,3 is 2.402/4.804/7.206 times the FWHM
         params = LinkParams()
-        d = derive(params, MzConfig())
+        d = derive(params)
         for rho, factor in ((1.0, 2.402), (2.0, 4.804), (3.0, 7.206)):
             assert min_phase_sum(params, rho) / d.fwhm == pytest.approx(factor, rel=1e-3)
 
@@ -116,13 +116,13 @@ def gate_window(actual_phase_sum, params, rho):
 class TestGateWindow:
     def test_boundary_is_zero(self):
         params = LinkParams()
-        d = derive(params, MzConfig())
+        d = derive(params)
         boundary = 2.0 * x_rho(d.sigma, 3.0)
         assert gate_window(boundary, params, 3.0) == 0.0
 
     def test_linearity_in_margin(self):
         params = LinkParams()
-        d = derive(params, MzConfig())
+        d = derive(params)
         two_x = 2.0 * x_rho(d.sigma, 3.0)
         w1 = gate_window(two_x + 0.1, params, 3.0)
         w2 = gate_window(two_x + 0.2, params, 3.0)
@@ -130,7 +130,7 @@ class TestGateWindow:
 
     def test_at_minimum_phase_sum(self):
         params = LinkParams()
-        d = derive(params, MzConfig())
+        d = derive(params)
         window = gate_window(min_phase_sum(params, 3.0), params, 3.0)
         assert window == pytest.approx(2.0 * x_rho(d.sigma, 3.0) / C0, rel=1e-12)
 
@@ -175,7 +175,7 @@ class TestReportAndSweep:
                                      t_falling=2e-9, safety_factor=1.5)
         assert (report.t_rising, report.t_falling, report.safety_factor) == (1e-9, 2e-9, 1.5)
         assert report.min_phase_sum == min_phase_sum(params, 2.7, 1e-9, 2e-9, 1.5)
-        sigma = derive(params, MzConfig()).sigma
+        sigma = derive(params).sigma
         assert report.gate_window == (2.0 - 2.0 * x_rho(sigma, 2.7)) / C0
         for mode in ("linear", "nonlinear", "general"):
             assert getattr(report, f"max_rate_{mode}") == max_rate(params, 2.7, mode)

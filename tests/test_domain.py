@@ -20,8 +20,9 @@ from mzqkd.compensation import plan
 from mzqkd.core import CONVENTIONS, DOMAIN, LinkParams, MzConfig, PrecompMultiplier, derive
 from mzqkd.design import RATE_MODES, build_design_report, sweep_lengths
 from mzqkd.errors import InfeasibleDesignError, ResolutionError
+from mzqkd.io import curve_arrays
 from mzqkd.spectra import (GridSpec, component_terms, eval_analytic, eval_oracle,
-                           exact_window_masses)
+                           exact_window_masses, max_normalized_deviation)
 
 # the smallest positive float stands for the transmissions' open end at 0
 _SMALLEST = math.ulp(0.0)
@@ -80,9 +81,9 @@ def test_domain_sweep_returns_finite_values_or_a_refusal_that_stays():
             return [(r.mass_o, r.mass_p, r.p_o, r.p_p) for r in t.rows]
 
         calls = {
-            "derive": lambda: derive(params, config, precomp),
+            "derive": lambda: derive(params, precomp=precomp),
             "window masses": lambda: exact_window_masses(
-                component_terms(derive(params, config, precomp), [config, MzConfig()]),
+                component_terms(derive(params, precomp=precomp), [config, MzConfig()]),
                 MIDDLE_WINDOW_RHO),
             "eval_analytic": lambda: eval_analytic(
                 params, config, GridSpec(n_points=64, pad_sigmas=_draw(rng, "pad_sigmas"))),
@@ -126,19 +127,15 @@ def _numbers(result):
         return list(result.values())
     if hasattr(result, "__dataclass_fields__"):
         values = [getattr(result, f) for f in result.__dataclass_fields__]
-        values = [v for v in values if isinstance(v, (float, int, np.ndarray))]
-        if hasattr(result, "mu"):
-            values += list(result.mu.values())
-        return values
+        return [v for v in values if isinstance(v, (float, int, np.ndarray))]
     return [result]
 
 
 @pytest.mark.parametrize("end", ["lo", "hi"])
 def test_domain_ends_derive_finite_records(end):
     params, config, precomp, _, _ = _link(np.random.default_rng(0), 0, end)
-    d = derive(params, config, precomp)
-    assert _finite(d.delta_k, d.k0, d.kappa, d.delta1, d.gamma, d.sigma, d.fwhm,
-                   *d.mu.values())
+    d = derive(params, precomp=precomp)
+    assert _finite(d.delta_k, d.k0, d.kappa, d.delta1, d.gamma, d.sigma, d.fwhm, d.origin)
     assert d.delta_k > 0 and d.sigma > 0 and 2.0 * d.delta_k**2 / d.gamma > 0
 
 
@@ -151,21 +148,29 @@ def test_domain_ends_derive_finite_records(end):
 def test_subnormal_transmissions_scale_the_lossless_link(params):
     # Amplitudes that carried a subnormal t_fiber t_leg^2 would keep a few bits,
     # and terms that cancel would leave negatives beyond the rounding-noise
-    # test; both routes clip the lossless link and scale its intensities once.
+    # test; both routes return the lossless link, which the printed absolute
+    # intensities scale once.  A peak-normalized curve and the routes'
+    # deviation then read the lossless link's values, not its subnormal tails.
     baseline = default_baseline(params)
     config = MzConfig(delta_d=baseline, delta_m=baseline)
     configs = [config, MzConfig(delta_d=baseline, delta_m=baseline + 0.5 * params.lambda0)]
     lossless = replace(params, t_fiber=1.0, t_leg=1.0)
     factor = params.t_fiber * params.t_leg**2
-    grid = GridSpec(n_points=256)
+    grid = GridSpec(n_points=1024)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         curves = eval_analytic(params, config, grid), eval_oracle(params, config, grid)
-        masses = exact_window_masses(component_terms(derive(params, config), configs),
+        masses = exact_window_masses(component_terms(derive(params), configs),
                                      MIDDLE_WINDOW_RHO)
     units = eval_analytic(lossless, config, grid), eval_oracle(lossless, config, grid)
     for curve, unit in zip(curves, units):
-        assert np.array_equal(curve.intensity_o, unit.intensity_o * factor)
-        assert np.array_equal(curve.intensity_p, unit.intensity_p * factor)
-    unit_masses = exact_window_masses(component_terms(derive(lossless, config), configs),
+        assert np.array_equal(curve.intensity_o, unit.intensity_o)
+        assert np.array_equal(curve.intensity_p, unit.intensity_p)
+        _, yo, yp = curve_arrays(curve, "absolute")
+        assert np.array_equal(yo, unit.intensity_o * factor)
+        assert np.array_equal(yp, unit.intensity_p * factor)
+        for got, want in zip(curve_arrays(curve, "peak"), curve_arrays(unit, "peak")):
+            assert np.array_equal(got, want)
+    assert max_normalized_deviation(*curves) == max_normalized_deviation(*units)
+    unit_masses = exact_window_masses(component_terms(derive(lossless), configs),
                                       MIDDLE_WINDOW_RHO)
     assert np.array_equal(masses, unit_masses) and np.all(masses > 0.0)

@@ -13,6 +13,7 @@ from mzqkd.bb84 import MIDDLE_WINDOW_RHO, default_baseline, detection_table
 from mzqkd.core import (LinkParams, MzConfig, PAIRS, PrecompMultiplier, broadening, derive,
                         x_rho)
 from mzqkd.errors import ResolutionError, VerificationError
+from mzqkd.io import curve_arrays
 from mzqkd.spectra import (CROSS_PAIRS, GridSpec, component_terms, eval_analytic, eval_oracle,
                            exact_window_masses, max_normalized_deviation,
                            middle_window_masses)
@@ -105,8 +106,8 @@ def smooth_235(n):
     return n == 1
 
 
-def alias_free_sampling(d, x):
-    """The oracle's (n_k, fold length m) for the derived record d on the offsets x.
+def alias_free_sampling(d, config, x):
+    """The oracle's (n_k, fold length m) for the record d and the shifters config on offsets x.
 
     du = 2 pi / (m h) with m the smallest 2*3*5-smooth length at least n_x
     and P / h.  P is the distance from either grid end to the far edge of the
@@ -114,8 +115,8 @@ def alias_free_sampling(d, x):
     copies of the field, m h apart, miss the grid.  n_k covers +-10 delta_k
     at that step.
     """
-    middle = 0.5 * (pair_sum(d.config, "cm") + pair_sum(d.config, "dc"))
-    means = [pair_sum(d.config, pair) - middle for pair in PAIRS]
+    middle = 0.5 * (pair_sum(config, "cm") + pair_sum(config, "dc"))
+    means = [pair_sum(config, pair) - middle for pair in PAIRS]
     period = max(x[-1] - (min(means) - 10.0 * d.sigma), (max(means) + 10.0 * d.sigma) - x[0])
     h = (x[-1] - x[0]) / (x.size - 1)
     m = next(n for n in itertools.count(max(x.size, math.ceil(period / h))) if smooth_235(n))
@@ -145,9 +146,9 @@ def mirrored(half, n_k):
 def spied_rows(monkeypatch, params, config, grid, kwargs):
     """The arguments and the result of the first ``_transfer_rows`` call of an oracle run.
 
-    The arguments are (d, n_k, du, alpha_half, start): the record, the
-    sample count and step of the axis, the input spectrum on the first
-    ceil(n_k/2) samples and the grid's first offset.
+    The arguments are (d, config, n_k, du, alpha_half, start): the record,
+    the shifters, the sample count and step of the axis, the input spectrum
+    on the first ceil(n_k/2) samples and the grid's first offset.
     """
     built = []
     factored = spectra._transfer_rows
@@ -198,7 +199,7 @@ def compensated(length_m, fraction, **link):
     params = LinkParams(fiber_length=length_m, **link)
     l_cp = fraction * length_m
     multiplier = PrecompMultiplier(a_cp=params.group_index * l_cp,
-                                   b_cp=derive(params, MzConfig()).kappa * l_cp)
+                                   b_cp=derive(params).kappa * l_cp)
     return params, multiplier, replace(params, fiber_length=length_m - l_cp)
 
 
@@ -224,14 +225,14 @@ class TestAnalyticBasics:
 
     def test_three_peak_structure(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
-        d = curve.derived
+        origin = curve.derived.origin
         y = curve.intensity_o
         interior = (y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])
         peaks = np.where(interior & (y[1:-1] > 0.05 * y.max()))[0] + 1
         assert len(peaks) == 3
         step = curve.x[1] - curve.x[0]
-        assert abs(curve.x[peaks[0]] - d.mu["cc"]) < 2 * step
-        assert abs(curve.x[peaks[-1]] - d.mu["dm"]) < 2 * step
+        assert abs(curve.x[peaks[0]] - (origin + pair_sum(MATCHED, "cc"))) < 2 * step
+        assert abs(curve.x[peaks[-1]] - (origin + pair_sum(MATCHED, "dm"))) < 2 * step
         separation = curve.x[peaks[-1]] - curve.x[peaks[0]]
         expected = MATCHED.delta_d + MATCHED.delta_m - 2 * MATCHED.delta_c
         assert separation == pytest.approx(expected, abs=2 * step)
@@ -248,7 +249,7 @@ class TestAnalyticBasics:
     def test_all_peaks_share_fwhm(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
         d = curve.derived
-        [shapes] = component_terms(derive(CAL_50KM, MATCHED), [MATCHED]).shapes(curve.x_relative)
+        [shapes] = component_terms(derive(CAL_50KM), [MATCHED]).shapes(curve.x_relative)
         for term in range(len(PAIRS)):
             width = measured_fwhm(curve.x_relative, shapes[term])
             assert width == pytest.approx(d.fwhm, rel=1e-2)
@@ -261,9 +262,9 @@ class TestAnalyticBasics:
         assert np.all(np.isfinite(curve.intensity_o))
 
     def test_grid_too_narrow_rejected(self):
-        d = derive(CAL_50KM, MATCHED)
-        lo = d.mu["cc"] - 2 * d.sigma
-        hi = d.mu["dm"] + 2 * d.sigma
+        d = derive(CAL_50KM)
+        lo = d.origin + pair_sum(MATCHED, "cc") - 2 * d.sigma
+        hi = d.origin + pair_sum(MATCHED, "dm") + 2 * d.sigma
         with pytest.raises(ValueError):
             eval_analytic(CAL_50KM, MATCHED, GridSpec(x_min=lo, x_max=hi))
 
@@ -292,7 +293,7 @@ def pair_envelopes(params, config, offset):
     1/(32 pi sqrt(2 pi) dk); a lossy link's is that times t_fiber t_leg^2.
     Returns the prefactor and c' keyed by PAIRS.
     """
-    d = derive(params, config)
+    d = derive(params)
     middle = 0.5 * (pair_sum(config, "cm") + pair_sum(config, "dc"))
     c_prime = {pair: 2.0 * d.delta_k * math.sqrt(math.pi) / d.gamma**0.25
                * np.exp(-d.delta_k**2 * (offset - pair_sum(config, pair) + middle) ** 2
@@ -310,7 +311,7 @@ class TestComponentTerms:
 
     def terms_on_grid(self):
         curve = eval_analytic(self.PARAMS, self.CONFIG)
-        terms = component_terms(derive(self.PARAMS, self.CONFIG), [self.CONFIG])
+        terms = component_terms(derive(self.PARAMS), [self.CONFIG])
         values = terms.amp[0, :, :, None] * terms.shapes(curve.x_relative)[0]
         return curve.x_relative, terms, values
 
@@ -336,11 +337,11 @@ class TestComponentTerms:
         # the term list's ~1e6 rad fringe phase rounds to ~1e-10 rad
         offset, _, values = self.terms_on_grid()
         prefactor, c_prime = pair_envelopes(self.PARAMS, self.CONFIG, offset)
-        d = derive(self.PARAMS, self.CONFIG)
+        d = derive(self.PARAMS)
         picked = np.arange(0, offset.size, 16)
         for term, (a, b) in enumerate(CROSS_PAIRS, start=len(PAIRS)):
             bound = 2.0 * prefactor * c_prime[a][picked] * c_prime[b][picked]
-            phase = [float(mp_phase_difference(d, a, b, x)) for x in offset[picked]]
+            phase = [float(mp_phase_difference(d, self.CONFIG, a, b, x)) for x in offset[picked]]
             expected = bound * np.cos(phase)
             for row, exit_signs in enumerate(COMPONENT_SIGNS):
                 sign = exit_signs[a] * exit_signs[b]
@@ -348,17 +349,17 @@ class TestComponentTerms:
                 assert np.all(error <= 1e-9 * bound.max())
 
     def test_sign_swap_exchanges_exits(self):
-        [amp] = component_terms(derive(self.PARAMS, self.CONFIG), [self.CONFIG]).amp
+        [amp] = component_terms(derive(self.PARAMS), [self.CONFIG]).amp
         gauss, cross = slice(0, len(PAIRS)), slice(len(PAIRS), None)
         assert np.array_equal(amp[0, gauss], amp[1, gauss])
         signs_o, signs_p = (np.array(cross_signs(signs)) for signs in COMPONENT_SIGNS)
         assert np.array_equal(amp[0, cross] * signs_p, amp[1, cross] * signs_o)
 
 
-def mp_window_center(derived):
+def mp_window_center(derived, cfg):
     """Window center n_g (L + 2 l_leg) + 2 delta1 k0 + (d_cm + d_dc)/2 at 50 digits."""
     with mpmath.workdps(50):
-        p, cfg = derived.params, derived.config
+        p = derived.params
         mpf = mpmath.mpf
         return mpf(p.group_index) * (mpf(p.fiber_length) + 2 * mpf(p.leg_length)) \
             + 2 * mpf(derived.delta1) * mpf(derived.k0) \
@@ -371,7 +372,7 @@ def mp_pair_sum(config, pair):
     return mpmath.mpf(shifter[pair[0]]) + mpmath.mpf(shifter[pair[1]])
 
 
-def mp_phase_difference(derived, pair_a, pair_b, offset):
+def mp_phase_difference(derived, cfg, pair_a, pair_b, offset):
     """z_a(x) - z_b(x) from the raw per-pair phases at 50 significant digits.
 
     z(x) = atan(4 delta1 dk^2)/2 + (k0^2 delta1 - k0 x' - 4 dk^4 delta1 x'^2)/gamma
@@ -379,11 +380,11 @@ def mp_phase_difference(derived, pair_a, pair_b, offset):
     the float64 inputs are taken as exact.
     """
     with mpmath.workdps(50):
-        d, p, cfg = derived, derived.params, derived.config
+        d, p = derived, derived.params
         dk, k0, d1, g = (mpmath.mpf(v) for v in (d.delta_k, d.k0, d.delta1, d.gamma))
         group_delay = mpmath.mpf(p.group_index) * (
             mpmath.mpf(p.fiber_length) + 2 * mpmath.mpf(p.leg_length))
-        x = mp_window_center(d) + mpmath.mpf(offset)
+        x = mp_window_center(d, cfg) + mpmath.mpf(offset)
 
         def z(pair):
             xp = x - group_delay - mp_pair_sum(cfg, pair)
@@ -396,26 +397,26 @@ def mp_phase_difference(derived, pair_a, pair_b, offset):
 def mp_intensities(curve, offsets):
     """Closed-form intensities of both exits at 50 digits, at center + offset.
 
-    The same closed form as ``eval_analytic``: the lossless link's intensity
-    times t_fiber t_leg^2.  The distance from each component mean is offset +
+    The same closed form as ``eval_analytic``: the lossless link's intensity.
+    The distance from each component mean is offset +
     (d_cm + d_dc)/2 - d_pair, and the phase differences come from the raw
     phases at center + offset.
     """
-    d, p, cfg = curve.derived, curve.derived.params, curve.derived.config
+    d, cfg = curve.derived, curve.config
     with mpmath.workdps(50):
         dk, g = mpmath.mpf(d.delta_k), mpmath.mpf(d.gamma)
         middle = (2 * mpmath.mpf(cfg.delta_c) + mpmath.mpf(cfg.delta_d)
                   + mpmath.mpf(cfg.delta_m)) / 2
         shift = {pair: middle - mp_pair_sum(cfg, pair) for pair in PAIRS}
-        prefactor = (mpmath.mpf(p.t_fiber) * mpmath.mpf(p.t_leg) ** 2
-                     / (32 * mpmath.pi * mpmath.sqrt(2 * mpmath.pi) * dk))
+        prefactor = 1 / (32 * mpmath.pi * mpmath.sqrt(2 * mpmath.pi) * dk)
         out = np.empty((2, len(offsets)))
         for i, offset in enumerate(offsets):
             c_prime = {pair: 2 * dk * mpmath.sqrt(mpmath.pi) / g**0.25
                        * mpmath.exp(-dk**2 * (mpmath.mpf(offset) + shift[pair]) ** 2 / g)
                        for pair in PAIRS}
             total_j = sum(c_prime[pair] ** 2 for pair in PAIRS)
-            cross = [c_prime[a] * c_prime[b] * mpmath.cos(mp_phase_difference(d, a, b, offset))
+            cross = [c_prime[a] * c_prime[b]
+                     * mpmath.cos(mp_phase_difference(d, cfg, a, b, offset))
                      for (a, b) in CROSS_PAIRS]
             for row, exit_signs in enumerate(COMPONENT_SIGNS):
                 out[row, i] = float(prefactor * (total_j + 2 * sum(
@@ -431,12 +432,12 @@ class TestPhaseDifference:
         # the term list's fringe phase dd (k0 + slope (offset - center))
         config = MzConfig(delta_d=0.25 + 0.75 * params.lambda0,
                           delta_m=0.2 + 0.25 * params.lambda0, delta_c=0.01)
-        d = derive(params, config)
+        d = derive(params)
         terms = component_terms(d, [config])
         [dd], [center] = terms.dd, terms.center
         for offset in np.linspace(-5.0, 5.0, 11) * d.sigma:
             for term, (a, b) in enumerate(CROSS_PAIRS, start=len(PAIRS)):
-                reference = mp_phase_difference(d, a, b, offset)
+                reference = mp_phase_difference(d, config, a, b, offset)
                 value = dd[term] * (terms.k0 + terms.slope * (offset - center[term]))
                 assert abs(value - reference) <= 1e-12 * abs(reference)
 
@@ -487,7 +488,7 @@ class TestOracleAgreement:
     ])
     def test_n_k_is_the_aliasing_criterion(self, params, config, grid):
         curve = eval_oracle(params, config, grid)
-        expected = alias_free_sampling(derive(params, config), curve.x_relative)
+        expected = alias_free_sampling(derive(params), config, curve.x_relative)
         assert (curve.checks["n_k"], curve.checks["fold_length"]) == expected
 
     def test_support_is_the_compensated_pulse(self):
@@ -495,9 +496,10 @@ class TestOracleAgreement:
         # 60 % compensated the uncompensated width would ask for a longer fold
         precomp = compensated(500e3, 0.6, convention="calibrated")[1]
         curve = eval_oracle(CAL_500KM, WIDE, GridSpec(n_points=256), precomp=precomp)
-        expected = alias_free_sampling(derive(CAL_500KM, WIDE, precomp), curve.x_relative)
+        expected = alias_free_sampling(derive(CAL_500KM, precomp=precomp), WIDE,
+                                       curve.x_relative)
         assert (curve.checks["n_k"], curve.checks["fold_length"]) == expected
-        assert alias_free_sampling(derive(CAL_500KM, WIDE), curve.x_relative)[1] > expected[1]
+        assert alias_free_sampling(derive(CAL_500KM), WIDE, curve.x_relative)[1] > expected[1]
 
     def test_budget_refuses_before_allocating(self):
         # 10 nm spread at 50 km needs about 3.6e6 samples, 470 MB of working arrays
@@ -640,7 +642,7 @@ class TestFoldedTransform:
                      id="500km-compensated-pre"),
     ])
     def test_factored_rows_match_reference(self, monkeypatch, params, config, grid, kwargs):
-        (d, n_k, du, alpha_half, start), rows = spied_rows(monkeypatch, params, config, grid,
+        (d, _, n_k, du, alpha_half, start), rows = spied_rows(monkeypatch, params, config, grid,
                                                            kwargs)
         u = oracle_axis(n_k, du)
         alpha_in = mirrored(alpha_half, n_k)
@@ -668,7 +670,7 @@ class TestFoldedTransform:
                                                kwargs):
         # The linear phases come from tables on the axis step du; a step
         # recovered as u[1] - u[0] reads 1.6e-6 of the rows at 5000 km.
-        (d, n_k, du, _, start), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
+        (d, _, n_k, du, _, start), rows = spied_rows(monkeypatch, params, config, grid, kwargs)
         u = oracle_axis(n_k, du)
         index = [*range(0, u.size, u.size // 200), u.size - 1]
         reference = np.array([mp_factored_rows(config, d, u[n], start) for n in index]).T
@@ -682,12 +684,13 @@ class TestFoldedTransform:
         assert (n_k % (math.isqrt(n_k - 1) + 1) == 0) == whole_blocks
         params, multiplier, _ = compensated(500e3, 0.3, convention="calibrated")
         config = replace(WIDE, delta_c=0.05)
-        d = derive(params, config, multiplier)
+        d = derive(params, precomp=multiplier)
         # over +-2 delta_k, not the oracle's +-10, so that the input spectrum
         # keeps the end samples, and the last block, above the bound
         du = 4.0 * d.delta_k / (n_k - 1)
         u = oracle_axis(n_k, du)
-        rows = spectra._transfer_rows(d, n_k, du, input_spectrum(d, u[:(n_k + 1) // 2]), -3.1)
+        rows = spectra._transfer_rows(d, config, n_k, du, input_spectrum(d, u[:(n_k + 1) // 2]),
+                                       -3.1)
         reference = np.array([mp_factored_rows(config, d, value, -3.1) for value in u]).T
         assert np.max(np.abs(rows - reference)) <= 1e-10 * np.max(np.abs(rows))
 
@@ -708,14 +711,14 @@ class TestFoldedTransform:
 
     @pytest.mark.parametrize("params, config, grid, kwargs", FOLD_CASES)
     def test_ledger_sums_match_trapezoid(self, monkeypatch, params, config, grid, kwargs):
-        (_, n_k, du, alpha_half, _), rows = spied_rows(monkeypatch, params, config, grid,
+        (_, _, n_k, du, alpha_half, _), rows = spied_rows(monkeypatch, params, config, grid,
                                                        kwargs)
         checks = eval_oracle(params, config, grid, **kwargs).checks
         trapz = getattr(np, "trapezoid", None) or np.trapz
         alpha_in = mirrored(alpha_half, n_k)
         assert abs(checks["norm_in"] - trapz(alpha_in**2, dx=du)) <= 1e-14
         for key, row in zip(("mass_o_kspace", "mass_p_kspace"), rows):
-            mass = 0.0625 * params.t_fiber * params.t_leg**2 * trapz(np.abs(row) ** 2, dx=du)
+            mass = 0.0625 * trapz(np.abs(row) ** 2, dx=du)
             assert abs(checks[key] - mass) <= 1e-14
 
     def test_axis_is_mirror_symmetric(self, monkeypatch):
@@ -723,7 +726,7 @@ class TestFoldedTransform:
         # input spectrum handed on is the first half of the whole axis's
         parities = set()
         for case in PARITY_CASES:
-            (d, n_k, du, alpha_half, _), _ = spied_rows(monkeypatch, *case.values)
+            (d, _, n_k, du, alpha_half, _), _ = spied_rows(monkeypatch, *case.values)
             parities.add(n_k % 2)
             u = oracle_axis(n_k, du)
             assert np.array_equal(u[::-1], -u)
@@ -736,7 +739,7 @@ class TestFoldedTransform:
                                                     kwargs):
         # norm_in comes from the half sum; the trapezoid rule on the whole
         # mirrored spectrum, evaluated directly on the whole axis, agrees
-        (d, n_k, du, alpha_half, _), _ = spied_rows(monkeypatch, params, config, grid, kwargs)
+        (d, _, n_k, du, alpha_half, _), _ = spied_rows(monkeypatch, params, config, grid, kwargs)
         alpha_in = mirrored(alpha_half, n_k)
         assert np.array_equal(alpha_in, input_spectrum(d, oracle_axis(n_k, du)))
         trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -781,7 +784,7 @@ class TestOracleProperty:
         params, multiplier, active = compensated(
             length_km * 1e3, compensated_fraction, convention=convention,
             t_fiber=t_fiber, t_leg=t_leg)
-        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(active, MzConfig()).sigma, 1.0)
+        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(active).sigma, 1.0)
         config = MzConfig(delta_d=split * shifter_sum, delta_m=(1.0 - split) * shifter_sum)
         grid = GridSpec(n_points=512)
         oracle = eval_oracle(params, config, grid, precomp=multiplier)
@@ -790,7 +793,7 @@ class TestOracleProperty:
 
     @pytest.mark.parametrize("params, sum_over_2x1, delta_c, resolves", DOMAIN_CASES)
     def test_named_inputs(self, params, sum_over_2x1, delta_c, resolves):
-        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(params, MzConfig()).sigma, 1.0)
+        shifter_sum = sum_over_2x1 * 2.0 * x_rho(derive(params).sigma, 1.0)
         config = MzConfig(delta_d=0.55 * shifter_sum, delta_m=0.45 * shifter_sum,
                           delta_c=delta_c)
         grid = GridSpec(n_points=1024)
@@ -804,7 +807,7 @@ class TestOracleProperty:
 
 
 class TestTransmissionFactor:
-    """Both routes evaluate the lossless link and scale it once by t_fiber t_leg^2."""
+    """Both routes evaluate the lossless link; printed absolute intensities scale it once."""
 
     T_FIBER, T_LEG = 0.3, 0.7
 
@@ -815,21 +818,19 @@ class TestTransmissionFactor:
         lossy = replace(lossless, t_fiber=self.T_FIBER, t_leg=self.T_LEG)
         factor = self.T_FIBER * self.T_LEG**2
         config = MzConfig(delta_d=0.25, delta_m=0.25 + lossless.lambda0 / 8.0)
-        terms = component_terms(derive(lossy, config), [config])
-        unit_terms = component_terms(derive(lossless, config), [config])
+        terms = component_terms(derive(lossy), [config])
+        unit_terms = component_terms(derive(lossless), [config])
         assert np.array_equal(terms.amp, unit_terms.amp)
 
-        analytic, unit = eval_analytic(lossy, config), eval_analytic(lossless, config)
-        assert np.array_equal(analytic.intensity_o, unit.intensity_o * factor)
-        assert np.array_equal(analytic.intensity_p, unit.intensity_p * factor)
-
-        grid = GridSpec(n_points=1024)
-        oracle, unit = eval_oracle(lossy, config, grid), eval_oracle(lossless, config, grid)
-        assert np.array_equal(oracle.intensity_o, unit.intensity_o * factor)
-        assert np.array_equal(oracle.intensity_p, unit.intensity_p * factor)
-        for key in ("mass_o_kspace", "mass_p_kspace", "unused_exit_remainder"):
-            expected = unit.checks[key] * factor
-            assert abs(oracle.checks[key] - expected) <= 1e-15 * abs(expected)
+        for route, grid in ((eval_analytic, None), (eval_oracle, GridSpec(n_points=1024))):
+            curve, unit = route(lossy, config, grid), route(lossless, config, grid)
+            assert np.array_equal(curve.intensity_o, unit.intensity_o)
+            assert np.array_equal(curve.intensity_p, unit.intensity_p)
+            _, yo, yp = curve_arrays(curve, "absolute")
+            assert np.array_equal(yo, unit.intensity_o * factor)
+            assert np.array_equal(yp, unit.intensity_p * factor)
+        # the oracle's ledger is the lossless link's
+        assert curve.checks == unit.checks
 
 
 class TestMasses:
@@ -863,7 +864,10 @@ class TestMasses:
     def test_total_mass_scales_with_transmissions(self):
         params = replace(CAL_50KM, t_fiber=0.8, t_leg=0.9)
         curve = eval_analytic(params, MATCHED, GridSpec(n_points=2048, pad_sigmas=8.0))
-        assert sum(total_mass(curve)) == pytest.approx(0.8 * 0.81 * 0.5, rel=1e-6)
+        assert sum(total_mass(curve)) == pytest.approx(0.5, rel=1e-6)
+        x, yo, yp = curve_arrays(curve, "absolute", relative_axis=True)
+        trapz = getattr(np, "trapezoid", None) or np.trapz
+        assert float(trapz(yo, x) + trapz(yp, x)) == pytest.approx(0.8 * 0.81 * 0.5, rel=1e-6)
 
     def test_window_outside_grid_rejected(self):
         curve = eval_analytic(CAL_50KM, MATCHED)
@@ -931,7 +935,7 @@ class TestExactWindowMasses:
         configs = [MzConfig(delta_d=baseline + pd, delta_m=baseline + pm)
                    for pd in (0.0, 0.25 * CAL_500KM.lambda0, 0.5 * CAL_500KM.lambda0)
                    for pm in (0.0, 0.25 * CAL_500KM.lambda0)]
-        exact = exact_window_masses(component_terms(derive(CAL_500KM, configs[0]), configs),
+        exact = exact_window_masses(component_terms(derive(CAL_500KM), configs),
                                     MIDDLE_WINDOW_RHO)
         disagreement = []
         for n_points in (4096, 16384, 65536):
@@ -946,11 +950,11 @@ class TestExactWindowMasses:
 
     def test_rejects_non_positive_window(self):
         with pytest.raises(ValueError):
-            exact_window_masses(component_terms(derive(CAL_50KM, MATCHED), [MATCHED]), 0.0)
+            exact_window_masses(component_terms(derive(CAL_50KM), [MATCHED]), 0.0)
 
     def test_needs_a_setting(self):
         with pytest.raises(ValueError, match="needs at least one shifter setting"):
-            component_terms(derive(CAL_50KM, MATCHED), [])
+            component_terms(derive(CAL_50KM), [])
 
 
 def random_settings(rng, n):
@@ -973,10 +977,10 @@ class TestTermBatch:
                                 t_leg=float(rng.uniform(0.5, 1.0)))
             configs = random_settings(rng, int(rng.integers(1, 10)))
             configs += configs[:2]  # repeated settings
-            batch = component_terms(derive(params, configs[0]), configs)
+            batch = component_terms(derive(params), configs)
             masses = exact_window_masses(batch, MIDDLE_WINDOW_RHO)
             for i, config in enumerate(configs):
-                one = component_terms(derive(params, config), [config])
+                one = component_terms(derive(params), [config])
                 assert np.array_equal(batch.amp[i], one.amp[0])
                 assert np.array_equal(batch.center[i], one.center[0])
                 assert np.array_equal(batch.dd[i], one.dd[0])
@@ -1079,24 +1083,24 @@ class TestBroadeningSymmetry:
     def test_gamma_even_in_accumulated_dispersion(self):
         # overcompensation flips the sign of the accumulated dispersion;
         # the broadening factor and width must not change
-        d = derive(CAL_50KM, MATCHED)
-        flipped = derive(CAL_50KM, MATCHED, PrecompMultiplier(b_cp=-2.0 * d.delta1))
+        d = derive(CAL_50KM)
+        flipped = derive(CAL_50KM, precomp=PrecompMultiplier(b_cp=-2.0 * d.delta1))
         assert flipped.delta1 == pytest.approx(-d.delta1, rel=1e-12)
         assert flipped.gamma == pytest.approx(d.gamma, rel=1e-12)
         assert flipped.sigma == pytest.approx(d.sigma, rel=1e-12)
 
     def test_sigma_strictly_increasing_in_magnitude(self):
-        d = derive(CAL_50KM, MATCHED)
-        partial = derive(CAL_50KM, MATCHED, PrecompMultiplier(b_cp=-0.5 * d.delta1))
+        d = derive(CAL_50KM)
+        partial = derive(CAL_50KM, precomp=PrecompMultiplier(b_cp=-0.5 * d.delta1))
         assert partial.sigma < d.sigma
 
 
 class TestPrecompensation:
     def test_full_cancellation_restores_input_width(self):
-        d = derive(CAL_50KM, MATCHED)
+        d = derive(CAL_50KM)
         full = PrecompMultiplier(b_cp=d.kappa * (CAL_50KM.fiber_length
                                                  + 2 * CAL_50KM.leg_length))
-        moments = derive(CAL_50KM, MATCHED, full)
+        moments = derive(CAL_50KM, precomp=full)
         assert moments.delta1 == pytest.approx(0.0, abs=1e-20)
         assert moments.sigma == pytest.approx(1.0 / (2.0 * d.delta_k), rel=1e-12)
 
@@ -1105,17 +1109,19 @@ class TestPrecompensation:
         # broadening formula and the window center moves by a_cp + 2 b_cp k0;
         # the oracle curve reads its width and center from that record alone
         params, multiplier, _ = compensated(500e3, 0.9, convention="calibrated")
-        plain = derive(params, WIDE)
-        d = derive(params, WIDE, multiplier)
+        plain = derive(params)
+        d = derive(params, precomp=multiplier)
         delta1 = plain.delta1 + multiplier.b_cp
         gamma, sigma = broadening(plain.delta_k, delta1)
         assert d.delta1 == pytest.approx(delta1, rel=1e-12)
         assert d.gamma == pytest.approx(gamma, rel=1e-12)
         assert d.sigma == pytest.approx(sigma, rel=1e-12)
-        assert d.window_center == pytest.approx(
-            plain.window_center + multiplier.a_cp + 2.0 * multiplier.b_cp * plain.k0,
+        grid = GridSpec(n_points=256)
+        curve = eval_oracle(params, WIDE, grid, precomp=multiplier)
+        plain_curve = eval_oracle(params, WIDE, grid)
+        assert curve.window_center == pytest.approx(
+            plain_curve.window_center + multiplier.a_cp + 2.0 * multiplier.b_cp * plain.k0,
             rel=1e-12)
-        curve = eval_oracle(params, WIDE, GridSpec(n_points=256), precomp=multiplier)
         assert curve.derived == d
 
     def test_identity_multiplier_is_noop(self):
