@@ -253,18 +253,31 @@ def detection_table_csv(table: DetectionTable) -> str:
 
 
 def detection_table_json(table: DetectionTable, params: LinkParams) -> str:
+    """The table as ``to_json`` writes it, through json's C encoder.
+
+    ``indent=2`` takes the pure-Python encoder; the separators below carry
+    the indentation instead, as in ``json_array``.  The rows are flat
+    records, so the one break between two of them, "},\n" and the record
+    indent, occurs in no string the encoder writes.
+    """
     payload = {
         "baseline_m": table.baseline,
         "link_length_m": table.link_length,
         "warning": table.warning,
         "convention": params.convention,
-        "rows": [{
+        "rows": "rows",
+    }
+    rows = "[]"
+    if table.rows:
+        text = json.dumps([{
             "alice_basis": r.alice_basis, "bit": r.bit, "bob_basis": r.bob_basis,
             "phi_d_m": r.phi_d, "phi_m_m": r.phi_m,
             "p_o": r.p_o, "p_p": r.p_p,
-        } for r in table.rows],
-    }
-    return to_json(payload)
+        } for r in table.rows], sort_keys=True, separators=(",\n      ", ": "))
+        rows = ("[\n    {\n      " + text[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+                + "\n    }\n  ]")
+    body = json.dumps(payload, sort_keys=True, separators=(",\n  ", ": "))[1:-1]
+    return "{\n  " + body.replace('"rows": "rows"', '"rows": ' + rows, 1) + "\n}\n"
 
 
 def gterm_csv(analysis: GTermAnalysis) -> str:

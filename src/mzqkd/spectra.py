@@ -8,7 +8,8 @@ the term's center.  The one builder makes the lists of any number of
 settings on one derived link in one array pass; p, k0 and the slope belong to
 the link, the amplitudes, centers and dd to the settings.  The list is read
 two ways: pointwise on a grid (``eval_analytic``, one setting, without the
-cross terms whose amplitude underflowed to 0, which would add only +-0) and
+cross terms whose amplitude underflowed to 0, which would add only +-0, and
+with each term evaluated only where its envelope has not underflowed) and
 exactly on the middle-pulse window (``exact_window_masses``, every setting in
 the list at once), where each cross term integrates to a difference of
 complex error functions, evaluated through the Faddeeva function w(z)
@@ -65,8 +66,6 @@ CROSS_PAIRS = (("dm", "cm"), ("dm", "dc"), ("cm", "dc"),
 # The component signs in PAIRS order (cc, cm, dc, dm), exit o then exit p:
 # the terms of (E_d - E_c)(E_m -+ E_c) in the oracle's transfer function.
 _PAIR_SIGNS = np.array([(+1.0, -1.0, -1.0, +1.0), (-1.0, -1.0, +1.0, +1.0)])
-# The legs of each pair in PAIRS order, as indices into the shifters (c, d, m).
-_PAIR_LEGS = np.array([["cdm".index(leg) for leg in pair] for pair in PAIRS])
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -124,6 +123,14 @@ class SpectrumCurve:
         return self.window_center + self.x_relative
 
 
+# The analytic terms take no exp or cosine where their exponent -p y^2 is
+# below this.  float64's exp rounds to +0 below -1075 ln 2 = -745.133, where
+# the exact value is under half the smallest subnormal; -746 lies 0.87 beyond
+# that, far more than the rounding of -p y^2 (about 1e-13 there), so every
+# value left out is one exp gives as +0, and every nonzero one is evaluated.
+_EXP_CUT = -746.0
+
+
 @dataclass(frozen=True)
 class ComponentTerms:
     """The analytic intensity of both exits as ten Gaussian-cosine terms.
@@ -148,20 +155,55 @@ class ComponentTerms:
     slope: float         # 8 dk^4 delta1 / gamma, 1/m^2
 
     def shapes(self, offset: np.ndarray) -> np.ndarray:
-        """exp(-p y^2) cos(phase) of every term at the offsets, shape (n, 10, len(offset)).
+        """exp(-p y^2) cos(phase) of every term at sorted offsets, shape (n, 10, len(offset)).
 
-        The Gaussian terms' phase is zero, so only the cross terms take a cosine.
+        The Gaussian terms' phase is zero, so only the cross terms take a
+        cosine.  A term is evaluated only where its exponent -p y^2 is at least
+        ``_EXP_CUT``; elsewhere its envelope underflows, float64's exp is +0,
+        and the shape is left +0 with no exp or cosine taken.  The exponent is
+        smallest at a grid end, so the ends decide whether any term is cut;
+        when none is, every term is evaluated on the whole grid.
         """
         y = offset - self.center[..., None]
-        shape = np.exp(-self.p * y * y)
+        exponent = -self.p * y * y
         cross = slice(len(PAIRS), None)
-        shape[:, cross] *= np.cos(self.dd[:, cross, None] * (self.k0 + self.slope * y[:, cross]))
+        if min(exponent[..., 0].min(), exponent[..., -1].min()) >= _EXP_CUT:
+            shape = np.exp(exponent)
+            shape[:, cross] *= np.cos(self.dd[:, cross, None]
+                                      * (self.k0 + self.slope * y[:, cross]))
+            return shape
+        kept = exponent >= _EXP_CUT
+        shape = np.zeros_like(exponent)
+        np.exp(exponent, out=shape, where=kept)
+        phase = self.dd[:, cross, None] * (self.k0 + self.slope * y[:, cross])
+        np.cos(phase, out=phase, where=kept[:, cross])
+        np.multiply(shape[:, cross], phase, out=shape[:, cross], where=kept[:, cross])
         return shape
 
 
 def _middle_sum(sums: tuple[float, ...]) -> float:
     """Mean shifter sum of the two middle pairs, (d_cm + d_dc)/2, of ``pair_sums``, m."""
     return 0.5 * (sums[1] + sums[2])
+
+
+def _offsets(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n) for n >= 2, bit for bit, by its operations without its wrapper.
+
+    A step that underflows to 0 takes numpy's branch for it: the ramp is
+    divided by n - 1 before it is scaled by the span.
+    """
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    step = delta / (n - 1)
+    offset = np.arange(n, dtype=float)
+    if step == 0:
+        offset /= n - 1
+        offset *= delta
+    else:
+        offset *= step
+    offset += lo
+    offset[-1] = hi
+    return offset
 
 
 def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
@@ -191,7 +233,7 @@ def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
             raise ValueError(
                 "grid too narrow: must cover +-5 sigma around the outer component means")
     try:
-        offset = np.linspace(lo, hi, grid.n_points)
+        offset = _offsets(lo, hi, grid.n_points)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
         raise ValueError(f"n_points {grid.n_points} asks for {8 * grid.n_points} bytes "
                          "of grid offsets, more than can be allocated") from exc
@@ -275,9 +317,14 @@ def eval_analytic(params: LinkParams, config: MzConfig,
 
     A cross term whose means are some 77 sigma apart (a link of a few km with
     shifters of tenths of a meter) has amplitude 2 peak exp(-p dd^2 / 4) = 0
-    and adds +-0 at every point; it is left out.  No bit changes: einsum adds
-    the terms in order from a Gaussian one, >= +0, and x + (+-0) is x for
-    every x but -0, which no partial sum is.
+    and adds +-0 at every point; it is left out.  Each kept term is evaluated
+    only where its exponent -p y^2 is at least ``_EXP_CUT`` = -746
+    (``ComponentTerms.shapes``): below -745.13 float64's exp is already +0,
+    so the term adds +-0 there too.  On a link of 0-1 km most of a term's
+    points lie beyond that cut, where numpy's exp takes a slow path for
+    results that underflow.  No bit changes: einsum adds the terms in order
+    from a Gaussian one, >= +0, and x + (+-0) is x for every x but -0, which
+    no partial sum is.  A grid of at most ``_BLOCK`` points is one block.
     """
     d, center, offset, _, _ = _position_grid(params, config, grid)
     terms = component_terms(d, (config,))
@@ -286,9 +333,12 @@ def eval_analytic(params: LinkParams, config: MzConfig,
         kept = np.flatnonzero(terms.amp[0, 0])
         terms = replace(terms, amp=terms.amp[..., kept], center=terms.center[:, kept],
                         dd=terms.dd[:, kept])
-    blocks = np.array_split(offset, -(-offset.size // _BLOCK))
-    both = np.concatenate([np.einsum("et,tn->en", terms.amp[0], terms.shapes(block)[0])
-                           for block in blocks], axis=1)
+    sections = -(-offset.size // _BLOCK)
+    if sections == 1:
+        both = np.einsum("et,tn->en", terms.amp[0], terms.shapes(offset)[0])
+    else:
+        both = np.concatenate([np.einsum("et,tn->en", terms.amp[0], terms.shapes(block)[0])
+                               for block in np.array_split(offset, sections)], axis=1)
     both = _clip_rounding_noise(both, "intensity", _gauss_peak(d))
     return SpectrumCurve(x_relative=offset, intensity_o=both[0], intensity_p=both[1], derived=d,
                          config=config, window_center=center)
@@ -489,6 +539,11 @@ def _block_starts(du: float, n_k: int) -> np.ndarray:
     return (np.arange(0, n_k, _block_width(n_k)) - 0.5 * (n_k - 1)) * du
 
 
+# Rows of w = ceil(sqrt(n_k)) angles per _unit_phasor call in _chirp_half: no
+# table of cosines and sines exceeds 4 w entries.
+_PHASOR_ROWS = 4
+
+
 def _chirp_half(curv: float, du: float, n_k: int) -> np.ndarray:
     """exp(i curv u_n^2) on the first ceil(n_k/2) samples of the oracle's axis.
 
@@ -498,18 +553,27 @@ def _chirp_half(curv: float, du: float, n_k: int) -> np.ndarray:
     rows are filled by doubling: rows s..2s-1 are rows 0..s-1 times the
     multiplier for s, which is evaluated directly for s = 1, 2, 4, ... rather
     than squared from the last one, so rounding does not compound.  That is
-    about sqrt(n_k) log2(n_k) cosines and sines in tables of at most w.
+    about sqrt(n_k) log2(n_k) cosines and sines, block 0's row and the
+    multipliers taken ``_PHASOR_ROWS`` rows per call, in tables of at most
+    4 w entries.  Every entry is evaluated: the chirp has unit modulus, and
+    nothing here underflows.
     """
     width = _block_width(n_k)
     size = (n_k + 1) // 2
     starts = _block_starts(du, n_k)[:-(-size // width)]
     t = np.arange(width) * du
+    # block 0's phase, then the multipliers' for s = 1, 2, 4, ... below the block count
+    theta = np.empty((1 + (starts.size - 1).bit_length(), width))
+    theta[0] = curv * t * (2.0 * starts[0] + t)
+    np.multiply.outer([2.0 * curv * (1 << i) * width * du for i in range(len(theta) - 1)], t,
+                      out=theta[1:])
+    phasors = np.concatenate([_unit_phasor(theta[first:first + _PHASOR_ROWS])
+                              for first in range(0, len(theta), _PHASOR_ROWS)])
     table = np.empty((starts.size, width), dtype=complex)
-    table[0] = _unit_phasor(curv * t * (2.0 * starts[0] + t))
+    table[0] = phasors[0]
     filled = 1
-    while filled < starts.size:
+    for step in phasors[1:]:
         grow = min(filled, starts.size - filled)
-        step = _unit_phasor((2.0 * curv * filled * width * du) * t)
         np.multiply(table[:grow], step, out=table[filled:filled + grow])
         filled += grow
     table *= _unit_phasor(curv * starts * starts)[:, None]
@@ -557,12 +621,14 @@ def _transfer_rows(d: DerivedQuantities, config: MzConfig, n_k: int, du: float,
     width = _block_width(n_k)
     sums = config.pair_sums
     slope = (_middle_sum(sums) + start) - np.array(sums)
-    blocks = _unit_phasor(np.outer(_block_starts(du, n_k), slope))
-    # e_a e_b from the constant phasors exp(-i k0 delta_x), one per shifter
-    legs = np.array([config.delta_c, config.delta_d, config.delta_m])
-    blocks *= np.exp(-1j * d.k0 * legs)[_PAIR_LEGS].prod(axis=1)
+    # e_a e_b from the constant phasors exp(-i k0 delta_x), one Python complex
+    # per shifter, times each exit's signs
+    angles = (-d.k0 * config.delta_c, -d.k0 * config.delta_d, -d.k0 * config.delta_m)
+    leg = {name: complex(math.cos(angle), math.sin(angle)) for name, angle in zip("cdm", angles)}
+    factors = [[sign * leg[a] * leg[b] for sign, (a, b) in zip(signs, PAIRS)]
+               for signs in _PAIR_SIGNS.tolist()]
+    signed = _unit_phasor(np.outer(_block_starts(du, n_k), slope)) * np.array(factors)[:, None]
     within = _unit_phasor(np.outer(slope, np.arange(width) * du))
-    signed = blocks * _PAIR_SIGNS[:, None, :]
     table = np.empty((2, signed.shape[1], width), dtype=complex)
     per_call = max(1, _GEMM_SAMPLES // width)
     for first in range(0, signed.shape[1], per_call):
@@ -635,14 +701,16 @@ def eval_oracle(params: LinkParams, config: MzConfig,
     # dot product of over 10 000 values over its threads (``_GEMM_SAMPLES``);
     # not einsum, whose running sums lose 4e-14 of the mass at 350 000 samples;
     # not both rows' squares at once, a temporary that faulted in fresh pages.
-    ends = np.square(np.abs(rows[:, [0, -1]])).sum(axis=1)
-    sums = np.array([np.square(row.view(np.float64)).sum() for row in rows]) - 0.5 * ends
-    mass_o, mass_p = (0.0625 * (du * sums)).tolist()
+    masses = []
+    for row in rows:
+        first, last = float(abs(row[0])), float(abs(row[-1]))
+        total = float(np.square(row.view(np.float64)).sum())
+        masses.append(float(0.0625 * (du * (total - 0.5 * (first * first + last * last)))))
+    mass_o, mass_p = masses
 
     # trapezoid end weights; the constant weight and the transform's normalization
     # give the lossless intensity
-    rows[:, 0] *= 0.5
-    rows[:, -1] *= 0.5
+    rows[:, ::n_k - 1] *= 0.5
     weight = 0.25 * du / math.sqrt(2.0 * math.pi)
     intensity = _folded_intensity(rows, offset.size, m) * weight**2
 

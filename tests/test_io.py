@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzqkd import io as io_mod
-from mzqkd.bb84 import detection_table, g_term_analysis
+from mzqkd.bb84 import default_baseline, detection_table, g_term_analysis
 from mzqkd.cli import main
 from mzqkd.compensation import plan
 from mzqkd.config import RunConfig
@@ -252,6 +252,12 @@ def cli_stdout(*argv):
 PINNED = {
     ("spectra", "--n-points", "4096", "--format", "csv"):
         "e81e2b279e0c230792f1ce4519e212914b2e6f4f9e41b738e5424ed6966d8995",
+    # the analytic terms cut where their envelopes underflow, over 4 blocks
+    # of the grid and in one
+    ("spectra", "--length-km", "0", "--format", "csv"):
+        "50934d7788632d732ea1643cf67a52c1b46d07ece610ff4c93d8615a72017e10",
+    ("spectra", "--length-km", "1", "--n-points", "1024", "--format", "csv"):
+        "7b900db01287113bfd605137055bb98c3c6073dd858e85c34c1e6a3638f7b7db",
     ("spectra", "--n-points", "4096", "--format", "svg-plot"):
         "1430d000ca514eecfe9fee279478e85257fa0a142534d2b9829e55d65a2e2201",
     ("spectra", "--n-points", "4096", "--format", "svg-plot", "--normalize", "peak",
@@ -369,6 +375,28 @@ def test_detection_table_csv_has_eight_rows():
     assert lines[0].startswith("alice_basis,bit,bob_basis")
     payload = json.loads(io_mod.detection_table_json(table, CAL))
     assert len(payload["rows"]) == 8
+
+
+@pytest.mark.parametrize("length_km", [0.0, 50.0, 500.0])
+@pytest.mark.parametrize("convention", ["first_principles", "calibrated"])
+@pytest.mark.parametrize("baseline_share", [1.0, 0.7], ids=["default", "warned"])
+def test_detection_table_json_is_to_json(length_km, convention, baseline_share):
+    params = LinkParams(fiber_length=length_km * 1e3, convention=convention)
+    table = detection_table(params, baseline_share * default_baseline(params))
+    # 0.7 of the default baseline fails the rho=3 bound on the longer links only
+    assert (table.warning is not None) == (baseline_share < 1.0 and length_km > 0.0)
+    payload = {
+        "baseline_m": table.baseline,
+        "link_length_m": table.link_length,
+        "warning": table.warning,
+        "convention": params.convention,
+        "rows": [{"alice_basis": r.alice_basis, "bit": r.bit, "bob_basis": r.bob_basis,
+                  "phi_d_m": r.phi_d, "phi_m_m": r.phi_m, "p_o": r.p_o, "p_p": r.p_p}
+                 for r in table.rows],
+    }
+    assert io_mod.detection_table_json(table, params) == io_mod.to_json(payload)
+    empty = dataclasses.replace(table, rows=())
+    assert io_mod.detection_table_json(empty, params) == io_mod.to_json({**payload, "rows": []})
 
 
 def test_gterm_csv_carries_summary():

@@ -539,6 +539,8 @@ class TestOracleAgreement:
         total = checks["mass_o_kspace"] + checks["mass_p_kspace"]
         assert total == pytest.approx(0.5, abs=1e-6)
         assert checks["unused_exit_remainder"] == pytest.approx(0.5, abs=1e-6)
+        # plain Python numbers, as a trace or a JSON writer reads them
+        assert {type(value) for value in checks.values()} == {float, int}
 
 
 CAL_500KM = LinkParams(fiber_length=500e3, convention="calibrated")
@@ -1033,6 +1035,93 @@ class TestCurveStructure:
         mid = curve.x_relative[np.argmax(curve.intensity_o
                                          * (np.abs(curve.x_relative) < 0.1))]
         assert abs(mid) < 5 * (curve.x[1] - curve.x[0])
+
+
+def whole_grid_shapes(terms, offset):
+    """Every term's exp(-p y^2) cos(phase) with each exp and cosine taken on the whole grid."""
+    y = offset - terms.center[..., None]
+    shape = np.exp(-terms.p * y * y)
+    cross = slice(len(PAIRS), None)
+    shape[:, cross] *= np.cos(terms.dd[:, cross, None] * (terms.k0 + terms.slope * y[:, cross]))
+    return shape
+
+
+# Links for the support cut: short links whose terms underflow over most of
+# the grid, longer ones, and compensated links' analytic curves (the active
+# length on the +-2 m relative grid of a compensated oracle check).
+SUPPORT_CASES = [
+    pytest.param(LinkParams(fiber_length=length, convention=convention), MATCHED, None,
+                 id=f"{length / 1e3:g}km-{convention}")
+    for length in (0.0, 1e3, 50e3, 500e3) for convention in ("first_principles", "calibrated")
+] + [
+    pytest.param(_calibrated(length), MzConfig(delta_d=0.7, delta_m=0.65), (-2.0, 2.0),
+                 id=f"compensated-{length / 1e3:g}km-relative")
+    for length in (25e3, 92e3, 250e3)
+]
+
+
+class TestSupportCut:
+    """Terms are evaluated only where their envelope has not underflowed; no bit moves."""
+
+    @pytest.mark.parametrize("params, config, bounds", SUPPORT_CASES)
+    @pytest.mark.parametrize("n_points", [1024, 4096])
+    def test_matches_whole_grid_evaluation(self, monkeypatch, params, config, bounds, n_points):
+        grid = (GridSpec(n_points=n_points) if bounds is None else
+                GridSpec(n_points=n_points, x_min=bounds[0], x_max=bounds[1], relative=True))
+        summed = []
+        clip = spectra._clip_rounding_noise
+
+        def spy(values, what, floor):
+            summed.append(values.copy())
+            return clip(values, what, floor)
+
+        monkeypatch.setattr(spectra, "_clip_rounding_noise", spy)
+        curve = eval_analytic(params, config, grid)
+        terms = component_terms(curve.derived, [config])
+        blocks = np.array_split(curve.x_relative, -(-n_points // spectra._BLOCK))
+        whole = np.concatenate([np.einsum("et,tn->en", terms.amp[0],
+                                          whole_grid_shapes(terms, block)[0])
+                                for block in blocks], axis=1)
+        assert summed[0].tobytes() == whole.tobytes()
+        assert np.stack((curve.intensity_o, curve.intensity_p)).tobytes() == \
+            np.maximum(whole, 0.0).tobytes()
+        # pulses of millimeters (0-1 km) or centimeters on +-2 m (25 and 92 km)
+        # take the cut; wider ones keep every term on the whole grid
+        y = curve.x_relative[[0, -1]] - terms.center[0, :, None]
+        cut = float((-terms.p * y * y).min()) < spectra._EXP_CUT
+        assert cut == (params.fiber_length <= (100e3 if bounds else 1e3))
+
+    def test_cut_leaves_zeros_where_exp_underflows(self):
+        # every value dropped by the cut is one float64's exp rounds to +0
+        assert np.exp(spectra._EXP_CUT) == 0.0
+        assert np.exp(np.nextafter(spectra._EXP_CUT, 0.0)) == 0.0
+        assert np.exp(-1075.0 * math.log(2.0) + 0.01) > 0.0
+        curve = eval_analytic(LinkParams(fiber_length=0.0), MATCHED, GridSpec(n_points=1024))
+        terms = component_terms(curve.derived, [MATCHED])
+        shapes = terms.shapes(curve.x_relative)
+        y = curve.x_relative - terms.center[..., None]
+        below = -terms.p * y * y < spectra._EXP_CUT
+        assert below.any() and not below.all()
+        assert np.all(shapes[below] == 0.0) and not np.signbit(shapes[below]).any()
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (-3.7, 2.1, 2), (-3.7, 2.1, 3), (-0.731, 0.694, 1024), (-12.5, 1234.5, 4097),
+        (1e-3, 1e-3 + 1e-12, 1024),
+        # a span whose step underflows to 0: numpy's branch for it
+        (0.0, 5e-324, 3), (-5e-324, 1e-323, 4097),
+    ])
+    def test_offsets_are_linspace(self, lo, hi, n):
+        offsets = spectra._offsets(lo, hi, n)
+        assert offsets.tobytes() == np.linspace(lo, hi, n).tobytes()
+        assert ((hi - lo) / (n - 1) == 0.0) == (hi - lo < 1e-300)
+
+    @pytest.mark.parametrize("params, config, bounds", SUPPORT_CASES[:4] + SUPPORT_CASES[-1:])
+    @pytest.mark.parametrize("n_points", [2, 3, 1024, 4097])
+    def test_position_grid_is_linspace(self, params, config, bounds, n_points):
+        grid = (GridSpec(n_points=n_points) if bounds is None else
+                GridSpec(n_points=n_points, x_min=bounds[0], x_max=bounds[1], relative=True))
+        offsets = spectra._position_grid(params, config, grid)[2]
+        assert offsets.tobytes() == np.linspace(offsets[0], offsets[-1], n_points).tobytes()
 
 
 class TestVerificationGuards:
