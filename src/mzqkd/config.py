@@ -136,9 +136,15 @@ _DOMAIN_FIELDS = {section: [(f.name, *f.metadata["domain"]) for f in fields(RunC
 
 
 def load_config_file(path: str) -> RunConfig:
-    """Parse one INI file into a RunConfig, rejecting unknown keys and values."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Parse one UTF-8 INI file, values taken literally, into a RunConfig.
+
+    A file that does not parse, and unknown keys and values, raise ConfigError.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     schema: dict[str, dict] = {}

@@ -80,14 +80,6 @@ def check_domain(row: str, value, name: str | None = None, to_si=None) -> None:
                      f"got {value!r}")
 
 
-# The rows that the validators' accept paths compare with, as module constants.
-_LAMBDA0_LO, _LAMBDA0_HI = DOMAIN["lambda0"]
-_DELTA_LAMBDA_LO, _DELTA_LAMBDA_HI = DOMAIN["delta_lambda"]
-_DISPERSION_LO, _DISPERSION_HI = DOMAIN["dispersion"]
-_GROUP_INDEX_LO, _GROUP_INDEX_HI = DOMAIN["group_index"]
-_FIBER_LENGTH_HI = DOMAIN["fiber_length"][1]
-_LEG_LENGTH_HI = DOMAIN["leg_length"][1]
-_SHIFTER_HI = DOMAIN["shifter"][1]
 _LINK_ROWS = ("lambda0", "delta_lambda", "dispersion", "group_index", "fiber_length",
               "leg_length", "t_fiber", "t_leg")
 
@@ -121,22 +113,6 @@ class LinkParams:
     convention: str = "first_principles"
 
     def __post_init__(self) -> None:
-        # one chained comparison passes every record in the domain (NaN fails
-        # each comparison); the per-field checks below name the first fault
-        try:
-            if (_LAMBDA0_LO <= self.lambda0 <= _LAMBDA0_HI
-                    and _DELTA_LAMBDA_LO <= self.delta_lambda <= _DELTA_LAMBDA_HI
-                    and self.delta_lambda / self.lambda0 < 1e-2
-                    and (_DISPERSION_LO <= self.dispersion <= _DISPERSION_HI
-                         or self.dispersion == 0.0)
-                    and _GROUP_INDEX_LO <= self.group_index <= _GROUP_INDEX_HI
-                    and 0.0 <= self.fiber_length <= _FIBER_LENGTH_HI
-                    and 0.0 <= self.leg_length <= _LEG_LENGTH_HI
-                    and 0.0 < self.t_fiber <= 1.0 and 0.0 < self.t_leg <= 1.0
-                    and self.convention in CONVENTIONS):
-                return
-        except TypeError:  # not a number: the checks below raise their own TypeError
-            pass
         for row in _LINK_ROWS:
             check_domain(row, getattr(self, row))
         if not self.delta_lambda / self.lambda0 < 1e-2:
@@ -165,12 +141,6 @@ class MzConfig:
     delta_c: float = 0.0
 
     def __post_init__(self) -> None:
-        try:
-            if (0.0 <= self.delta_d <= _SHIFTER_HI and 0.0 <= self.delta_m <= _SHIFTER_HI
-                    and 0.0 <= self.delta_c <= _SHIFTER_HI):
-                return
-        except TypeError:  # not a number: the checks below raise their own TypeError
-            pass
         for name in ("delta_d", "delta_m", "delta_c"):
             check_domain("shifter", getattr(self, name), name)
 

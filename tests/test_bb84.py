@@ -352,3 +352,63 @@ class TestDetectionTable:
 
     def test_window_rho_is_three_sigma(self):
         assert MIDDLE_WINDOW_RHO * math.sqrt(2.0) == pytest.approx(3.0, rel=1e-15)
+
+
+# ------------------------------------------ the Alice-Bob arm mismatch
+
+MISMATCHES = (9.3e-6, 1e-4, 3e-4, 1e-3)  # m, before rounding to whole lambda0
+
+
+def worst_wrong_shares(params):
+    """The worst matched-basis wrong-exit share at each of MISMATCHES, and the rounded mismatches.
+
+    Each link sits at its ``default_baseline``.  The mismatch, rounded to whole
+    lambda0 so that phase tracking removes k0 times it, is added to Alice's
+    delta_d on the four matched-basis rows of the truth table.  A row's wrong
+    exit is the one that the same row without mismatch lights about 1e-7 of the time.
+    """
+    table = detection_table(params, default_baseline(params))
+    matched = [r for r in table.rows if r.alice_basis == r.bob_basis]
+    assert all(min(r.p_o, r.p_p) < 2e-7 for r in matched)
+    wrong = np.array([0 if r.p_o < r.p_p else 1 for r in matched])
+    deltas = np.array([round(m / params.lambda0) * params.lambda0 for m in MISMATCHES])
+    configs = [MzConfig(delta_d=table.baseline + r.phi_d + delta,
+                        delta_m=table.baseline + r.phi_m)
+               for delta in deltas for r in matched]
+    masses = exact_window_masses(component_terms(derive(params), configs), MIDDLE_WINDOW_RHO)
+    masses = masses.reshape(len(deltas), len(matched), 2)
+    shares = masses[:, np.arange(len(matched)), wrong] / masses.sum(axis=2)
+    return shares.max(axis=1), deltas
+
+
+@pytest.mark.parametrize("convention", ["first_principles", "calibrated"], scope="class")
+class TestArmMismatch:
+    """The dispersion is common to both interfering paths, so the mismatch an
+    error-rate target allows does not depend on the fiber length."""
+
+    @pytest.fixture(scope="class")
+    def worst(self, convention):
+        return {km: worst_wrong_shares(LinkParams(fiber_length=km * 1e3, convention=convention))
+                for km in (0, 50, 500, 5000)}
+
+    def test_independent_of_the_fiber_length(self, worst):
+        # largest gap measured 5.5e-4, at 9.3 um calibrated; first-principles
+        # reads 1.62400e-5, 1.62445e-5 and 1.62450e-5 at 50, 500 and 5000 km
+        for km in (500, 5000):
+            np.testing.assert_allclose(worst[km][0], worst[50][0], rtol=1e-3, atol=0.0)
+
+    def test_coarse_mismatch_follows_the_closed_form(self, worst):
+        # e = (1 - exp(-delta_k^2 Delta^2 / 2)) / 2; the exact share measured 1.2-2.1 % below it
+        delta_k = derive(LinkParams()).delta_k
+        for km in (50, 500, 5000):
+            shares, deltas = worst[km]
+            closed = (1.0 - np.exp(-(delta_k * deltas) ** 2 / 2.0)) / 2.0
+            coarse = deltas >= 1e-4
+            np.testing.assert_allclose(shares[coarse], closed[coarse], rtol=0.05, atol=0.0)
+
+    def test_zero_km_gap_is_the_measured_one(self, worst):
+        # at 0 km sigma is only 0.6 mm; the share sits below the long links'
+        # by the measured gap, 1.53 % at 1 mm and under 0.2 % below it
+        gap = worst[0][0] / worst[50][0] - 1.0
+        assert gap[-1] == pytest.approx(-0.0153, abs=2e-4)
+        assert np.all(np.abs(gap[:-1]) < 2e-3)

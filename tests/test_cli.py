@@ -879,6 +879,33 @@ format = json
         assert code == 2
         assert "length_km" in err
 
+    @pytest.mark.parametrize("content", [
+        b"length_km = 50\n",
+        b"[link]\nlength_km = 50\nlength_km = 60\n",
+        b"[link]\nlength_km = 50\n[link]\nt_leg = 1\n",
+        b"[link]\nlength_km\n",
+        b"[link]\nlength_km = 5\xff0\n",
+    ], ids=["no_section_header", "duplicate_key", "duplicate_section", "no_equals_sign",
+            "not_utf8"])
+    def test_malformed_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "run.ini"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "design", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("config error:") and str(path) in line
+
+    def test_percent_in_a_value_is_literal(self, capsys, tmp_path):
+        # no interpolation: a % in a file name is legal and kept as written
+        target = tmp_path / "out%b.txt"
+        path = tmp_path / "run.ini"
+        path.write_text(f"[output]\npath = {target}\n")
+        _, expected, _ = run(capsys, "design")
+        code, out, err = run(capsys, "design", "--config", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == expected
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "design", "--config", "/nonexistent.ini")
         assert code == 2

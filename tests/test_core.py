@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mzqkd.config import RunConfig
-from mzqkd.core import (CALIBRATED_KAPPA_SCALE, DOMAIN, LinkParams, MzConfig, PAIRS,
-                        PrecompMultiplier, derive, effective_kappa, x_rho)
+from mzqkd.core import (CALIBRATED_KAPPA_SCALE, CONVENTIONS, DOMAIN, LinkParams, MzConfig,
+                        PAIRS, PrecompMultiplier, check_domain, derive, effective_kappa, x_rho)
 from mzqkd.design import _phase_sum_bound
 from mzqkd.errors import ConfigError
 from mzqkd.spectra import GridSpec, eval_analytic
@@ -267,6 +268,47 @@ class TestValidation:
     def test_rejects_unknown_convention(self):
         with pytest.raises(ValueError):
             LinkParams(convention="mystery")
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (LinkParams, "lambda0", "1550e-9"), (LinkParams, "t_fiber", None),
+        (MzConfig, "delta_d", None), (MzConfig, "delta_c", 1j),
+    ], ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_non_number_raises_type_error(self, cls, name, value):
+        with pytest.raises(TypeError):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls", [LinkParams, MzConfig], ids=lambda cls: cls.__name__)
+    def test_record_built_exactly_when_every_field_is_in_its_row(self, cls):
+        # several fields at once, each at an end, just outside one, NaN or inside
+        rng = random.Random(2006)
+        defaults = cls()
+        for _ in range(500):
+            values = {}
+            for name in _ROWS[cls]:
+                if rng.random() < 0.5:
+                    lo, hi = DOMAIN[_ROW_NAMES.get(name, name)]
+                    values[name] = rng.choice([lo, hi, math.nextafter(lo, -math.inf),
+                                               math.nextafter(hi, math.inf), math.nan,
+                                               rng.uniform(lo, hi)])
+            if cls is LinkParams and rng.random() < 0.1:
+                values["convention"] = rng.choice(CONVENTIONS + ("mystery",))
+            record = {**vars(defaults), **values}
+            faults = []
+            for name in _ROWS[cls]:
+                try:
+                    check_domain(_ROW_NAMES.get(name, name), record[name], name)
+                except ValueError:
+                    faults.append(name)
+            if cls is LinkParams and not faults:
+                if not record["delta_lambda"] / record["lambda0"] < 1e-2:
+                    faults.append("delta_lambda")
+                elif record["convention"] not in CONVENTIONS:
+                    faults.append("convention")
+            if faults:
+                with pytest.raises(ValueError, match=rf"^{faults[0]} must "):
+                    cls(**values)
+            else:
+                assert vars(cls(**values)) == record
 
     def test_rejects_negative_shifters_and_times(self):
         with pytest.raises(ValueError, match=r"^delta_d must lie in \[0, 1000\], got -0.1$"):
