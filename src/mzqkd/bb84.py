@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DOMAIN, LinkParams, MzConfig, derive, x_rho
 from .design import _phase_sum_bound, _pulse_over_lengths, min_phase_sum
-from .errors import InfeasibleDesignError
+from .errors import ConfigError, InfeasibleDesignError
 from .spectra import component_terms, exact_window_masses
 
 BASES = ("X", "Z")
@@ -61,13 +61,13 @@ def g_term_analysis(params: LinkParams, lengths: Sequence[float] | np.ndarray,
     """Evaluate G over fiber lengths and locate its maximum; needs dispersion."""
     lengths, d0, delta1, gamma, sigma = _pulse_over_lengths(params, lengths)
     if d0.kappa == 0.0:
-        raise ValueError("without dispersion G vanishes at every length "
-                         "and has no finite maximum")
+        raise ConfigError("without dispersion G vanishes at every length "
+                          "and has no finite maximum")
     g_values = _g_term(params.lambda0, gamma, delta1)
     if not np.any(g_values):
         # gamma = 1 + 16 dk^4 delta1^2 rounds to 1 at every length
-        raise ValueError("G rounds to 0 at every length and has no finite maximum "
-                         f"(delta_k {d0.delta_k!r} 1/m, kappa {d0.kappa!r} m)")
+        raise ConfigError("G rounds to 0 at every length and has no finite maximum "
+                          f"(delta_k {d0.delta_k!r} 1/m, kappa {d0.kappa!r} m)")
     return GTermAnalysis(
         lengths=lengths, g_values=g_values,
         second_terms=np.abs(g_values * (3.0 * sigma - delta_c)),

@@ -3,7 +3,7 @@
 Subcommands: design, sweep, spectra, bb84, gterm, compensate, oracle-check.
 Each takes --config, --format, --output and the flags of the settings it reads.
 Exit codes: 0 success, 2 configuration error, 3 infeasible design,
-4 verification failure.
+4 verification failure; any other exception is an internal error (traceback, 1).
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """File values (or defaults) under the flags, with the command's format resolved."""
     path = args.config or default_config_path()
     config = apply_overrides(load_config_file(path) if path else RunConfig(), args)
-    config.validate_design()
+    config.in_si("design")
     config.resolved_edge_times()  # every command checks the interferometer settings
-    config.mz_config()
     if config.out_format is None:
         config.out_format = args.formats[0]
     elif config.out_format not in args.formats:
@@ -78,10 +77,10 @@ def _length_range_m(args: argparse.Namespace) -> np.ndarray:
         raise ConfigError(f"{args.command} needs at least 2 steps")
     if not args.l_min_km < args.l_max_km:
         raise ConfigError(f"{args.command} range is empty: l-min-km must be below l-max-km")
-    for name in ("l_min_km", "l_max_km"):
-        check_domain("fiber_length", getattr(args, name), name.replace("_", "-"), km_to_m)
+    lo, hi = (check_domain("fiber_length", getattr(args, name), name.replace("_", "-"), km_to_m)
+              for name in ("l_min_km", "l_max_km"))
     try:
-        return np.linspace(km_to_m(args.l_min_km), km_to_m(args.l_max_km), args.steps)
+        return np.linspace(lo, hi, args.steps)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
         raise ConfigError(f"{args.command} steps {args.steps} ask for {8 * args.steps} bytes "
                           "of lengths, more than can be allocated") from exc
@@ -196,13 +195,12 @@ def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> int:
         raise ConfigError(f"threshold must be positive and finite, got {args.threshold!r}")
     params, mz = config.link_params(), config.mz_config()
     lengths_km = args.l_km if args.l_km else [0.0, 1.0, 50.0]
-    for lkm in lengths_km:
-        check_domain("fiber_length", lkm, "l-km", km_to_m)
+    lengths_m = [check_domain("fiber_length", lkm, "l-km", km_to_m) for lkm in lengths_km]
     grid = GridSpec(n_points=args.n_points)
     worst = 0.0
     lines = []
-    for lkm in lengths_km:
-        p = replace(params, fiber_length=km_to_m(lkm))
+    for lkm, length in zip(lengths_km, lengths_m):
+        p = replace(params, fiber_length=length)
         deviation = max_normalized_deviation(eval_analytic(p, mz, grid),
                                              eval_oracle(p, mz, grid))
         worst = max(worst, deviation)
@@ -297,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, _resolve_config(args))
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleDesignError as exc:

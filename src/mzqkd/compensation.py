@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .core import (LinkParams, PrecompMultiplier, accumulated_dispersion, broadening, derive,
                    effective_kappa, x_rho)
 from .design import MODE_FACTOR, RATE_MODES, _phase_sum_bound, _rate_bound
-from .errors import InfeasibleDesignError
+from .errors import ConfigError, InfeasibleDesignError
 from .units import C0
 
 
@@ -52,9 +52,9 @@ def plan(params: LinkParams, clock_rate: float, rho: float,
     the clock rate.
     """
     if not 0.0 < clock_rate < math.inf:
-        raise ValueError(f"clock_rate must be positive and finite, got {clock_rate!r}")
+        raise ConfigError(f"clock_rate must be positive and finite, got {clock_rate!r}")
     if mode not in MODE_FACTOR:
-        raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
+        raise ConfigError(f"mode must be one of {RATE_MODES}, got {mode!r}")
     link = params.fiber_length
     # one record: every length's width follows from its delta_k
     d = derive(params)
@@ -105,6 +105,6 @@ def precompensate_input(params: LinkParams,
     -kappa*(fiber_length + 2*leg_length).
     """
     if compensation.regime == "no_dcf":
-        raise ValueError("plan prescribes no compensating element (no_dcf regime)")
+        raise ConfigError("plan prescribes no compensating element (no_dcf regime)")
     l_cp = compensation.dcf_equivalent_length
     return PrecompMultiplier(a_cp=params.group_index * l_cp, b_cp=effective_kappa(params) * l_cp)

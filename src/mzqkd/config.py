@@ -2,8 +2,10 @@
 
 A config file holds ``key = value`` entries grouped into the sections below.
 Command-line flags override file values; file values override defaults.
-Every value is converted to SI exactly once, by :func:`RunConfig.link_params`,
-:func:`RunConfig.mz_config` or :func:`RunConfig.resolved_edge_times`.
+Every value with a domain row is converted to SI exactly once, by the one
+pass :func:`RunConfig.in_si`, which checks it in its own unit and returns the
+SI value it checked; :func:`RunConfig.link_params`, :func:`RunConfig.mz_config`
+and :func:`RunConfig.resolved_edge_times` build their records from that pass.
 """
 
 from __future__ import annotations
@@ -73,19 +75,16 @@ class RunConfig:
         help="output file; stdout when omitted")
     normalize: str = _setting("output", "absolute", str, choices=("absolute", "peak"))
 
-    def _check_section(self, section: str) -> None:
-        """Check the set fields of ``section`` in their domain rows, in their own units."""
-        for name, row, to_si in _DOMAIN_FIELDS[section]:
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    check_domain(row, value, name, to_si)
-                except ValueError as exc:
-                    raise ConfigError(f"{section}: {exc}") from exc
+    def in_si(self, section: str) -> dict:
+        """The set fields of ``section`` that have a domain row, by name: each
+        checked in its row in its own unit, and in SI."""
+        return {name: check_domain(row, value, f"{section}: {name}", to_si)
+                for name, row, to_si in _DOMAIN_FIELDS[section]
+                if (value := getattr(self, name)) is not None}
 
     def resolved_edge_times(self) -> tuple[float, float]:
         """Detector edge times in s, set values beating the profile; checks the section first."""
-        self._check_section("interferometer")
+        si = self.in_si("interferometer")
         profile = (0.0, 0.0)
         if self.detector_profile is not None:
             try:
@@ -94,39 +93,21 @@ class RunConfig:
                 raise ConfigError(
                     f"interferometer.detector_profile: unknown profile "
                     f"{self.detector_profile!r}; choose from {sorted(DETECTOR_PROFILES)}")
-        rising = ns_to_s(self.t_rising_ns) if self.t_rising_ns is not None else profile[0]
-        falling = ns_to_s(self.t_falling_ns) if self.t_falling_ns is not None else profile[1]
-        return rising, falling
+        return si.get("t_rising_ns", profile[0]), si.get("t_falling_ns", profile[1])
 
     def link_params(self) -> LinkParams:
-        self._check_section("link")
+        # the link rows are LinkParams' field names
+        si = self.in_si("link")
         try:
-            return LinkParams(
-                lambda0=nm_to_m(self.lambda0_nm),
-                delta_lambda=nm_to_m(self.delta_lambda_nm),
-                dispersion=dispersion_to_si(self.dispersion_ps_per_km_nm),
-                group_index=self.group_index,
-                fiber_length=km_to_m(self.length_km),
-                leg_length=self.leg_length_m,
-                t_fiber=self.t_fiber,
-                t_leg=self.t_leg,
-                convention=self.convention,
-            )
-        except ValueError as exc:
+            return LinkParams(**{row: si[name] for name, row, _ in _DOMAIN_FIELDS["link"]},
+                              convention=self.convention)
+        except ConfigError as exc:
             raise ConfigError(f"link: {exc}") from exc
 
     def mz_config(self) -> MzConfig:
-        try:
-            return MzConfig(
-                delta_d=self.delta_d_m,
-                delta_m=self.delta_m_m,
-                delta_c=self.delta_c_m,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"interferometer: {exc}") from exc
-
-    def validate_design(self) -> None:
-        self._check_section("design")
+        si = self.in_si("interferometer")
+        return MzConfig(delta_d=si["delta_d_m"], delta_m=si["delta_m_m"],
+                        delta_c=si["delta_c_m"])
 
 
 # The fields of each section that have a domain row: (name, row, conversion to SI).
@@ -140,7 +121,8 @@ def load_config_file(path: str) -> RunConfig:
 
     A file that does not parse, and unknown keys and values, raise ConfigError.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .units import C0, dispersion_to_si, nm_to_m, ns_to_s
 
 # Leg pairs, first interferometer leg then second (the short legs of the two
@@ -62,22 +63,23 @@ DOMAIN = {
 _OPEN_AT_0 = ("t_fiber", "t_leg")
 
 
-def check_domain(row: str, value, name: str | None = None, to_si=None) -> None:
-    """Raise ValueError, naming ``name`` (default ``row``), unless ``value`` lies in the row.
+def check_domain(row: str, value, name: str | None = None, to_si=None):
+    """``value`` in SI if it lies in the row, else ConfigError naming ``name`` (default ``row``).
 
-    ``to_si`` converts a value given in a flag's unit; the message states the
-    bounds in that unit and the value as given.
+    ``to_si`` converts a value given in a flag's unit; the value it checked
+    is the one returned, and the message states the bounds in that unit and
+    the value as given.
     """
     si = value if to_si is None else to_si(value)
     lo, hi = DOMAIN[row]
     if (lo <= si <= hi and (si > 0.0 or row not in _OPEN_AT_0)
             or si == 0.0 and row == "dispersion"):
-        return
+        return si
     unit = 1.0 if to_si is None else to_si(1.0)
     zero = "be 0 or " if row == "dispersion" else ""
     bracket = "(" if row in _OPEN_AT_0 else "["
-    raise ValueError(f"{name or row} must {zero}lie in {bracket}{lo / unit:g}, {hi / unit:g}], "
-                     f"got {value!r}")
+    raise ConfigError(f"{name or row} must {zero}lie in {bracket}{lo / unit:g}, {hi / unit:g}], "
+                      f"got {value!r}")
 
 
 _LINK_ROWS = ("lambda0", "delta_lambda", "dispersion", "group_index", "fiber_length",
@@ -116,10 +118,10 @@ class LinkParams:
         for row in _LINK_ROWS:
             check_domain(row, getattr(self, row))
         if not self.delta_lambda / self.lambda0 < 1e-2:
-            raise ValueError("delta_lambda must be small compared to lambda0 "
-                             f"(ratio {self.delta_lambda / self.lambda0:.3g} >= 1e-2)")
+            raise ConfigError("delta_lambda must be small compared to lambda0 "
+                              f"(ratio {self.delta_lambda / self.lambda0:.3g} >= 1e-2)")
         if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
+            raise ConfigError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
 
     @property
     def transmission(self) -> float:

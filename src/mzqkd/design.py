@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import LinkParams, accumulated_dispersion, broadening, check_domain, derive, x_rho
-from .errors import InfeasibleDesignError
+from .errors import ConfigError, InfeasibleDesignError
 from .units import C0
 
 # Denominator of c0/(q * X_rho) per mode: "linear" ignores photon-photon
@@ -56,7 +56,7 @@ def _pulse_over_lengths(params: LinkParams, lengths_m):
     delta1, gamma, sigma per length, of a sweep."""
     lengths = np.asarray(lengths_m, dtype=float)
     if lengths.size == 0:
-        raise ValueError("the length sweep is empty")
+        raise ConfigError("the length sweep is empty")
     for end in (lengths.min(), lengths.max()):
         check_domain("fiber_length", float(end), "sweep length")
     d = derive(params)
@@ -88,7 +88,7 @@ def min_phase_sum(params: LinkParams, rho: float,
 def max_rate(params: LinkParams, rho: float, mode: str = "linear") -> float:
     """Largest symbol rate without intersymbol overlap, Hz."""
     if mode not in MODE_FACTOR:
-        raise ValueError(f"mode must be one of {RATE_MODES}, got {mode!r}")
+        raise ConfigError(f"mode must be one of {RATE_MODES}, got {mode!r}")
     return _rate_bound(x_rho(derive(params).sigma, rho), mode)
 
 
@@ -108,8 +108,8 @@ def _rate_bound(half, mode: str):
 
 def _gate_bound(actual_phase_sum: float, half: float) -> float:
     if not 0.0 <= actual_phase_sum < math.inf:
-        raise ValueError(f"actual phase sum must be non-negative and finite, "
-                         f"got {actual_phase_sum!r}")
+        raise ConfigError(f"actual phase sum must be non-negative and finite, "
+                          f"got {actual_phase_sum!r}")
     margin = actual_phase_sum - 2.0 * half
     if margin < 0:
         raise InfeasibleDesignError(

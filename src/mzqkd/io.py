@@ -192,7 +192,7 @@ def curve_arrays(curve: SpectrumCurve, normalize: str = "absolute",
         if peak > 0:
             yo, yp = yo / peak, yp / peak
     else:
-        raise ValueError("normalize must be 'absolute' or 'peak'")
+        raise ConfigError("normalize must be 'absolute' or 'peak'")
     return x, yo, yp
 
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from .core import (DerivedQuantities, LinkParams, MzConfig, PAIRS, PrecompMultiplier,
                    check_domain, derive, x_rho)
-from .errors import ResolutionError, VerificationError
+from .errors import ConfigError, ResolutionError, VerificationError
 
 # Cross-term ordering; a cross term's interference sign at each exit is the
 # product of its two pairs' component signs (``_PAIR_SIGNS``).
@@ -89,13 +89,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.n_points < 2:
-            raise ValueError("grid needs at least 2 points")
+            raise ConfigError("grid needs at least 2 points")
         check_domain("pad_sigmas", self.pad_sigmas)
         for name in ("x_min", "x_max"):
             if getattr(self, name) is not None:
                 check_domain("grid_bound", getattr(self, name), name)
         if (self.x_min is None) != (self.x_max is None):
-            raise ValueError("x_min and x_max must be given together")
+            raise ConfigError("x_min and x_max must be given together")
 
 
 @dataclass(frozen=True)
@@ -230,13 +230,13 @@ def _position_grid(params: LinkParams, config: MzConfig, grid: GridSpec | None,
             lo -= center
             hi -= center
         if lo > mu_lo - 5.0 * d.sigma or hi < mu_hi + 5.0 * d.sigma:
-            raise ValueError(
+            raise ConfigError(
                 "grid too narrow: must cover +-5 sigma around the outer component means")
     try:
         offset = _offsets(lo, hi, grid.n_points)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
-        raise ValueError(f"n_points {grid.n_points} asks for {8 * grid.n_points} bytes "
-                         "of grid offsets, more than can be allocated") from exc
+        raise ConfigError(f"n_points {grid.n_points} asks for {8 * grid.n_points} bytes "
+                          "of grid offsets, more than can be allocated") from exc
     return d, center, offset, mu_lo, mu_hi
 
 

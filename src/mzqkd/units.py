@@ -2,7 +2,10 @@
 
 Everything inside the package is SI: meters, seconds, 1/meters.  Command-line
 and config-file inputs use the units customary for fiber links (km, nm,
-ps/(km*nm), ns) and are converted exactly once at the boundary.
+ps/(km*nm), ns) and are converted exactly once at the boundary, by the check
+of each value against its domain row (``core.check_domain``), which returns
+the SI value it checked: ``config.RunConfig.in_si`` for the settings, the CLI
+for its fiber lengths.
 """
 
 C0 = 299792458.0  # vacuum speed of light, m/s

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mzqkd.config import RunConfig
+from mzqkd.design import DETECTOR_PROFILES
 from mzqkd.core import (CALIBRATED_KAPPA_SCALE, CONVENTIONS, DOMAIN, LinkParams, MzConfig,
                         PAIRS, PrecompMultiplier, check_domain, derive, effective_kappa, x_rho)
 from mzqkd.design import _phase_sum_bound
 from mzqkd.errors import ConfigError
 from mzqkd.spectra import GridSpec, eval_analytic
-from mzqkd.units import ns_to_s
+from mzqkd.units import dispersion_to_si, km_to_m, nm_to_m, ns_to_s
 
 # Reference values from a 40-digit evaluation of the closed forms at the
 # default constants (1550 nm, 0.31 nm, 17 ps/(km*nm), 50 km, 1 m legs).
@@ -350,3 +352,77 @@ class TestValidation:
 
     def test_pairs_constant(self):
         assert PAIRS == ("cc", "cm", "dc", "dm")
+
+
+# Each row with the conversion a RunConfig field checks it with (None: already
+# SI), and each row that no field has, in SI.
+_FIELD_ROWS = [f.metadata["domain"] for f in fields(RunConfig) if f.metadata["domain"]]
+_ROW_CONVERSIONS = list(dict.fromkeys(
+    _FIELD_ROWS + [(row, None) for row in DOMAIN if row not in dict(_FIELD_ROWS)]))
+
+
+def _spelled_ends(row, to_si):
+    """The row's ends in the unit of ``to_si``, as the refusal spells them; an
+    end open at 0 is replaced by the smallest positive float."""
+    unit = 1.0 if to_si is None else to_si(1.0)
+    lo, hi = (float(f"{end / unit:g}") for end in DOMAIN[row])
+    return (math.ulp(0.0) if lo == 0.0 and row in ("t_fiber", "t_leg") else lo), hi
+
+
+class TestOneConversion:
+    """check_domain returns the SI value it checked, and RunConfig builds its
+    records from those values alone."""
+
+    @pytest.mark.parametrize("row, to_si", _ROW_CONVERSIONS,
+                             ids=[f"{row}-{getattr(to_si, '__name__', 'si')}"
+                                  for row, to_si in _ROW_CONVERSIONS])
+    def test_check_domain_returns_the_value_it_checked(self, row, to_si):
+        lo, hi = _spelled_ends(row, to_si)
+        for value in (lo, hi, 0.5 * (lo + hi)):
+            returned = check_domain(row, value, "x", to_si)
+            if to_si is None:
+                assert returned is value
+            else:
+                assert returned.hex() == to_si(value).hex()
+
+    @staticmethod
+    def _draw(rng, name):
+        row, to_si = RunConfig.__dataclass_fields__[name].metadata["domain"]
+        lo, hi = _spelled_ends(row, to_si)
+        pick = rng.random()
+        if pick < 0.1:
+            return lo
+        if pick < 0.2:
+            return hi
+        if lo > 0.0 and pick < 0.6:
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        return rng.uniform(lo, hi)
+
+    def test_records_equal_the_hand_converted_ones(self):
+        rng = random.Random(2006)
+        for _ in range(500):
+            values = {f.name: self._draw(rng, f.name) for f in fields(RunConfig)
+                      if f.metadata["domain"]}
+            # the spread stays small against lambda0
+            values["delta_lambda_nm"] = min(values["delta_lambda_nm"],
+                                            0.99e-2 * values["lambda0_nm"])
+            for name in ("t_rising_ns", "t_falling_ns"):
+                if rng.random() < 0.3:
+                    values[name] = None
+            config = RunConfig(**values, convention=rng.choice(CONVENTIONS),
+                               detector_profile=rng.choice([None, *DETECTOR_PROFILES]))
+            link = LinkParams(
+                lambda0=nm_to_m(config.lambda0_nm), delta_lambda=nm_to_m(config.delta_lambda_nm),
+                dispersion=dispersion_to_si(config.dispersion_ps_per_km_nm),
+                group_index=config.group_index, fiber_length=km_to_m(config.length_km),
+                leg_length=config.leg_length_m, t_fiber=config.t_fiber, t_leg=config.t_leg,
+                convention=config.convention)
+            mz = MzConfig(delta_d=config.delta_d_m, delta_m=config.delta_m_m,
+                          delta_c=config.delta_c_m)
+            profile = DETECTOR_PROFILES.get(config.detector_profile, (0.0, 0.0))
+            edges = tuple(profile[i] if value is None else ns_to_s(value)
+                          for i, value in enumerate((config.t_rising_ns, config.t_falling_ns)))
+            # repr keeps every bit of a float, the sign of a zero included
+            assert repr(astuple(config.link_params())) == repr(astuple(link))
+            assert repr(astuple(config.mz_config())) == repr(astuple(mz))
+            assert repr(config.resolved_edge_times()) == repr(edges)
