@@ -4,13 +4,16 @@ Identical inputs must produce byte-identical outputs, so each number form
 has one spelling: ``%.12g`` in CSV and text (``fmt``), ``float.__repr__`` in
 JSON (as ``json`` writes it) and ``%.2f`` for SVG coordinates.  JSON keys are
 sorted, and the SVG writer emits plain hand-assembled markup with no
-timestamps or random ids.  Float arrays are formatted a chunk of rows at a
-time (``format_rows``) or by ``json``'s C encoder (``json_array``), not by
-one Python call per value.  SVG coordinates are written from numpy digit
-tables: each is rounded to hundredths against its exact binary value, as
-``%.2f`` rounds it.  They take ``svg_line_chart``'s coordinates, each in the
-plot box [60, 580] x [60, 360] or NaN (where a span overflows); a chunk
-holding a NaN goes through ``format_rows``.
+timestamps or random ids.  Float arrays of KERNEL_MIN_VALUES values or more
+are spelled by the numpy kernels of ``spelling``, ``%.12g`` for
+``float_csv`` and ``float.__repr__`` for ``json_array``, byte for byte as
+Python spells them: each value whose digits the kernel's arithmetic cannot
+settle is spelled by Python.  Smaller arrays are formatted a chunk of rows
+at a time (``format_rows``) or by ``json``'s C encoder.  SVG coordinates are written
+from numpy digit tables too: each is rounded to hundredths against its
+exact binary value, as ``%.2f`` rounds it.  They take ``svg_line_chart``'s
+coordinates, each in the plot box [60, 580] x [60, 360] or NaN (where a
+span overflows); a chunk holding a NaN goes through ``format_rows``.
 """
 
 from __future__ import annotations
@@ -72,8 +75,23 @@ def emit(text: str, path: str | None) -> None:
 
 
 # Rows per chunk of format_rows: the lists of one chunk stay small, so the
-# whole table never exists as Python floats at once.
+# whole table never exists as Python floats at once.  It serves the tables
+# below KERNEL_MIN_VALUES and the SVG writer's chunks that hold a NaN.
 CHUNK_ROWS = 512
+# Tables of at least this many values go through the array kernels of
+# ``spelling``; smaller ones through format_rows or json's encoder.  A
+# kernel call has a fixed cost of some 45 us for CSV and 90 us for JSON
+# when it runs back to back (2-core x86-64 host), twice that after other
+# work has left the caches cold, as in a CLI call; Python's per-value
+# path then costs as much at about 400 values (200 back to back).
+# ``spelling`` is imported on first use: a process that writes no such
+# table neither compiles its code nor builds its tables.
+KERNEL_MIN_VALUES = 400
+# Values per kernel call.  A call's temporaries are then mostly 16 kB each,
+# and the allocator reuses them from call to call: at 4096 values a call a
+# 4096-point spectra JSON took about 350 minor page faults, at 2048 none in
+# most calls, and 1024 was slower and used no less memory.
+KERNEL_CHUNK_VALUES = 2048
 
 
 def format_rows(row_format: str, columns: Sequence) -> str:
@@ -91,9 +109,22 @@ def format_rows(row_format: str, columns: Sequence) -> str:
 
 
 def float_csv(header: Sequence[str], columns: Sequence) -> str:
-    """A CSV table of float columns, each value as ``fmt`` writes it."""
-    row_format = ",".join(["%.12g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + format_rows(row_format, columns)
+    """A CSV table of float columns, each value as ``fmt`` writes it.
+
+    A table of KERNEL_MIN_VALUES values or more is spelled by
+    ``spelling.g12_chunk``, KERNEL_CHUNK_VALUES values (whole rows) a call;
+    a smaller one by ``format_rows``.
+    """
+    table = np.array(columns, dtype=float)
+    head = ",".join(header) + "\n"
+    if table.size < KERNEL_MIN_VALUES:
+        return head + format_rows(",".join(["%.12g"] * len(header)) + "\n", table)
+    from . import spelling
+    n_cols, n_rows = table.shape
+    step = max(1, KERNEL_CHUNK_VALUES // n_cols)
+    blocks = (np.ascontiguousarray(table[:, start:start + step].T)
+              for start in range(0, n_rows, step))
+    return "".join([head, *map(spelling.g12_chunk, blocks)])
 
 
 def link_as_dict(params: LinkParams) -> dict:
@@ -123,12 +154,20 @@ def json_array(values) -> str:
 
     ``indent=2`` sends ``json`` through its pure-Python encoder; these
     separators give the same text from the C encoder, ``NaN`` and
-    ``Infinity`` included.
+    ``Infinity`` included.  An array of KERNEL_MIN_VALUES values or more is
+    spelled by ``spelling.repr_chunk``, KERNEL_CHUNK_VALUES values a call.
     """
-    values = np.asarray(values, dtype=float).tolist()
-    if not values:
-        return "[]"
-    return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+    values = np.asarray(values, dtype=float)
+    if values.size < KERNEL_MIN_VALUES:
+        values = values.tolist()
+        if not values:
+            return "[]"
+        return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+    from . import spelling
+    pieces = [spelling.repr_chunk(values[start:start + KERNEL_CHUNK_VALUES])
+              for start in range(0, values.size, KERNEL_CHUNK_VALUES)]
+    pieces[-1] = pieces[-1][:-len(spelling.JSON_SEPARATOR)]
+    return "".join(["[\n    ", *pieces, "\n  ]"])
 
 
 # ---------------------------------------------------------------- reports

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzqkd import io as io_mod
+from mzqkd import spelling
 from mzqkd.bb84 import default_baseline, detection_table, g_term_analysis
 from mzqkd.cli import main
 from mzqkd.compensation import plan
@@ -86,16 +87,24 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
            1e15, 0.1, math.nan, math.inf, -math.inf]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(),
                    st.integers(-2**60, 2**60).map(float))
-# Row counts on both sides of the formatters' chunk edge.
-ROWS = st.sampled_from([0, 1, 2, io_mod.CHUNK_ROWS - 1, io_mod.CHUNK_ROWS,
-                        io_mod.CHUNK_ROWS + 1, 2 * io_mod.CHUNK_ROWS + 1])
+
+
+def row_counts(n_columns):
+    """Row counts of an n_columns table on both sides of each edge of the
+    writers: format_rows' chunk, the kernels' size cut and their chunk."""
+    cut = -(-io_mod.KERNEL_MIN_VALUES // n_columns)   # the fewest rows through a kernel
+    chunk = max(1, io_mod.KERNEL_CHUNK_VALUES // n_columns)
+    return [0, 1, 2, cut - 1, cut, io_mod.CHUNK_ROWS - 1, io_mod.CHUNK_ROWS,
+            io_mod.CHUNK_ROWS + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+
+
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def columns(draw, n_columns, rows=ROWS):
+def columns(draw, n_columns, nonempty=False):
     """An (n_columns, rows) float64 table of up to 32 drawn values, placed at random."""
-    n = draw(rows)
+    n = draw(st.sampled_from(row_counts(n_columns)[nonempty:]))
     pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=32)))
     seed = draw(st.integers(0, 2**32 - 1))
     return pool[np.random.default_rng(seed).integers(0, pool.size, (n_columns, n))]
@@ -129,7 +138,7 @@ def test_curve_csv_and_json_match_references(table):
 
 @PROPERTY
 @given(st.integers(1, 2).flatmap(
-    lambda k: st.lists(columns(2, ROWS.filter(bool)), min_size=k, max_size=k)))
+    lambda k: st.lists(columns(2, nonempty=True), min_size=k, max_size=k)))
 def test_svg_polylines_match_per_point_reference(tables):
     series = [(f"s{i}", xs, ys) for i, (xs, ys) in enumerate(tables)]
     try:
@@ -225,16 +234,113 @@ def test_svg_coordinates_stay_in_the_plot_box(tables):
 
 
 def test_sweep_and_gterm_csv_match_reference():
-    rows = sweep_lengths(CAL, 3.0, np.linspace(0.0, 500e3, 2 * io_mod.CHUNK_ROWS + 3))
+    # sweep has 5 columns and gterm 3: row counts on both sides of the
+    # kernels' size cut and chunk edge for each, and the CLI's default sizes
     header = ["length_km", "min_phase_sum_m", "rate_linear_hz", "rate_nonlinear_hz",
               "rate_general_hz"]
-    assert io_mod.sweep_csv(rows) == reference_float_csv(
-        header, [rows["length_m"] / 1e3, *(rows[name] for name in header[1:])])
-    analysis = g_term_analysis(CAL, np.linspace(50.0, 10e3, 4001), delta_c=0.1)
-    body = reference_float_csv(["length_km", "g_per_m", "second_term"],
-                               [analysis.lengths / 1e3, analysis.g_values,
-                                analysis.second_terms])
-    assert io_mod.gterm_csv(analysis).startswith(body)
+    for n in sorted(set(row_counts(5)[1:] + [46])):
+        rows = sweep_lengths(CAL, 3.0, np.linspace(0.0, 500e3, n))
+        assert io_mod.sweep_csv(rows) == reference_float_csv(
+            header, [rows["length_m"] / 1e3, *(rows[name] for name in header[1:])]), n
+    for n in sorted(set(row_counts(3)[1:] + [4001])):
+        analysis = g_term_analysis(CAL, np.linspace(50.0, 10e3, n), delta_c=0.1)
+        body = reference_float_csv(["length_km", "g_per_m", "second_term"],
+                                   [analysis.lengths / 1e3, analysis.g_values,
+                                    analysis.second_terms])
+        assert io_mod.gterm_csv(analysis).startswith(body), n
+
+
+# ---------------------------------------------------- the array kernels
+# float_csv and json_array spell tables of KERNEL_MIN_VALUES values or more
+# with numpy kernels; these hold the kernels to Python's own spelling over
+# seeded families of values, each of a different way to get a digit wrong.
+
+def _decade_edges():
+    """Values of the notation edges and three-digit exponents, and just below
+    the powers of ten that 12 and 17 digits round up to."""
+    rng = np.random.default_rng(7)
+    exponents = np.array([-5, -4, 11, 12, 15, 16, -100, 100, -280, 279, -307, 307])
+    uniform = rng.uniform(1.0, 10.0, (exponents.size, 4000)) * 10.0 ** exponents[:, None]
+    shy = 1.0 - np.array([1e-16, 4e-16, 5e-16, 6e-16, 4.9e-13, 5e-13, 5.1e-13, 1e-12])
+    below = 10.0 ** (exponents[:, None] + 1.0) * shy
+    return np.concatenate([uniform.ravel(), below.ravel(), -uniform.ravel()])
+
+
+def _kernel_families():
+    rng = np.random.default_rng(2006)
+    n = 100_000
+    sign = rng.choice([-1.0, 1.0], n)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return {
+        "bit-patterns": rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        "decades": 10.0 ** rng.uniform(-20.0, 20.0, n) * sign,
+        "powers-of-ten": np.concatenate([np.nextafter(powers, -np.inf), powers,
+                                         np.nextafter(powers, np.inf)]),
+        # (2k + 1)/8 is exact: at 1e9 to 1e12 its 13th digit is an exact tie
+        "binary-ties": (2.0 * rng.integers(4 * 10**9, 4 * 10**12, n) + 1.0) / 8.0,
+        "short-decimals": rng.integers(0, 10**6, n) / 10.0 ** rng.integers(0, 9, n) * sign,
+        "powers-of-two": np.ldexp(sign, rng.integers(-1074, 1024, n)),
+        "notation-edges": _decade_edges(),
+    }
+
+
+KERNEL_FAMILIES = _kernel_families()
+
+
+def assert_same_spelling(values, text, expected, separator):
+    if text != expected:
+        wrong = [(v, a, b) for v, a, b in zip(values.tolist(), text.split(separator),
+                                               expected.split(separator)) if a != b]
+        pytest.fail(f"{len(wrong)} values spelled differently (value, kernel, Python): "
+                    f"{wrong[:5]}")
+
+
+@pytest.mark.parametrize("family", list(KERNEL_FAMILIES))
+def test_csv_kernel_is_percent_12g(family):
+    values = KERNEL_FAMILIES[family]
+    text = io_mod.float_csv(["v"], [values])
+    assert_same_spelling(values, text, reference_float_csv(["v"], [values]), "\n")
+
+
+@pytest.mark.parametrize("family", list(KERNEL_FAMILIES))
+def test_json_kernel_is_float_repr(family):
+    values = KERNEL_FAMILIES[family]
+    expected = "[\n    " + ",\n    ".join(json.dumps(v) for v in values.tolist()) + "\n  ]"
+    assert_same_spelling(values, io_mod.json_array(values), expected, ",\n    ")
+
+
+def spy_on_kernels(monkeypatch):
+    """Counts of the values each kernel was given and of those it left to Python."""
+    counts = {"kernel": 0, "python": 0}
+
+    def counted(function, key, size):
+        def spy(*args):
+            counts[key] += size(args)
+            return function(*args)
+        return spy
+
+    for name in ("g12_chunk", "repr_chunk"):
+        monkeypatch.setattr(spelling, name, counted(getattr(spelling, name), "kernel",
+                                                    lambda args: args[0].size))
+    for name in ("python_g12", "python_json"):
+        monkeypatch.setattr(spelling, name, counted(getattr(spelling, name), "python",
+                                                    lambda args: 1))
+    return counts
+
+
+@pytest.mark.parametrize("argv, values", [
+    (("spectra", "--n-points", "4096", "--format", "json"), 3 * 4096),
+    (("spectra", "--n-points", "4096", "--format", "json", "--normalize", "peak",
+      "--relative-axis"), 3 * 4096),
+    (("spectra", "--n-points", "4096", "--format", "csv"), 3 * 4096),
+    (("gterm", "--steps", "4001"), 3 * 4001),
+], ids=["spectra-json", "spectra-json-peak-relative", "spectra-csv", "gterm-csv"])
+def test_kernels_spell_nearly_every_value(monkeypatch, argv, values):
+    monkeypatch.delenv("MZQKD_CONFIG", raising=False)
+    counts = spy_on_kernels(monkeypatch)
+    cli_stdout(*argv)
+    assert counts["kernel"] == values
+    assert counts["python"] <= 0.01 * values
 
 
 def cli_stdout(*argv):
